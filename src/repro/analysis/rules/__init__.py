@@ -3,7 +3,6 @@
 from repro.analysis.rules.concurrency import (
     AsyncioBlockingRule,
     LockDisciplineRule,
-    PoolGenerationRule,
     ShmLifecycleRule,
     SignalMainThreadRule,
 )
@@ -28,6 +27,5 @@ __all__ = [
     "ShmLifecycleRule",
     "LockDisciplineRule",
     "SignalMainThreadRule",
-    "PoolGenerationRule",
     "UnusedIgnoreRule",
 ]

@@ -1,6 +1,6 @@
 """Whole-program concurrency rules built on the call graph.
 
-Five rule families, each encoding one invariant the runtime layers
+Four rule families, each encoding one invariant the runtime layers
 (PRs 6–9) rely on but cannot express in types:
 
 - ``asyncio-blocking`` — nothing reachable from an ``async def`` in
@@ -22,9 +22,6 @@ Five rule families, each encoding one invariant the runtime layers
   function guards itself (a ``threading.main_thread()`` comparison or
   a ``try`` that catches the ``ValueError`` CPython raises off the
   main thread).
-- ``pool-generation`` — code that mutates shared arrays and then
-  dispatches onto a fork-shared pool must pass a ``generation=`` token
-  (or lease through ``PmapPool.ensure``) so stale workers re-fork.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ __all__ = [
     "ShmLifecycleRule",
     "LockDisciplineRule",
     "SignalMainThreadRule",
-    "PoolGenerationRule",
     "resolves_to_pool",
 ]
 
@@ -67,12 +63,10 @@ __all__ = [
 #: cannot be traced (parameters, attributes).
 _POOL_NAME_RE = re.compile(r"(^|_)(pool|executor)s?$", re.IGNORECASE)
 
-#: Constructor / factory origins that produce executors or pmap pools.
+#: Constructor origins that produce executors.
 _POOL_ORIGINS = (
-    "PmapPool",
     "ProcessPoolExecutor",
     "ThreadPoolExecutor",
-    ".ensure",
 )
 
 
@@ -92,7 +86,7 @@ def resolves_to_pool(
 
     ``origins`` maps names to the dotted origin of their (module- or
     function-scope) binding; a receiver resolves to a pool when its
-    origin is a known pool constructor / ``.ensure`` lease, or — for
+    origin is a known pool constructor, or — for
     untraceable receivers — when its name says so (``pool``,
     ``executor``, ``self._pool``).  A ``job.submit(...)`` therefore no
     longer trips the check just because the method is called "submit".
@@ -762,117 +756,7 @@ class SignalMainThreadRule(Rule):
                 )
 
 
-# --------------------------------------------------------------------- #
-# pool-generation
-# --------------------------------------------------------------------- #
-
-
-def _mutates_shared_arrays(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    flow: FunctionFlow,
-    shm: set[str],
-) -> bool:
-    """Does ``fn`` publish or splice fork-shared array state?"""
-    view_names = {v for v, _, _ in _view_bindings(flow, shm)}
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call):
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("share", "bump")
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in shm
-            ):
-                return True
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if not isinstance(target, ast.Subscript):
-                    continue
-                chain = attribute_chain(target.value)
-                if chain is None:
-                    continue
-                if chain[0] in view_names or (
-                    chain[0] in shm and chain[-1] == "array"
-                ):
-                    return True
-    return False
-
-
-class PoolGenerationRule(Rule):
-    id = "pool-generation"
-    description = (
-        "fork-shared pool use reachable from shared-array mutation "
-        "must carry a generation token (or lease via PmapPool.ensure)"
-    )
-    scope = "project"
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        graph = get_callgraph(project)
-        mutators: set[str] = set()
-        flows: dict[str, tuple[ParsedModule, ast.AST]] = {}
-        for module in project.modules:
-            resolve = _resolver(graph, module)
-            for fn in iter_functions(module.tree):
-                flow = function_flow(fn, resolve=resolve)
-                shm = _shm_names(flow)
-                if shm and _mutates_shared_arrays(fn, flow, shm):
-                    mutators.add(f"{module.name}.{fn.name}")
-        if not mutators:
-            return
-        scope = graph.reachable(sorted(mutators))
-        for qualname in sorted(scope):
-            module, fn = _module_of(graph, project, qualname)
-            if module is None or fn is None:
-                continue
-            yield from self._check_pool_use(graph, module, fn)
-
-    def _check_pool_use(
-        self,
-        graph: CallGraph,
-        module: ParsedModule,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> Iterator[Finding]:
-        resolve = _resolver(graph, module)
-        flow = function_flow(fn, resolve=resolve)
-        origins = {
-            name: flow.origin_of(name) for name in flow.events
-        }
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = attribute_chain(node.func)
-            target = (
-                graph.resolve(module.name, chain)
-                if chain is not None else None
-            )
-            if target in PMAP_DISPATCHERS:
-                kwargs = {k.arg for k in node.keywords}
-                if "pool" in kwargs and "generation" not in kwargs:
-                    yield self.finding(
-                        module, node,
-                        "parallel_map(pool=...) without generation= "
-                        "in code that mutates shared arrays; stale "
-                        "workers keep pre-mutation snapshots — pass "
-                        "the shared state's generation token",
-                    )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "submit"
-                and isinstance(node.func.value, ast.Name)
-                and resolves_to_pool(node.func.value, origins)
-            ):
-                origin = origins.get(node.func.value.id)
-                if origin is None or not origin.endswith(".ensure"):
-                    yield self.finding(
-                        module, node,
-                        f"direct `{node.func.value.id}.submit()` in "
-                        "code that mutates shared arrays; lease the "
-                        "pool through PmapPool.ensure so stale "
-                        "workers re-fork",
-                    )
-
-
 register(AsyncioBlockingRule())
 register(ShmLifecycleRule())
 register(LockDisciplineRule())
 register(SignalMainThreadRule())
-register(PoolGenerationRule())

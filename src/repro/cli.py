@@ -1,6 +1,6 @@
 """Command-line tools.
 
-One console entry point, ``massf``, with four subcommands:
+One console entry point, ``massf``, with nine subcommands:
 
 - ``massf map`` — partition a network description (DML) file onto engine
   nodes with TOP, or with PROFILE when given a NetFlow dump directory.
@@ -25,13 +25,6 @@ One console entry point, ``massf``, with four subcommands:
   (by default) wait for the result.
 - ``massf jobs`` — list / inspect / cancel service jobs, dump status and
   metrics, or stream SSE telemetry events.
-- ``massf bench service`` — drive a mixed map/sweep batch against a
-  private service instance cold then warm and report throughput,
-  latency percentiles and the warm/cold speedup (CI-gated via
-  ``--min-speedup``).
-
-The historical per-tool entry points (``massf-map``, ``massf-emulate``,
-``massf-netflow``) remain as thin deprecation shims.
 
 All commands are plain functions taking ``argv`` so tests can drive them
 without subprocesses.
@@ -43,7 +36,7 @@ import argparse
 import json
 import sys
 
-__all__ = ["massf", "massf_map", "massf_emulate", "massf_netflow"]
+__all__ = ["massf"]
 
 
 # --------------------------------------------------------------------- #
@@ -415,713 +408,6 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
 
 
 # --------------------------------------------------------------------- #
-# massf bench
-# --------------------------------------------------------------------- #
-def _configure_bench(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("what",
-                        choices=("partition", "routing", "place", "emulate",
-                                 "rebalance", "delta", "service"),
-                        help="benchmark suite to run")
-    parser.add_argument("--sizes", default="1000,2000,5000",
-                        help="comma-separated router counts for the "
-                        "synthetic hierarchical topology")
-    parser.add_argument("--algorithms", default="multilevel,recursive",
-                        help="comma-separated partitioning algorithms "
-                        "(partition suite)")
-    parser.add_argument("-k", "--parts", type=int, default=16,
-                        help="number of parts (engine nodes)")
-    parser.add_argument("--tolerance", type=float, default=1.2)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for both the generator and the "
-                        "partitioners")
-    parser.add_argument("--hosts-per-router", type=float, default=1.0)
-    parser.add_argument("--metric", default="latency",
-                        help="routing metric (routing / place suites)")
-    parser.add_argument("--hosts", type=int, default=200,
-                        help="foreground endpoints for the place suite "
-                        "(all-to-all over the first N hosts)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="route-block worker processes for the place "
-                        "suite (0 = inline)")
-    parser.add_argument("--no-representatives", action="store_true",
-                        help="disable the representative-endpoint "
-                        "traceroute optimization (place suite)")
-    parser.add_argument("--flows", type=int, default=None,
-                        help="synthetic transfers per run (default: 4000 "
-                        "for the emulate suite, 600 for rebalance)")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="virtual horizon in seconds (default: 2.0 "
-                        "for the emulate suite, 6.0 for rebalance)")
-    parser.add_argument("--train-packets", type=int, default=32,
-                        help="packets per train (emulate suite)")
-    parser.add_argument("--engines", default="reference,sequential,parallel",
-                        help="comma-separated subset of reference, "
-                        "sequential, parallel (emulate suite)")
-    parser.add_argument("--policies",
-                        default="static,hysteresis,kurve,rsz",
-                        help="comma-separated rebalancing policies "
-                        "(rebalance suite)")
-    parser.add_argument("--regions", type=int, default=3,
-                        help="regions (= LPs) in the diurnal scenario "
-                        "(rebalance suite)")
-    parser.add_argument("--batch-sizes", default="1,4,16",
-                        help="comma-separated change-batch sizes "
-                        "(delta suite)")
-    parser.add_argument("--min-speedup", type=float, default=None,
-                        help="fail unless the incremental/warm path beats "
-                        "the cold baseline by this factor (delta and "
-                        "service suites)")
-    parser.add_argument("--routers", type=int, default=1000,
-                        help="router count for the service suite topology")
-    parser.add_argument("--requests", type=int, default=8,
-                        help="requests per phase in the service suite "
-                        "mixed map/sweep batch")
-    parser.add_argument("--service-workers", type=int, default=2,
-                        help="service worker threads (service suite)")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="client-side wait timeout per phase in "
-                        "seconds (service suite)")
-    parser.add_argument("--budget", type=float, default=None,
-                        help="per-run wall-time budget in seconds; exceeding "
-                        "it fails the command (CI smoke guard)")
-    parser.add_argument("--stats", metavar="PATH",
-                        help="write a telemetry JSON snapshot here "
-                        "(render with `massf stats`)")
-    parser.add_argument("--json", action="store_true",
-                        help="write the result rows to BENCH_<suite>.json "
-                        "in the working directory (CI artifact)")
-    parser.add_argument("-o", "--output", help="write the result rows as "
-                        "JSON here")
-
-
-def _bench_sizes(parser: argparse.ArgumentParser, args) -> list[int]:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError:
-        parser.error(f"bad --sizes value {args.sizes!r}")
-    if not sizes:
-        parser.error("--sizes must name at least one router count")
-    return sizes
-
-
-def _bench_net(parser: argparse.ArgumentParser, args, n: int):
-    from repro.topology.synth import SynthError, synth_network
-
-    try:
-        return synth_network(
-            n_routers=n, hosts_per_router=args.hosts_per_router,
-            seed=args.seed,
-        )
-    except SynthError as exc:
-        parser.error(f"cannot generate n_routers={n}: {exc}")
-
-
-def _bench_partition(parser, args, telemetry) -> tuple[list[dict], list[str]]:
-    import time
-
-    from repro.core.graphbuild import network_csr
-    from repro.partition.api import part_graph, resolve_algorithm
-
-    try:
-        algorithms = [
-            resolve_algorithm(a)
-            for a in args.algorithms.split(",")
-            if a.strip()
-        ]
-    except ValueError as exc:
-        parser.error(str(exc))
-    if not algorithms:
-        parser.error("--algorithms must name at least one algorithm")
-
-    rows: list[dict] = []
-    over_budget: list[str] = []
-    print(f"{'routers':>8s} {'algorithm':<12s} {'wall_s':>8s} "
-          f"{'cut':>12s} {'imbalance':>9s}")
-    for n in _bench_sizes(parser, args):
-        with telemetry.span(f"bench/generate/n{n}"):
-            net = _bench_net(parser, args, n)
-            graph, _ = network_csr(net)
-        telemetry.count("bench.vertices", graph.n)
-        for algo in algorithms:
-            start = time.perf_counter()
-            with telemetry.span(f"bench/partition/n{n}/{algo}"):
-                result = part_graph(
-                    graph, args.parts, algorithm=algo,
-                    tolerance=args.tolerance, seed=args.seed,
-                    telemetry=telemetry,
-                )
-            wall = time.perf_counter() - start
-            telemetry.count("bench.runs")
-            telemetry.gauge(f"bench.wall_s.n{n}.{algo}", wall)
-            row = {
-                "n_routers": n,
-                "n_vertices": graph.n,
-                "algorithm": algo,
-                "k": args.parts,
-                "wall_s": wall,
-                "weighted_cut": result.weighted_cut,
-                "edge_cut": result.edge_cut,
-                "max_imbalance": result.max_imbalance,
-            }
-            rows.append(row)
-            print(f"{n:8d} {algo:<12s} {wall:8.2f} "
-                  f"{result.weighted_cut:12.4g} {result.max_imbalance:9.3f}")
-            if args.budget is not None and wall > args.budget:
-                over_budget.append(
-                    f"n={n} {algo}: {wall:.2f}s > budget {args.budget:.2f}s"
-                )
-    return rows, over_budget
-
-
-def _bench_routing(parser, args, telemetry) -> tuple[list[dict], list[str]]:
-    import time
-
-    from repro.routing.perf import RoutingStats
-    from repro.routing.spf import build_routing
-    from repro.routing.tables import METRICS
-
-    if args.metric not in METRICS:
-        parser.error(f"unknown metric {args.metric!r}; "
-                     f"choose from {METRICS}")
-    rows: list[dict] = []
-    over_budget: list[str] = []
-    print(f"{'routers':>8s} {'nodes':>8s} {'metric':<14s} {'wall_s':>8s} "
-          f"{'dijkstra':>9s} {'nh_rounds':>9s}")
-    for n in _bench_sizes(parser, args):
-        with telemetry.span(f"bench/generate/n{n}"):
-            net = _bench_net(parser, args, n)
-        stats = RoutingStats()
-        start = time.perf_counter()
-        build_routing(
-            net, args.metric, telemetry=telemetry, stats=stats
-        )
-        wall = time.perf_counter() - start
-        telemetry.count("bench.runs")
-        telemetry.gauge(f"bench.routing_wall_s.n{n}", wall)
-        row = {
-            "n_routers": n,
-            "n_nodes": net.n_nodes,
-            "metric": args.metric,
-            "wall_s": wall,
-            "dijkstra_calls": stats.dijkstra_calls,
-            "nexthop_rounds": stats.nexthop_rounds,
-        }
-        rows.append(row)
-        print(f"{n:8d} {net.n_nodes:8d} {args.metric:<14s} {wall:8.2f} "
-              f"{stats.dijkstra_calls:9d} {stats.nexthop_rounds:9d}")
-        if args.budget is not None and wall > args.budget:
-            over_budget.append(
-                f"n={n}: {wall:.2f}s > budget {args.budget:.2f}s"
-            )
-    return rows, over_budget
-
-
-class _BenchApp:
-    """Minimal all-to-all foreground app for the place benchmark."""
-
-    name = "bench-all-to-all"
-
-    def __init__(self, endpoints: list[int]) -> None:
-        self.endpoints = list(endpoints)
-
-    duration = 0.0
-
-    def offered_bytes(self):
-        return None
-
-
-def _bench_place(parser, args, telemetry) -> tuple[list[dict], list[str]]:
-    import time
-
-    from repro.core.place import build_place_inputs
-    from repro.routing.spf import build_routing
-    from repro.routing.tables import METRICS
-
-    if args.metric not in METRICS:
-        parser.error(f"unknown metric {args.metric!r}; "
-                     f"choose from {METRICS}")
-    if args.hosts < 2:
-        parser.error("--hosts must be >= 2")
-    rows: list[dict] = []
-    over_budget: list[str] = []
-    print(f"{'routers':>8s} {'nodes':>8s} {'hosts':>6s} {'pairs':>9s} "
-          f"{'wall_s':>8s} {'routes':>8s}")
-    for n in _bench_sizes(parser, args):
-        with telemetry.span(f"bench/generate/n{n}"):
-            net = _bench_net(parser, args, n)
-        hosts = [h.node_id for h in net.hosts()][: args.hosts]
-        if len(hosts) < 2:
-            parser.error(
-                f"n_routers={n} with --hosts-per-router "
-                f"{args.hosts_per_router} yields {len(hosts)} hosts; "
-                "the place suite needs at least 2"
-            )
-        with telemetry.span(f"bench/routing/n{n}"):
-            tables = build_routing(net, args.metric, telemetry=telemetry)
-        app = _BenchApp(hosts)
-        start = time.perf_counter()
-        inputs = build_place_inputs(
-            net, tables, background=[], apps=[app],
-            use_representatives=not args.no_representatives,
-            workers=args.workers, telemetry=telemetry,
-        )
-        wall = time.perf_counter() - start
-        telemetry.count("bench.runs")
-        telemetry.gauge(f"bench.place_wall_s.n{n}", wall)
-        n_pairs = len(hosts) * (len(hosts) - 1)
-        row = {
-            "n_routers": n,
-            "n_nodes": net.n_nodes,
-            "n_hosts": len(hosts),
-            "n_pairs": n_pairs,
-            "metric": args.metric,
-            "workers": args.workers,
-            "use_representatives": not args.no_representatives,
-            "wall_s": wall,
-            "n_routes": inputs.estimate.n_routes,
-        }
-        rows.append(row)
-        print(f"{n:8d} {net.n_nodes:8d} {len(hosts):6d} {n_pairs:9d} "
-              f"{wall:8.2f} {inputs.estimate.n_routes:8d}")
-        if args.budget is not None and wall > args.budget:
-            over_budget.append(
-                f"n={n}: {wall:.2f}s > budget {args.budget:.2f}s"
-            )
-    return rows, over_budget
-
-
-def _bench_emulate(parser, args, telemetry) -> tuple[list[dict], list[str]]:
-    """Engine throughput: reference vs batched vs multi-process LPs.
-
-    One synthetic transfer soup per topology size, replayed through each
-    requested engine.  All engines must produce byte-identical traces —
-    a mismatch fails the command (the parity contract, enforced here too
-    so CI smoke catches drift on big inputs the unit suite never sees).
-    """
-    import time
-
-    import numpy as np
-
-    from repro.api import emulate
-    from repro.engine._reference import run_kernel_reference
-    from repro.experiments.workloads import SyntheticTransfers
-    from repro.routing.spf import build_routing
-
-    engines = [e.strip() for e in args.engines.split(",") if e.strip()]
-    known = ("reference", "sequential", "parallel")
-    bad = [e for e in engines if e not in known]
-    if bad or not engines:
-        parser.error(
-            f"--engines must be a non-empty subset of {', '.join(known)}"
-        )
-    n_flows = args.flows if args.flows is not None else 4000
-    duration = args.duration if args.duration is not None else 2.0
-
-    rows: list[dict] = []
-    over_budget: list[str] = []
-    print(f"{'routers':>8s} {'engine':<12s} {'wall_s':>8s} {'events':>10s} "
-          f"{'events/s':>10s} {'speedup':>8s} {'lp_imbal':>8s}")
-    for n in _bench_sizes(parser, args):
-        with telemetry.span(f"bench/generate/n{n}"):
-            net = _bench_net(parser, args, n)
-            tables = build_routing(net)
-        workload = SyntheticTransfers(
-            n_flows=n_flows, duration=duration,
-        )
-        workload.prepare(net, np.random.default_rng(args.seed))
-        ref_wall = None
-        baseline: tuple | None = None
-        for engine in engines:
-            with telemetry.span(f"bench/emulate/n{n}/{engine}"):
-                if engine == "reference":
-                    start = time.perf_counter()
-                    trace, kernel = run_kernel_reference(
-                        net, tables, workload, seed=args.seed,
-                        train_packets=args.train_packets,
-                    )
-                    wall = time.perf_counter() - start
-                    ref_wall = wall
-                    lp_imbalance = None
-                else:
-                    result = emulate(
-                        net, tables, workload, seed=args.seed,
-                        train_packets=args.train_packets, engine=engine,
-                        k=args.parts if engine == "parallel" else None,
-                    )
-                    trace, wall = result.trace, result.wall_s
-                    lp_imbalance = (
-                        result.lp_imbalance
-                        if engine == "parallel" else None
-                    )
-            if baseline is None:
-                baseline = tuple(
-                    getattr(trace, f)
-                    for f in ("time", "node", "next_node", "packets",
-                              "flow", "span")
-                )
-            elif not all(
-                np.array_equal(a, getattr(trace, f))
-                for a, f in zip(baseline, ("time", "node", "next_node",
-                                           "packets", "flow", "span"))
-            ):
-                parser.error(
-                    f"engine {engine!r} produced a different trace than "
-                    f"{engines[0]!r} on n_routers={n} — the engines' "
-                    "bit-identity contract is broken"
-                )
-            speedup = ref_wall / wall if ref_wall and wall > 0 else None
-            telemetry.count("bench.runs")
-            telemetry.gauge(f"bench.wall_s.n{n}.{engine}", wall)
-            rows.append({
-                "n_routers": n,
-                "n_hosts": len(net.hosts()),
-                "engine": engine,
-                "k": args.parts if engine == "parallel" else 1,
-                "flows": n_flows,
-                "train_packets": args.train_packets,
-                "duration_s": duration,
-                "events": trace.n_events,
-                "wall_s": wall,
-                "events_per_s": trace.n_events / wall if wall > 0 else None,
-                "speedup_vs_reference": speedup,
-                "lp_imbalance": lp_imbalance,
-            })
-            print(f"{n:8d} {engine:<12s} {wall:8.2f} {trace.n_events:10d} "
-                  f"{trace.n_events / wall if wall > 0 else 0:10.0f} "
-                  f"{speedup if speedup else float('nan'):8.2f} "
-                  f"{lp_imbalance if lp_imbalance else float('nan'):8.2f}")
-            if args.budget is not None and wall > args.budget:
-                over_budget.append(
-                    f"n={n} {engine}: {wall:.2f}s > budget "
-                    f"{args.budget:.2f}s"
-                )
-    return rows, over_budget
-
-
-def _bench_rebalance(parser, args, telemetry) -> tuple[list[dict], list[str]]:
-    """Online rebalancing on the diurnal-shift scenario, per policy.
-
-    A rotating hot region defeats the static region-per-LP partition; the
-    online policies migrate routers at window barriers to chase it.  The
-    score is the imbalance-over-time AUC (lower = better), plus migration
-    counts, payload bytes and the post-shift recovery time.  All policies
-    must produce byte-identical traces — migration is state relocation,
-    not behaviour — and every online policy must beat the static AUC; a
-    violation fails the command.
-    """
-    import time
-
-    import numpy as np
-
-    from repro.engine.kernel import run_kernel
-    from repro.experiments.setups import diurnal_scenario
-    from repro.rebalance import POLICIES, RebalanceConfig
-    from repro.routing.spf import build_routing
-
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    bad = [p for p in policies if p not in POLICIES]
-    if bad or not policies:
-        parser.error(
-            f"--policies must be a non-empty subset of "
-            f"{', '.join(sorted(POLICIES))}"
-        )
-    n_flows = args.flows if args.flows is not None else 600
-    duration = args.duration if args.duration is not None else 6.0
-
-    scenario = diurnal_scenario(
-        n_regions=args.regions, n_flows=n_flows,
-        duration=duration, seed=args.seed,
-    )
-    with telemetry.span("bench/rebalance/routing"):
-        tables = build_routing(scenario.net)
-    shift = scenario.shift_times[0] if scenario.shift_times else 0.0
-
-    rows: list[dict] = []
-    over_budget: list[str] = []
-    baseline: tuple | None = None
-    static_auc: float | None = None
-    print(f"{'policy':<12s} {'auc':>8s} {'migr':>5s} {'routers':>8s} "
-          f"{'bytes':>8s} {'ttr_s':>7s} {'wall_s':>7s}")
-    for policy in policies:
-        start = time.perf_counter()
-        with telemetry.span(f"bench/rebalance/{policy}"):
-            trace, kernel = run_kernel(
-                scenario.net, tables, scenario.workload, seed=args.seed,
-                train_packets=args.train_packets, engine="parallel",
-                parts=scenario.parts, processes=False,
-                rebalance=RebalanceConfig(policy=policy),
-                telemetry=telemetry,
-            )
-        wall = time.perf_counter() - start
-        fields = ("time", "node", "next_node", "packets", "flow", "span")
-        if baseline is None:
-            baseline = tuple(getattr(trace, f) for f in fields)
-        elif not all(
-            np.array_equal(a, getattr(trace, f))
-            for a, f in zip(baseline, fields)
-        ):
-            parser.error(
-                f"policy {policy!r} changed the event trace — migration "
-                "must be pure state relocation"
-            )
-        log = kernel.rebalancer.log
-        ttr = log.time_to_rebalance(shift, 0.5)
-        if policy == "static":
-            static_auc = log.auc()
-        telemetry.count("bench.runs")
-        telemetry.gauge(f"bench.rebalance_auc.{policy}", log.auc())
-        rows.append({
-            "policy": policy,
-            "k": scenario.k,
-            "flows": n_flows,
-            "duration_s": duration,
-            "auc": log.auc(),
-            "migration_count": log.migration_count,
-            "routers_moved": log.routers_moved,
-            "bytes_moved": log.bytes_moved,
-            "time_to_rebalance_s": None if np.isinf(ttr) else ttr,
-            "events": trace.n_events,
-            "wall_s": wall,
-        })
-        print(f"{policy:<12s} {log.auc():8.3f} {log.migration_count:5d} "
-              f"{log.routers_moved:8d} {log.bytes_moved:8d} "
-              f"{ttr:7.2f} {wall:7.2f}")
-        if args.budget is not None and wall > args.budget:
-            over_budget.append(
-                f"{policy}: {wall:.2f}s > budget {args.budget:.2f}s"
-            )
-    if static_auc is not None:
-        losers = [
-            r["policy"] for r in rows
-            if r["policy"] != "static" and r["auc"] >= static_auc
-        ]
-        if losers:
-            parser.error(
-                f"online policies {', '.join(losers)} did not beat the "
-                f"static AUC ({static_auc:.3f}) on the diurnal scenario"
-            )
-    return rows, over_budget
-
-
-def _bench_delta(parser, args, telemetry) -> tuple[list[dict], list[str]]:
-    """Full SPF rebuild vs incremental update, per change-batch size.
-
-    For each topology size the suite builds routing once, then — per
-    batch size — applies a latency-shift batch both ways: a from-scratch
-    ``build_routing`` on the mutated network (the paper's only option)
-    and :func:`repro.routing.delta.update_routing` on a live
-    :class:`~repro.routing.delta.RoutingState`.  Bit-identity between
-    the two and ``touched == affected`` are *enforced*, not sampled;
-    ``--min-speedup`` turns the single-link speedup into a hard gate and
-    ``--budget`` bounds the incremental wall time (CI smoke guard).
-    Every batch is reverted afterwards, so each size's state sees the
-    same starting tables.
-    """
-    import time
-
-    import numpy as np
-
-    from repro.routing.delta import (
-        SetLinkCost,
-        routing_state,
-        update_routing,
-    )
-    from repro.routing.perf import RoutingStats
-    from repro.routing.spf import build_routing
-    from repro.routing.tables import METRICS
-
-    if args.metric not in METRICS:
-        parser.error(f"unknown metric {args.metric!r}; "
-                     f"choose from {METRICS}")
-    try:
-        batch_sizes = [
-            int(s) for s in args.batch_sizes.split(",") if s.strip()
-        ]
-    except ValueError:
-        parser.error(f"bad --batch-sizes value {args.batch_sizes!r}")
-    if not batch_sizes or min(batch_sizes) < 1:
-        parser.error("--batch-sizes must name positive batch sizes")
-
-    rows: list[dict] = []
-    over_budget: list[str] = []
-    print(f"{'routers':>8s} {'batch':>6s} {'full_s':>8s} {'incr_s':>8s} "
-          f"{'speedup':>8s} {'touched':>8s} {'frac':>6s}")
-    for n in _bench_sizes(parser, args):
-        with telemetry.span(f"bench/generate/n{n}"):
-            net = _bench_net(parser, args, n)
-        with telemetry.span(f"bench/delta/build/n{n}"):
-            tables = build_routing(net, args.metric, telemetry=telemetry)
-        state = routing_state(tables)
-        fp0 = net.fingerprint()
-        # Rank candidate links by blast radius (the affected-source
-        # predicate over the current dist matrix): backbone trunks and
-        # host access links sit on most sources' shortest paths and
-        # degenerate to a near-full recompute, links with path diversity
-        # touch a handful of rows.  The suite changes low-radius links —
-        # the regime incremental maintenance exists for — and reports
-        # the touched fraction per row so the dependence stays visible.
-        u_arr, v_arr, _, _ = net.link_endpoint_arrays()
-        n_probe = min(net.n_links, 128)
-        probe = np.unique(
-            (np.arange(n_probe, dtype=np.int64) * net.n_links) // n_probe
-        )
-        pa, pb = u_arr[probe], v_arr[probe]
-        costs = np.asarray(state.graph[pa, pb]).ravel()
-        da, db = state.tables.dist[:, pa], state.tables.dist[:, pb]
-        blast = (
-            (((da + costs) <= db) & np.isfinite(da))
-            | (((db + costs) <= da) & np.isfinite(db))
-        )
-        ranked = probe[np.argsort(blast.sum(axis=0), kind="stable")]
-        for batch in batch_sizes:
-            lids = sorted(int(lid) for lid in ranked[:batch])
-            before = {
-                lid: net.links[lid].latency_s for lid in lids
-            }
-            changes = [
-                SetLinkCost(lid, latency_s=lat * 3.0)
-                for lid, lat in before.items()
-            ]
-            stats = RoutingStats()
-            start = time.perf_counter()
-            with telemetry.span(f"bench/delta/incr/n{n}/b{batch}"):
-                touched = update_routing(
-                    state, changes, stats=stats, telemetry=telemetry,
-                )
-            inc_wall = time.perf_counter() - start
-            start = time.perf_counter()
-            with telemetry.span(f"bench/delta/full/n{n}/b{batch}"):
-                fresh = build_routing(net, args.metric)
-            full_wall = time.perf_counter() - start
-            if not (np.array_equal(state.tables.dist, fresh.dist)
-                    and np.array_equal(state.tables.next_hop,
-                                       fresh.next_hop)):
-                parser.error(
-                    f"incremental tables diverged from the full rebuild "
-                    f"(n={n}, batch={batch})"
-                )
-            if stats.touched_sources != stats.affected_sources:
-                parser.error(
-                    f"touched_sources {stats.touched_sources} != "
-                    f"affected_sources {stats.affected_sources} "
-                    f"(n={n}, batch={batch})"
-                )
-            speedup = full_wall / inc_wall if inc_wall > 0 else float("inf")
-            telemetry.count("bench.runs")
-            telemetry.gauge(f"bench.delta_speedup.n{n}.b{batch}", speedup)
-            row = {
-                "n_routers": n,
-                "n_nodes": net.n_nodes,
-                "metric": args.metric,
-                "batch_size": len(changes),
-                "full_wall_s": full_wall,
-                "incremental_wall_s": inc_wall,
-                "speedup": speedup,
-                "touched_sources": int(len(touched)),
-                "touched_frac": float(len(touched)) / net.n_nodes,
-            }
-            rows.append(row)
-            print(f"{n:8d} {len(changes):6d} {full_wall:8.3f} "
-                  f"{inc_wall:8.3f} {speedup:8.1f} {len(touched):8d} "
-                  f"{row['touched_frac']:6.3f}")
-            if args.budget is not None and inc_wall > args.budget:
-                over_budget.append(
-                    f"n={n} batch={batch}: incremental {inc_wall:.2f}s > "
-                    f"budget {args.budget:.2f}s"
-                )
-            if (args.min_speedup is not None and len(changes) == 1
-                    and speedup < args.min_speedup):
-                over_budget.append(
-                    f"n={n} single-link speedup {speedup:.1f}x < required "
-                    f"{args.min_speedup:.1f}x"
-                )
-            # Revert so the next batch size starts from the same tables.
-            update_routing(state, [
-                SetLinkCost(lid, latency_s=lat)
-                for lid, lat in before.items()
-            ])
-            if net.fingerprint() != fp0:
-                parser.error(
-                    f"revert failed to restore the topology fingerprint "
-                    f"(n={n}, batch={batch})"
-                )
-    return rows, over_budget
-
-
-def _bench_service(parser, args, telemetry) -> tuple[list[dict], list[str]]:
-    from repro.service.bench import bench_service
-
-    try:
-        rows, over_budget = bench_service(
-            n_routers=args.routers,
-            batch=args.requests,
-            service_workers=args.service_workers,
-            seed=args.seed,
-            duration=args.duration if args.duration is not None else 1.0,
-            hosts_per_router=args.hosts_per_router,
-            timeout=args.timeout,
-            min_speedup=args.min_speedup,
-            budget=args.budget,
-            telemetry=telemetry,
-        )
-    except (RuntimeError, TimeoutError) as exc:
-        parser.error(f"service bench failed: {exc}")
-
-    print(f"{'phase':<8s} {'req':>4s} {'wall_s':>8s} {'req/s':>8s} "
-          f"{'p50_s':>8s} {'p95_s':>8s} {'warm':>5s}")
-    for row in rows:
-        if row["phase"] == "summary":
-            continue
-        print(f"{row['phase']:<8s} {row['n_requests']:>4d} "
-              f"{row['wall_s']:>8.2f} {row['throughput_rps']:>8.2f} "
-              f"{row['p50_s']:>8.3f} {row['p95_s']:>8.3f} "
-              f"{row['warm_hits']:>5d}")
-    summary = rows[-1]
-    print(f"speedup {summary['speedup']:.2f}x  "
-          f"warm_hit_rate {summary['warm_hit_rate']:.2f}  "
-          f"delta_derives {summary['delta_derives']}  "
-          f"cold_builds {summary['cold_builds']}")
-    return rows, over_budget
-
-
-_BENCH_SUITES = {
-    "partition": _bench_partition,
-    "routing": _bench_routing,
-    "place": _bench_place,
-    "emulate": _bench_emulate,
-    "rebalance": _bench_rebalance,
-    "delta": _bench_delta,
-    "service": _bench_service,
-}
-
-
-def _cmd_bench(parser: argparse.ArgumentParser, args) -> int:
-    from repro.obs import Telemetry, write_json
-
-    telemetry = Telemetry()
-    rows, over_budget = _BENCH_SUITES[args.what](parser, args, telemetry)
-
-    if args.stats:
-        write_json(telemetry, args.stats)
-        print(f"telemetry written to {args.stats} "
-              f"(render with `massf stats {args.stats}`)", file=sys.stderr)
-    payload = json.dumps(rows, indent=2) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    if args.json:
-        path = f"BENCH_{args.what}.json"
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-        print(f"rows written to {path}", file=sys.stderr)
-    if over_budget:
-        for line in over_budget:
-            print(f"BUDGET EXCEEDED: {line}", file=sys.stderr)
-        return 1
-    return 0
-
-
-# --------------------------------------------------------------------- #
 # massf stats
 # --------------------------------------------------------------------- #
 def _configure_stats(parser: argparse.ArgumentParser) -> None:
@@ -1279,8 +565,6 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
                         "routing delta-derivation instead of a rebuild")
     parser.add_argument("--default-timeout", type=float, default=None,
                         help="default per-job soft deadline in seconds")
-    parser.add_argument("--pool-workers", type=int, default=0,
-                        help="pmap pool size leased to jobs (0 = inline)")
 
 
 def _cmd_serve(parser: argparse.ArgumentParser, args) -> int:
@@ -1295,7 +579,6 @@ def _cmd_serve(parser: argparse.ArgumentParser, args) -> int:
         budget_bytes=args.budget_mb * 1024 * 1024,
         max_delta_changes=args.max_delta_changes,
         default_timeout_s=args.default_timeout,
-        pool_workers=args.pool_workers,
     )
     serve(config, log=lambda line: print(line, file=sys.stderr))
     return 0
@@ -1407,7 +690,7 @@ def _cmd_jobs(parser: argparse.ArgumentParser, args) -> int:
 
 
 # --------------------------------------------------------------------- #
-# Unified entry point + deprecation shims
+# Unified entry point
 # --------------------------------------------------------------------- #
 _SUBCOMMANDS = {
     "map": (_configure_map, _cmd_map,
@@ -1420,8 +703,6 @@ _SUBCOMMANDS = {
               "sweep an experiment across seeds on the parallel runtime"),
     "stats": (_configure_stats, _cmd_stats,
               "render a telemetry snapshot (from `sweep --stats`)"),
-    "bench": (_configure_bench, _cmd_bench,
-              "benchmark partitioning on synthetic scale topologies"),
     "check": (_configure_check, _cmd_check,
               "run the repo's determinism / parity / parallel-safety "
               "static analysis (exit 0 clean, 2 findings, 1 error)"),
@@ -1452,31 +733,6 @@ def massf(argv: list[str] | None = None) -> int:
         sub.set_defaults(_run=run, _parser=sub)
     args = parser.parse_args(argv)
     return args._run(args._parser, args)
-
-
-def _deprecated_shim(old: str, command: str, argv: list[str] | None) -> int:
-    print(
-        f"{old} is deprecated; use `massf {command}` instead",
-        file=sys.stderr,
-    )
-    if argv is None:
-        argv = sys.argv[1:]
-    return massf([command, *argv])
-
-
-def massf_map(argv: list[str] | None = None) -> int:
-    """Deprecated shim for ``massf map``."""
-    return _deprecated_shim("massf-map", "map", argv)
-
-
-def massf_emulate(argv: list[str] | None = None) -> int:
-    """Deprecated shim for ``massf emulate``."""
-    return _deprecated_shim("massf-emulate", "emulate", argv)
-
-
-def massf_netflow(argv: list[str] | None = None) -> int:
-    """Deprecated shim for ``massf netflow``."""
-    return _deprecated_shim("massf-netflow", "netflow", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover - module smoke entry

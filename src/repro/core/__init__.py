@@ -19,7 +19,6 @@ normalized combination of the latency and traffic objectives) and
 """
 
 from repro.core.automem import AutoMemoryResult, auto_memory_map
-from repro.core.dynamic import DynamicConfig, DynamicResult, dynamic_remap
 from repro.core.mapper import Mapper, MapperConfig, MappingResult
 from repro.core.multi_objective import MultiObjective, combine_objectives
 from repro.core.segments import find_segments, segment_weights
@@ -32,9 +31,6 @@ __all__ = [
     "MultiObjective",
     "find_segments",
     "segment_weights",
-    "dynamic_remap",
-    "DynamicConfig",
-    "DynamicResult",
     "auto_memory_map",
     "AutoMemoryResult",
 ]

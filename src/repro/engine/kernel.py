@@ -50,7 +50,6 @@ class.
 from __future__ import annotations
 
 import heapq
-import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,12 +66,6 @@ from repro.routing.tables import RoutingTables
 from repro.topology.network import Network
 
 __all__ = ["EmulationKernel", "KernelStats", "run_kernel"]
-
-#: Constructor options, in their historical positional order (the
-#: deprecation shim maps stray positional arguments onto these).
-_OPTION_NAMES = ("train_packets", "collector", "queue_limit_s", "queue",
-                 "telemetry")
-_UNSET = object()
 
 
 class EmulationKernel:
@@ -104,64 +97,32 @@ class EmulationKernel:
         counters and queue-depth gauges.  Nothing is recorded per event —
         the hot loop stays untouched.
 
-    All options are keyword-only; passing them positionally still works for
-    one release but emits a :class:`DeprecationWarning`.
+    All options are keyword-only.
     """
 
     def __init__(
         self,
         net: Network,
         tables: RoutingTables,
-        *args,
-        train_packets=_UNSET,
-        collector=_UNSET,
-        queue_limit_s=_UNSET,
-        queue=_UNSET,
-        telemetry=_UNSET,
+        *,
+        train_packets: int = 32,
+        collector=None,
+        queue_limit_s: float | None = None,
+        queue=None,
+        telemetry=None,
         arena=None,
     ) -> None:
         from repro.obs.telemetry import ensure_telemetry
-
-        opts = {"train_packets": 32, "collector": None, "queue_limit_s": None,
-                "queue": None, "telemetry": None}
-        if args:
-            if len(args) > len(_OPTION_NAMES):
-                raise TypeError(
-                    f"EmulationKernel() takes at most "
-                    f"{2 + len(_OPTION_NAMES)} positional arguments "
-                    f"({2 + len(args)} given)"
-                )
-            warnings.warn(
-                "passing EmulationKernel options positionally is deprecated "
-                "and will stop working in the next release; use keyword "
-                "arguments (train_packets=, collector=, queue_limit_s=, "
-                "queue=, telemetry=)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            opts.update(zip(_OPTION_NAMES, args))
-        for name, value in zip(
-            _OPTION_NAMES,
-            (train_packets, collector, queue_limit_s, queue, telemetry),
-        ):
-            if value is not _UNSET:
-                if len(args) > _OPTION_NAMES.index(name):
-                    raise TypeError(
-                        f"EmulationKernel() got multiple values for "
-                        f"argument {name!r}"
-                    )
-                opts[name] = value
 
         if tables.net is not net:
             raise ValueError("routing tables were built for another network")
         self.net = net
         self.tables = tables
-        self.train_packets = int(opts["train_packets"])
-        self.collector = opts["collector"]
-        self.telemetry = ensure_telemetry(opts["telemetry"])
-        queue = opts["queue"]
-        if queue is None and opts["queue_limit_s"] is not None:
-            queue = DropTail(opts["queue_limit_s"])
+        self.train_packets = int(train_packets)
+        self.collector = collector
+        self.telemetry = ensure_telemetry(telemetry)
+        if queue is None and queue_limit_s is not None:
+            queue = DropTail(queue_limit_s)
         self.queue_disc = queue
         # Order-coupled state forces the per-event path for whole segments.
         self._ordered = self.collector is not None or (

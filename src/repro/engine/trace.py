@@ -98,27 +98,6 @@ class EventTrace:
         np.add.at(out, (self.node, bins), self.packets)
         return out
 
-    def slice(self, t0: float, t1: float) -> "EventTrace":
-        """Sub-trace of events with ``t0 <= time < t1``.
-
-        Times are rebased to start at 0 and the duration becomes
-        ``t1 - t0`` — the shape epoch-by-epoch evaluation (dynamic
-        remapping) needs.
-        """
-        if not 0.0 <= t0 < t1:
-            raise ValueError("need 0 <= t0 < t1")
-        mask = (self.time >= t0) & (self.time < t1)
-        return EventTrace(
-            time=self.time[mask] - t0,
-            node=self.node[mask],
-            next_node=self.next_node[mask],
-            packets=self.packets[mask],
-            flow=self.flow[mask],
-            span=self.span[mask],
-            duration=float(t1 - t0),
-            n_nodes=self.n_nodes,
-        )
-
     def validate(self) -> None:
         """Check columnar invariants (sorted times, ranges, lengths)."""
         arrays = (self.time, self.node, self.next_node, self.packets,

@@ -14,8 +14,7 @@ executor and the sweep — and records
 - **events** — append-only rows per named series (per-cell completions,
   live sweep progress);
 - **timelines** — per-engine-node load matrices binned by virtual time,
-  the raw data behind the paper's Figure 2/8 plots (and the substrate a
-  future dynamic-remapping PR needs).
+  the raw data behind the paper's Figure 2/8 plots.
 
 The default everywhere is :data:`NULL_TELEMETRY`, a disabled instance
 whose methods return immediately — the instrumented hot paths cost one

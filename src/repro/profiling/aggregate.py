@@ -153,7 +153,6 @@ class ProfileData:
         injections: tuple[np.ndarray, np.ndarray] | None = None,
         *,
         workers: int = 0,
-        pool=None,
         telemetry=None,
     ) -> "ProfileData":
         """Build from parsed NetFlow records.
@@ -170,15 +169,11 @@ class ProfileData:
             :func:`repro.runtime.pmap.parallel_map` pool, **bit-identical**
             to the sequential build (see :func:`_profile_block`); ``0``/``1``
             runs the sequential reference loop.
-        pool:
-            Optional :class:`repro.runtime.pmap.PmapPool` to reuse across
-            calls (service mode); records are shipped since the pool's
-            fork predates them.
         """
         if workers and workers >= 2 and len(records) > 1:
             return cls._from_records_parallel(
                 records, net, duration, interval, injections,
-                workers=workers, pool=pool, telemetry=telemetry,
+                workers=workers, telemetry=telemetry,
             )
         return cls.from_records_reference(
             records, net, duration, interval, injections,
@@ -248,7 +243,6 @@ class ProfileData:
         injections: tuple[np.ndarray, np.ndarray] | None,
         *,
         workers: int,
-        pool=None,
         telemetry=None,
     ) -> "ProfileData":
         """Fan :func:`_profile_block` over record blocks, fold in order."""
@@ -266,14 +260,10 @@ class ProfileData:
             (start, min(start + block, len(records)))
             for start in range(0, len(records), block)
         ]
-        kwargs = dict(
-            workers=workers, shared=shared, telemetry=telemetry,
+        outs = parallel_map(
+            _profile_block, blocks, workers=workers, shared=shared,
+            telemetry=telemetry,
         )
-        if pool is not None:
-            # A reused pool forked before these records existed: ship the
-            # shared tuple by pickle instead of relying on inheritance.
-            kwargs.update(pool=pool, generation=id(records), ship=True)
-        outs = parallel_map(_profile_block, blocks, **kwargs)
 
         node_packets = np.zeros(n, dtype=np.float64)
         link_packets = np.zeros(net.n_links, dtype=np.float64)
@@ -333,7 +323,6 @@ class ProfileData:
         interval: float = 5.0,
         *,
         workers: int = 0,
-        pool=None,
         telemetry=None,
     ) -> "ProfileData":
         """Convenience: records from the collector + injections from the
@@ -343,5 +332,5 @@ class ProfileData:
         return cls.from_records(
             collector.records(), net, duration=trace.duration,
             interval=interval, injections=injections,
-            workers=workers, pool=pool, telemetry=telemetry,
+            workers=workers, telemetry=telemetry,
         )

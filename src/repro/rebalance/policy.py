@@ -10,9 +10,8 @@ function of (workload, seed).
 
 - ``static`` — the paper's baseline: balance before the run, never move.
 - ``hysteresis`` — :func:`repro.partition.kwayrefine.kway_refine` with the
-  observed loads as vertex weights, adopted under the
-  :mod:`repro.core.dynamic` rule: predicted gain must beat the migration
-  bill by the hysteresis factor.
+  observed loads as vertex weights, adopted only when the predicted gain
+  beats the migration bill by the hysteresis factor.
 - ``kurve`` — game-theoretic iterative repartitioning (Kurve, Kothari &
   Ranka): boundary vertices play best-response rounds against a blended
   computation + communication + migration cost, until no player improves.
@@ -109,14 +108,13 @@ class StaticPolicy(RebalancePolicy):
 
 
 class HysteresisPolicy(RebalancePolicy):
-    """Incremental k-way refinement under the ``core.dynamic`` rule.
+    """Incremental k-way refinement behind a gain-vs-migration-bill gate.
 
     The candidate comes from :func:`kway_refine` over the observed loads
     (capped at ``max_moves`` — the neighborhood-local increment); it is
     adopted only when the predicted imbalance gain, scaled to one bin of
     virtual time, exceeds ``hysteresis ×`` the migration bill (payload
-    bytes × per-byte cost) — a direct transplant of the offline epoch
-    remapper's adoption test.
+    bytes × per-byte cost).
     """
 
     name = "hysteresis"

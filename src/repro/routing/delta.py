@@ -24,7 +24,7 @@ link changes by recomputing only the *affected* source rows:
 
 In-place splicing is what makes the zero-copy story work: when the state
 is backed by an :class:`repro.runtime.shm.ShmArena`, LP worker processes
-and persistent pmap pools observe the update without any re-pickling.
+observe the update without any re-pickling.
 
 A ``cache`` keys the recomputed rows on (fingerprint-before, metric,
 table version, canonical change set), so replaying a change stream — in
@@ -131,8 +131,7 @@ class RoutingState:
     ``tables`` owns private ``dist`` / ``next_hop`` arrays (never the
     cache's copies — the artifact cache's memory tier hands out shared
     objects, and the delta engine splices in place).  ``generation``
-    advances on every applied update and doubles as the staleness token
-    for :class:`repro.runtime.pmap.PmapPool` and the LP worker pool.
+    counts the updates applied so far.
     """
 
     tables: RoutingTables
@@ -225,10 +224,7 @@ def _spf_block(srcs: np.ndarray, graph) -> tuple[np.ndarray, np.ndarray]:
     return d, _next_hop_block(p, srcs)
 
 
-def _recompute_rows(
-    touched, graph, *, workers, block_size, generation, pool, telemetry,
-    stats,
-):
+def _recompute_rows(touched, graph, *, workers, block_size, telemetry, stats):
     from repro.runtime.pmap import parallel_map
 
     blocks = [
@@ -239,7 +235,7 @@ def _recompute_rows(
         stats.dijkstra_calls += len(blocks)
     outs = parallel_map(
         _spf_block, blocks, workers=workers, shared=graph,
-        telemetry=telemetry, generation=generation, pool=pool,
+        telemetry=telemetry,
     )
     d_rows = np.concatenate([d for d, _ in outs])
     nh_rows = np.concatenate([nh for _, nh in outs])
@@ -251,7 +247,6 @@ def update_routing(
     changes,
     *,
     workers: int = 0,
-    pool=None,
     block_size: int | None = None,
     cache=None,
     telemetry=None,
@@ -267,11 +262,9 @@ def update_routing(
 
     Parameters
     ----------
-    workers, pool:
+    workers:
         Pool sizing for the row recompute, as in
-        :func:`repro.runtime.pmap.parallel_map`; ``pool`` (a
-        :class:`~repro.runtime.pmap.PmapPool`) persists workers across a
-        change stream and re-forks on generation moves.
+        :func:`repro.runtime.pmap.parallel_map`.
     cache:
         Optional :class:`~repro.runtime.cache.ArtifactCache`; recomputed
         rows are stored under the ``routing-delta`` kind keyed on
@@ -313,13 +306,11 @@ def update_routing(
                 (int(ai), int(bi), float(oc), float(nc))
                 for ai, bi, oc, nc in zip(a, b, old_c, new_c)
             )
-            generation = state.generation + 1
 
             def compute():
                 return _recompute_rows(
                     touched, new_graph, workers=workers,
-                    block_size=block_size, generation=generation,
-                    pool=pool, telemetry=telemetry, stats=stats,
+                    block_size=block_size, telemetry=telemetry, stats=stats,
                 )
 
             if cache is not None:
@@ -353,7 +344,6 @@ def derive_routing(
     *,
     max_changes: int | None = None,
     workers: int = 0,
-    pool=None,
     block_size: int | None = None,
     cache=None,
     telemetry=None,
@@ -414,7 +404,6 @@ def derive_routing(
                 return _recompute_rows(
                     touched, new_graph, workers=workers,
                     block_size=max(1, int(block_size or _DELTA_BLOCK_SIZE)),
-                    generation=base.generation + 1, pool=pool,
                     telemetry=telemetry, stats=stats,
                 )
 

@@ -15,8 +15,6 @@ system to optimize:
 - :mod:`repro.runtime.pmap` — a fork-shared parallel map for batched
   kernels (the PLACE route blocks) whose tasks all read one large
   read-only object that must never cross a pickle boundary.
-- :mod:`repro.runtime.pools` — a thread-safe lease registry that reuses
-  warm :class:`~repro.runtime.pmap.PmapPool` workers across service jobs.
 """
 
 from repro.runtime.cache import ArtifactCache, CacheStats, default_cache
@@ -29,12 +27,9 @@ from repro.runtime.executor import (
 )
 from repro.runtime.fingerprint import stable_hash
 from repro.runtime.pmap import parallel_map
-from repro.runtime.pools import PoolLease, PoolRegistry
 
 __all__ = [
     "parallel_map",
-    "PoolRegistry",
-    "PoolLease",
     "ArtifactCache",
     "CacheStats",
     "default_cache",

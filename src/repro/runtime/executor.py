@@ -63,15 +63,12 @@ class RuntimeConfig:
     group:
         ``"run"`` (one task per ``(setup, seed)``, approaches share the
         evaluation emulation) or ``"cell"`` (one task per approach).
-    start_method:
-        Multiprocessing start method; default ``fork`` where available.
     """
 
     workers: int | None = None
     timeout_s: float | None = None
     retries: int = 1
     group: str = "run"
-    start_method: str | None = None
 
     def __post_init__(self) -> None:
         if self.group not in ("run", "cell"):
@@ -525,14 +522,10 @@ def _run_pool(
     """
     import multiprocessing
 
-    method = runtime.start_method
-    if method is None:
-        method = (
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else None
-        )
-    ctx = multiprocessing.get_context(method)
+    # fork where available, the platform default otherwise.
+    ctx = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    )
 
     attempts: dict[int, int] = {t.task_id: 0 for t in tasks}
     pending: list[_Task] = list(tasks)

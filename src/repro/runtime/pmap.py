@@ -9,15 +9,11 @@ module global before the pool starts and reaches the workers by ``fork``
 inheritance — never serialized.  Platforms without ``fork`` (and pools of
 one) degrade to the inline loop, which produces identical results.
 
-Repeated calls can reuse a :class:`PmapPool`, which keeps the forked
-workers alive between calls.  Fork inheritance is copy-on-write, so a
-persistent pool is only safe while the shared object is unchanged: every
-call carries a ``generation`` token, the pool re-forks whenever the token
-(or the shared object's identity) moves, and each task re-checks the
-token inside the worker — a stale worker raises :class:`StaleSharedError`
-instead of silently serving pre-change rows.  Shared state that must stay
-live *without* re-forking belongs in :mod:`repro.runtime.shm` segments,
-whose mappings are shared (not copied) across the fork.
+Every call forks a fresh pool after the parent's last write and tears it
+down before returning, so a worker can never serve a stale snapshot.
+Shared state that long-lived children must see change belongs in
+:mod:`repro.runtime.shm` segments, whose mappings are shared (not
+copied) across the fork.
 
 An optional :class:`~repro.runtime.cache.ArtifactCache` short-circuits
 items whose artifact already exists; lookups and stores happen in the
@@ -29,132 +25,24 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Sequence, TypeVar
 
-__all__ = ["parallel_map", "PmapPool", "StaleSharedError"]
+__all__ = ["parallel_map"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: The read-only object shared with forked workers.  Set by the parent just
-#: before the pool starts, inherited by fork, cleared afterwards (per-call
-#: pools) or when the owning :class:`PmapPool` re-forks / closes.
+#: before the pool starts, inherited by fork, cleared afterwards.
 _SHARED: object | None = None
-
-#: Generation token captured at fork time; compared against the token each
-#: task was submitted with.
-_SHARED_GEN: int | None = None
-
-
-class StaleSharedError(RuntimeError):
-    """A forked worker's shared snapshot predates the submitted task.
-
-    Raised inside the worker when the fork-inherited generation token does
-    not match the task's.  Reaching this error means a pool survived a
-    mutation of its shared object without re-forking — the parent-side
-    guard in :meth:`PmapPool.ensure` normally makes it impossible.
-    """
 
 
 def _call(fn: Callable[[Any, object], object], item: Any) -> object:
     return fn(item, _SHARED)
 
 
-def _call_gen(
-    fn: Callable[[Any, object], object], item: Any, expected_gen: int
-) -> object:
-    if _SHARED_GEN != expected_gen:
-        raise StaleSharedError(
-            f"worker forked at generation {_SHARED_GEN}, "
-            f"task expects {expected_gen}"
-        )
-    return fn(item, _SHARED)
-
-
-def _call_ship(
-    fn: Callable[[Any, object], object], item: Any, shared: object
-) -> object:
-    return fn(item, shared)
-
-
 def _fork_available() -> bool:
     import multiprocessing
 
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-class PmapPool:
-    """A persistent forked pool bound to one (shared, generation) pair.
-
-    Re-forking costs one pass of copy-on-write page table setup; keeping
-    the pool between :func:`parallel_map` calls amortizes it across an
-    update stream.  :meth:`ensure` is the safety valve: whenever the
-    caller presents a different shared object or a newer generation, the
-    old workers (whose snapshots are stale) are discarded and a fresh
-    pool is forked — counted under ``pmap.pool_reforks``.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 2:
-            raise ValueError("PmapPool needs at least 2 workers")
-        self.workers = int(workers)
-        self._pool = None
-        self._shared_id: int | None = None
-        self._generation: int | None = None
-
-    def ensure(self, shared: object, generation: int, telemetry=None):
-        """Return an executor whose workers hold ``(shared, generation)``.
-
-        Publishes the shared object to the fork globals and (re)creates
-        the executor when the binding changed.  The globals stay set for
-        the pool's lifetime — ``ProcessPoolExecutor`` forks workers
-        lazily on first submit, so they must still be visible then.
-        """
-        from repro.obs.telemetry import ensure_telemetry
-
-        stale = self._pool is not None and (
-            self._shared_id != id(shared) or self._generation != generation
-        )
-        if stale:
-            ensure_telemetry(telemetry).count("pmap.pool_reforks")
-            self._shutdown()
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            global _SHARED, _SHARED_GEN
-            _SHARED = shared
-            _SHARED_GEN = generation
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=multiprocessing.get_context("fork"),
-            )
-            self._shared_id = id(shared)
-            self._generation = generation
-        return self._pool
-
-    @property
-    def generation(self) -> int | None:
-        return self._generation
-
-    def _shutdown(self) -> None:
-        global _SHARED, _SHARED_GEN
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-        self._shared_id = None
-        self._generation = None
-        _SHARED = None
-        _SHARED_GEN = None
-
-    def close(self) -> None:
-        """Shut the workers down and clear the fork globals."""
-        self._shutdown()
-
-    def __enter__(self) -> "PmapPool":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
 
 def parallel_map(
@@ -167,9 +55,6 @@ def parallel_map(
     kind: str = "pmap",
     key_of: Callable[[T], tuple] | None = None,
     telemetry: Any = None,
-    generation: int | None = None,
-    pool: "PmapPool | None" = None,
-    ship: bool = False,
 ) -> list[R]:
     """Map ``fn(item, shared)`` over ``items``, preserving item order.
 
@@ -182,13 +67,10 @@ def parallel_map(
         ``0`` or ``1`` runs inline; ``None`` auto-sizes to
         ``min(len(items), cpu_count)``; otherwise the worker process count.
         Parallel results are bit-identical to inline ones — the fold order
-        is the item order either way.  Ignored when ``pool`` is given.
+        is the item order either way.
     shared:
         Large read-only state reaching workers by fork inheritance, never
-        pickled (unless ``ship``).  Mutations inside workers are invisible
-        to the parent; mutations in the *parent* are invisible to an
-        already-forked pool unless the arrays live in
-        :mod:`repro.runtime.shm` segments.
+        pickled.  Mutations inside workers are invisible to the parent.
     cache, kind, key_of:
         With a cache and a ``key_of(item) -> key_parts`` function, each
         item's artifact is looked up under ``kind`` before any computation
@@ -198,28 +80,12 @@ def parallel_map(
         When enabled, ``pmap.shipped_bytes`` accumulates the pickled size
         of everything submitted to the pool — the zero-copy perf guard's
         measured quantity.
-    generation:
-        Version token of ``shared``.  Required with ``pool``; each task
-        carries it and a worker whose fork-inherited token differs raises
-        :class:`StaleSharedError`.
-    pool:
-        A :class:`PmapPool` to reuse across calls (re-forks automatically
-        when ``shared``/``generation`` move).  Without one, a fresh pool
-        is forked and torn down per call, which can never serve stale
-        state but pays the fork cost every time.
-    ship:
-        Ship ``shared`` by pickle inside every task instead of relying on
-        fork inheritance.  Exists to *measure* the cost the fork/shm path
-        avoids (and as an escape hatch for non-inheritable state); the
-        shipped bytes show up in ``pmap.shipped_bytes``.
     """
     from repro.obs.telemetry import ensure_telemetry
 
     tel = ensure_telemetry(telemetry)
     items = list(items)
     results: list = [None] * len(items)
-    if pool is not None and generation is None:
-        raise ValueError("a persistent pool requires a generation token")
 
     # Parent-side cache pass: hits fill in directly, misses go to the pool.
     miss_idx = list(range(len(items)))
@@ -237,9 +103,7 @@ def parallel_map(
                 keys[i] = key
                 miss_idx.append(i)
 
-    if pool is not None:
-        workers = pool.workers
-    elif workers is None:
+    if workers is None:
         workers = max(1, min(len(miss_idx), os.cpu_count() or 1))
     use_pool = workers > 1 and len(miss_idx) > 1 and _fork_available()
     tel.count("pmap.items", len(items))
@@ -251,8 +115,7 @@ def parallel_map(
         tel.count("pmap.pool_items", len(miss_idx))
         tel.gauge("pmap.workers", workers)
         computed = _pool_map(
-            fn, [items[i] for i in miss_idx], shared, workers,
-            generation=generation, pool=pool, ship=ship, tel=tel,
+            fn, [items[i] for i in miss_idx], shared, workers, tel,
         )
         for i, value in zip(miss_idx, computed):
             results[i] = value
@@ -263,7 +126,7 @@ def parallel_map(
     return results
 
 
-def _count_shipped(tel, payload: tuple) -> None:
+def _count_shipped(tel: Any, payload: tuple) -> None:
     """Accumulate the pickled size of one submitted task (telemetry on)."""
     if not tel.enabled:
         return
@@ -277,47 +140,23 @@ def _pool_map(
     miss_items: list,
     shared: object,
     workers: int,
-    *,
-    generation: int | None = None,
-    pool: "PmapPool | None" = None,
-    ship: bool = False,
-    tel=None,
+    tel: Any,
 ) -> list:
     """Run the miss set on a forked pool; results in submission order."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    from repro.obs.telemetry import ensure_telemetry
-
-    tel = ensure_telemetry(tel)
-
-    def _submit(executor):
-        futures = []
-        for item in miss_items:
-            if ship:
-                payload = (fn, item, shared)
-                futures.append(executor.submit(_call_ship, *payload))
-            elif generation is not None:
-                payload = (fn, item, generation)
-                futures.append(executor.submit(_call_gen, *payload))
-            else:
-                payload = (fn, item)
-                futures.append(executor.submit(_call, *payload))
-            _count_shipped(tel, payload)
-        return [fut.result() for fut in futures]
-
-    if pool is not None:
-        return _submit(pool.ensure(shared, generation, telemetry=tel))
-
-    global _SHARED, _SHARED_GEN
+    global _SHARED
     ctx = multiprocessing.get_context("fork")
     _SHARED = shared
-    _SHARED_GEN = generation
     try:
         with ProcessPoolExecutor(
             max_workers=min(workers, len(miss_items)), mp_context=ctx
         ) as executor:
-            return _submit(executor)
+            futures = []
+            for item in miss_items:
+                futures.append(executor.submit(_call, fn, item))
+                _count_shipped(tel, (fn, item))
+            return [fut.result() for fut in futures]
     finally:
         _SHARED = None
-        _SHARED_GEN = None

@@ -150,8 +150,7 @@ class ShmArena:
     The arena is the unit the delta engine and the LP pool agree on: the
     parent shares the routing/link arrays once, hands out
     :meth:`handles`, and bumps :attr:`generation` after every in-place
-    update so pools keyed on a generation token
-    (:class:`repro.runtime.pmap.PmapPool`) can detect staleness.
+    update.
     """
 
     def __init__(self) -> None:

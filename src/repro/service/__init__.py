@@ -16,7 +16,7 @@ ROADMAP's "millions of users" story:
   kind (map / sweep / emulate / apply_changes), audited by the
   parallel-safety rule;
 - :mod:`repro.service.core` — the worker threads multiplexing jobs onto
-  the shared warm state, grid executor and pmap pool registry;
+  the shared warm state and grid executor;
 - :mod:`repro.service.server` — the stdlib-``asyncio`` JSON-over-HTTP
   front end with SSE telemetry streaming;
 - :mod:`repro.service.client` — the blocking Python/CLI client.
@@ -35,8 +35,7 @@ Quickstart::
     info = client.wait(info.job_id)
     stop()
 
-Or from the shell: ``massf serve``, ``massf submit``, ``massf jobs``,
-``massf bench service``.
+Or from the shell: ``massf serve``, ``massf submit``, ``massf jobs``.
 """
 
 from repro.service.client import ServiceClient, ServiceError, connect

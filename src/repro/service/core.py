@@ -2,8 +2,7 @@
 
 :class:`MappingService` owns the shared state every job multiplexes
 onto — the warm cache (:mod:`repro.service.warm`), the on-disk artifact
-cache, the :class:`~repro.runtime.pools.PoolRegistry` of reusable pmap
-workers, and the service telemetry — plus a fixed set of worker threads
+cache and the service telemetry — plus a fixed set of worker threads
 (started via the module-level :func:`_worker_loop`, the parallel-safety
 discipline for dispatched callables).
 
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.obs.telemetry import Telemetry
 from repro.runtime.cache import resolve_cache
-from repro.runtime.pools import PoolRegistry
 from repro.service.jobs import (
     Job,
     JobCancelled,
@@ -55,7 +53,6 @@ class ServiceConfig:
     cache: object = None             # disk cache spec (resolve_cache)
     host: str = "127.0.0.1"
     port: int = 8351
-    pool_workers: int = 0            # pmap pool size leased per job (0 off)
 
 
 @contextlib.contextmanager
@@ -132,7 +129,6 @@ class MappingService:
             max_delta_changes=self.config.max_delta_changes,
             telemetry=self.telemetry,
         )
-        self.pools = PoolRegistry(self.config.pool_workers)
         self.queue = JobQueue(self.config.queue_size)
         self.counters = _ServiceCounters()
         self.started_s = time.time()
@@ -161,7 +157,6 @@ class MappingService:
         for thread in self._threads:
             thread.join(timeout)
         self._threads.clear()
-        self.pools.close()
 
     def __enter__(self) -> "MappingService":
         return self.start()
@@ -243,7 +238,6 @@ class MappingService:
                 }
                 if self.disk is not None else None
             ),
-            "pools": self.pools.stats(),
         }
 
     # ------------------------------------------------------------------ #

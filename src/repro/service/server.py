@@ -14,7 +14,7 @@ Endpoints (all under ``/api/v1``):
 - ``GET /api/v1/jobs`` — every known job, submission order.
 - ``GET /api/v1/jobs/<id>`` — one job (404 unknown).
 - ``DELETE /api/v1/jobs/<id>`` — request cancellation.
-- ``GET /api/v1/status`` — queue depth, counters, warm/disk/pool stats.
+- ``GET /api/v1/status`` — queue depth, counters, warm/disk stats.
 - ``GET /api/v1/metrics`` — the full telemetry snapshot
   (:meth:`repro.obs.telemetry.Telemetry.to_dict`).
 - ``GET /api/v1/events`` — **SSE** stream; each telemetry event row is

@@ -1,4 +1,4 @@
-"""The five concurrency rule families against known-good/known-bad fixtures.
+"""The four concurrency rule families against known-good/known-bad fixtures.
 
 Each fixture is a miniature project root; assertions pin the exact
 ``(rule, path, line)`` of every expected finding so a rule that drifts
@@ -11,7 +11,6 @@ BAD_LOOP = "src/repro/service/loop.py"
 BAD_USE = "src/repro/runtime/use.py"
 BAD_STATE = "src/repro/service/state.py"
 BAD_SIG = "src/repro/runtime/sig.py"
-BAD_GEN = "src/repro/runtime/gen.py"
 
 
 class TestAsyncioBlocking:
@@ -113,21 +112,3 @@ class TestSignalMainThread:
         result = check_fixture("signal_thread", "signal-main-thread")
         assert not any("sig_ok.py" in f.path for f in result.findings)
 
-
-class TestPoolGeneration:
-    def test_exact_findings(self):
-        result = check_fixture("pool_generation", "pool-generation")
-        assert locations(result.findings) == [
-            ("pool-generation", BAD_GEN, 16),  # pool= without generation=
-            ("pool-generation", BAD_GEN, 23),  # direct pool.submit()
-        ]
-
-    def test_messages(self):
-        result = check_fixture("pool_generation", "pool-generation")
-        by_line = {f.line: f.message for f in result.findings}
-        assert "without generation=" in by_line[16]
-        assert "direct `pool.submit()`" in by_line[23]
-
-    def test_generation_token_and_ensure_lease_are_clean(self):
-        result = check_fixture("pool_generation", "pool-generation")
-        assert not any("gen_ok.py" in f.path for f in result.findings)

@@ -19,7 +19,6 @@ EXPECTED_RULES = {
     "shm-lifecycle",
     "lock-discipline",
     "signal-main-thread",
-    "pool-generation",
 }
 
 

@@ -104,13 +104,11 @@ def test_run_experiment_rejects_bad_engine():
                              duration=2.0, engine="warp")
 
 
-def test_positional_kernel_options_warn_but_work(campus_ctx):
+def test_positional_kernel_options_are_a_type_error(campus_ctx):
     net, tables, _ = campus_ctx
-    with pytest.warns(DeprecationWarning, match="keyword arguments"):
-        kernel = EmulationKernel(net, tables, 8)
-    assert kernel.train_packets == 8
-    kw = EmulationKernel(net, tables, train_packets=8)
-    assert kw.train_packets == kernel.train_packets
+    with pytest.raises(TypeError, match="positional"):
+        EmulationKernel(net, tables, 8)
+    assert EmulationKernel(net, tables, train_packets=8).train_packets == 8
 
 
 def test_link_utilization_names_kernel_state(campus_ctx):

@@ -28,7 +28,6 @@ from repro.routing.delta import (
 )
 from repro.routing.perf import RoutingStats
 from repro.routing.spf import build_routing
-from repro.runtime.pmap import PmapPool
 from repro.runtime.shm import ShmArena
 from repro.topology import campus_network, synth_network, teragrid_network
 
@@ -204,12 +203,11 @@ def test_random_batches_then_full_revert(ops):
 def test_pooled_recompute_matches_fresh():
     net = synth_network(n_routers=300, hosts_per_router=0.2, seed=5)
     links = net.links
-    with PmapPool(workers=2) as pool:
-        state = _replay(net, "latency", [
-            [SetLinkCost(3, latency_s=links[3].latency_s * 5)],
-            [LinkDown(8)],
-            [LinkUp(8), SetLinkCost(3, latency_s=links[3].latency_s)],
-        ], pool=pool, block_size=32)
+    state = _replay(net, "latency", [
+        [SetLinkCost(3, latency_s=links[3].latency_s * 5)],
+        [LinkDown(8)],
+        [LinkUp(8), SetLinkCost(3, latency_s=links[3].latency_s)],
+    ], workers=2, block_size=32)
     assert state.generation == 3
 
 

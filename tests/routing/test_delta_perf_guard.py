@@ -9,9 +9,7 @@ Three promises beyond bit-identity:
 - **Zero-copy fan-out.** Blocked recomputation across a pool ships only
   block descriptors — the cost graph rides the fork, never a pickle.
   ``pmap.shipped_bytes`` (the pickled size of every submitted task) stays
-  orders of magnitude below the shared state on the production path; the
-  ``ship=True`` escape hatch proves the counter sees a real copy when one
-  happens.
+  orders of magnitude below the shared state.
 - **Change-then-revert hits the cache.** Delta results are cached under
   (pre-change fingerprint, canonical change set); replaying a change is a
   cache hit, and a full revert restores the original fingerprint so even
@@ -21,14 +19,12 @@ Three promises beyond bit-identity:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.obs.telemetry import Telemetry
 from repro.routing.delta import SetLinkCost, routing_state, update_routing
 from repro.routing.perf import RoutingStats
 from repro.routing.spf import build_routing
 from repro.runtime.cache import ArtifactCache
-from repro.runtime.pmap import PmapPool, parallel_map
 from repro.topology import campus_network, synth_network
 
 
@@ -85,38 +81,19 @@ def test_pooled_delta_ships_only_descriptors():
     net = synth_network(n_routers=300, hosts_per_router=0.2, seed=5)
     link = net.links[4]
     tel = Telemetry()
-    with PmapPool(workers=2) as pool:
-        state = routing_state(build_routing(net))
-        shared_nbytes = (
-            state.tables.dist.nbytes + state.tables.next_hop.nbytes
-            + state.graph.data.nbytes
-        )
-        update_routing(
-            state, [SetLinkCost(4, latency_s=link.latency_s * 8)],
-            pool=pool, block_size=16, telemetry=tel,
-        )
-    shipped = tel.counters["pmap.shipped_bytes"]
-    # Tasks carry (function, block-of-source-ids, generation) — nothing
-    # proportional to the matrices or the cost graph.
-    assert 0 < shipped < shared_nbytes * 0.05
-
-
-def _row_sum(block, shared):
-    return float(shared[block].sum())
-
-
-def test_ship_escape_hatch_counts_bytes():
-    """Contrast: forcing ship=True pickles the shared payload per task —
-    the counter sees at least the array's bytes, proving the production
-    path's zero really means zero-copy."""
-    big = np.arange(50_000, dtype=np.float64)
-    tel = Telemetry()
-    out = parallel_map(
-        _row_sum, [slice(0, 10), slice(10, 20)], workers=2,
-        shared=big, ship=True, telemetry=tel,
+    state = routing_state(build_routing(net))
+    shared_nbytes = (
+        state.tables.dist.nbytes + state.tables.next_hop.nbytes
+        + state.graph.data.nbytes
     )
-    assert out == [float(big[:10].sum()), float(big[10:20].sum())]
-    assert tel.counters["pmap.shipped_bytes"] >= big.nbytes
+    update_routing(
+        state, [SetLinkCost(4, latency_s=link.latency_s * 8)],
+        workers=2, block_size=16, telemetry=tel,
+    )
+    shipped = tel.counters["pmap.shipped_bytes"]
+    # Tasks carry (function, block-of-source-ids) — nothing proportional
+    # to the matrices or the cost graph.
+    assert 0 < shipped < shared_nbytes * 0.05
 
 
 # --------------------------------------------------------------------- #

@@ -89,77 +89,18 @@ def test_telemetry_counters():
     assert counters["pmap.computed"] == 3
 
 
-# --------------------------------------------------------------------- #
-# Persistent pools and the generation token
-# --------------------------------------------------------------------- #
 def _shared_row(item, shared):
     return float(shared[item])
 
 
-def test_pool_requires_generation_token():
-    from repro.runtime.pmap import PmapPool
-
-    with PmapPool(workers=2) as pool:
-        with pytest.raises(ValueError, match="generation"):
-            parallel_map(
-                _shared_row, [0, 1], shared=np.arange(4.0), pool=pool
-            )
-
-
-def test_stale_pool_reforks_on_mutation():
-    """Regression: a pool forked before a cost mutation must not serve
-    pre-change rows.  Mutating the shared object between two pooled calls
-    bumps the generation; the pool re-forks and the second call sees the
-    new values."""
-    from repro.obs.telemetry import Telemetry
-    from repro.runtime.pmap import PmapPool
-
-    tel = Telemetry()
+def test_per_call_pool_sees_parent_mutation():
+    """Every call forks after the parent's last write, so a pooled call
+    after an in-place mutation of the shared object never serves
+    pre-change rows."""
     costs = np.arange(8, dtype=np.float64)
     items = list(range(8))
-    with PmapPool(workers=2) as pool:
-        first = parallel_map(
-            _shared_row, items, shared=costs, pool=pool, generation=0,
-            telemetry=tel,
-        )
-        assert first == [float(i) for i in range(8)]
-        costs = costs * 10.0  # new object, new generation
-        second = parallel_map(
-            _shared_row, items, shared=costs, pool=pool, generation=1,
-            telemetry=tel,
-        )
-        assert second == [float(i * 10) for i in range(8)]
-    assert tel.to_dict()["counters"]["pmap.pool_reforks"] == 1
-
-
-def test_same_generation_reuses_workers():
-    from repro.obs.telemetry import Telemetry
-    from repro.runtime.pmap import PmapPool
-
-    tel = Telemetry()
-    costs = np.arange(8, dtype=np.float64)
-    with PmapPool(workers=2) as pool:
-        for _ in range(3):
-            out = parallel_map(
-                _shared_row, list(range(8)), shared=costs, pool=pool,
-                generation=0, telemetry=tel,
-            )
-            assert out == [float(i) for i in range(8)]
-        assert pool.generation == 0
-    assert "pmap.pool_reforks" not in tel.to_dict()["counters"]
-
-
-def test_worker_side_generation_check_raises():
-    """The in-worker guard: a task submitted with a mismatched token
-    fails loudly (StaleSharedError) instead of returning stale data."""
-    import repro.runtime.pmap as pmap_mod
-    from repro.runtime.pmap import StaleSharedError, _call_gen
-
-    old = pmap_mod._SHARED, pmap_mod._SHARED_GEN
-    pmap_mod._SHARED, pmap_mod._SHARED_GEN = np.arange(4.0), 3
-    try:
-        assert _call_gen(_shared_row, 2, 3) == 2.0
-        with pytest.raises(StaleSharedError, match="generation 3"):
-            _call_gen(_shared_row, 2, 4)
-    finally:
-        pmap_mod._SHARED, pmap_mod._SHARED_GEN = old
+    first = parallel_map(_shared_row, items, shared=costs, workers=2)
+    assert first == [float(i) for i in range(8)]
+    costs *= 10.0
+    second = parallel_map(_shared_row, items, shared=costs, workers=2)
+    assert second == [float(i * 10) for i in range(8)]

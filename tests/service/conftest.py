@@ -1,8 +1,8 @@
 """Shared fixtures for the mapping-service tests.
 
 Everything runs against tiny synthetic topologies (tens of routers) so
-the whole suite stays in seconds; the scale claims live in
-``massf bench service``.
+the whole suite stays in seconds; the scale claims live in the
+``service-mix`` workload of ``bench/``.
 """
 
 from __future__ import annotations

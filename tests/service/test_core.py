@@ -112,6 +112,12 @@ def test_bounded_queue_backpressure_at_the_service(tmp_path):
 def test_status_document_shape(service):
     run(service, MAP_REQUEST)
     status = service.status()
+    # The whole key set: an entry appearing or going (as "pools" did with
+    # the persistent pmap pools) has to be a decision made here.
+    assert set(status) == {
+        "uptime_s", "workers", "queue_depth", "queue_size", "jobs",
+        "latency_p50_s", "latency_p95_s", "warm", "warm_nbytes", "disk",
+    }
     assert status["workers"] == 2
     assert status["queue_size"] == 64
     assert status["jobs"]["submitted"] == 1

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import massf_emulate, massf_map, massf_netflow
+from repro.cli import massf
 from repro.engine.kernel import EmulationKernel
 from repro.engine.packet import Transfer
 from repro.profiling.dump import write_dump_dir
@@ -23,7 +23,7 @@ def campus_dml(tmp_path):
 
 def test_massf_map_top(campus_dml, tmp_path, capsys):
     out = tmp_path / "parts.txt"
-    rc = massf_map([str(campus_dml), "-k", "3", "-o", str(out)])
+    rc = massf(["map", str(campus_dml), "-k", "3", "-o", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].lower().startswith("# top")
@@ -33,7 +33,7 @@ def test_massf_map_top(campus_dml, tmp_path, capsys):
 
 
 def test_massf_map_stdout(campus_dml, capsys):
-    rc = massf_map([str(campus_dml), "-k", "2"])
+    rc = massf(["map", str(campus_dml), "-k", "2"])
     assert rc == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 61
@@ -57,8 +57,8 @@ def test_massf_map_profile_from_dumps(campus_dml, tmp_path, capsys):
     dump_dir = tmp_path / "dumps"
     write_dump_dir(collector, dump_dir)
 
-    rc = massf_map([
-        str(campus_dml), "-k", "3", "--approach", "profile",
+    rc = massf([
+        "map", str(campus_dml), "-k", "3", "--approach", "profile",
         "--netflow-dir", str(dump_dir),
     ])
     assert rc == 0
@@ -68,12 +68,13 @@ def test_massf_map_profile_from_dumps(campus_dml, tmp_path, capsys):
 
 def test_massf_map_profile_requires_dumps(campus_dml):
     with pytest.raises(SystemExit):
-        massf_map([str(campus_dml), "-k", "3", "--approach", "profile"])
+        massf(["map", str(campus_dml), "-k", "3", "--approach", "profile"])
 
 
 def test_massf_emulate_json(tmp_path):
     out = tmp_path / "result.json"
-    rc = massf_emulate([
+    rc = massf([
+        "emulate",
         "--topology", "campus", "--app", "none", "--intensity", "light",
         "--approaches", "top", "--seed", "3", "--duration", "40",
         "-o", str(out),
@@ -93,7 +94,8 @@ def test_massf_emulate_engine_par_matches_seq(tmp_path):
     payloads = {}
     for engine in ("seq", "par"):
         out = tmp_path / f"{engine}.json"
-        rc = massf_emulate([
+        rc = massf([
+            "emulate",
             "--topology", "campus", "--app", "none", "--intensity",
             "light", "--approaches", "top", "--seed", "3",
             "--duration", "20", "--engine", engine, "-o", str(out),
@@ -122,7 +124,7 @@ def test_massf_netflow_summary(tmp_path, capsys):
     dump_dir = tmp_path / "dumps"
     write_dump_dir(collector, dump_dir)
 
-    rc = massf_netflow([str(dump_dir)])
+    rc = massf(["netflow", str(dump_dir)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "top routers" in out
@@ -130,7 +132,7 @@ def test_massf_netflow_summary(tmp_path, capsys):
 
 
 def test_massf_netflow_empty_dir(tmp_path, capsys):
-    rc = massf_netflow([str(tmp_path)])
+    rc = massf(["netflow", str(tmp_path)])
     assert rc == 1
 
 
@@ -138,32 +140,17 @@ def test_massf_netflow_empty_dir(tmp_path, capsys):
 # Unified `massf` entry point
 # --------------------------------------------------------------------- #
 def test_massf_requires_subcommand(capsys):
-    from repro.cli import massf
-
     with pytest.raises(SystemExit):
         massf([])
 
 
 def test_massf_map_subcommand(campus_dml, capsys):
-    from repro.cli import massf
-
     rc = massf(["map", str(campus_dml), "-k", "2"])
     assert rc == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 61
 
 
-def test_shims_warn_and_delegate(campus_dml, capsys):
-    rc = massf_map([str(campus_dml), "-k", "2"])
-    assert rc == 0
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err
-    assert "massf map" in captured.err
-    assert len(captured.out.strip().splitlines()) == 61
-
-
 def test_massf_sweep_json(tmp_path, capsys):
-    from repro.cli import massf
-
     out = tmp_path / "sweep.json"
     rc = massf([
         "sweep", "--topology", "campus", "--app", "scalapack",
@@ -184,8 +171,6 @@ def test_massf_sweep_json(tmp_path, capsys):
 
 
 def test_massf_sweep_bad_seeds(capsys):
-    from repro.cli import massf
-
     with pytest.raises(SystemExit):
         massf(["sweep", "--seeds", "one,two"])
 

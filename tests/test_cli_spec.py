@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import massf_emulate
+from repro.cli import massf
 from repro.topology import dml
 from repro.topology.campus import campus_network
 
@@ -26,7 +26,8 @@ Traffic [ name HTTP
 
 def test_emulate_with_spec(spec_file, tmp_path):
     out = tmp_path / "out.json"
-    rc = massf_emulate([
+    rc = massf([
+        "emulate",
         "--topology", "campus", "--spec", str(spec_file),
         "--approaches", "top,place", "--seed", "4", "-o", str(out),
     ])
@@ -39,7 +40,8 @@ def test_emulate_custom_network(spec_file, tmp_path):
     net_path = tmp_path / "net.dml"
     dml.dump(campus_network(), net_path)
     out = tmp_path / "out.json"
-    rc = massf_emulate([
+    rc = massf([
+        "emulate",
         "--network", str(net_path), "-k", "4", "--spec", str(spec_file),
         "--approaches", "top", "-o", str(out),
     ])
@@ -52,4 +54,6 @@ def test_emulate_custom_network_requires_k(spec_file, tmp_path):
     net_path = tmp_path / "net.dml"
     dml.dump(campus_network(), net_path)
     with pytest.raises(SystemExit):
-        massf_emulate(["--network", str(net_path), "--spec", str(spec_file)])
+        massf([
+            "emulate", "--network", str(net_path), "--spec", str(spec_file),
+        ])

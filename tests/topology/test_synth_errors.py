@@ -2,8 +2,7 @@
 
 Configuration mistakes must fail fast with a :class:`SynthError` whose
 message names the offending parameter, its value, and the constraint —
-these messages are part of the CLI contract (`massf bench partition`
-surfaces them verbatim), so the tests pin them.
+these messages are what a user sees, so the tests pin them.
 """
 
 import pytest
