@@ -9,7 +9,7 @@ statements.  Edges come in two kinds:
 - ``call`` — a direct call whose callee expression resolves, through
   the project's imports and re-exports, to a known function symbol;
 - ``ref`` — a one-hop-indirect edge: the function is *referenced* in a
-  load position without being called (passed to ``parallel_map``,
+  load position without being called (passed to ``pool.submit``,
   registered as a handler, stored in a table).  Reachability follows
   these by default because a referenced function is one dispatch away
   from running.
@@ -46,13 +46,6 @@ __all__ = [
 
 #: Suffix of the pseudo-node holding a module's import-time statements.
 MODULE_SCOPE = "<module>"
-
-#: Canonical names whose first positional / ``fn=`` argument is shipped
-#: to forked worker processes.
-PMAP_DISPATCHERS = frozenset({
-    "repro.runtime.pmap.parallel_map",
-    "repro.runtime.parallel_map",
-})
 
 #: Canonical names whose second positional / ``fn=`` argument runs on
 #: service worker threads.
@@ -524,29 +517,27 @@ class CallGraph:
                         out.add(sym)
         return frozenset(out)
 
-    def pmap_workers(self, project: Project) -> frozenset[str]:
-        """First-arg callables of ``parallel_map`` and Process targets."""
+    def process_workers(self, project: Project) -> frozenset[str]:
+        """Callables that run in child processes: first arguments of
+        ``<pool>.submit(fn, ...)`` and ``Process(target=fn)`` targets."""
         out: set[str] = set()
         for module, call, target in self._dispatch_sites(project):
-            if target in PMAP_DISPATCHERS:
-                fn_expr: ast.expr | None = (
-                    call.args[0] if call.args else None
-                )
-                if fn_expr is None:
-                    for kw in call.keywords:
-                        if kw.arg == "fn":
-                            fn_expr = kw.value
-                sym = self._arg_symbol(module, fn_expr)
-                if sym is not None:
-                    out.add(sym)
+            fn_expr: ast.expr | None = None
+            if (
+                isinstance(call.func, ast.Attribute)
+                and call.func.attr == "submit"
+                and call.args
+            ):
+                fn_expr = call.args[0]
             elif self._is_factory(
                 call, target, _PROCESS_FACTORIES, "Process"
             ):
                 for kw in call.keywords:
                     if kw.arg == "target":
-                        sym = self._arg_symbol(module, kw.value)
-                        if sym is not None:
-                            out.add(sym)
+                        fn_expr = kw.value
+            sym = self._arg_symbol(module, fn_expr)
+            if sym is not None:
+                out.add(sym)
         return frozenset(out)
 
 

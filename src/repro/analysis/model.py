@@ -99,20 +99,8 @@ def _parse_suppressions(
     source: str,
 ) -> tuple[dict[int, frozenset[str]], frozenset[str]]:
     """Extract per-line and file-level suppression sets from comments."""
-    per_line, file_level, _ = _parse_suppressions_full(source)
-    return per_line, file_level
-
-
-def _parse_suppressions_full(
-    source: str,
-) -> tuple[
-    dict[int, frozenset[str]], frozenset[str], dict[str, int]
-]:
-    """Suppressions plus the comment line of each file-level ignore
-    (so the ``unused-ignore`` meta-rule can anchor stale ones)."""
     per_line: dict[int, set[str]] = {}
     file_level: set[str] = set()
-    file_lines: dict[str, int] = {}
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         comments = [
@@ -135,14 +123,11 @@ def _parse_suppressions_full(
                 rules = {ALL_RULES}
         if kind == "ignore-file":
             file_level |= rules
-            for rule in rules:
-                file_lines.setdefault(rule, line)
         else:
             per_line.setdefault(line, set()).update(rules)
     return (
         {line: frozenset(rules) for line, rules in per_line.items()},
         frozenset(file_level),
-        file_lines,
     )
 
 
@@ -157,8 +142,6 @@ class ParsedModule:
     tree: ast.Module
     line_ignores: dict[int, frozenset[str]] = field(default_factory=dict)
     file_ignores: frozenset[str] = frozenset()
-    #: rule id (or ``*``) -> line of its ``ignore-file`` comment
-    file_ignore_lines: dict[str, int] = field(default_factory=dict)
 
     @property
     def package(self) -> str:
@@ -214,8 +197,7 @@ def parse_source(
             col=int(exc.offset or 0),
             message=f"file does not parse: {exc.msg}",
         )
-    line_ignores, file_ignores, file_lines = \
-        _parse_suppressions_full(source)
+    line_ignores, file_ignores = _parse_suppressions(source)
     return ParsedModule(
         path=path,
         rel=rel,
@@ -224,7 +206,6 @@ def parse_source(
         tree=parsed,
         line_ignores=line_ignores,
         file_ignores=file_ignores,
-        file_ignore_lines=file_lines,
     )
 
 

@@ -38,15 +38,13 @@ class Rule(ABC):
     cache: ``"module"`` rules look at one file at a time (their findings
     are cached per file content hash), ``"project"`` rules need the
     whole tree (call graph, parity pairings — cached against the
-    project fingerprint).  ``enabled_by_default=False`` rules only run
-    when selected explicitly (``--rule``) or via their opt-in flag.
+    project fingerprint).
     """
 
     id: str = ""
     description: str = ""
     severity: Severity = Severity.ERROR
     scope: str = "module"
-    enabled_by_default: bool = True
 
     def run(self, project: Project) -> Iterator[Finding]:
         """Yield every violation found in ``project``.
@@ -102,12 +100,11 @@ def all_rules() -> list[Rule]:
 def resolve_rules(ids: Sequence[str] | None) -> list[Rule]:
     """Map rule ids to rule objects.
 
-    ``None`` selects every default-enabled rule; opt-in rules (e.g.
-    ``unused-ignore``) must be named explicitly.
+    ``None`` selects every registered rule.
     """
-    _ensure_loaded()
     if ids is None:
-        return [r for r in RULES.values() if r.enabled_by_default]
+        return all_rules()
+    _ensure_loaded()
     unknown = [i for i in ids if i not in RULES]
     if unknown:
         known = ", ".join(sorted(RULES))

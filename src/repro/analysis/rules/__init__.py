@@ -11,7 +11,6 @@ from repro.analysis.rules.determinism import (
     SetIterationRule,
     UnseededRngRule,
 )
-from repro.analysis.rules.meta import UnusedIgnoreRule
 from repro.analysis.rules.parallel import ParallelSafetyRule
 from repro.analysis.rules.parity import ParityCoverageRule
 from repro.analysis.rules.telemetry import TelemetrySpanRule
@@ -27,5 +26,4 @@ __all__ = [
     "ShmLifecycleRule",
     "LockDisciplineRule",
     "SignalMainThreadRule",
-    "UnusedIgnoreRule",
 ]

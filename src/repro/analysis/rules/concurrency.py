@@ -15,7 +15,7 @@ Four rule families, each encoding one invariant the runtime layers
   don't).
 - ``lock-discipline`` — mutable state named in a ``_GUARDED_BY``
   declaration is only written under ``with <lock>:``, and no awaits /
-  pmap dispatch happen while a declared lock is held.
+  pool dispatch happen while a declared lock is held.
 - ``signal-main-thread`` — ``signal.signal`` / ``SIGALRM`` timers are
   only installed from main-thread code: never reachable from a
   registered handler or a ``threading.Thread`` target unless the
@@ -30,12 +30,7 @@ import ast
 import re
 from typing import Iterator, Sequence
 
-from repro.analysis.callgraph import (
-    HANDLER_REGISTRARS,
-    PMAP_DISPATCHERS,
-    CallGraph,
-    get_callgraph,
-)
+from repro.analysis.callgraph import CallGraph, get_callgraph
 from repro.analysis.flow import FunctionFlow, function_flow, iter_functions
 from repro.analysis.model import Finding, ParsedModule, Project
 from repro.analysis.registry import Rule, register
@@ -52,7 +47,7 @@ __all__ = [
     "ShmLifecycleRule",
     "LockDisciplineRule",
     "SignalMainThreadRule",
-    "resolves_to_pool",
+    "pool_dispatch_method",
 ]
 
 # --------------------------------------------------------------------- #
@@ -99,6 +94,21 @@ def resolves_to_pool(
     if isinstance(receiver, ast.Attribute):
         return bool(_POOL_NAME_RE.search(receiver.attr))
     return False
+
+
+def pool_dispatch_method(
+    node: ast.AST, origins: dict[str, str | None]
+) -> str | None:
+    """``"map"`` / ``"submit"`` when ``node`` calls that method on a
+    receiver that resolves to a pool; ``None`` otherwise."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("map", "submit")
+        and resolves_to_pool(node.func.value, origins)
+    ):
+        return node.func.attr
+    return None
 
 
 def module_pool_origins(
@@ -242,21 +252,11 @@ class AsyncioBlockingRule(Rule):
                     _BLOCKING_PREFIXES["subprocess."] + suffix,
                 )
                 continue
-            if target in PMAP_DISPATCHERS:
+            method = pool_dispatch_method(node, origins)
+            if method is not None:
                 yield self.finding(
                     module, node,
-                    "parallel_map() forks and blocks until every item "
-                    "completes; run it on a worker thread" + suffix,
-                )
-                continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("map", "submit")
-                and resolves_to_pool(node.func.value, origins)
-            ):
-                yield self.finding(
-                    module, node,
-                    f"pool.{node.func.attr}() dispatches and blocks on "
+                    f"pool.{method}() dispatches and blocks on "
                     "the event loop; delegate to a worker thread"
                     + suffix,
                 )
@@ -334,7 +334,7 @@ class ShmLifecycleRule(Rule):
 
     def run(self, project: Project) -> Iterator[Finding]:
         graph = get_callgraph(project)
-        workers = graph.reachable(graph.pmap_workers(project))
+        workers = graph.reachable(graph.process_workers(project))
         for module in project.modules:
             resolve = _resolver(graph, module)
             for fn in iter_functions(module.tree):
@@ -500,7 +500,7 @@ class LockDisciplineRule(Rule):
     id = "lock-discipline"
     description = (
         "state declared in _GUARDED_BY is only written under its "
-        "lock; no awaits or pmap dispatch while a lock is held"
+        "lock; no awaits or pool dispatch while a lock is held"
     )
     scope = "project"
 
@@ -517,9 +517,10 @@ class LockDisciplineRule(Rule):
             if not mod_decls and not class_decls:
                 continue
             attach_parents(module.tree)
+            origins = module_pool_origins(module, graph)
             if mod_decls:
                 yield from self._check_module_state(
-                    graph, module, mod_decls
+                    origins, module, mod_decls
                 )
             for cls_node in module.tree.body:
                 if (
@@ -527,14 +528,14 @@ class LockDisciplineRule(Rule):
                     and cls_node.name in class_decls
                 ):
                     yield from self._check_class_state(
-                        graph, module, cls_node,
+                        origins, module, cls_node,
                         class_decls[cls_node.name],
                     )
 
     # -- module-level declarations ---------------------------------- #
     def _check_module_state(
         self,
-        graph: CallGraph,
+        origins: dict[str, str | None],
         module: ParsedModule,
         decls: dict[str, str],
     ) -> Iterator[Finding]:
@@ -548,7 +549,7 @@ class LockDisciplineRule(Rule):
                 ],
             )
             yield from self._check_held_hazards(
-                graph, module, node,
+                origins, module, node,
                 holding=[
                     c[0] for c in _enclosing_with_chains(node)
                     if len(c) == 1 and c[0] in lock_names
@@ -558,7 +559,7 @@ class LockDisciplineRule(Rule):
     # -- class-level declarations ----------------------------------- #
     def _check_class_state(
         self,
-        graph: CallGraph,
+        origins: dict[str, str | None],
         module: ParsedModule,
         cls_node: ast.ClassDef,
         decls: dict[str, str],
@@ -584,7 +585,7 @@ class LockDisciplineRule(Rule):
                     dotted_state=True,
                 )
                 yield from self._check_held_hazards(
-                    graph, module, node,
+                    origins, module, node,
                     holding=[
                         h for h in held
                         if tuple(h.split(".")) in lock_chains
@@ -642,7 +643,7 @@ class LockDisciplineRule(Rule):
 
     def _check_held_hazards(
         self,
-        graph: CallGraph,
+        origins: dict[str, str | None],
         module: ParsedModule,
         node: ast.AST,
         *,
@@ -657,19 +658,13 @@ class LockDisciplineRule(Rule):
                 f"await while holding `{lock}`; the event loop can "
                 "interleave another coroutine that needs the lock",
             )
-        elif isinstance(node, ast.Call):
-            chain = attribute_chain(node.func)
-            target = (
-                graph.resolve(module.name, chain)
-                if chain is not None else None
+        elif (method := pool_dispatch_method(node, origins)) is not None:
+            yield self.finding(
+                module, node,
+                f"pool.{method}() dispatch while holding `{lock}`; "
+                "forked children inherit a locked mutex and deadlock "
+                "on it",
             )
-            if target in PMAP_DISPATCHERS:
-                yield self.finding(
-                    module, node,
-                    f"parallel_map dispatch while holding `{lock}`; "
-                    "forked children inherit a locked mutex and "
-                    "deadlock on it",
-                )
 
 
 # --------------------------------------------------------------------- #

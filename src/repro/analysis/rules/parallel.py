@@ -1,9 +1,9 @@
 """Parallel-safety rule for functions crossing process boundaries.
 
-Work dispatched through :func:`repro.runtime.pmap.parallel_map` or a
-``ProcessPoolExecutor.submit`` call crosses the process boundary by
-*name*: the child re-imports the module and looks the function up.  Two
-things therefore must hold for every dispatched function:
+Work dispatched through a ``ProcessPoolExecutor.submit`` call crosses
+the process boundary by *name*: the child re-imports the module and
+looks the function up.  Two things therefore must hold for every
+dispatched function:
 
 - it must be **module-level** — a lambda or closure either fails to
   pickle or, worse, silently rebinds over fork;
@@ -15,10 +15,10 @@ things therefore must hold for every dispatched function:
 
 The same discipline extends to the mapping service: request handlers
 registered through :func:`repro.service.handlers.register_handler` run
-concurrently on worker *threads* against fork-shared warm state, and
-may themselves lease pmap pools.  Registered handlers therefore get the
-identical checks — module-level only, no module-global mutation (shared
-state goes through the :class:`~repro.service.warm.WarmCache` lock).
+concurrently on worker *threads* against shared warm state.  Registered
+handlers therefore get the identical checks — module-level only, no
+module-global mutation (shared state goes through the
+:class:`~repro.service.warm.WarmCache` lock).
 """
 
 from __future__ import annotations
@@ -41,28 +41,11 @@ from repro.analysis.visitors import (
 
 __all__ = ["ParallelSafetyRule"]
 
-#: Canonical dotted names whose first positional argument is a
-#: function shipped to worker processes.
-_DISPATCHERS = {
-    "repro.runtime.pmap.parallel_map",
-    "repro.runtime.parallel_map",
-}
-
 #: Canonical dotted names whose *second* positional argument is a
 #: callable run concurrently by service worker threads.
 _REGISTRARS = {
     "repro.service.handlers.register_handler",
 }
-
-
-def _dispatched_callable(call: ast.Call) -> ast.expr | None:
-    """The callable argument of a dispatcher call, if present."""
-    if call.args:
-        return call.args[0]
-    for kw in call.keywords:
-        if kw.arg == "fn":
-            return kw.value
-    return None
 
 
 def _registered_callable(call: ast.Call) -> ast.expr | None:
@@ -86,13 +69,11 @@ def _is_pool_submit(
     executor/pool — by construction origin in this module or by an
     unambiguous name (``pool``, ``executor``, ``self._pool``).
     """
-    from repro.analysis.rules.concurrency import resolves_to_pool
+    from repro.analysis.rules.concurrency import pool_dispatch_method
 
     return (
-        isinstance(call.func, ast.Attribute)
-        and call.func.attr == "submit"
-        and bool(call.args)
-        and resolves_to_pool(call.func.value, origins)
+        bool(call.args)
+        and pool_dispatch_method(call, origins) == "submit"
     )
 
 
@@ -129,7 +110,7 @@ def _store_root(target: ast.expr) -> str | None:
 class ParallelSafetyRule(Rule):
     id = "parallel-safety"
     description = (
-        "functions dispatched through parallel_map / pool.submit must "
+        "functions dispatched through pool.submit must "
         "be module-level and must not mutate module globals — "
         "transitively through every project function they call"
     )
@@ -148,14 +129,8 @@ class ParallelSafetyRule(Rule):
             for call in iter_calls(module.tree):
                 target = imported_target(call.func, imports)
                 fn_node: ast.expr | None = None
-                if target in _DISPATCHERS or (
-                    isinstance(call.func, ast.Name)
-                    and call.func.id == "parallel_map"
-                    and "parallel_map" in top
-                ):
-                    fn_node = _dispatched_callable(call)
                 forked = True
-                if fn_node is None and (
+                if (
                     target in _REGISTRARS or (
                         isinstance(call.func, ast.Name)
                         and call.func.id == "register_handler"
@@ -165,8 +140,7 @@ class ParallelSafetyRule(Rule):
                     fn_node = _registered_callable(call)
                     # Handlers run on worker *threads*: module-global
                     # writes stay visible, so only the handler itself
-                    # is checked — its callees may legitimately drive
-                    # the parent-side pmap machinery.
+                    # is checked, not its callees.
                     forked = False
                 if fn_node is None and _is_pool_submit(call, origins):
                     fn_node = call.args[0]

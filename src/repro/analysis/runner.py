@@ -20,9 +20,8 @@ runner keys results on content, not time:
 
 - **check-module** — one entry per file, keyed on
   ``(ANALYSIS_VERSION, module-rule ids, rel path, source sha)``.  Holds
-  the module-scope findings (kept and suppressed), the file's
-  suppression comments, and any parse failure — everything the file
-  alone determines.
+  the module-scope findings (kept and suppressed) and any parse failure
+  — everything the file alone determines.
 - **check-project** — one entry per tree state, keyed on the same
   version + the project-scope rule ids + a manifest of every
   ``(rel, sha)`` pair.  Holds the project-scope findings, which any
@@ -32,10 +31,7 @@ runner keys results on content, not time:
 A fully warm re-check therefore never calls ``ast.parse``: it hashes
 the sources, loads the per-file entries plus the project entry, and
 assembles the report.  Any miss falls back to parsing the tree once;
-unchanged files still skip their module-rule execution.  ``jobs`` fans
-the per-file pass out over forked workers via
-:func:`repro.runtime.pmap.parallel_map` — results are bit-identical to
-the sequential run because both paths fold in item order.
+unchanged files still skip their module-rule execution.
 """
 
 from __future__ import annotations
@@ -54,8 +50,7 @@ from repro.analysis.model import (
     _module_name,
     parse_source,
 )
-from repro.analysis.registry import RULES, Rule, all_rules, resolve_rules
-from repro.analysis.rules.meta import IgnoreInfo, unused_ignore_findings
+from repro.analysis.registry import Rule, resolve_rules
 
 __all__ = [
     "ANALYSIS_VERSION",
@@ -66,14 +61,11 @@ __all__ = [
 
 #: Bumped whenever rule semantics change; invalidates every cached
 #: result (the version is part of both cache keys).
-ANALYSIS_VERSION = 2
+ANALYSIS_VERSION = 3
 
 #: Artifact kinds in the shared :class:`ArtifactCache`.
 MODULE_KIND = "check-module"
 PROJECT_KIND = "check-project"
-
-#: Rule computed by the runner itself, after the others finish.
-_META_RULE_ID = "unused-ignore"
 
 
 @dataclass
@@ -169,13 +161,13 @@ def _scan_tree(
 
 
 # --------------------------------------------------------------------- #
-# Per-file pass (cache-keyed, optionally forked)
+# Per-file pass (cache-keyed)
 # --------------------------------------------------------------------- #
 def _file_entry(
     project: Project, module: ParsedModule,
     rules: Sequence[Rule], is_src: bool,
 ) -> dict:
-    """The cacheable per-file result: module-rule findings + ignores."""
+    """The cacheable per-file result: module-rule findings."""
     kept: list[Finding] = []
     suppressed: list[Finding] = []
     if is_src:
@@ -191,32 +183,20 @@ def _file_entry(
         "findings": kept,
         "suppressed": suppressed,
         "parse_failure": None,
-        "ignores": IgnoreInfo.of(module),
     }
 
 
-def _failure_entry(rel: str, failure: Finding) -> dict:
+def _failure_entry(failure: Finding) -> dict:
     """Per-file entry for a file that does not parse."""
-    return {
-        "findings": [],
-        "suppressed": [],
-        "parse_failure": failure,
-        "ignores": IgnoreInfo(rel=rel),
-    }
-
-
-def _file_worker(rel: str, shared: object) -> dict:
-    """Pool-dispatched per-file worker (module-level, fork-inherited
-    ``shared``; the parallel-safety discipline)."""
-    project, rules, src_rels = shared  # type: ignore[misc]
-    module = project.module_by_rel[rel]
-    return _file_entry(project, module, rules, rel in src_rels)
+    return {"findings": [], "suppressed": [], "parse_failure": failure}
 
 
 def _module_key(
-    module_ids: tuple[str, ...], sf: _SourceFile
-) -> tuple[object, ...]:
-    return (ANALYSIS_VERSION, module_ids, sf.rel, sf.sha)
+    cache, module_ids: tuple[str, ...], sf: _SourceFile
+) -> str:
+    return cache.key_of(
+        MODULE_KIND, ANALYSIS_VERSION, module_ids, sf.rel, sf.sha
+    )
 
 
 def _project_key(
@@ -305,16 +285,13 @@ def _assemble(
     selected: Sequence[Rule],
     entries: dict[str, dict],
     project_entry: dict,
-    src_rels: frozenset[str],
     *,
-    strict: bool,
     cache_hits: int,
     cache_misses: int,
 ) -> CheckResult:
     """Fold per-file + project entries into the final report."""
     kept: list[Finding] = []
     suppressed: list[Finding] = []
-    infos: list[IgnoreInfo] = []
     n_files = 0
     for rel in sorted(entries):
         entry = entries[rel]
@@ -324,30 +301,9 @@ def _assemble(
             n_files += 1
         kept.extend(entry["findings"])
         suppressed.extend(entry["suppressed"])
-        if rel in src_rels:
-            # Rules never run against the tests tree, so no ignore
-            # there can ever be "used" — judging them would flag every
-            # deliberate suppression inside test fixture projects.
-            infos.append(entry["ignores"])
     kept.extend(project_entry["findings"])
     suppressed.extend(project_entry["suppressed"])
     suppressed.sort(key=lambda f: f.sort_key)
-    if strict:
-        ran_ids = frozenset(
-            r.id for r in selected if r.id != _META_RULE_ID
-        )
-        defaults = frozenset(
-            r.id for r in all_rules() if r.enabled_by_default
-        )
-        kept.extend(
-            unused_ignore_findings(
-                infos,
-                suppressed,
-                ran_ids=ran_ids,
-                known_ids=frozenset(RULES),
-                ran_all=defaults <= ran_ids,
-            )
-        )
     kept.sort(key=lambda f: f.sort_key)
     return CheckResult(
         root=project_root,
@@ -365,9 +321,7 @@ def run_check(
     *,
     rules: Sequence[str] | None = None,
     include_tests: bool = True,
-    jobs: int = 0,
     cache: object = None,
-    strict_ignores: bool = False,
 ) -> CheckResult:
     """Run the selected rules over the project at ``root``.
 
@@ -376,17 +330,11 @@ def run_check(
 
     Parameters
     ----------
-    jobs:
-        Fan the per-file pass out over this many forked workers
-        (``0``/``1`` = inline).  Findings are bit-identical either way.
     cache:
         Result cache: an :class:`~repro.runtime.cache.ArtifactCache`, a
         directory path, ``True`` for ``<root>/.massf-cache``, or
         ``None`` (default) for no caching.  A warm re-check skips
         parsing entirely.
-    strict_ignores:
-        Also run the ``unused-ignore`` meta-rule over the suppression
-        comments (off by default; see :mod:`repro.analysis.rules.meta`).
     """
     project_root = resolve_root(root)
     src_root = project_root / "src"
@@ -394,15 +342,9 @@ def run_check(
     if not src_root.is_dir():
         raise AnalysisError(f"source root {src_root} is not a directory")
 
-    selected = list(resolve_rules(rules))
-    if strict_ignores and all(r.id != _META_RULE_ID for r in selected):
-        selected.append(RULES[_META_RULE_ID])
-    strict = any(r.id == _META_RULE_ID for r in selected)
+    selected = resolve_rules(rules)
     module_rules = [r for r in selected if r.scope == "module"]
-    project_rules = [
-        r for r in selected
-        if r.scope == "project" and r.id != _META_RULE_ID
-    ]
+    project_rules = [r for r in selected if r.scope == "project"]
     module_ids = tuple(r.id for r in module_rules)
     project_ids = tuple(r.id for r in project_rules)
 
@@ -418,8 +360,9 @@ def run_check(
     hits = misses = 0
     if art is not None:
         for sf in sources:
-            key = art.key_of(MODULE_KIND, *_module_key(module_ids, sf))
-            found, value = art.lookup(MODULE_KIND, key)
+            found, value = art.lookup(
+                MODULE_KIND, _module_key(art, module_ids, sf)
+            )
             if found:
                 entries[sf.rel] = value
         if project_rules:
@@ -438,42 +381,29 @@ def run_check(
         and (project_entry is not None or not project_rules)
     )
     if not warm:
-        # Cold / mixed: parse once, fan the per-file pass out (cached
-        # files skip rule execution via the pmap cache integration).
-        from repro.runtime.pmap import parallel_map
-
+        # Cold / mixed: parse once; files the probe found keep their
+        # entry, the rest run their module rules here and are stored.
         project = _build_project(
             project_root, src_root, tests_root, sources
         )
-        parsed_rels = [m.rel for m in project.all_modules()]
-        shared = (
-            project,
-            tuple(module_rules),
-            frozenset(m.rel for m in project.modules),
-        )
-        def _key(rel: str) -> tuple[object, ...]:
-            return _module_key(module_ids, by_rel[rel])
-
-        results = parallel_map(
-            _file_worker,
-            parsed_rels,
-            workers=jobs,
-            shared=shared,
-            cache=art,
-            kind=MODULE_KIND,
-            key_of=_key if art is not None else None,
-        )
-        entries = dict(zip(parsed_rels, results))
+        src_rels = frozenset(m.rel for m in project.modules)
+        fresh: dict[str, dict] = {}
+        for module in project.all_modules():
+            if module.rel not in entries:
+                fresh[module.rel] = _file_entry(
+                    project, module, module_rules, module.rel in src_rels
+                )
         for failure in project.parse_failures:
-            entry = _failure_entry(failure.path, failure)
-            entries[failure.path] = entry
-            if art is not None:
-                sf = by_rel[failure.path]
+            if failure.path not in entries:
+                fresh[failure.path] = _failure_entry(failure)
+        if art is not None:
+            for rel, entry in fresh.items():
                 art.store(
                     MODULE_KIND,
-                    art.key_of(MODULE_KIND, *_module_key(module_ids, sf)),
+                    _module_key(art, module_ids, by_rel[rel]),
                     entry,
                 )
+        entries.update(fresh)
         if project_rules:
             project_entry = _run_project_rules(project, project_rules)
             if art is not None:
@@ -489,8 +419,6 @@ def run_check(
         selected,
         entries,
         project_entry,
-        frozenset(sf.rel for sf in sources if sf.tree == "src"),
-        strict=strict,
         cache_hits=hits,
         cache_misses=misses,
     )

@@ -380,7 +380,6 @@ def apply_changes(
     tables,
     changes,
     *,
-    workers: int = 0,
     cache=None,
     telemetry=None,
 ):
@@ -401,8 +400,6 @@ def apply_changes(
         :class:`~repro.routing.delta.LinkUp` /
         :class:`~repro.routing.delta.LinkDown` /
         :class:`~repro.routing.delta.AddLink`.
-    workers:
-        Process the recomputed source blocks in parallel (``0`` = serial).
     cache, telemetry:
         Optional artifact-cache spec and telemetry sink.
 
@@ -422,8 +419,7 @@ def apply_changes(
         raise ValueError("routing tables were built for another network")
     state = routing_state(tables)
     touched = update_routing(
-        state, changes, workers=workers, cache=resolve_cache(cache),
-        telemetry=telemetry,
+        state, changes, cache=resolve_cache(cache), telemetry=telemetry,
     )
     return state.tables, touched
 

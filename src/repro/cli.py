@@ -480,16 +480,9 @@ def _configure_check(parser: argparse.ArgumentParser) -> None:
                         help="additionally write the JSON findings "
                         "report here (written even when findings "
                         "exist, for CI artifacts)")
-    parser.add_argument("--jobs", type=int, default=0, metavar="N",
-                        help="fan the per-file pass out over N forked "
-                        "workers (0 = inline; findings are "
-                        "bit-identical either way)")
     parser.add_argument("--sarif", metavar="PATH",
                         help="additionally write a SARIF 2.1.0 report "
                         "here (code-scanning upload format)")
-    parser.add_argument("--strict-ignores", action="store_true",
-                        help="also report stale `# massf: ignore[...]` "
-                        "comments (the unused-ignore meta-rule)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the per-file result cache")
     parser.add_argument("--cache-dir", metavar="PATH", default=None,
@@ -511,16 +504,13 @@ def _cmd_check(parser: argparse.ArgumentParser, args) -> int:
 
     if args.list_rules:
         for rule in all_rules():
-            marker = "" if rule.enabled_by_default else "(opt-in) "
-            print(f"{rule.id:18s} {marker}{rule.description}")
+            print(f"{rule.id:18s} {rule.description}")
         return 0
     cache = False if args.no_cache else (args.cache_dir or True)
     try:
         result = run_check(
             args.root, rules=args.rules,
-            include_tests=not args.no_tests,
-            jobs=args.jobs, cache=cache,
-            strict_ignores=args.strict_ignores,
+            include_tests=not args.no_tests, cache=cache,
         )
     except AnalysisError as exc:
         print(f"massf check: error: {exc}", file=sys.stderr)

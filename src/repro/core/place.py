@@ -20,16 +20,11 @@ pairs with one vectorized pass, routes are discovered by batched TTL
 stepping (:func:`repro.routing.icmp.batched_walks`), and per-link /
 per-node rates accumulate through ``np.add.at`` in route order — so the
 result is bit-identical to the preserved scalar reference
-(:func:`repro.routing._reference.estimate_traffic_reference`).  Route
-blocks optionally fan out across a fork-shared process pool
-(:func:`repro.runtime.pmap.parallel_map`) with per-block artifact caching;
-block boundaries never change the sums because the parent folds the flat
-per-block arrays back in pair order before accumulating.
+(:func:`repro.routing._reference.estimate_traffic_reference`).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +35,6 @@ from repro.core.aggregate import (
     flatten_route_rates,
 )
 from repro.routing.icmp import batched_walks, plan_routes
-from repro.routing.spf import ROUTING_TABLE_VERSION
 from repro.routing.tables import RoutingTables
 from repro.topology.network import Network
 from repro.traffic.apps.base import ForegroundApp
@@ -142,61 +136,21 @@ def _dedupe_flows(
     return pairs, pair_rates
 
 
-def _estimate_block(item: dict, shared) -> dict:
-    """Route one pair block and flatten its rate contributions.
-
-    ``item`` is pure data (cache-keyable): the block's pairs and rates
-    plus the routes already resolved by the plan (``known``, local
-    indices).  ``shared`` carries the routing tables (fork-inherited in
-    pool mode, never pickled) and, inline, the live stats object.
-    """
-    tables, stats = shared
-    pairs = item["pairs"]
-    known: dict[int, list[int]] = item["known"]
-    walk_local = [i for i in range(len(pairs)) if i not in known]
-    walked = batched_walks(
-        tables, [pairs[i] for i in walk_local], stats=stats
-    )
-    path_of = dict(known)
-    path_of.update(zip(walk_local, walked))
-    paths = [path_of[i] for i in range(len(pairs))]
-    nodes, node_rates, us, vs, edge_rates = flatten_route_rates(
-        paths, item["rates"]
-    )
-    return {
-        "nodes": nodes,
-        "node_rates": node_rates,
-        "lids": tables.link_ids_of(us, vs),
-        "edge_rates": edge_rates,
-    }
-
-
 def estimate_traffic(
     net: Network,
     tables: RoutingTables,
     flows: list[PredictedFlow],
     use_representatives: bool = True,
     *,
-    workers: int | None = 0,
-    cache=None,
-    pairs_per_block: int | None = None,
     telemetry=None,
     stats=None,
 ) -> TrafficEstimate:
     """Route predicted flows (traceroute) and aggregate per link/node.
 
-    ``workers`` fans the route blocks across a fork-shared process pool
-    (``0``/``1`` inline, ``None`` auto); ``cache`` (an
-    :class:`~repro.runtime.cache.ArtifactCache`) stores each block's
-    flattened contributions under kind ``"place-block"`` so repeated
-    estimates skip the route walks; ``pairs_per_block`` overrides the
-    block size.  All of these change scheduling only — the returned rates
-    are bit-identical in every configuration.  ``stats`` (a
-    :class:`repro.routing.perf.RoutingStats`) collects walk counters
-    (inline mode only — pool workers keep their own copies).
+    ``stats`` (a :class:`repro.routing.perf.RoutingStats`) collects walk
+    counters.
     """
     from repro.obs.telemetry import ensure_telemetry
-    from repro.runtime.pmap import parallel_map
 
     tel = ensure_telemetry(telemetry)
     with tel.span("place/estimate"):
@@ -214,57 +168,21 @@ def estimate_traffic(
             tables, pairs, use_representatives=use_representatives,
             stats=stats,
         )
-
-        n_workers = workers if workers is not None else (os.cpu_count() or 1)
-        if pairs_per_block is None:
-            if n_workers <= 1:
-                pairs_per_block = n_pairs
-            else:
-                pairs_per_block = max(1, -(-n_pairs // (4 * n_workers)))
-        items = []
-        for start in range(0, n_pairs, pairs_per_block):
-            end = min(start + pairs_per_block, n_pairs)
-            items.append({
-                "pairs": pairs[start:end],
-                "rates": pair_rates[start:end],
-                "known": {
-                    i - start: plan.known[i]
-                    for i in range(start, end)
-                    if i in plan.known
-                },
-            })
-
-        def _block_key(item: dict) -> tuple:
-            return (
-                net.fingerprint(), tables.metric, ROUTING_TABLE_VERSION,
-                item["pairs"], item["rates"], item["known"],
-            )
-
-        blocks = parallel_map(
-            _estimate_block, items, workers=workers,
-            shared=(tables, stats), cache=cache, kind="place-block",
-            key_of=_block_key, telemetry=telemetry,
+        # Routes the plan already resolved are reused; the rest are walked.
+        walk_idx = [i for i in range(n_pairs) if i not in plan.known]
+        walked = batched_walks(
+            tables, [pairs[i] for i in walk_idx], stats=stats
         )
-
-        # Fold the flat per-block arrays back in pair order: one unbuffered
-        # accumulation pass, bit-identical to the scalar per-pair loop.
-        link_rate = accumulate_rates(
-            np.concatenate([b["lids"] for b in blocks]),
-            np.concatenate([b["edge_rates"] for b in blocks]),
-            net.n_links,
-        )
-        node_rate = accumulate_rates(
-            np.concatenate([b["nodes"] for b in blocks]),
-            np.concatenate([b["node_rates"] for b in blocks]),
-            net.n_nodes,
+        path_of = dict(plan.known)
+        path_of.update(zip(walk_idx, walked))
+        estimate = _aggregate_paths(
+            net, tables, [path_of[i] for i in range(n_pairs)], pair_rates,
+            n_routes=plan.n_walks,
         )
     tel.count("place.flows", len(flows))
     tel.count("place.pairs", n_pairs)
     tel.count("place.walks", plan.n_walks)
-    tel.count("place.blocks", len(items))
-    return TrafficEstimate(
-        link_rate=link_rate, node_rate=node_rate, n_routes=plan.n_walks
-    )
+    return estimate
 
 
 @dataclass
@@ -287,10 +205,10 @@ class TrafficEstimateState:
 
 
 def _aggregate_paths(
-    net: Network, tables: RoutingTables, paths, pair_rates
+    net: Network, tables: RoutingTables, paths, pair_rates, n_routes: int
 ) -> TrafficEstimate:
-    """Flatten + accumulate all paths, exactly like the single-block
-    fold in :func:`estimate_traffic` (bit-identical by construction)."""
+    """Flatten all paths and accumulate per link/node in pair order: one
+    unbuffered pass, bit-identical to the scalar per-pair loop."""
     nodes, node_rates, us, vs, edge_rates = flatten_route_rates(
         paths, pair_rates
     )
@@ -299,7 +217,7 @@ def _aggregate_paths(
     )
     node_rate = accumulate_rates(nodes, node_rates, net.n_nodes)
     return TrafficEstimate(
-        link_rate=link_rate, node_rate=node_rate, n_routes=len(paths)
+        link_rate=link_rate, node_rate=node_rate, n_routes=n_routes
     )
 
 
@@ -332,7 +250,9 @@ def estimate_traffic_state(
             if stats is not None:
                 stats.routed_pairs += len(pairs)
             paths = batched_walks(tables, pairs, stats=stats)
-        estimate = _aggregate_paths(net, tables, paths, pair_rates)
+        estimate = _aggregate_paths(
+            net, tables, paths, pair_rates, n_routes=len(paths)
+        )
     tel.count("place.pairs", len(pairs))
     return TrafficEstimateState(
         net=net, tables=tables, pairs=pairs, pair_rates=pair_rates,
@@ -397,7 +317,8 @@ def update_traffic_estimate(
             stats.rewalked_pairs += len(walk_idx)
             stats.kept_pairs += n_pairs - len(walk_idx)
         state.estimate = _aggregate_paths(
-            net, tables, state.paths, state.pair_rates
+            net, tables, state.paths, state.pair_rates,
+            n_routes=len(state.paths),
         )
     tel.count("place.rewalked_pairs", len(walk_idx))
     return state.estimate
@@ -412,17 +333,12 @@ def build_place_inputs(
     memory_mode: str = "sum",
     use_representatives: bool = True,
     *,
-    workers: int | None = 0,
-    cache=None,
-    pairs_per_block: int | None = None,
     telemetry=None,
 ) -> PlaceInputs:
     """Compute PLACE vertex/edge weights.
 
     ``background`` generators must already be prepared (populations fixed)
-    so their predictions are available.  ``workers`` / ``cache`` /
-    ``pairs_per_block`` tune the traffic estimation (see
-    :func:`estimate_traffic`) without changing any output bit.
+    so their predictions are available.
     """
     flows: list[PredictedFlow] = []
     for gen in background:
@@ -431,7 +347,6 @@ def build_place_inputs(
         flows.extend(foreground_placement_flows(net, app))
     estimate = estimate_traffic(
         net, tables, flows, use_representatives=use_representatives,
-        workers=workers, cache=cache, pairs_per_block=pairs_per_block,
         telemetry=telemetry,
     )
     vwgt, link_weights_latency = balance_inputs(

@@ -69,6 +69,7 @@ __all__ = [
     "ShardContext",
     "ShardResult",
     "ParallelEmulationKernel",
+    "LPWorkerError",
     "shard_context",
 ]
 
@@ -403,6 +404,22 @@ class LPShard:
 # --------------------------------------------------------------------- #
 # Worker processes
 # --------------------------------------------------------------------- #
+class LPWorkerError(RuntimeError):
+    """An LP worker process died (its pipe broke) mid-run."""
+
+    def __init__(self, lp: int, exitcode: int | None) -> None:
+        super().__init__(
+            f"LP {lp} worker process died (exit code {exitcode})"
+        )
+        self.lp = lp
+        self.exitcode = exitcode
+
+
+#: What a pipe to a dead worker raises: ``recv`` sees EOF or a reset,
+#: ``send`` a broken pipe.
+_PIPE_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError)
+
+
 def _worker_main(conn) -> None:
     """One LP worker: build a shard from the fork-shared context and serve
     segment requests until told to stop."""
@@ -542,8 +559,22 @@ class ParallelEmulationKernel(EmulationKernel):
         self._conns = conns
         self._procs = procs
 
-    def _recv(self, owner: int):
-        status, payload = self._conns[owner].recv()
+    def _worker_died(self, lp: int) -> LPWorkerError:
+        proc = self._procs[lp]
+        proc.join(timeout=1)  # the pipe breaks before the exit status lands
+        return LPWorkerError(lp, proc.exitcode)
+
+    def _send(self, lp: int, message: tuple) -> None:
+        try:
+            self._conns[lp].send(message)
+        except _PIPE_ERRORS:
+            raise self._worker_died(lp) from None
+
+    def _recv(self, lp: int):
+        try:
+            status, payload = self._conns[lp].recv()
+        except _PIPE_ERRORS:
+            raise self._worker_died(lp) from None
         if status == "err":
             raise payload
         return payload
@@ -557,7 +588,7 @@ class ParallelEmulationKernel(EmulationKernel):
         span_col = np.zeros(n, dtype=np.float64)
         if self._conns is not None:
             for owner, positions in groups:
-                self._conns[owner].send(("seg", (
+                self._send(owner, ("seg", (
                     seg.time[positions], seg.node[positions],
                     seg.dst[positions], seg.count[positions],
                     seg.nbytes[positions], seg.last[positions],
@@ -628,7 +659,7 @@ class ParallelEmulationKernel(EmulationKernel):
         them there (a channel is non-zero in exactly one shard, which is
         what keeps :meth:`_finalize_run`'s summation exact)."""
         if self._conns is not None:
-            self._conns[lp].send(("xfer_out", keys))
+            self._send(lp, ("xfer_out", keys))
             return self._recv(lp)
         flat = self._shards[lp].busy.reshape(-1)
         values = flat[keys].copy()
@@ -639,7 +670,7 @@ class ParallelEmulationKernel(EmulationKernel):
         self, lp: int, keys: np.ndarray, values: np.ndarray
     ) -> None:
         if self._conns is not None:
-            self._conns[lp].send(("xfer_in", (keys, values)))
+            self._send(lp, ("xfer_in", (keys, values)))
             self._recv(lp)
         else:
             self._shards[lp].busy.reshape(-1)[keys] = values
@@ -721,8 +752,8 @@ class ParallelEmulationKernel(EmulationKernel):
         if self.rebalancer is not None:
             self.rebalancer.finalize()
         if self._conns is not None:
-            for conn in self._conns:
-                conn.send(("stats", None))
+            for lp in range(self.n_lps):
+                self._send(lp, ("stats", None))
             partials = [self._recv(i) for i in range(self.n_lps)]
         else:
             partials = [shard.partials() for shard in self._shards]
@@ -751,6 +782,9 @@ class ParallelEmulationKernel(EmulationKernel):
                 pass
         for proc in self._procs:
             proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
         for conn in self._conns:
             conn.close()
         self._conns = None

@@ -59,13 +59,6 @@ class RunnerConfig:
     arrival order.  Both engines produce bit-identical traces, so the
     choice affects wall time only; it still participates in cache keys
     (the config is part of every run's key).
-
-    ``profile_workers`` fans the NetFlow aggregation of the profiling run
-    across a :func:`repro.runtime.pmap.parallel_map` pool (``>= 2``;
-    ``0`` stays sequential).  The parallel fold is bit-identical to the
-    sequential loop (see :mod:`repro.profiling.aggregate`), so — like
-    ``parts`` — it is deliberately *excluded* from cache keys via
-    :meth:`cache_token`.
     """
 
     train_packets: int = 16
@@ -74,7 +67,6 @@ class RunnerConfig:
     mapper: MapperConfig = field(default_factory=MapperConfig)
     netflow_granularity: str = "flow"
     engine: str = "sequential"
-    profile_workers: int = 0
 
     def __post_init__(self) -> None:
         if self.engine not in ("sequential", "parallel"):
@@ -82,23 +74,6 @@ class RunnerConfig:
                 f"unknown engine {self.engine!r}; choose 'sequential' or "
                 "'parallel'"
             )
-
-    def cache_token(self) -> tuple:
-        """Content key contribution: everything that can change results.
-
-        ``profile_workers`` only changes *how* the profile is folded
-        (bit-identically), so two configs differing only there share
-        cache entries.
-        """
-        return (
-            "RunnerConfig",
-            self.train_packets,
-            self.profile_interval,
-            self.cost,
-            self.mapper,
-            self.netflow_granularity,
-            self.engine,
-        )
 
 
 @dataclass
@@ -189,7 +164,6 @@ def run_emulation(
             if collector is not None:
                 profile = ProfileData.from_run(
                     collector, trace, net, interval=config.profile_interval,
-                    workers=config.profile_workers, telemetry=tel,
                 )
             return EmulationRun(
                 trace=trace,

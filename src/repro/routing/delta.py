@@ -19,8 +19,8 @@ link changes by recomputing only the *affected* source rows:
    routes, so unaffected rows are reusable verbatim — the ``<=`` keeps
    tie-crossing edges inside the recompute set, which is what makes the
    splice bit-identical to a from-scratch build;
-4. recompute exactly those source rows (blocked, through
-   :func:`repro.runtime.pmap.parallel_map`) and splice them in place.
+4. recompute exactly those source rows (in blocks) and splice them in
+   place.
 
 In-place splicing is what makes the zero-copy story work: when the state
 is backed by an :class:`repro.runtime.shm.ShmArena`, LP worker processes
@@ -209,7 +209,7 @@ def _affected_sources(dist: np.ndarray, a, b, old_c, new_c) -> np.ndarray:
 
 
 def _spf_block(srcs: np.ndarray, graph) -> tuple[np.ndarray, np.ndarray]:
-    """Recompute one block of source rows (runs inside pool workers).
+    """Recompute one block of source rows.
 
     scipy's per-source Dijkstra is independent across sources, so rows
     computed with ``indices=srcs`` are bit-identical to the same rows of
@@ -224,19 +224,14 @@ def _spf_block(srcs: np.ndarray, graph) -> tuple[np.ndarray, np.ndarray]:
     return d, _next_hop_block(p, srcs)
 
 
-def _recompute_rows(touched, graph, *, workers, block_size, telemetry, stats):
-    from repro.runtime.pmap import parallel_map
-
+def _recompute_rows(touched, graph, *, block_size, stats):
     blocks = [
         touched[start:start + block_size]
         for start in range(0, len(touched), block_size)
     ]
     if stats is not None:
         stats.dijkstra_calls += len(blocks)
-    outs = parallel_map(
-        _spf_block, blocks, workers=workers, shared=graph,
-        telemetry=telemetry,
-    )
+    outs = [_spf_block(block, graph) for block in blocks]
     d_rows = np.concatenate([d for d, _ in outs])
     nh_rows = np.concatenate([nh for _, nh in outs])
     return d_rows, nh_rows
@@ -246,7 +241,6 @@ def update_routing(
     state: RoutingState,
     changes,
     *,
-    workers: int = 0,
     block_size: int | None = None,
     cache=None,
     telemetry=None,
@@ -262,9 +256,6 @@ def update_routing(
 
     Parameters
     ----------
-    workers:
-        Pool sizing for the row recompute, as in
-        :func:`repro.runtime.pmap.parallel_map`.
     cache:
         Optional :class:`~repro.runtime.cache.ArtifactCache`; recomputed
         rows are stored under the ``routing-delta`` kind keyed on
@@ -309,8 +300,7 @@ def update_routing(
 
             def compute():
                 return _recompute_rows(
-                    touched, new_graph, workers=workers,
-                    block_size=block_size, telemetry=telemetry, stats=stats,
+                    touched, new_graph, block_size=block_size, stats=stats,
                 )
 
             if cache is not None:
@@ -343,7 +333,6 @@ def derive_routing(
     net: Network,
     *,
     max_changes: int | None = None,
-    workers: int = 0,
     block_size: int | None = None,
     cache=None,
     telemetry=None,
@@ -402,9 +391,9 @@ def derive_routing(
 
             def compute():
                 return _recompute_rows(
-                    touched, new_graph, workers=workers,
+                    touched, new_graph,
                     block_size=max(1, int(block_size or _DELTA_BLOCK_SIZE)),
-                    telemetry=telemetry, stats=stats,
+                    stats=stats,
                 )
 
             if cache is not None:

@@ -12,9 +12,11 @@ system to optimize:
   deterministic per-cell seeding, per-cell error records (a crashed worker
   never kills the sweep), a timeout/retry policy, and run observability
   (per-cell timing, cache hit/miss counters, progress callbacks).
-- :mod:`repro.runtime.pmap` — a fork-shared parallel map for batched
-  kernels (the PLACE route blocks) whose tasks all read one large
-  read-only object that must never cross a pickle boundary.
+- :mod:`repro.runtime.shm` — shared-memory arenas that let forked LP
+  processes see in-place routing splices without re-pickling.
+
+The grid executor is one of exactly two places work crosses a process
+boundary; the other is the LP command loop in :mod:`repro.engine.lp`.
 """
 
 from repro.runtime.cache import ArtifactCache, CacheStats, default_cache
@@ -26,10 +28,8 @@ from repro.runtime.executor import (
     run_grid,
 )
 from repro.runtime.fingerprint import stable_hash
-from repro.runtime.pmap import parallel_map
 
 __all__ = [
-    "parallel_map",
     "ArtifactCache",
     "CacheStats",
     "default_cache",

@@ -1,10 +1,9 @@
 """Shared-memory arrays: zero-copy state for forked workers.
 
 The routing tables are two dense ``(n, n)`` matrices — tens of megabytes
-at the paper's 5–10k-router scale.  :mod:`repro.runtime.pmap` already
-avoids *pickling* them by publishing to a module global before the fork,
-but plain fork inheritance is copy-on-write: once the parent splices
-updated rows in place (the incremental engine in
+at the paper's 5–10k-router scale.  Forked children inherit them
+without pickling, but plain fork inheritance is copy-on-write: once the
+parent splices updated rows in place (the incremental engine in
 :mod:`repro.routing.delta`), long-lived children — the LP worker
 processes of :mod:`repro.engine.lp` — keep reading their stale private
 snapshot.

@@ -11,8 +11,8 @@ Job execution order per job:
 1. ``PENDING → RUNNING`` (a job cancelled while pending is skipped);
 2. response-memo probe — an exact canonical repeat settles immediately
    as a warm hit, bit-identical to the original (it *is* the original);
-3. the registered handler runs under the soft-deadline guard with
-   cooperative checkpoints;
+3. the registered handler runs, calling the job's cooperative
+   checkpoints (cancellation and deadline) between pipeline phases;
 4. only a **fully successful** result is memoized into warm state —
    failed, timed-out and cancelled jobs settle without touching it;
 5. the job's telemetry merges into the service collector under a lock
@@ -22,7 +22,6 @@ Job execution order per job:
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 from dataclasses import dataclass, field
@@ -53,36 +52,6 @@ class ServiceConfig:
     cache: object = None             # disk cache spec (resolve_cache)
     host: str = "127.0.0.1"
     port: int = 8351
-
-
-@contextlib.contextmanager
-def _soft_deadline(timeout_s: float | None):
-    """Arm the executor's SIGALRM guard when possible.
-
-    On the main thread a wedged job is interrupted mid-computation; on
-    worker threads (where ``signal.signal`` is forbidden) this is a
-    no-op and enforcement falls back to the job's cooperative
-    checkpoints — the same graceful degradation the grid executor uses.
-    """
-    from repro.runtime.executor import _TaskTimeout, _arm_soft_timeout
-
-    if (
-        timeout_s is None
-        or threading.current_thread() is not threading.main_thread()
-    ):
-        yield
-        return
-    import signal
-
-    old_handler, armed = _arm_soft_timeout(timeout_s)
-    try:
-        yield
-    except _TaskTimeout as exc:
-        raise JobTimeout(str(exc)) from None
-    finally:
-        if armed:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, old_handler)
 
 
 def _worker_loop(service: "MappingService") -> None:
@@ -266,8 +235,7 @@ class MappingService:
                     raise ValueError(
                         f"no handler for kind {job.request.kind!r}"
                     )
-                with _soft_deadline(job.timeout_s):
-                    result = handler(self, job, job.request)
+                result = handler(self, job, job.request)
                 job.checkpoint()  # last look before publishing
                 self.warm.memo_put(canon, result)
                 job.settle(JobState.DONE, result=result)

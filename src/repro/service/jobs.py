@@ -6,14 +6,11 @@ queue is full, submission raises :class:`QueueFullError` and the HTTP
 layer answers 429 instead of buffering unboundedly (the multi-tenant
 "many jobs, one substrate" discipline).
 
-Deadlines are cooperative *and* signal-backed: every job carries a
-:meth:`Job.checkpoint` the handlers call between pipeline phases
-(raising :class:`JobCancelled` / :class:`JobTimeout` promptly even for
-cancellation), and the worker additionally arms
-:func:`repro.runtime.executor._arm_soft_timeout` — the SIGALRM guard
-that interrupts a wedged computation on the main thread and degrades to
-cooperative-only checking on worker threads (where Python forbids signal
-handlers).
+Deadlines are cooperative: every job carries a :meth:`Job.checkpoint`
+the handlers call between pipeline phases, raising
+:class:`JobCancelled` / :class:`JobTimeout` at the next phase boundary.
+Jobs run on worker threads, where Python forbids signal handlers, so
+nothing interrupts a handler between two checkpoints.
 """
 
 from __future__ import annotations
@@ -115,8 +112,8 @@ class Job:
     def checkpoint(self) -> None:
         """Raise if the job should stop (cancelled or past deadline).
 
-        Handlers call this between pipeline phases; the HTTP layer's
-        SIGALRM guard covers the stretches in between when available.
+        Handlers call this between pipeline phases; nothing interrupts
+        the stretches in between.
         """
         if self._cancel.is_set():
             raise JobCancelled(f"{self.job_id} cancelled")

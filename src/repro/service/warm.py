@@ -17,10 +17,6 @@ all under one LRU with a configurable byte budget:
 - **responses** — canonical request → finished result dict, so an exact
   repeat is served without touching the pipeline at all.
 
-PLACE traffic estimates warm through the shared disk cache's memory
-tier (kind ``"place-block"``), which this object owns and hands to every
-handler.
-
 Everything is guarded by one lock; computations run *outside* it, so a
 slow cold build never blocks warm hits for other jobs.  Entries are
 inserted only by fully-successful jobs — a failing or cancelled job

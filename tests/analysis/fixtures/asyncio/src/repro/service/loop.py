@@ -3,15 +3,15 @@
 import subprocess
 import time
 
-from repro.runtime.pmap import parallel_map
+from concurrent.futures import Executor
 
 
 def _expensive(item, shared):
     return item
 
 
-def run_batch(items):
-    return parallel_map(_expensive, items)
+def run_batch(executor: Executor, items):
+    return executor.submit(_expensive, items)
 
 
 async def handle_tick(request):
@@ -21,7 +21,7 @@ async def handle_tick(request):
 
 async def handle_run(request):
     subprocess.run(["true"])
-    run_batch([1, 2])
+    run_batch(request.executor, [1, 2])
     return request
 
 

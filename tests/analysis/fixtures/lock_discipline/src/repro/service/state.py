@@ -2,7 +2,7 @@
 
 import threading
 
-from repro.runtime.pmap import parallel_map
+from concurrent.futures import Executor
 
 _LOCK = threading.Lock()
 _STATS = {}
@@ -14,9 +14,9 @@ def record(key, value):
     _STATS[key] = value
 
 
-def dispatch_locked(fn, items):
+def dispatch_locked(executor: Executor, fn, items):
     with _LOCK:
-        return parallel_map(fn, items)
+        return executor.submit(fn, items)
 
 
 class Counter:

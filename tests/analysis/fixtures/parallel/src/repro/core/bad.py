@@ -1,6 +1,6 @@
 """Known-bad fixture: unsafe callables crossing the fork boundary."""
 
-from repro.runtime.pmap import parallel_map
+from concurrent.futures import Executor
 
 _CACHE = {}
 _COUNT = 0
@@ -17,19 +17,19 @@ def _bump(item, shared):
     return item
 
 
-def run_lambda(items):
-    return parallel_map(lambda item, shared: item, items)
+def run_lambda(executor: Executor, items):
+    return executor.submit(lambda item, shared: item, items)
 
 
-def run_nested(items):
+def run_nested(executor: Executor, items):
     def inner(item, shared):
         return item
-    return parallel_map(inner, items)
+    return executor.submit(inner, items)
 
 
-def run_cached(items):
-    return parallel_map(_worker, items)
+def run_cached(executor: Executor, items):
+    return executor.submit(_worker, items)
 
 
-def run_counted(items):
-    return parallel_map(_bump, items)
+def run_counted(executor: Executor, items):
+    return executor.submit(_bump, items)

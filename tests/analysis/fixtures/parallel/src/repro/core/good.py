@@ -1,6 +1,6 @@
 """Known-good fixture: module-level, read-only workers."""
 
-from repro.runtime.pmap import parallel_map
+from concurrent.futures import Executor
 
 _TABLE = {"a": 1}
 _SEEN = None
@@ -18,9 +18,9 @@ def _tally(item, shared):
     return item
 
 
-def run(items):
-    return parallel_map(_worker, items)
+def run(executor: Executor, items):
+    return executor.submit(_worker, items)
 
 
-def run_tally(items):
-    return parallel_map(_tally, items)
+def run_tally(executor: Executor, items):
+    return executor.submit(_tally, items)

@@ -1,6 +1,6 @@
 """Fixture: dispatched workers are audited through their callees."""
 
-from repro.runtime.pmap import parallel_map
+from concurrent.futures import Executor
 
 from repro.core import sink
 
@@ -9,5 +9,5 @@ def _worker(item, shared):
     return sink.record(item)
 
 
-def run(items):
-    return parallel_map(_worker, items)
+def run(executor: Executor, items):
+    return executor.submit(_worker, items)

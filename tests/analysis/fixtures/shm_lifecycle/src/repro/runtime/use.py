@@ -2,7 +2,7 @@
 
 import pickle
 
-from repro.runtime.pmap import parallel_map
+from concurrent.futures import Executor
 from repro.runtime.shm import ShmArena, attach
 
 
@@ -24,5 +24,5 @@ def _attach_worker(handle, shared):
     return arena
 
 
-def run(handles):
-    return parallel_map(_attach_worker, handles)
+def run(executor: Executor, handles):
+    return executor.submit(_attach_worker, handles)

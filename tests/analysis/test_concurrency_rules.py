@@ -17,7 +17,7 @@ class TestAsyncioBlocking:
     def test_exact_findings(self):
         result = check_fixture("asyncio", "asyncio-blocking")
         assert locations(result.findings) == [
-            ("asyncio-blocking", BAD_LOOP, 14),  # parallel_map via run_batch
+            ("asyncio-blocking", BAD_LOOP, 14),  # pool.submit via run_batch
             ("asyncio-blocking", BAD_LOOP, 18),  # time.sleep
             ("asyncio-blocking", BAD_LOOP, 23),  # subprocess.run
             ("asyncio-blocking", BAD_LOOP, 29),  # bare open()
@@ -69,7 +69,7 @@ class TestLockDiscipline:
         result = check_fixture("lock_discipline", "lock-discipline")
         assert locations(result.findings) == [
             ("lock-discipline", BAD_STATE, 14),  # module global, no lock
-            ("lock-discipline", BAD_STATE, 19),  # pmap while holding lock
+            ("lock-discipline", BAD_STATE, 19),  # pool.submit while holding lock
             ("lock-discipline", BAD_STATE, 30),  # attr write, no lock
             ("lock-discipline", BAD_STATE, 34),  # await holding lock
         ]
@@ -79,7 +79,7 @@ class TestLockDiscipline:
         by_line = {f.line: f.message for f in result.findings}
         assert "write to `_STATS`" in by_line[14]
         assert "outside `with _LOCK:`" in by_line[14]
-        assert "parallel_map dispatch while holding `_LOCK`" in by_line[19]
+        assert "pool.submit() dispatch while holding `_LOCK`" in by_line[19]
         assert "write to `self._total`" in by_line[30]
         assert "await while holding `self._lock`" in by_line[34]
 

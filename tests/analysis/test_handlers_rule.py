@@ -2,7 +2,7 @@
 
 ``register_handler(kind, fn)`` callables run concurrently on service
 worker threads against fork-shared warm state, so they get the same
-checks as ``parallel_map`` workers: module-level only, no module-global
+checks as pool-dispatched workers: module-level only, no module-global
 mutation.
 """
 

@@ -7,7 +7,7 @@ from repro.engine.kernel import EmulationKernel
 from repro.engine.packet import Transfer
 from repro.engine.trace import INJECTED
 from repro.profiling.aggregate import ProfileData
-from repro.profiling.netflow import NetFlowCollector
+from repro.profiling.netflow import FlowRecord, NetFlowCollector
 
 
 def run(tiny_routed, n=12):
@@ -77,6 +77,43 @@ def test_from_records_validation(tiny_routed):
     net, _, _ = run(tiny_routed)
     with pytest.raises(ValueError):
         ProfileData.from_records([], net, duration=0.0)
+
+
+def test_no_records_is_an_all_zero_profile(tiny_routed):
+    net, _ = tiny_routed
+    empty = ProfileData.from_records([], net, duration=10.0)
+    assert empty.node_packets.sum() == 0.0
+    assert empty.link_packets.sum() == 0.0
+    assert empty.node_series.shape == (net.n_nodes, 2)
+    assert not empty.node_series.any()
+
+
+def test_single_record_loads_router_link_and_source_host(tiny_routed):
+    """One record at the source's access router: the router, its out
+    link and the sending host each get the packets, spread over the
+    record's active bins; nothing else is touched."""
+    net, _ = tiny_routed
+    src = net.hosts()[0].node_id
+    router, link = next(iter(net.neighbors(src)))
+    out_link = next(
+        lk.link_id for _, lk in net.neighbors(router)
+        if lk.link_id != link.link_id
+    )
+    record = FlowRecord(
+        router=router, src=src, dst=net.hosts()[2].node_id, flow_id=0,
+        out_link=out_link, packets=6, nbytes=6e3, first=0.0, last=12.0,
+    )
+    profile = ProfileData.from_records(
+        [record], net, duration=15.0, interval=5.0
+    )
+    want_nodes = np.zeros(net.n_nodes)
+    want_nodes[[router, src]] = 6.0
+    want_links = np.zeros(net.n_links)
+    want_links[out_link] = 6.0
+    assert np.array_equal(profile.node_packets, want_nodes)
+    assert np.array_equal(profile.link_packets, want_links)
+    assert np.array_equal(profile.node_series[router], [2.0, 2.0, 2.0])
+    assert np.array_equal(profile.node_series[src], [2.0, 2.0, 2.0])
 
 
 def test_injections_counted(tiny_routed):

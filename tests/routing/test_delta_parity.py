@@ -198,16 +198,16 @@ def test_random_batches_then_full_revert(ops):
 
 
 # --------------------------------------------------------------------- #
-# Pooled and shared-memory recompute paths
+# Multi-block and shared-memory recompute paths
 # --------------------------------------------------------------------- #
-def test_pooled_recompute_matches_fresh():
+def test_blocked_recompute_matches_fresh():
     net = synth_network(n_routers=300, hosts_per_router=0.2, seed=5)
     links = net.links
     state = _replay(net, "latency", [
         [SetLinkCost(3, latency_s=links[3].latency_s * 5)],
         [LinkDown(8)],
         [LinkUp(8), SetLinkCost(3, latency_s=links[3].latency_s)],
-    ], workers=2, block_size=32)
+    ], block_size=32)
     assert state.generation == 3
 
 

@@ -1,15 +1,11 @@
 """Perf-contract guards for the incremental routing engine.
 
-Three promises beyond bit-identity:
+Two promises beyond bit-identity:
 
 - **Touched == affected, exactly.** The delta engine recomputes the
   affected-source set and nothing else.  Fewer would break correctness
   (caught by the parity battery); *more* silently erodes the speedup this
   engine exists for, so the counters must agree to the row.
-- **Zero-copy fan-out.** Blocked recomputation across a pool ships only
-  block descriptors — the cost graph rides the fork, never a pickle.
-  ``pmap.shipped_bytes`` (the pickled size of every submitted task) stays
-  orders of magnitude below the shared state.
 - **Change-then-revert hits the cache.** Delta results are cached under
   (pre-change fingerprint, canonical change set); replaying a change is a
   cache hit, and a full revert restores the original fingerprint so even
@@ -20,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.obs.telemetry import Telemetry
 from repro.routing.delta import SetLinkCost, routing_state, update_routing
 from repro.routing.perf import RoutingStats
 from repro.routing.spf import build_routing
@@ -72,28 +67,6 @@ def test_touched_is_a_strict_subset_at_scale():
     )
     assert 0 < len(touched) < net.n_nodes
     assert stats.touched_sources == stats.affected_sources == len(touched)
-
-
-# --------------------------------------------------------------------- #
-# Zero-copy fan-out
-# --------------------------------------------------------------------- #
-def test_pooled_delta_ships_only_descriptors():
-    net = synth_network(n_routers=300, hosts_per_router=0.2, seed=5)
-    link = net.links[4]
-    tel = Telemetry()
-    state = routing_state(build_routing(net))
-    shared_nbytes = (
-        state.tables.dist.nbytes + state.tables.next_hop.nbytes
-        + state.graph.data.nbytes
-    )
-    update_routing(
-        state, [SetLinkCost(4, latency_s=link.latency_s * 8)],
-        workers=2, block_size=16, telemetry=tel,
-    )
-    shipped = tel.counters["pmap.shipped_bytes"]
-    # Tasks carry (function, block-of-source-ids) — nothing proportional
-    # to the matrices or the cost graph.
-    assert 0 < shipped < shared_nbytes * 0.05
 
 
 # --------------------------------------------------------------------- #

@@ -136,46 +136,6 @@ def test_estimate_traffic_parity(routed, reps):
     assert new.n_routes == ref.n_routes
 
 
-def test_estimate_block_split_invariant(routed):
-    """Block boundaries change scheduling only, never a single bit."""
-    net, tables = routed
-    flows = _flows(net, np.random.default_rng(1))
-    one = estimate_traffic(net, tables, flows)
-    for ppb in (1, 5, 37):
-        split = estimate_traffic(net, tables, flows, pairs_per_block=ppb)
-        assert np.array_equal(split.link_rate, one.link_rate), ppb
-        assert np.array_equal(split.node_rate, one.node_rate), ppb
-        assert split.n_routes == one.n_routes
-
-
-def test_estimate_parallel_workers_bit_identical(routed):
-    net, tables = routed
-    flows = _flows(net, np.random.default_rng(2))
-    inline = estimate_traffic(net, tables, flows)
-    pooled = estimate_traffic(
-        net, tables, flows, workers=2, pairs_per_block=23
-    )
-    assert np.array_equal(pooled.link_rate, inline.link_rate)
-    assert np.array_equal(pooled.node_rate, inline.node_rate)
-
-
-def test_estimate_block_cache_round_trip(routed, tmp_path):
-    net, tables = routed
-    flows = _flows(net, np.random.default_rng(3))
-    cache = ArtifactCache(tmp_path / "cache")
-    cold = estimate_traffic(
-        net, tables, flows, cache=cache, pairs_per_block=29
-    )
-    misses = cache.stats.misses
-    assert misses > 0 and cache.stats.hits == 0
-    warm = estimate_traffic(
-        net, tables, flows, cache=cache, pairs_per_block=29
-    )
-    assert cache.stats.hits == misses
-    assert np.array_equal(cold.link_rate, warm.link_rate)
-    assert np.array_equal(cold.node_rate, warm.node_rate)
-
-
 def test_estimate_traffic_empty_flows(routed):
     net, tables = routed
     est = estimate_traffic(net, tables, [])

@@ -1,0 +1,49 @@
+"""Work crosses a process boundary in exactly two places.
+
+``runtime/executor.py::_run_pool`` runs stateless, crash/timeout/retry-
+tolerant grid cells on a ``ProcessPoolExecutor``; ``engine/lp.py::
+_start_pool`` forks long-lived stateful LP shards that talk over pipes.
+They do different jobs, so they stay separate — and a third mechanism
+has to argue its way past this test (see DESIGN.md, "Two process
+crossings").
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def _spawn_sites(tree: ast.Module, rel: str) -> set[str]:
+    """``file::function`` for every function that constructs a
+    ``ProcessPoolExecutor`` / ``Process`` or calls ``os.fork``."""
+    sites: set[str] = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = (
+                    func.attr if isinstance(func, ast.Attribute)
+                    else func.id if isinstance(func, ast.Name) else None
+                )
+                if name in ("ProcessPoolExecutor", "Process", "fork"):
+                    sites.add(f"{rel}::{owner}")
+            visit(child, inner)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_exactly_two_functions_start_processes():
+    found: set[str] = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(SRC / "repro").as_posix()
+        found |= _spawn_sites(ast.parse(path.read_text()), rel)
+    assert found == {
+        "runtime/executor.py::_run_pool",
+        "engine/lp.py::_start_pool",
+    }
