@@ -121,6 +121,16 @@ class ReferenceKernel:
             self.queue.push(time + offset, self._arrive, transfer.src, train)
             offset += access.tx_time(train.nbytes)
 
+    def submit_transfers(self, transfers, times) -> None:
+        """Bulk spelling of :meth:`submit_transfer` — here, literally the
+        loop the batched kernel's vectorised version must equal."""
+        transfers = list(transfers)
+        t_arr = np.broadcast_to(
+            np.asarray(times, dtype=np.float64), (len(transfers),)
+        )
+        for tr, t in zip(transfers, t_arr.tolist()):
+            self.submit_transfer(tr, t)
+
     # ------------------------------------------------------------------ #
     # Event handlers
     # ------------------------------------------------------------------ #
@@ -159,7 +169,10 @@ class ReferenceKernel:
         )
         self.stats.trains_forwarded += 1
         if self._is_router[node] and self.collector is not None:
-            self.collector.record(time, node, link.link_id, train)
+            self.collector.record(
+                time, node, link.link_id, train.src, train.dst,
+                train.flow_id, train.count, train.nbytes,
+            )
 
         tx = link.tx_time(train.nbytes)
         depart = max(time, self._busy[link.link_id, direction]) + tx

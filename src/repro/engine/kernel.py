@@ -15,8 +15,10 @@ conservative lookahead window (:func:`~repro.engine.sync.conservative_window`
 — the minimum link latency, so no event can schedule a successor inside its
 own window), and whole windows are popped and processed as sorted numpy
 arrays.  Only the order-coupled parts fall back to python loops: control
-callbacks, delivery hooks, multi-event FIFO groups on one (link, direction),
-RED admission, and NetFlow collection.
+callbacks, delivery hooks (the only events that carry a per-train python
+object — ``_trains`` holds hooked transfers' trains and nothing else),
+multi-event FIFO groups on one (link, direction), RED admission, and
+NetFlow collection.
 
 The produced traces are **bit-identical** to the reference kernel's — same
 :class:`~repro.engine.trace.EventTrace` arrays byte for byte, same semantic
@@ -78,8 +80,8 @@ class EmulationKernel:
     train_packets:
         Packets per train (fidelity knob; 1 = per-packet simulation).
     collector:
-        Optional NetFlow-like collector with a
-        ``record(time, router, out_link, train)`` method, invoked at every
+        Optional NetFlow-like collector with a ``record(time, router,
+        out_link, src, dst, flow, count, nbytes)`` method, invoked at every
         router hop (see :mod:`repro.profiling.netflow`).  Forces the
         ordered per-event path (collection order is part of its contract).
     queue_limit_s:
@@ -138,7 +140,13 @@ class EmulationKernel:
         self._ctrl: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
         self._events = 0
+        # PacketTrain objects of *hooked* transfers only (indexed by the
+        # calendar's ``train`` column, -1 elsewhere); read by _run_hook.
         self._trains: list = []
+        # flow id -> source host, filled at submission only when a
+        # collector is attached (the one NetFlow field that is not a
+        # calendar column).
+        self._flow_src: dict[int, int] = {}
         # Successor batches produced while draining the current window,
         # pushed to the calendar in one batch per window (_flush_staged).
         self._staged: list[EventBatch] = []
@@ -232,10 +240,17 @@ class EmulationKernel:
              transfer.flow_id, transfer.tag)
         )
         self.recorder.record(time, transfer.src, INJECTED, 1, transfer.flow_id)
+        if self.collector is not None:
+            self._flow_src[transfer.flow_id] = transfer.src
         trains = packetize(transfer, self.train_packets)
         k = len(trains)
-        base = len(self._trains)
-        self._trains.extend(trains)
+        hooked = transfer.on_delivery is not None
+        if hooked:
+            base = len(self._trains)
+            self._trains.extend(trains)
+            train_col = np.arange(base, base + k, dtype=np.int64)
+        else:
+            train_col = np.full(k, -1, dtype=np.int64)
         times = np.empty(k, dtype=np.float64)
         seqs = np.empty(k, dtype=np.int64)
         offset = 0.0
@@ -252,8 +267,8 @@ class EmulationKernel:
             nbytes=np.array([t.nbytes for t in trains], dtype=np.float64),
             flow=np.full(k, transfer.flow_id, dtype=np.int64),
             last=np.array([t.last for t in trains], dtype=bool),
-            hook=np.full(k, transfer.on_delivery is not None, dtype=bool),
-            train=np.arange(base, base + k, dtype=np.int64),
+            hook=np.full(k, hooked, dtype=bool),
+            train=train_col,
         ))
 
     def submit_transfers(self, transfers, times) -> None:
@@ -264,9 +279,9 @@ class EmulationKernel:
         numbers, same transfer log, same error behaviour — but all train
         events are built in one vectorized pass and one calendar push.
         ``times`` is a scalar or one timestamp per transfer.  Transfers
-        carrying delivery hooks, kernels on the ordered path (RED /
-        NetFlow), and invalid submissions take the per-transfer loop (the
-        loop reproduces partial effects before an error bit-for-bit).
+        carrying delivery hooks and invalid or unroutable submissions take
+        the per-transfer loop (the loop reproduces partial effects before
+        an error bit-for-bit).
         """
         transfers = list(transfers)
         n = len(transfers)
@@ -277,16 +292,19 @@ class EmulationKernel:
         ))
         src = np.array([tr.src for tr in transfers], dtype=np.int64)
         dst = np.array([tr.dst for tr in transfers], dtype=np.int64)
-        nb = np.array([tr.nbytes for tr in transfers], dtype=np.int64)
+        nbf = np.array([tr.nbytes for tr in transfers], dtype=np.float64)
         hooked = any(tr.on_delivery is not None for tr in transfers)
+        # Sizes beyond 2**53 (or non-finite) leave the exact-arithmetic
+        # regime the train columns below rely on; the loop handles them.
         valid = (
-            bool((nb > 0).all()) and bool((src != dst).all())
+            bool(((nbf > 0) & (nbf < 2.0 ** 53)).all())
+            and bool((src != dst).all())
             and bool((t_arr >= self.now).all())
         )
         hop = (
             self.tables.next_hop[src, dst].astype(np.int64) if valid else None
         )
-        if self._ordered or hooked or not valid or (hop < 0).any():
+        if hooked or not valid or (hop < 0).any():
             for tr, t in zip(transfers, t_arr.tolist()):
                 self.submit_transfer(tr, t)
             return
@@ -294,23 +312,28 @@ class EmulationKernel:
         lids = self._shard._link_ids(src, hop)
         bw = self._ctx.link_bw[lids]
         flow = np.array([tr.flow_id for tr in transfers], dtype=np.int64)
+        src_l, flow_l = src.tolist(), flow.tolist()
         self.transfer_log.extend(
-            (t, int(s), int(d), int(b), int(fl), tr.tag)
-            for t, s, d, b, fl, tr in zip(
-                t_arr.tolist(), src.tolist(), dst.tolist(), nb.tolist(),
-                flow.tolist(), transfers,
+            (t, s, d, tr.nbytes, fl, tr.tag)
+            for t, s, d, fl, tr in zip(
+                t_arr.tolist(), src_l, dst.tolist(), flow_l, transfers,
             )
         )
+        if self.collector is not None:
+            self._flow_src.update(zip(flow_l, src_l))
         self.recorder.record_batch(
             t_arr, src, np.full(n, INJECTED, dtype=np.int64),
             np.ones(n, dtype=np.int64), flow, np.zeros(n, dtype=np.float64),
         )
-        # Mirror packetize() arithmetic: full trains carry
-        # ``train_packets * MTU`` bytes, the last train the exact integer
-        # remainder (< 2**53, so the reference's float subtractions are
-        # exact and this integer math reproduces them bit-for-bit).
+        # Mirror packetize() arithmetic: packet counts come from the
+        # truncated size (``Transfer.n_packets``), full trains carry
+        # ``train_packets * MTU`` bytes, and the last train carries what is
+        # left of the *float* size.  One float64 subtraction reproduces
+        # packetize's repeated one bit-for-bit: below 2**53 every
+        # subtrahend is an integer multiple of the minuend's ulp and the
+        # result is smaller in magnitude, so each step is exact.
         tp = self.train_packets
-        total = np.maximum(1, -(-nb // MTU_BYTES))
+        total = np.maximum(1, -(-nbf.astype(np.int64) // MTU_BYTES))
         k_arr = -(-total // tp)
         K = int(k_arr.sum())
         bounds = np.concatenate(([0], np.cumsum(k_arr)))
@@ -321,7 +344,7 @@ class EmulationKernel:
         counts = np.full(K, tp, dtype=np.int64)
         counts[is_last] = total - (k_arr - 1) * tp
         tnb = np.full(K, float(tp * MTU_BYTES), dtype=np.float64)
-        tnb[is_last] = (nb - (k_arr - 1) * (tp * MTU_BYTES)).astype(
+        tnb[is_last] = nbf - ((k_arr - 1) * (tp * MTU_BYTES)).astype(
             np.float64
         )
         # Source pacing at the access link: offsets accumulate one
@@ -450,7 +473,8 @@ class EmulationKernel:
             st.trains_forwarded += 1
             if self._is_router[node] and self.collector is not None:
                 self.collector.record(
-                    time, node, link.link_id, self._trains[int(batch.train[i])]
+                    time, node, link.link_id, self._flow_src[flow], dst,
+                    flow, count, nbytes,
                 )
             tx = link.tx_time(nbytes)
             depart = max(time, self._busy[link.link_id, direction]) + tx

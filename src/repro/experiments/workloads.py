@@ -269,12 +269,7 @@ class SyntheticTransfers:
             Transfer(src=int(s), dst=int(d), nbytes=float(b), tag="soup")
             for s, d, b in zip(src, dst, nbytes)
         ]
-        submit_bulk = getattr(kernel, "submit_transfers", None)
-        if submit_bulk is not None:
-            submit_bulk(transfers, start)
-        else:  # reference kernel: one submission per transfer
-            for tr, t in zip(transfers, start):
-                kernel.submit_transfer(tr, float(t))
+        kernel.submit_transfers(transfers, start)
 
 
 @dataclass
@@ -356,9 +351,4 @@ class DiurnalTransfers:
             Transfer(src=int(s), dst=int(d), nbytes=float(b), tag="diurnal")
             for s, d, b in zip(src, dst, nbytes)
         ]
-        submit_bulk = getattr(kernel, "submit_transfers", None)
-        if submit_bulk is not None:
-            submit_bulk(transfers, start)
-        else:
-            for tr, t in zip(transfers, start):
-                kernel.submit_transfer(tr, float(t))
+        kernel.submit_transfers(transfers, start)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.packet import PacketTrain
-
 __all__ = ["FlowRecord", "NetFlowCollector", "GRANULARITIES"]
 
 GRANULARITIES = ("flow", "pair")
@@ -72,26 +70,29 @@ class NetFlowCollector:
         self.events_seen = 0
 
     def record(
-        self, time: float, router: int, out_link: int, train: PacketTrain
+        self, time: float, router: int, out_link: int, src: int, dst: int,
+        flow: int, count: int, nbytes: float,
     ) -> None:
-        """Account one forwarding event at a router (kernel hook)."""
+        """Account one forwarding event at a router (kernel hook): a train
+        of ``count`` packets / ``nbytes`` bytes of flow ``flow`` (``src``
+        to ``dst``) leaving ``router`` on ``out_link``."""
         self.events_seen += 1
         if self.granularity == "flow":
-            key = (router, out_link, train.flow_id)
-            flow_id = train.flow_id
+            key = (router, out_link, flow)
+            flow_id = flow
         else:
-            key = (router, out_link, train.src, train.dst)
+            key = (router, out_link, src, dst)
             flow_id = 0
         rec = self._records.get(key)
         if rec is None:
             self._records[key] = FlowRecord(
-                router=router, src=train.src, dst=train.dst, flow_id=flow_id,
-                out_link=out_link, packets=train.count, nbytes=train.nbytes,
+                router=router, src=src, dst=dst, flow_id=flow_id,
+                out_link=out_link, packets=count, nbytes=nbytes,
                 first=time, last=time,
             )
         else:
-            rec.packets += train.count
-            rec.nbytes += train.nbytes
+            rec.packets += count
+            rec.nbytes += nbytes
             rec.first = min(rec.first, time)
             rec.last = max(rec.last, time)
 

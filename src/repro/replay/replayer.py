@@ -53,15 +53,17 @@ def replay(
     the mapping is evaluated without compute demand.
     """
     kernel = EmulationKernel(net, tables, train_packets=train_packets)
-    for i in range(trace.n_transfers):
-        kernel.submit_transfer(
+    kernel.submit_transfers(
+        [
             Transfer(
                 src=int(trace.src[i]), dst=int(trace.dst[i]),
                 nbytes=float(trace.nbytes[i]), flow_id=int(trace.flow[i]),
                 tag=trace.tags[i] if i < len(trace.tags) else "replay",
-            ),
-            float(trace.time[i]),
-        )
+            )
+            for i in range(trace.n_transfers)
+        ],
+        trace.time,
+    )
     event_trace = kernel.run(until=trace.duration)
     metrics = evaluate_mapping(event_trace, net, parts, cost=cost, compute=None)
     return ReplayResult(metrics=metrics, n_transfers=trace.n_transfers)

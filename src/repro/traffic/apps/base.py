@@ -172,6 +172,8 @@ class WorkflowApp(ForegroundApp):
 
     # ------------------------------------------------------------------ #
     def install(self, kernel: EmulationKernel, rng: np.random.Generator) -> None:
+        batch: list[Transfer] = []
+        times: list[float] = []
         for edge in self.edges:
             src_task = self.tasks[edge.src]
             dst_task = self.tasks[edge.dst]
@@ -179,14 +181,12 @@ class WorkflowApp(ForegroundApp):
             dst_ep = self.endpoints[dst_task.endpoint_idx]
             if src_ep == dst_ep:
                 continue  # co-located tasks exchange data locally
-            finish = self._schedule[edge.src][1]
-            kernel.submit_transfer(
-                Transfer(
-                    src=src_ep, dst=dst_ep, nbytes=edge.nbytes,
-                    tag=f"{self.name}:{edge.src}->{edge.dst}",
-                ),
-                finish,
-            )
+            batch.append(Transfer(
+                src=src_ep, dst=dst_ep, nbytes=edge.nbytes,
+                tag=f"{self.name}:{edge.src}->{edge.dst}",
+            ))
+            times.append(self._schedule[edge.src][1])
+        kernel.submit_transfers(batch, times)
 
     def compute_profile(self) -> ComputeProfile:
         profiles = [

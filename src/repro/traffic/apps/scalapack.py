@@ -80,6 +80,10 @@ class ScaLapackApp(ForegroundApp):
     def install(self, kernel: EmulationKernel, rng: np.random.Generator) -> None:
         procs = self.endpoints
         p = len(procs)
+        # Everything is known at install time: build the transfers in
+        # submission order (= flow-id order) and inject them as one batch.
+        batch: list[Transfer] = []
+        times: list[float] = []
         for k in range(self.n_iters):
             t = self._iter_time(k)
             size = self._panel_size(k)
@@ -97,25 +101,22 @@ class ScaLapackApp(ForegroundApp):
                 for j in range(p):
                     if j == owner:
                         continue
-                    kernel.submit_transfer(
-                        Transfer(
-                            src=procs[owner], dst=procs[j], nbytes=nbytes,
-                            tag=f"{self.name}:{label}{k}",
-                        ),
-                        t,
-                    )
+                    batch.append(Transfer(
+                        src=procs[owner], dst=procs[j], nbytes=nbytes,
+                        tag=f"{self.name}:{label}{k}",
+                    ))
+                    times.append(t)
             # Row-swap ring exchange: i -> i+1 (mod p).
             ring = size * self.ring_fraction
             if ring >= 1.0:
                 for i in range(p):
                     j = (i + 1) % p
-                    kernel.submit_transfer(
-                        Transfer(
-                            src=procs[i], dst=procs[j], nbytes=ring,
-                            tag=f"{self.name}:ring{k}",
-                        ),
-                        t + 0.2 * (self.duration_s / self.n_iters),
-                    )
+                    batch.append(Transfer(
+                        src=procs[i], dst=procs[j], nbytes=ring,
+                        tag=f"{self.name}:ring{k}",
+                    ))
+                    times.append(t + 0.2 * (self.duration_s / self.n_iters))
+        kernel.submit_transfers(batch, times)
 
     def compute_profile(self) -> ComputeProfile:
         """Quadratic decay: trailing update is O((n-k)^2) per panel."""

@@ -49,15 +49,18 @@ class CbrTraffic(TrafficGenerator):
     def install(self, kernel: EmulationKernel, rng: np.random.Generator) -> None:
         if self.period <= 0:
             raise ValueError("period must be positive")
+        batch: list[Transfer] = []
+        times: list[float] = []
         for src, dst in self.pairs:
             phase = float(rng.uniform(0.0, self.jitter * self.period))
             t = phase
             while t < self.duration:
-                kernel.submit_transfer(
-                    Transfer(src=src, dst=dst, nbytes=self.nbytes, tag="cbr"),
-                    t,
+                batch.append(
+                    Transfer(src=src, dst=dst, nbytes=self.nbytes, tag="cbr")
                 )
+                times.append(t)
                 t += self.period
+        kernel.submit_transfers(batch, times)
 
     def predicted_flows(
         self, net: Network, tables: RoutingTables

@@ -47,14 +47,20 @@ class PoissonTraffic(TrafficGenerator):
     def install(self, kernel: EmulationKernel, rng: np.random.Generator) -> None:
         if self.rate <= 0:
             raise ValueError("rate must be positive")
+        # The draws do not depend on the kernel, so drawing everything
+        # first and submitting once leaves the rng stream untouched.
+        batch: list[Transfer] = []
+        times: list[float] = []
         for src, dst in self.pairs:
             t = float(rng.exponential(1.0 / self.rate))
             while t < self.duration:
                 size = max(self.min_bytes, float(rng.exponential(self.mean_nbytes)))
-                kernel.submit_transfer(
-                    Transfer(src=src, dst=dst, nbytes=size, tag="poisson"), t
+                batch.append(
+                    Transfer(src=src, dst=dst, nbytes=size, tag="poisson")
                 )
+                times.append(t)
                 t += float(rng.exponential(1.0 / self.rate))
+        kernel.submit_transfers(batch, times)
 
     def predicted_flows(
         self, net: Network, tables: RoutingTables

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.engine.kernel import EmulationKernel
 from repro.partition.csr import CSRGraph
@@ -11,6 +14,14 @@ from repro.routing.spf import build_routing
 from repro.topology.campus import campus_network
 from repro.topology.elements import Mbps, ms
 from repro.topology.network import Network
+
+# Tier-1 must execute the same examples on every run ("a number counts
+# only if it is repeatable" applies to the verify command first); CI
+# explores with fresh seeds separately and prints how to replay a failure.
+# Per-test max_examples / deadline settings are untouched by either.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

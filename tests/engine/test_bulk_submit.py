@@ -9,9 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.engine._reference import ReferenceKernel
+from repro.engine.eventq import EventBatch
 from repro.engine.kernel import EmulationKernel
-from repro.engine.packet import Transfer, reset_flow_ids
+from repro.engine.packet import Transfer, packetize, reset_flow_ids
+from repro.profiling.netflow import NetFlowCollector
 from repro.routing.spf import build_routing
 from repro.topology.synth import synth_network
 
@@ -36,9 +41,9 @@ def _transfers(net, n, rng):
     return out
 
 
-def _run(net, tables, submit):
+def _run(net, tables, submit, **kernel_kw):
     reset_flow_ids()
-    kernel = EmulationKernel(net, tables, train_packets=8)
+    kernel = EmulationKernel(net, tables, train_packets=8, **kernel_kw)
     rng = np.random.default_rng(3)
     transfers = _transfers(net, 150, rng)
     times = np.sort(rng.uniform(0.0, 1.0, size=len(transfers)))
@@ -132,3 +137,81 @@ def test_bulk_with_hooks_falls_back(routed):
         assert np.array_equal(
             getattr(t_bulk, field), getattr(t_loop, field)
         ), field
+
+
+def test_ordered_kernel_takes_bulk_path(routed):
+    """A NetFlow collector forces ordered *dispatch*, not per-transfer
+    injection: hook-free bulk submissions on an ordered kernel build no
+    PacketTrain, and the collector sees exactly what the loop shows it."""
+    net, tables = routed
+    trace_bulk, k_bulk = _run(
+        net, tables, lambda k, tr, t: k.submit_transfers(tr, t),
+        collector=NetFlowCollector("flow"),
+    )
+    trace_loop, k_loop = _run(
+        net, tables,
+        lambda k, tr, t: [k.submit_transfer(x, float(ti))
+                          for x, ti in zip(tr, t)],
+        collector=NetFlowCollector("flow"),
+    )
+    assert k_bulk._trains == []
+    assert k_bulk.stats.vector_events == 0  # still the ordered dispatch
+    for field in TRACE_FIELDS:
+        a, b = getattr(trace_bulk, field), getattr(trace_loop, field)
+        assert a.tobytes() == b.tobytes(), field
+    assert k_bulk.collector.n_records > 0
+    assert k_bulk.collector.records() == k_loop.collector.records()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.floats(min_value=1.0, max_value=5e6), min_size=1,
+                   max_size=4),
+    train_packets=st.sampled_from((1, 8, 32)),
+)
+def test_bulk_keeps_fractional_bytes(routed, sizes, train_packets):
+    """Sizes need not be integer-valued (ScaLapack's ``size * 0.7`` is
+    not): bulk == submit_transfer loop == ReferenceKernel, and the bulk
+    train columns equal ``packetize`` train by train."""
+    net, tables = routed
+    hosts = [h.node_id for h in net.hosts()]
+
+    def run(cls, bulk):
+        reset_flow_ids()
+        kernel = cls(net, tables, train_packets=train_packets)
+        transfers = [
+            Transfer(src=hosts[i], dst=hosts[i + 1], nbytes=size)
+            for i, size in enumerate(sizes)
+        ]
+        if bulk:
+            kernel.submit_transfers(transfers, 0.1)
+        else:
+            for tr in transfers:
+                kernel.submit_transfer(tr, 0.1)
+        return transfers, kernel
+
+    transfers, k_bulk = run(EmulationKernel, bulk=True)
+    cal = k_bulk.calendar
+    buckets = []
+    while cal.min_bucket() is not None:
+        buckets.append(cal.pop_bucket(cal.min_bucket()))
+    staged = EventBatch.concatenate(buckets)
+    order = np.argsort(staged.seq)
+    expect = [t for tr in transfers for t in packetize(tr, train_packets)]
+    assert staged.count[order].tolist() == [t.count for t in expect]
+    assert staged.nbytes[order].tolist() == [float(t.nbytes) for t in expect]
+    assert staged.last[order].tolist() == [t.last for t in expect]
+
+    _, k_bulk = run(EmulationKernel, bulk=True)
+    _, k_loop = run(EmulationKernel, bulk=False)
+    _, k_ref = run(ReferenceKernel, bulk=False)
+    traces = [k.run(until=60.0) for k in (k_bulk, k_loop, k_ref)]
+    for other, kernel in zip(traces[1:], (k_loop, k_ref)):
+        for field in TRACE_FIELDS:
+            a, b = getattr(traces[0], field), getattr(other, field)
+            assert a.tobytes() == b.tobytes(), field
+        assert k_bulk.transfer_log == kernel.transfer_log
+        assert [type(e[3]) for e in k_bulk.transfer_log] == [
+            type(e[3]) for e in kernel.transfer_log
+        ]
+        assert k_bulk.stats.semantic() == kernel.stats.semantic()

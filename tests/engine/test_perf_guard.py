@@ -67,3 +67,46 @@ def test_open_loop_soup_needs_no_merges(soup_run):
     _, kernel = soup_run
     assert kernel.stats.window_merges == 0
     assert kernel.stats.hook_cuts == 0
+
+
+def test_install_injects_one_batch_per_generator(monkeypatch):
+    """Injection is O(generators) calendar pushes, not O(transfers), and
+    hook-free traffic creates no PacketTrain: over a whole ScaLapack + HTTP
+    run ``packetize`` is called exactly once per *hooked* transfer."""
+    from repro.engine import kernel as kernel_mod
+    from repro.engine.packet import reset_flow_ids
+    from repro.experiments.workloads import build_workload
+    from repro.topology.campus import campus_network
+
+    net = campus_network()
+    tables = build_routing(net)
+    wl = build_workload(net, "scalapack", "moderate", seed=1)
+    wl.prepare(net, np.random.default_rng(1))
+    reset_flow_ids()
+    kernel = kernel_mod.EmulationKernel(net, tables)
+
+    pushes, packetized = [], []
+    push_batch, packetize = kernel.calendar.push_batch, kernel_mod.packetize
+
+    def counting_push(batch):
+        pushes.append(len(batch))
+        push_batch(batch)
+
+    def counting_packetize(transfer, train_packets):
+        packetized.append(transfer)
+        return packetize(transfer, train_packets)
+
+    monkeypatch.setattr(kernel.calendar, "push_batch", counting_push)
+    monkeypatch.setattr(kernel_mod, "packetize", counting_packetize)
+
+    wl.install(kernel, np.random.default_rng(1))
+    assert kernel.stats.transfers_submitted > 2_000  # the whole ScaLapack run
+    assert len(pushes) <= len(wl.background) + len(wl.apps)
+    assert sum(pushes) > 10_000  # ...whose trains all sit in the calendar
+    assert packetized == []
+
+    kernel.run(until=20.0)
+    hooked = [e for e in kernel.transfer_log if e[5].startswith("http")]
+    assert len(hooked) > 0
+    assert len(packetized) == len(hooked)
+    assert all(tr.on_delivery is not None for tr in packetized)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.routing._reference import update_routing_reference
@@ -133,7 +133,13 @@ _ops = st.lists(
 
 
 def _interpret(net, originals, op):
-    """Turn one drawn (kind, index, factor) into a concrete change."""
+    """Turn one drawn (kind, index, factor) into a concrete change.
+
+    ``lid`` is drawn from the *live* link-id universe, so an ``add`` files
+    the new link's cost under the id it is about to get: later ``cost`` /
+    ``revert`` ops land on added links too (and are checked against
+    ``build_routing`` like any other).
+    """
     kind, index, factor = op
     lid = index % net.n_links
     if kind == "cost":
@@ -147,14 +153,16 @@ def _interpret(net, originals, op):
         v = (index * 7 + 1) % net.n_nodes
         if u == v:
             v = (v + 1) % net.n_nodes
-        return AddLink(u, v, bandwidth_bps=1e8 * factor,
-                       latency_s=0.001 * factor)
+        originals[net.n_links] = (1e8 * factor, 0.001 * factor)
+        return AddLink(u, v, *originals[net.n_links])
     bw, lat = originals[lid]
     return SetLinkCost(lid, bandwidth_bps=bw, latency_s=lat)
 
 
 @settings(max_examples=15, deadline=None)
 @given(ops=_ops, metric=st.sampled_from(("latency", "inv-bandwidth")))
+@example(ops=[("add", 0, 1.0), ("add", 0, 1.0), ("revert", 187, 1.0)],
+         metric="latency")
 def test_random_change_replay(ops, metric):
     net = campus_network()
     originals = {
