@@ -42,14 +42,12 @@ from repro.analysis.report import (
     to_sarif,
 )
 from repro.analysis.runner import (
-    ANALYSIS_VERSION,
     CheckResult,
     resolve_root,
     run_check,
 )
 
 __all__ = [
-    "ANALYSIS_VERSION",
     "AnalysisError",
     "CheckResult",
     "Finding",

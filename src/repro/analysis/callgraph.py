@@ -53,7 +53,6 @@ HANDLER_REGISTRARS = frozenset({
     "repro.service.handlers.register_handler",
 })
 
-_THREAD_FACTORIES = frozenset({"threading.Thread"})
 _PROCESS_FACTORIES = frozenset({
     "multiprocessing.Process",
     "multiprocessing.context.Process",
@@ -491,7 +490,7 @@ class CallGraph:
         call: ast.Call, target: str | None,
         canonical: frozenset[str], suffix: str,
     ) -> bool:
-        """``Thread(...)`` / ``ctx.Process(...)`` style factory calls.
+        """``ctx.Process(...)`` style factory calls.
 
         Exact canonical names match first; a chain *ending* in the class
         name (``mp.Process`` where ``mp`` is a local fork context) is
@@ -501,21 +500,6 @@ class CallGraph:
             return True
         chain = attribute_chain(call.func)
         return chain is not None and chain[-1] == suffix
-
-    def thread_targets(self, project: Project) -> frozenset[str]:
-        """``target=`` callables of ``threading.Thread(...)`` calls."""
-        out: set[str] = set()
-        for module, call, target in self._dispatch_sites(project):
-            if not self._is_factory(
-                call, target, _THREAD_FACTORIES, "Thread"
-            ):
-                continue
-            for kw in call.keywords:
-                if kw.arg == "target":
-                    sym = self._arg_symbol(module, kw.value)
-                    if sym is not None:
-                        out.add(sym)
-        return frozenset(out)
 
     def process_workers(self, project: Project) -> frozenset[str]:
         """Callables that run in child processes: first arguments of

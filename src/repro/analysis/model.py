@@ -34,7 +34,6 @@ __all__ = [
     "ParsedModule",
     "Project",
     "PARSE_ERROR_RULE",
-    "parse_source",
 ]
 
 #: Pseudo-rule id attached to findings for files that fail to parse.
@@ -179,36 +178,6 @@ def _module_name(rel_to_src: Path) -> str:
     return ".".join(parts)
 
 
-def parse_source(
-    path: Path, rel: str, name: str, source: str
-) -> "ParsedModule | Finding":
-    """Parse one file; a :class:`Finding` row when it does not parse.
-
-    Shared by :meth:`Project.load` and the runner's cached file scan
-    (which reads sources once, hashes them, and only parses misses).
-    """
-    try:
-        parsed = ast.parse(source, filename=str(path))
-    except SyntaxError as exc:
-        return Finding(
-            rule=PARSE_ERROR_RULE,
-            path=rel,
-            line=int(exc.lineno or 1),
-            col=int(exc.offset or 0),
-            message=f"file does not parse: {exc.msg}",
-        )
-    line_ignores, file_ignores = _parse_suppressions(source)
-    return ParsedModule(
-        path=path,
-        rel=rel,
-        name=name,
-        source=source,
-        tree=parsed,
-        line_ignores=line_ignores,
-        file_ignores=file_ignores,
-    )
-
-
 def _load_tree(
     root: Path, tree_root: Path, failures: list[Finding]
 ) -> list[ParsedModule]:
@@ -221,13 +190,31 @@ def _load_tree(
             source = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise AnalysisError(f"cannot read {rel}: {exc}") from exc
-        parsed = parse_source(
-            path, rel, _module_name(path.relative_to(tree_root)), source
+        try:
+            parsed = ast.parse(source, filename=str(path))
+        except SyntaxError as exc:
+            failures.append(
+                Finding(
+                    rule=PARSE_ERROR_RULE,
+                    path=rel,
+                    line=int(exc.lineno or 1),
+                    col=int(exc.offset or 0),
+                    message=f"file does not parse: {exc.msg}",
+                )
+            )
+            continue
+        line_ignores, file_ignores = _parse_suppressions(source)
+        modules.append(
+            ParsedModule(
+                path=path,
+                rel=rel,
+                name=_module_name(path.relative_to(tree_root)),
+                source=source,
+                tree=parsed,
+                line_ignores=line_ignores,
+                file_ignores=file_ignores,
+            )
         )
-        if isinstance(parsed, Finding):
-            failures.append(parsed)
-        else:
-            modules.append(parsed)
     return modules
 
 

@@ -34,34 +34,26 @@ RULES: dict[str, "Rule"] = {}
 class Rule(ABC):
     """One invariant the codebase must uphold.
 
-    ``scope`` declares the evidence a rule needs and drives the result
-    cache: ``"module"`` rules look at one file at a time (their findings
-    are cached per file content hash), ``"project"`` rules need the
-    whole tree (call graph, parity pairings — cached against the
-    project fingerprint).
+    Rules that look at one file at a time implement
+    :meth:`run_module`; rules that need the whole tree (call graph,
+    parity pairings) override :meth:`run`.
     """
 
     id: str = ""
     description: str = ""
     severity: Severity = Severity.ERROR
-    scope: str = "module"
 
     def run(self, project: Project) -> Iterator[Finding]:
-        """Yield every violation found in ``project``.
-
-        Module-scope rules implement :meth:`run_module` and inherit
-        this per-module loop; project-scope rules override ``run``.
-        """
+        """Yield every violation found in ``project``."""
         for module in project.modules:
             yield from self.run_module(project, module)
 
     def run_module(
         self, project: Project, module: ParsedModule
     ) -> Iterator[Finding]:
-        """Violations attributable to ``module`` alone (module scope)."""
+        """Violations attributable to ``module`` alone."""
         raise NotImplementedError(
-            f"rule {self.id!r} declares scope={self.scope!r} but "
-            "implements neither run() nor run_module()"
+            f"rule {self.id!r} implements neither run() nor run_module()"
         )
 
     def finding(

@@ -17,7 +17,7 @@ __all__ = [
 ]
 
 #: Version stamp embedded in every JSON findings report.
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 #: SARIF spec version emitted by :func:`render_sarif`.
 SARIF_VERSION = "2.1.0"
@@ -29,14 +29,9 @@ def render_text(result: "CheckResult") -> str:
     lines = [f.render() for f in result.findings]
     n = len(result.findings)
     n_sup = len(result.suppressed)
-    probes = result.cache_hits + result.cache_misses
     scanned = (
         f"{result.n_files} files, {len(result.rules)} rules"
         + (f", {n_sup} suppressed" if n_sup else "")
-        + (
-            f", cache {result.cache_hits}h/{result.cache_misses}m"
-            if probes else ""
-        )
     )
     if not lines:
         return f"massf check: no findings ({scanned})"
@@ -66,10 +61,6 @@ def to_payload(result: "CheckResult") -> dict[str, object]:
         "summary": {
             "findings": len(result.findings),
             "suppressed": len(result.suppressed),
-        },
-        "cache": {
-            "hits": result.cache_hits,
-            "misses": result.cache_misses,
         },
     }
 

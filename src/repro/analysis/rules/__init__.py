@@ -2,9 +2,7 @@
 
 from repro.analysis.rules.concurrency import (
     AsyncioBlockingRule,
-    LockDisciplineRule,
     ShmLifecycleRule,
-    SignalMainThreadRule,
 )
 from repro.analysis.rules.determinism import (
     FloatSumRule,
@@ -24,6 +22,4 @@ __all__ = [
     "TelemetrySpanRule",
     "AsyncioBlockingRule",
     "ShmLifecycleRule",
-    "LockDisciplineRule",
-    "SignalMainThreadRule",
 ]

@@ -1,6 +1,6 @@
 """Whole-program concurrency rules built on the call graph.
 
-Four rule families, each encoding one invariant the runtime layers
+Two rule families, each encoding one invariant the runtime layers
 (PRs 6–9) rely on but cannot express in types:
 
 - ``asyncio-blocking`` — nothing reachable from an ``async def`` in
@@ -13,15 +13,6 @@ Four rule families, each encoding one invariant the runtime layers
   ndarray view taken in the same function, and shm objects must never
   be pickled or returned from a forked worker (handles cross, objects
   don't).
-- ``lock-discipline`` — mutable state named in a ``_GUARDED_BY``
-  declaration is only written under ``with <lock>:``, and no awaits /
-  pool dispatch happen while a declared lock is held.
-- ``signal-main-thread`` — ``signal.signal`` / ``SIGALRM`` timers are
-  only installed from main-thread code: never reachable from a
-  registered handler or a ``threading.Thread`` target unless the
-  function guards itself (a ``threading.main_thread()`` comparison or
-  a ``try`` that catches the ``ValueError`` CPython raises off the
-  main thread).
 """
 
 from __future__ import annotations
@@ -36,17 +27,13 @@ from repro.analysis.model import Finding, ParsedModule, Project
 from repro.analysis.registry import Rule, register
 from repro.analysis.visitors import (
     ImportMap,
-    attach_parents,
     attribute_chain,
     is_bare_builtin,
-    parent_of,
 )
 
 __all__ = [
     "AsyncioBlockingRule",
     "ShmLifecycleRule",
-    "LockDisciplineRule",
-    "SignalMainThreadRule",
     "pool_dispatch_method",
 ]
 
@@ -194,7 +181,6 @@ class AsyncioBlockingRule(Rule):
         "pool dispatch) reachable from async service coroutines; "
         "thread-dispatched handlers are exempt"
     )
-    scope = "project"
 
     #: Module prefix whose ``async def`` symbols anchor the traversal.
     service_prefix = "repro.service"
@@ -330,7 +316,6 @@ class ShmLifecycleRule(Rule):
         "privatize-or-del of live views; shm objects are never "
         "pickled or returned across the fork boundary"
     )
-    scope = "project"
 
     def run(self, project: Project) -> Iterator[Finding]:
         graph = get_callgraph(project)
@@ -432,326 +417,5 @@ class ShmLifecycleRule(Rule):
                 )
 
 
-# --------------------------------------------------------------------- #
-# lock-discipline
-# --------------------------------------------------------------------- #
-
-_MUTATORS = frozenset({
-    "append", "extend", "insert", "pop", "popitem", "clear", "update",
-    "setdefault", "add", "remove", "discard", "move_to_end",
-    "appendleft", "sort",
-})
-
-
-def _guarded_decls(
-    body: list[ast.stmt],
-) -> dict[str, str]:
-    """Parse a ``_GUARDED_BY = {"name": "lock"}`` literal in ``body``."""
-    for node in body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        if not any(
-            isinstance(t, ast.Name) and t.id == "_GUARDED_BY"
-            for t in targets
-        ):
-            continue
-        if not isinstance(value, ast.Dict):
-            return {}
-        out: dict[str, str] = {}
-        for key, val in zip(value.keys, value.values):
-            if (
-                isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-                and isinstance(val, ast.Constant)
-                and isinstance(val.value, str)
-            ):
-                out[key.value] = val.value
-        return out
-    return {}
-
-
-def _enclosing_with_chains(node: ast.AST) -> list[list[str]]:
-    """Context-manager chains of every ``with`` enclosing ``node``."""
-    chains: list[list[str]] = []
-    cur = parent_of(node)
-    while cur is not None:
-        if isinstance(cur, (ast.With, ast.AsyncWith)):
-            for item in cur.items:
-                chain = attribute_chain(item.context_expr)
-                if chain is not None:
-                    chains.append(chain)
-        cur = parent_of(cur)
-    return chains
-
-
-def _store_chain(target: ast.expr) -> list[str] | None:
-    """Dotted root chain of an assignment/mutation target."""
-    node = target
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return attribute_chain(node)
-
-
-class LockDisciplineRule(Rule):
-    id = "lock-discipline"
-    description = (
-        "state declared in _GUARDED_BY is only written under its "
-        "lock; no awaits or pool dispatch while a lock is held"
-    )
-    scope = "project"
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        graph = get_callgraph(project)
-        for module in project.modules:
-            mod_decls = _guarded_decls(module.tree.body)
-            class_decls: dict[str, dict[str, str]] = {}
-            for node in module.tree.body:
-                if isinstance(node, ast.ClassDef):
-                    decls = _guarded_decls(node.body)
-                    if decls:
-                        class_decls[node.name] = decls
-            if not mod_decls and not class_decls:
-                continue
-            attach_parents(module.tree)
-            origins = module_pool_origins(module, graph)
-            if mod_decls:
-                yield from self._check_module_state(
-                    origins, module, mod_decls
-                )
-            for cls_node in module.tree.body:
-                if (
-                    isinstance(cls_node, ast.ClassDef)
-                    and cls_node.name in class_decls
-                ):
-                    yield from self._check_class_state(
-                        origins, module, cls_node,
-                        class_decls[cls_node.name],
-                    )
-
-    # -- module-level declarations ---------------------------------- #
-    def _check_module_state(
-        self,
-        origins: dict[str, str | None],
-        module: ParsedModule,
-        decls: dict[str, str],
-    ) -> Iterator[Finding]:
-        lock_names = set(decls.values())
-        for node in ast.walk(module.tree):
-            yield from self._check_write(
-                module, node, decls,
-                held=[
-                    c[0] for c in _enclosing_with_chains(node)
-                    if len(c) == 1
-                ],
-            )
-            yield from self._check_held_hazards(
-                origins, module, node,
-                holding=[
-                    c[0] for c in _enclosing_with_chains(node)
-                    if len(c) == 1 and c[0] in lock_names
-                ],
-            )
-
-    # -- class-level declarations ----------------------------------- #
-    def _check_class_state(
-        self,
-        origins: dict[str, str | None],
-        module: ParsedModule,
-        cls_node: ast.ClassDef,
-        decls: dict[str, str],
-    ) -> Iterator[Finding]:
-        self_decls = {f"self.{k}": f"self.{v}" for k, v in decls.items()}
-        lock_chains = {("self", v) for v in decls.values()}
-        for fn in cls_node.body:
-            if not isinstance(
-                fn, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            if fn.name == "__init__":
-                continue  # construction happens-before sharing
-            for node in ast.walk(fn):
-                held = [
-                    ".".join(c[:2])
-                    for c in _enclosing_with_chains(node)
-                    if len(c) == 2 and c[0] == "self"
-                ]
-                yield from self._check_write(
-                    module, node, self_decls,
-                    held=held,
-                    dotted_state=True,
-                )
-                yield from self._check_held_hazards(
-                    origins, module, node,
-                    holding=[
-                        h for h in held
-                        if tuple(h.split(".")) in lock_chains
-                    ],
-                )
-
-    # -- shared write / hazard checks ------------------------------- #
-    def _check_write(
-        self,
-        module: ParsedModule,
-        node: ast.AST,
-        decls: dict[str, str],
-        *,
-        held: list[str],
-        dotted_state: bool = False,
-    ) -> Iterator[Finding]:
-        width = 2 if dotted_state else 1
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATORS
-        ):
-            targets = [node.func.value]
-        for target in targets:
-            chain = _store_chain(target)
-            if chain is None or len(chain) < width:
-                continue
-            state = ".".join(chain[:width])
-            # Plain rebinding of the bare name at module scope is a
-            # declaration, not a concurrent write, unless subscripted
-            # or attributed.
-            if (
-                not dotted_state
-                and isinstance(target, ast.Name)
-                and not isinstance(node, ast.AugAssign)
-            ):
-                continue
-            lock = decls.get(state)
-            if lock is None:
-                continue
-            if lock in held:
-                continue
-            yield self.finding(
-                module, node,
-                f"write to `{state}` (declared _GUARDED_BY "
-                f"`{lock}`) outside `with {lock}:`",
-            )
-
-    def _check_held_hazards(
-        self,
-        origins: dict[str, str | None],
-        module: ParsedModule,
-        node: ast.AST,
-        *,
-        holding: list[str],
-    ) -> Iterator[Finding]:
-        if not holding:
-            return
-        lock = holding[0]
-        if isinstance(node, ast.Await):
-            yield self.finding(
-                module, node,
-                f"await while holding `{lock}`; the event loop can "
-                "interleave another coroutine that needs the lock",
-            )
-        elif (method := pool_dispatch_method(node, origins)) is not None:
-            yield self.finding(
-                module, node,
-                f"pool.{method}() dispatch while holding `{lock}`; "
-                "forked children inherit a locked mutex and deadlock "
-                "on it",
-            )
-
-
-# --------------------------------------------------------------------- #
-# signal-main-thread
-# --------------------------------------------------------------------- #
-
-_SIGNAL_CALLS = ("signal.signal", "signal.setitimer", "signal.alarm")
-
-
-def _catches_value_error(handler: ast.ExceptHandler) -> bool:
-    t = handler.type
-    names: list[str] = []
-    if t is None:
-        return True  # bare except catches it
-    if isinstance(t, ast.Tuple):
-        exprs: list[ast.expr] = list(t.elts)
-    else:
-        exprs = [t]
-    for expr in exprs:
-        chain = attribute_chain(expr)
-        if chain:
-            names.append(chain[-1])
-    return any(n in ("ValueError", "Exception") for n in names)
-
-
-def _signal_guarded(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """True when ``fn`` defends its signal calls off the main thread."""
-    for node in ast.walk(fn):
-        chain = attribute_chain(node) if isinstance(
-            node, (ast.Attribute, ast.Name)
-        ) else None
-        if chain and chain[-1] == "main_thread":
-            return True
-        if isinstance(node, ast.Try) and any(
-            _catches_value_error(h) for h in node.handlers
-        ):
-            for inner in ast.walk(node):
-                ich = (
-                    attribute_chain(inner.func)
-                    if isinstance(inner, ast.Call) else None
-                )
-                if ich and ".".join(ich) in _SIGNAL_CALLS:
-                    return True
-    return False
-
-
-class SignalMainThreadRule(Rule):
-    id = "signal-main-thread"
-    description = (
-        "signal.signal / SIGALRM timers only install from main-thread "
-        "code; never reachable from registered handlers or thread "
-        "targets without a main-thread guard"
-    )
-    scope = "project"
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        graph = get_callgraph(project)
-        entries = set(graph.registered_handlers(project))
-        entries |= graph.thread_targets(project)
-        if not entries:
-            return
-        witness = graph.witness_paths(sorted(entries))
-        for qualname in sorted(witness):
-            module, fn = _module_of(graph, project, qualname)
-            if module is None or fn is None:
-                continue
-            sites = [
-                node
-                for node in ast.walk(fn)
-                if isinstance(node, ast.Call)
-                and (chain := attribute_chain(node.func)) is not None
-                and ".".join(chain) in _SIGNAL_CALLS
-            ]
-            if not sites or _signal_guarded(fn):
-                continue
-            entry = witness[qualname]
-            for site in sites:
-                yield self.finding(
-                    module, site,
-                    f"signal API call reachable from thread entry "
-                    f"`{entry}`; signal.signal raises ValueError off "
-                    "the main thread — guard with "
-                    "threading.main_thread() or catch ValueError",
-                )
-
-
 register(AsyncioBlockingRule())
 register(ShmLifecycleRule())
-register(LockDisciplineRule())
-register(SignalMainThreadRule())

@@ -149,7 +149,6 @@ def _int_wrapped(call: ast.Call, module: ParsedModule,
 
 class FloatSumRule(Rule):
     id = "float-sum"
-    scope = "project"  # needs the parity pairings (cross-module)
     description = (
         "no builtin sum()/np.sum over float accumulators in modules "
         "backed by a _reference.py oracle (IEEE addition is not "

@@ -114,7 +114,6 @@ class ParallelSafetyRule(Rule):
         "be module-level and must not mutate module globals — "
         "transitively through every project function they call"
     )
-    scope = "project"  # mutation checks follow the call graph
 
     def run(self, project: Project) -> Iterator[Finding]:
         from repro.analysis.rules.concurrency import module_pool_origins

@@ -205,7 +205,6 @@ def _imported_names(module: ParsedModule) -> set[str]:
 
 class ParityCoverageRule(Rule):
     id = "parity-coverage"
-    scope = "project"  # correlates src modules with the tests tree
     description = (
         "every public function in a _reference.py oracle has a "
         "same-named (or _PARITY_COUNTERPARTS-declared) vectorized "

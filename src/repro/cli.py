@@ -483,11 +483,6 @@ def _configure_check(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sarif", metavar="PATH",
                         help="additionally write a SARIF 2.1.0 report "
                         "here (code-scanning upload format)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the per-file result cache")
-    parser.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="result cache directory (default: "
-                        "$MASSF_CACHE_DIR or <root>/.massf-cache)")
 
 
 def _cmd_check(parser: argparse.ArgumentParser, args) -> int:
@@ -506,11 +501,10 @@ def _cmd_check(parser: argparse.ArgumentParser, args) -> int:
         for rule in all_rules():
             print(f"{rule.id:18s} {rule.description}")
         return 0
-    cache = False if args.no_cache else (args.cache_dir or True)
     try:
         result = run_check(
             args.root, rules=args.rules,
-            include_tests=not args.no_tests, cache=cache,
+            include_tests=not args.no_tests,
         )
     except AnalysisError as exc:
         print(f"massf check: error: {exc}", file=sys.stderr)

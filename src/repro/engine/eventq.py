@@ -81,10 +81,10 @@ class EventBatch:
     """A group of train events as parallel arrays.
 
     ``time``/``nbytes`` are float64; ``last``/``hook`` are bool; every
-    other field is int64.  ``train`` indexes the kernel's train list;
-    ``hook`` marks trains whose transfer carries an ``on_delivery``
-    callback; ``seq`` is the global tie-break sequence shared with the
-    control-event heap.
+    other field is int64.  ``hook`` marks trains whose transfer carries
+    an ``on_delivery`` callback, and ``train`` is then that transfer's
+    index in the kernel's hooked-transfer list (-1 otherwise); ``seq`` is
+    the global tie-break sequence shared with the control-event heap.
     """
 
     time: np.ndarray

@@ -15,8 +15,8 @@ conservative lookahead window (:func:`~repro.engine.sync.conservative_window`
 — the minimum link latency, so no event can schedule a successor inside its
 own window), and whole windows are popped and processed as sorted numpy
 arrays.  Only the order-coupled parts fall back to python loops: control
-callbacks, delivery hooks (the only events that carry a per-train python
-object — ``_trains`` holds hooked transfers' trains and nothing else),
+callbacks, delivery hooks (the only events that reach a python object —
+``_hooked`` holds each hooked :class:`Transfer` once and nothing else),
 multi-event FIFO groups on one (link, direction), RED admission, and
 NetFlow collection.
 
@@ -52,14 +52,12 @@ class.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from repro.engine.eventq import EventBatch, merge_newer
-from repro.engine.packet import (
-    MTU_BYTES, Transfer, packetize, reset_flow_ids,
-)
+from repro.engine.packet import MTU_BYTES, Transfer, reset_flow_ids
 from repro.engine.perf import KernelStats
 from repro.engine.queues import DropTail
 from repro.engine.sync import conservative_window, cut_before, first_true
@@ -68,6 +66,11 @@ from repro.routing.tables import RoutingTables
 from repro.topology.network import Network
 
 __all__ = ["EmulationKernel", "KernelStats", "run_kernel"]
+
+#: Transfer sizes must stay below this (and be finite): up to 2**53 every
+#: byte count is an exact float64 integer, which the vectorized train
+#: split in :meth:`EmulationKernel.submit_transfers` relies on.
+_MAX_NBYTES = 2.0 ** 53
 
 
 class EmulationKernel:
@@ -121,6 +124,8 @@ class EmulationKernel:
         self.net = net
         self.tables = tables
         self.train_packets = int(train_packets)
+        if self.train_packets < 1:
+            raise ValueError("train_packets must be >= 1")
         self.collector = collector
         self.telemetry = ensure_telemetry(telemetry)
         if queue is None and queue_limit_s is not None:
@@ -140,9 +145,10 @@ class EmulationKernel:
         self._ctrl: list[tuple[float, int, Callable, tuple]] = []
         self._seq = 0
         self._events = 0
-        # PacketTrain objects of *hooked* transfers only (indexed by the
-        # calendar's ``train`` column, -1 elsewhere); read by _run_hook.
-        self._trains: list = []
+        # Transfers submitted with a delivery hook, one entry each (indexed
+        # by the calendar's ``train`` column, -1 elsewhere); read by
+        # _run_hook.
+        self._hooked: list[Transfer] = []
         # flow id -> source host, filled at submission only when a
         # collector is attached (the one NetFlow field that is not a
         # calendar column).
@@ -214,74 +220,48 @@ class EmulationKernel:
         injection itself is recorded as one kernel event (the paper counts
         "requests coming from the application" as live-injection overhead).
         """
+        self.submit_transfers((transfer,), time)
+
+    def _rejection(self, transfer: Transfer, time: float) -> ValueError:
+        """The error for a row that failed validation (checks in
+        submission order: bytes, endpoints, time, route)."""
         if transfer.nbytes <= 0:
-            raise ValueError(
+            return ValueError(
                 f"transfer {transfer.src} -> {transfer.dst} carries "
                 f"nbytes={transfer.nbytes!r}; a transfer must carry at "
                 f"least one byte (was the Transfer mutated after "
                 f"construction?)"
             )
+        if not transfer.nbytes < _MAX_NBYTES:
+            return ValueError(
+                f"transfer {transfer.src} -> {transfer.dst} carries "
+                f"nbytes={transfer.nbytes!r}; sizes must be finite and "
+                f"below 2**53 bytes (the exact-integer range of float64 "
+                f"the train split relies on)"
+            )
         if transfer.src == transfer.dst:
-            raise ValueError(
+            return ValueError(
                 f"transfer src == dst == {transfer.src}; a transfer must "
                 f"cross the network — pick two distinct hosts"
             )
         if time < self.now:
-            raise ValueError("cannot submit a transfer in the past")
+            return ValueError("cannot submit a transfer in the past")
+        # The reference kernel counts a submission before it looks up the
+        # route; stats parity keeps that.
         self.stats.transfers_submitted += 1
-        first_hop = self.tables.hop(transfer.src, transfer.dst)
-        if first_hop < 0:
-            raise ValueError(
-                f"no route {transfer.src} -> {transfer.dst}"
-            )
-        access = self.tables.link_between(transfer.src, first_hop)
-        self.transfer_log.append(
-            (time, transfer.src, transfer.dst, transfer.nbytes,
-             transfer.flow_id, transfer.tag)
-        )
-        self.recorder.record(time, transfer.src, INJECTED, 1, transfer.flow_id)
-        if self.collector is not None:
-            self._flow_src[transfer.flow_id] = transfer.src
-        trains = packetize(transfer, self.train_packets)
-        k = len(trains)
-        hooked = transfer.on_delivery is not None
-        if hooked:
-            base = len(self._trains)
-            self._trains.extend(trains)
-            train_col = np.arange(base, base + k, dtype=np.int64)
-        else:
-            train_col = np.full(k, -1, dtype=np.int64)
-        times = np.empty(k, dtype=np.float64)
-        seqs = np.empty(k, dtype=np.int64)
-        offset = 0.0
-        for i, train in enumerate(trains):
-            times[i] = time + offset
-            seqs[i] = self._next_seq()
-            offset += access.tx_time(train.nbytes)
-        self.calendar.push_batch(EventBatch(
-            time=times,
-            seq=seqs,
-            node=np.full(k, transfer.src, dtype=np.int64),
-            dst=np.full(k, transfer.dst, dtype=np.int64),
-            count=np.array([t.count for t in trains], dtype=np.int64),
-            nbytes=np.array([t.nbytes for t in trains], dtype=np.float64),
-            flow=np.full(k, transfer.flow_id, dtype=np.int64),
-            last=np.array([t.last for t in trains], dtype=bool),
-            hook=np.full(k, hooked, dtype=bool),
-            train=train_col,
-        ))
+        return ValueError(f"no route {transfer.src} -> {transfer.dst}")
 
     def submit_transfers(self, transfers, times) -> None:
-        """Inject many transfers at once (bulk :meth:`submit_transfer`).
+        """Inject many transfers in one vectorized pass and one calendar
+        push — the only injection body; :meth:`submit_transfer` is the
+        one-row call.
 
-        Exactly equivalent to ``for tr, t in zip(transfers, times):
-        kernel.submit_transfer(tr, t)`` — same trace rows, same sequence
-        numbers, same transfer log, same error behaviour — but all train
-        events are built in one vectorized pass and one calendar push.
-        ``times`` is a scalar or one timestamp per transfer.  Transfers
-        carrying delivery hooks and invalid or unroutable submissions take
-        the per-transfer loop (the loop reproduces partial effects before
-        an error bit-for-bit).
+        Observationally the reference kernel's ``for tr, t in
+        zip(transfers, times): submit_transfer(tr, t)``: same trace rows,
+        same sequence numbers, same transfer log.  ``times`` is a scalar or
+        one timestamp per transfer.  On the first invalid row ``i`` the
+        rows before it are injected and the error raised for row ``i``, so
+        partial effects before an error match the loop's too.
         """
         transfers = list(transfers)
         n = len(transfers)
@@ -293,21 +273,15 @@ class EmulationKernel:
         src = np.array([tr.src for tr in transfers], dtype=np.int64)
         dst = np.array([tr.dst for tr in transfers], dtype=np.int64)
         nbf = np.array([tr.nbytes for tr in transfers], dtype=np.float64)
-        hooked = any(tr.on_delivery is not None for tr in transfers)
-        # Sizes beyond 2**53 (or non-finite) leave the exact-arithmetic
-        # regime the train columns below rely on; the loop handles them.
-        valid = (
-            bool(((nbf > 0) & (nbf < 2.0 ** 53)).all())
-            and bool((src != dst).all())
-            and bool((t_arr >= self.now).all())
+        hop = self.tables.next_hop[src, dst].astype(np.int64)
+        bad = (
+            ~((nbf > 0) & (nbf < _MAX_NBYTES)) | (src == dst)
+            | (t_arr < self.now) | (hop < 0)
         )
-        hop = (
-            self.tables.next_hop[src, dst].astype(np.int64) if valid else None
-        )
-        if hooked or not valid or (hop < 0).any():
-            for tr, t in zip(transfers, t_arr.tolist()):
-                self.submit_transfer(tr, t)
-            return
+        if bad.any():
+            i = int(np.argmax(bad))
+            self.submit_transfers(transfers[:i], t_arr[:i])
+            raise self._rejection(transfers[i], float(t_arr[i]))
         self.stats.transfers_submitted += n
         lids = self._shard._link_ids(src, hop)
         bw = self._ctx.link_bw[lids]
@@ -325,13 +299,25 @@ class EmulationKernel:
             t_arr, src, np.full(n, INJECTED, dtype=np.int64),
             np.ones(n, dtype=np.int64), flow, np.zeros(n, dtype=np.float64),
         )
-        # Mirror packetize() arithmetic: packet counts come from the
-        # truncated size (``Transfer.n_packets``), full trains carry
-        # ``train_packets * MTU`` bytes, and the last train carries what is
-        # left of the *float* size.  One float64 subtraction reproduces
-        # packetize's repeated one bit-for-bit: below 2**53 every
-        # subtrahend is an integer multiple of the minuend's ulp and the
-        # result is smaller in magnitude, so each step is exact.
+        # Hooked transfers are remembered once each; every train of one
+        # carries its transfer's index into ``_hooked``.
+        hooked = np.array(
+            [tr.on_delivery is not None for tr in transfers], dtype=bool
+        )
+        hook_idx = np.full(n, -1, dtype=np.int64)
+        at = np.nonzero(hooked)[0]
+        if len(at):
+            base = len(self._hooked)
+            hook_idx[at] = np.arange(base, base + len(at), dtype=np.int64)
+            self._hooked.extend(transfers[i] for i in at.tolist())
+        # The reference kernel's train split, vectorized: packet counts
+        # come from the truncated size (``Transfer.n_packets``), full
+        # trains carry ``train_packets * MTU`` bytes, and the last train
+        # carries what is left of the *float* size.  One float64
+        # subtraction reproduces the reference's repeated one bit-for-bit:
+        # below 2**53 every subtrahend is an integer multiple of the
+        # minuend's ulp and the result is smaller in magnitude, so each
+        # step is exact.
         tp = self.train_packets
         total = np.maximum(1, -(-nbf.astype(np.int64) // MTU_BYTES))
         k_arr = -(-total // tp)
@@ -349,7 +335,7 @@ class EmulationKernel:
         )
         # Source pacing at the access link: offsets accumulate one
         # full-train tx per round, elementwise across transfers — the same
-        # float addition chain as the per-transfer loop.
+        # float addition chain as the reference's per-train loop.
         txf = float(tp * MTU_BYTES) * 8.0 / bw
         ev_times = np.empty(K, dtype=np.float64)
         ev_times[seg0] = t_arr
@@ -369,8 +355,8 @@ class EmulationKernel:
             nbytes=tnb,
             flow=flow[tidx],
             last=is_last,
-            hook=np.zeros(K, dtype=bool),
-            train=np.full(K, -1, dtype=np.int64),
+            hook=hooked[tidx],
+            train=hook_idx[tidx],
         ))
 
     # ------------------------------------------------------------------ #
@@ -516,10 +502,10 @@ class EmulationKernel:
 
     def _run_hook(self, batch: EventBatch, i: int) -> None:
         """Fire the delivery hook of the (already executed) event ``i``."""
-        train = self._trains[int(batch.train[i])]
-        hook = train.transfer.on_delivery
+        transfer = self._hooked[int(batch.train[i])]
+        hook = transfer.on_delivery
         if hook is not None:
-            hook(self, float(batch.time[i]), train.transfer)
+            hook(self, float(batch.time[i]), transfer)
         self.stats.hook_cuts += 1
 
     def _merge_into_window(self, bucket: int, batch: EventBatch,

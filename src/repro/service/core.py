@@ -79,10 +79,6 @@ class _ServiceCounters:
 class MappingService:
     """Shared-state job executor behind the HTTP front end."""
 
-    #: ``massf check`` lock-discipline contract: worker threads only
-    #: touch the shared counters under the service lock.
-    _GUARDED_BY = {"counters": "_lock"}
-
     def __init__(
         self,
         config: ServiceConfig | None = None,

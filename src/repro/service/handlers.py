@@ -38,13 +38,10 @@ __all__ = [
 ]
 
 _HANDLERS: dict[str, object] = {}
+#: Registration normally happens at import time, but plugins/tests may
+#: register from any thread while workers are already resolving
+#: handlers, so the registry is only written under this lock.
 _REGISTRY_LOCK = threading.Lock()
-
-#: ``massf check`` lock-discipline contract: the registry is only
-#: written under its lock.  Registration normally happens at import
-#: time, but plugins/tests may register from any thread while workers
-#: are already resolving handlers.
-_GUARDED_BY = {"_HANDLERS": "_REGISTRY_LOCK"}
 
 
 def register_handler(kind: str, fn) -> None:

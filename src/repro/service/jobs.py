@@ -177,10 +177,6 @@ class Job:
 class JobQueue:
     """Bounded FIFO of pending jobs + registry of every job ever seen."""
 
-    #: ``massf check`` lock-discipline contract: the job registry is
-    #: only written under the queue lock.
-    _GUARDED_BY = {"_jobs": "_lock"}
-
     def __init__(self, maxsize: int = 64) -> None:
         self.maxsize = int(maxsize)
         self._queue: queue.Queue[Job | None] = queue.Queue(self.maxsize)

@@ -107,10 +107,6 @@ class WarmCache:
         is served by delta-derivation instead of a full rebuild.
     """
 
-    #: ``massf check`` lock-discipline contract: the LRU map and its
-    #: byte counter only change under the cache's RLock.
-    _GUARDED_BY = {"_entries": "_lock", "_nbytes": "_lock"}
-
     def __init__(
         self,
         *,

@@ -1,4 +1,4 @@
-"""The four concurrency rule families against known-good/known-bad fixtures.
+"""The two concurrency rule families against known-good/known-bad fixtures.
 
 Each fixture is a miniature project root; assertions pin the exact
 ``(rule, path, line)`` of every expected finding so a rule that drifts
@@ -9,8 +9,6 @@ from tests.analysis.conftest import check_fixture, locations
 
 BAD_LOOP = "src/repro/service/loop.py"
 BAD_USE = "src/repro/runtime/use.py"
-BAD_STATE = "src/repro/service/state.py"
-BAD_SIG = "src/repro/runtime/sig.py"
 
 
 class TestAsyncioBlocking:
@@ -62,53 +60,3 @@ class TestShmLifecycle:
     def test_privatize_and_del_are_clean(self):
         result = check_fixture("shm_lifecycle", "shm-lifecycle")
         assert not any("clean.py" in f.path for f in result.findings)
-
-
-class TestLockDiscipline:
-    def test_exact_findings(self):
-        result = check_fixture("lock_discipline", "lock-discipline")
-        assert locations(result.findings) == [
-            ("lock-discipline", BAD_STATE, 14),  # module global, no lock
-            ("lock-discipline", BAD_STATE, 19),  # pool.submit while holding lock
-            ("lock-discipline", BAD_STATE, 30),  # attr write, no lock
-            ("lock-discipline", BAD_STATE, 34),  # await holding lock
-        ]
-
-    def test_messages(self):
-        result = check_fixture("lock_discipline", "lock-discipline")
-        by_line = {f.line: f.message for f in result.findings}
-        assert "write to `_STATS`" in by_line[14]
-        assert "outside `with _LOCK:`" in by_line[14]
-        assert "pool.submit() dispatch while holding `_LOCK`" in by_line[19]
-        assert "write to `self._total`" in by_line[30]
-        assert "await while holding `self._lock`" in by_line[34]
-
-    def test_guarded_writes_are_clean(self):
-        # safe.py repeats every pattern with the lock held (and an
-        # undeclared __init__, which is exempt by design).
-        result = check_fixture("lock_discipline", "lock-discipline")
-        assert not any("safe.py" in f.path for f in result.findings)
-
-
-class TestSignalMainThread:
-    def test_exact_findings(self):
-        result = check_fixture("signal_thread", "signal-main-thread")
-        assert locations(result.findings) == [
-            ("signal-main-thread", BAD_SIG, 14),  # signal.signal
-            ("signal-main-thread", BAD_SIG, 15),  # signal.setitimer
-            ("signal-main-thread", BAD_SIG, 27),  # signal.alarm
-        ]
-
-    def test_blames_the_thread_entry(self):
-        result = check_fixture("signal_thread", "signal-main-thread")
-        by_line = {f.line: f.message for f in result.findings}
-        # _arm is reached from the registered handler; _poll is a
-        # Thread(target=...) entry in its own right.
-        assert "thread entry `repro.runtime.sig.handle_map`" in by_line[14]
-        assert "thread entry `repro.runtime.sig._poll`" in by_line[27]
-
-    def test_guarded_calls_are_clean(self):
-        # sig_ok.py guards via main_thread() check and try/ValueError.
-        result = check_fixture("signal_thread", "signal-main-thread")
-        assert not any("sig_ok.py" in f.path for f in result.findings)
-

@@ -17,8 +17,6 @@ EXPECTED_RULES = {
     "telemetry-span",
     "asyncio-blocking",
     "shm-lifecycle",
-    "lock-discipline",
-    "signal-main-thread",
 }
 
 

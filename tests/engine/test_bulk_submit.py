@@ -1,8 +1,10 @@
 """Bulk submission parity: ``submit_transfers`` ≡ a ``submit_transfer`` loop.
 
-The vectorized bulk path must be observationally identical to submitting
-the same transfers one by one — same trace bytes, same transfer log, same
-sequence numbers (interleaving order), and the same validation errors.
+The vectorized injection body (the batched kernel's only one — its
+``submit_transfer`` is the one-row call) must be observationally identical
+to the reference kernel submitting the same transfers one by one — same
+trace bytes, same transfer log, same sequence numbers (interleaving
+order), and the same validation errors with the same partial effects.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.engine._reference import ReferenceKernel
 from repro.engine.eventq import EventBatch
 from repro.engine.kernel import EmulationKernel
 from repro.engine.packet import Transfer, packetize, reset_flow_ids
+from repro.engine.trace import INJECTED
 from repro.profiling.netflow import NetFlowCollector
 from repro.routing.spf import build_routing
 from repro.topology.synth import synth_network
@@ -82,10 +85,9 @@ def test_bulk_broadcasts_scalar_time(routed):
 
 
 def test_bulk_raises_same_validation_errors(routed):
-    """Invalid transfers fall back to the per-transfer path, so the
-    actionable single-submission messages surface unchanged.  (Transfer
-    construction already rejects degenerate values, so the kernel-level
-    checks guard against post-construction mutation.)"""
+    """Invalid rows raise the actionable single-submission messages.
+    (Transfer construction already rejects degenerate values, so the
+    kernel-level checks guard against post-construction mutation.)"""
     net, tables = routed
     hosts = [h.node_id for h in net.hosts()]
 
@@ -108,16 +110,127 @@ def test_bulk_raises_same_validation_errors(routed):
         )
 
 
-def test_bulk_with_hooks_falls_back(routed):
-    """Delivery hooks force the ordered path; results still match the
-    per-transfer loop (same code, one call)."""
+_COLUMNS = ("time", "seq", "node", "dst", "count", "nbytes", "flow", "last")
+
+
+def _staged_columns(kernel):
+    """Every staged calendar row of a batched kernel, in seq order
+    (empties the calendar)."""
+    cal = kernel.calendar
+    buckets = []
+    while cal.min_bucket() is not None:
+        buckets.append(cal.pop_bucket(cal.min_bucket()))
+    staged = EventBatch.concatenate(buckets)
+    order = np.argsort(staged.seq)
+    return {name: getattr(staged, name)[order].tolist() for name in _COLUMNS}
+
+
+def _reference_columns(kernel):
+    """The same columns out of the reference kernel's event heap."""
+    rows = [
+        (time, seq, node, train.dst, train.count, float(train.nbytes),
+         train.flow_id, train.last)
+        for time, seq, _, (node, train) in sorted(
+            kernel.queue._heap, key=lambda e: e[1]
+        )
+    ]
+    return {name: list(col) for name, col in zip(_COLUMNS, zip(*rows))}
+
+
+def _break(kind, transfer, tables):
+    """Mutate ``transfer`` into one of the four rejected kinds; returns
+    its submission time."""
+    if kind == "bytes":
+        transfer.nbytes = 0.0
+    elif kind == "endpoints":
+        transfer.dst = transfer.src
+    elif kind == "route":
+        tables.next_hop[transfer.src, transfer.dst] = -1
+    return -1.0 if kind == "past" else 0.3
+
+
+@pytest.mark.parametrize("kind", ("bytes", "endpoints", "past", "route"))
+def test_error_prefix_matches_reference_loop(kind):
+    """``[ok, ok, bad, ok]``: rows before the offender are injected, the
+    offender raises today's message, the row after it never enters —
+    ``transfer_log``, the sequence counter, the INJECTED rows and the
+    staged calendar equal what ``ReferenceKernel``'s loop leaves behind.
+    The oracle does not re-validate bytes / endpoints (``Transfer``
+    construction does), so for those two kinds its loop is handed the
+    prefix and the message is pinned literally."""
+    net = synth_network(n_routers=40, seed=2)
+    tables = build_routing(net)
+    hosts = [h.node_id for h in net.hosts()]
+    message = {
+        "bytes": "at least one byte",
+        "endpoints": "pick two distinct hosts",
+        "past": "cannot submit a transfer in the past",
+        "route": f"no route {hosts[4]} -> {hosts[5]}",
+    }[kind]
+
+    def batch():
+        reset_flow_ids()
+        transfers = [
+            Transfer(src=hosts[2 * i], dst=hosts[2 * i + 1],
+                     nbytes=40_000.0 + 7_000.5 * i)
+            for i in range(4)
+        ]
+        times = [0.1, 0.2, _break(kind, transfers[2], tables), 0.4]
+        return transfers, times
+
+    def attempt(cls):
+        transfers, times = batch()
+        kernel = cls(net, tables, train_packets=8)
+        if cls is ReferenceKernel and kind in ("bytes", "endpoints"):
+            kernel.submit_transfers(transfers[:2], times[:2])
+        else:
+            with pytest.raises(ValueError, match=message):
+                kernel.submit_transfers(transfers, times)
+        return kernel
+
+    k_new, k_ref = attempt(EmulationKernel), attempt(ReferenceKernel)
+    assert len(k_new.transfer_log) == 2
+    assert k_new.transfer_log == k_ref.transfer_log
+    assert k_new._seq == len(k_ref.queue) > 2
+    assert k_new.stats.semantic() == k_ref.stats.semantic()
+    assert _staged_columns(k_new) == _reference_columns(k_ref)
+    # popping the calendar emptied k_new: run a fresh pair
+    k_new, k_ref = attempt(EmulationKernel), attempt(ReferenceKernel)
+    t_new, t_ref = k_new.run(until=5.0), k_ref.run(until=5.0)
+    assert (t_new.next_node == INJECTED).sum() == 2
+    for field in TRACE_FIELDS:
+        a, b = getattr(t_new, field), getattr(t_ref, field)
+        assert a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("nbytes", (2.0 ** 53, float("inf"), float("nan")))
+def test_unsplittable_size_raises_at_once(routed, nbytes):
+    """Beyond float64's exact-integer range the train split is no longer
+    exact (and the oracle's loop would build ~10**11 trains): a
+    ``ValueError`` naming the limit, before anything is injected."""
+    net, tables = routed
+    hosts = [h.node_id for h in net.hosts()]
+    transfer = Transfer(src=hosts[0], dst=hosts[1], nbytes=1000.0)
+    transfer.nbytes = nbytes
+    kernel = EmulationKernel(net, tables)
+    with pytest.raises(ValueError, match=r"below 2\*\*53 bytes"):
+        kernel.submit_transfer(transfer, 0.1)
+    assert kernel.transfer_log == [] and kernel._seq == 0
+    assert kernel.calendar.min_bucket() is None
+
+
+def test_bulk_mixed_hooks_match_reference(routed):
+    """A mixed hooked / hook-free batch goes through the one injection
+    body: byte-identical to the per-transfer loop and to the reference
+    kernel, each hook fired once, one ``_hooked`` entry per hooked
+    transfer (not per train)."""
     net, tables = routed
     hosts = [h.node_id for h in net.hosts()]
     fired = []
 
-    def run(submit):
+    def run(submit, cls=EmulationKernel):
         reset_flow_ids()
-        kernel = EmulationKernel(net, tables)
+        kernel = cls(net, tables)
         transfers = [
             Transfer(src=hosts[0], dst=hosts[1], nbytes=5_000.0,
                      on_delivery=lambda k, t, tr: fired.append(round(t, 9))),
@@ -137,6 +250,11 @@ def test_bulk_with_hooks_falls_back(routed):
         assert np.array_equal(
             getattr(t_bulk, field), getattr(t_loop, field)
         ), field
+    t_ref = run(lambda k, tr, t: k.submit_transfers(tr, t), ReferenceKernel)
+    assert len(fired) == 3 * n_fired
+    for field in TRACE_FIELDS:
+        a, b = getattr(t_bulk, field), getattr(t_ref, field)
+        assert a.tobytes() == b.tobytes(), field
 
 
 def test_ordered_kernel_takes_bulk_path(routed):
@@ -154,7 +272,7 @@ def test_ordered_kernel_takes_bulk_path(routed):
                           for x, ti in zip(tr, t)],
         collector=NetFlowCollector("flow"),
     )
-    assert k_bulk._trains == []
+    assert k_bulk._hooked == []
     assert k_bulk.stats.vector_events == 0  # still the ordered dispatch
     for field in TRACE_FIELDS:
         a, b = getattr(trace_bulk, field), getattr(trace_loop, field)
@@ -191,16 +309,11 @@ def test_bulk_keeps_fractional_bytes(routed, sizes, train_packets):
         return transfers, kernel
 
     transfers, k_bulk = run(EmulationKernel, bulk=True)
-    cal = k_bulk.calendar
-    buckets = []
-    while cal.min_bucket() is not None:
-        buckets.append(cal.pop_bucket(cal.min_bucket()))
-    staged = EventBatch.concatenate(buckets)
-    order = np.argsort(staged.seq)
+    staged = _staged_columns(k_bulk)
     expect = [t for tr in transfers for t in packetize(tr, train_packets)]
-    assert staged.count[order].tolist() == [t.count for t in expect]
-    assert staged.nbytes[order].tolist() == [float(t.nbytes) for t in expect]
-    assert staged.last[order].tolist() == [t.last for t in expect]
+    assert staged["count"] == [t.count for t in expect]
+    assert staged["nbytes"] == [float(t.nbytes) for t in expect]
+    assert staged["last"] == [t.last for t in expect]
 
     _, k_bulk = run(EmulationKernel, bulk=True)
     _, k_loop = run(EmulationKernel, bulk=False)

@@ -113,13 +113,13 @@ def test_applications_match_reference(routed, workload, mode):
 
     # The cell exercised what it claims: install-time (hook-free) transfers
     # ran inside the horizon, and they created no per-train object — every
-    # PacketTrain the batched kernel holds belongs to a hooked HTTP flow.
+    # Transfer the batched kernel holds belongs to a hooked HTTP flow.
     assert any(
         t < until and not tag.startswith("http")
         for t, _, _, _, _, tag in k_new.transfer_log
     )
     assert all(
-        train.transfer.on_delivery is not None for train in k_new._trains
+        transfer.on_delivery is not None for transfer in k_new._hooked
     )
     if mode.startswith("netflow"):
         assert k_new.stats.vector_events == 0

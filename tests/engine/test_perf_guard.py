@@ -71,9 +71,11 @@ def test_open_loop_soup_needs_no_merges(soup_run):
 
 def test_install_injects_one_batch_per_generator(monkeypatch):
     """Injection is O(generators) calendar pushes, not O(transfers), and
-    hook-free traffic creates no PacketTrain: over a whole ScaLapack + HTTP
-    run ``packetize`` is called exactly once per *hooked* transfer."""
+    the batched kernel builds no PacketTrain at all: over a whole
+    ScaLapack + HTTP run zero are constructed, and the kernel holds one
+    ``Transfer`` per *hooked* (``http*``) transfer."""
     from repro.engine import kernel as kernel_mod
+    from repro.engine import packet as packet_mod
     from repro.engine.packet import reset_flow_ids
     from repro.experiments.workloads import build_workload
     from repro.topology.campus import campus_network
@@ -85,28 +87,30 @@ def test_install_injects_one_batch_per_generator(monkeypatch):
     reset_flow_ids()
     kernel = kernel_mod.EmulationKernel(net, tables)
 
-    pushes, packetized = [], []
-    push_batch, packetize = kernel.calendar.push_batch, kernel_mod.packetize
+    pushes, trains_built = [], []
+    push_batch = kernel.calendar.push_batch
+    train_init = packet_mod.PacketTrain.__init__
 
     def counting_push(batch):
         pushes.append(len(batch))
         push_batch(batch)
 
-    def counting_packetize(transfer, train_packets):
-        packetized.append(transfer)
-        return packetize(transfer, train_packets)
+    def counting_init(self, *args, **kwargs):
+        trains_built.append(self)
+        train_init(self, *args, **kwargs)
 
     monkeypatch.setattr(kernel.calendar, "push_batch", counting_push)
-    monkeypatch.setattr(kernel_mod, "packetize", counting_packetize)
+    monkeypatch.setattr(packet_mod.PacketTrain, "__init__", counting_init)
 
     wl.install(kernel, np.random.default_rng(1))
     assert kernel.stats.transfers_submitted > 2_000  # the whole ScaLapack run
     assert len(pushes) <= len(wl.background) + len(wl.apps)
     assert sum(pushes) > 10_000  # ...whose trains all sit in the calendar
-    assert packetized == []
+    assert trains_built == []
 
     kernel.run(until=20.0)
     hooked = [e for e in kernel.transfer_log if e[5].startswith("http")]
     assert len(hooked) > 0
-    assert len(packetized) == len(hooked)
-    assert all(tr.on_delivery is not None for tr in packetized)
+    assert trains_built == []
+    assert len(kernel._hooked) == len(hooked)
+    assert all(tr.on_delivery is not None for tr in kernel._hooked)

@@ -78,7 +78,8 @@ def test_exit_1_on_unknown_rule(clean_root, capsys):
 def test_json_report_shape(dirty_root, capsys):
     assert massf(["check", str(dirty_root), "--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
+    assert "cache" not in payload
     assert payload["summary"]["findings"] == len(payload["findings"]) > 0
     finding = payload["findings"][0]
     assert finding["rule"] == "unseeded-rng"
@@ -106,6 +107,7 @@ def test_rule_filter_limits_the_run(dirty_root, capsys):
 def test_list_rules(capsys):
     assert massf(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
+    assert len(out.splitlines()) == 8
     for rule_id in (
         "unseeded-rng",
         "float-sum",
@@ -113,5 +115,14 @@ def test_list_rules(capsys):
         "parity-coverage",
         "parallel-safety",
         "telemetry-span",
+        "asyncio-blocking",
+        "shm-lifecycle",
     ):
         assert rule_id in out
+
+
+def test_result_cache_flags_are_gone(clean_root, capsys):
+    with pytest.raises(SystemExit) as exc:
+        massf(["check", str(clean_root), "--no-cache"])
+    assert exc.value.code == 2
+    assert "--no-cache" in capsys.readouterr().err
