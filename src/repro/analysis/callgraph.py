@@ -53,12 +53,6 @@ HANDLER_REGISTRARS = frozenset({
     "repro.service.handlers.register_handler",
 })
 
-_PROCESS_FACTORIES = frozenset({
-    "multiprocessing.Process",
-    "multiprocessing.context.Process",
-})
-
-
 @dataclass(frozen=True)
 class FunctionInfo:
     """One module-level function symbol."""
@@ -479,45 +473,6 @@ class CallGraph:
             if fn_expr is None:
                 for kw in call.keywords:
                     if kw.arg == "fn":
-                        fn_expr = kw.value
-            sym = self._arg_symbol(module, fn_expr)
-            if sym is not None:
-                out.add(sym)
-        return frozenset(out)
-
-    @staticmethod
-    def _is_factory(
-        call: ast.Call, target: str | None,
-        canonical: frozenset[str], suffix: str,
-    ) -> bool:
-        """``ctx.Process(...)`` style factory calls.
-
-        Exact canonical names match first; a chain *ending* in the class
-        name (``mp.Process`` where ``mp`` is a local fork context) is
-        accepted too because the receiver is often unresolvable.
-        """
-        if target in canonical:
-            return True
-        chain = attribute_chain(call.func)
-        return chain is not None and chain[-1] == suffix
-
-    def process_workers(self, project: Project) -> frozenset[str]:
-        """Callables that run in child processes: first arguments of
-        ``<pool>.submit(fn, ...)`` and ``Process(target=fn)`` targets."""
-        out: set[str] = set()
-        for module, call, target in self._dispatch_sites(project):
-            fn_expr: ast.expr | None = None
-            if (
-                isinstance(call.func, ast.Attribute)
-                and call.func.attr == "submit"
-                and call.args
-            ):
-                fn_expr = call.args[0]
-            elif self._is_factory(
-                call, target, _PROCESS_FACTORIES, "Process"
-            ):
-                for kw in call.keywords:
-                    if kw.arg == "target":
                         fn_expr = kw.value
             sym = self._arg_symbol(module, fn_expr)
             if sym is not None:

@@ -1,9 +1,6 @@
 """Shipped rule set; importing this package registers every rule."""
 
-from repro.analysis.rules.concurrency import (
-    AsyncioBlockingRule,
-    ShmLifecycleRule,
-)
+from repro.analysis.rules.concurrency import AsyncioBlockingRule
 from repro.analysis.rules.determinism import (
     FloatSumRule,
     SetIterationRule,
@@ -21,5 +18,4 @@ __all__ = [
     "ParallelSafetyRule",
     "TelemetrySpanRule",
     "AsyncioBlockingRule",
-    "ShmLifecycleRule",
 ]

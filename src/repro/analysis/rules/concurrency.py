@@ -1,28 +1,20 @@
-"""Whole-program concurrency rules built on the call graph.
+"""Whole-program concurrency rule built on the call graph.
 
-Two rule families, each encoding one invariant the runtime layers
-(PRs 6–9) rely on but cannot express in types:
-
-- ``asyncio-blocking`` — nothing reachable from an ``async def`` in
-  ``repro.service`` may block the event loop (``time.sleep``, bare
-  ``open``, sockets, ``subprocess``, pool dispatch).  Handlers that the
-  service runs on worker *threads* (registered via
-  ``register_handler``) are exempt: traversal never enters them.
-- ``shm-lifecycle`` — ``SharedArray``/``ShmArena`` ``close()``/
-  ``unlink()`` must be dominated by privatize-or-del of every live
-  ndarray view taken in the same function, and shm objects must never
-  be pickled or returned from a forked worker (handles cross, objects
-  don't).
+``asyncio-blocking`` encodes one invariant the service layer relies on
+but cannot express in types: nothing reachable from an ``async def`` in
+``repro.service`` may block the event loop (``time.sleep``, bare
+``open``, sockets, ``subprocess``, pool dispatch).  Handlers that the
+service runs on worker *threads* (registered via ``register_handler``)
+are exempt: traversal never enters them.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.analysis.callgraph import CallGraph, get_callgraph
-from repro.analysis.flow import FunctionFlow, function_flow, iter_functions
 from repro.analysis.model import Finding, ParsedModule, Project
 from repro.analysis.registry import Rule, register
 from repro.analysis.visitors import (
@@ -33,7 +25,6 @@ from repro.analysis.visitors import (
 
 __all__ = [
     "AsyncioBlockingRule",
-    "ShmLifecycleRule",
     "pool_dispatch_method",
 ]
 
@@ -143,12 +134,6 @@ def module_pool_origins(
     return origins
 
 
-def _resolver(graph: CallGraph, module: ParsedModule):
-    def resolve(chain: Sequence[str]) -> str | None:
-        return graph.resolve(module.name, list(chain))
-    return resolve
-
-
 def _module_of(graph: CallGraph, project: Project, qualname: str):
     return graph.function_node(project, qualname)
 
@@ -255,167 +240,4 @@ class AsyncioBlockingRule(Rule):
                 )
 
 
-# --------------------------------------------------------------------- #
-# shm-lifecycle
-# --------------------------------------------------------------------- #
-
-_SHM_ORIGINS = (
-    "ShmArena",
-    "SharedArray.create",
-    "repro.runtime.shm.attach",
-)
-
-_VIEW_ORIGIN_SUFFIXES = (".array", ".__getitem__", ".share")
-
-
-def _origin_is_shm(origin: str | None) -> bool:
-    if origin is None:
-        return False
-    return origin.endswith(_SHM_ORIGINS) or origin in (
-        "attach", "shm.attach"
-    )
-
-
-def _shm_names(flow: FunctionFlow) -> set[str]:
-    """Locals (and params named like arenas) holding shm objects."""
-    names = {
-        name
-        for name, evts in flow.events.items()
-        if any(_origin_is_shm(e.origin) and e.is_call for e in evts)
-    }
-    names.update(
-        p for p in flow.params
-        if p in ("arena", "shm") or p.endswith("_arena")
-    )
-    return names
-
-
-def _view_bindings(
-    flow: FunctionFlow, shm_names: set[str]
-) -> list[tuple[str, str, int]]:
-    """(view local, owner shm local, bind line) triples."""
-    out: list[tuple[str, str, int]] = []
-    for name, evts in flow.events.items():
-        for evt in evts:
-            if (
-                evt.root in shm_names
-                and evt.origin is not None
-                and evt.origin.startswith(f"{evt.root}.")
-                and evt.origin[len(evt.root):].startswith(
-                    _VIEW_ORIGIN_SUFFIXES
-                )
-            ):
-                out.append((name, evt.root, evt.line))
-    return out
-
-
-class ShmLifecycleRule(Rule):
-    id = "shm-lifecycle"
-    description = (
-        "close()/unlink() of shared memory must be dominated by "
-        "privatize-or-del of live views; shm objects are never "
-        "pickled or returned across the fork boundary"
-    )
-
-    def run(self, project: Project) -> Iterator[Finding]:
-        graph = get_callgraph(project)
-        workers = graph.reachable(graph.process_workers(project))
-        for module in project.modules:
-            resolve = _resolver(graph, module)
-            for fn in iter_functions(module.tree):
-                flow = function_flow(fn, resolve=resolve)
-                shm = _shm_names(flow)
-                if not shm:
-                    continue
-                qualname = f"{module.name}.{fn.name}"
-                yield from self._check_close(module, fn, flow, shm)
-                yield from self._check_escape(
-                    module, fn, flow, shm,
-                    in_worker=qualname in workers,
-                )
-
-    def _check_close(
-        self,
-        module: ParsedModule,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        flow: FunctionFlow,
-        shm: set[str],
-    ) -> Iterator[Finding]:
-        views = _view_bindings(flow, shm)
-        privatize_lines = [
-            node.lineno
-            for node in ast.walk(fn)
-            if isinstance(node, ast.Call)
-            and (chain := attribute_chain(node.func)) is not None
-            and any("privatize" in part for part in chain)
-        ]
-        for node in ast.walk(fn):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("close", "unlink")
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in shm
-            ):
-                continue
-            owner = node.func.value.id
-            close_line = node.lineno
-            for view, view_owner, bind_line in views:
-                if view_owner != owner or bind_line >= close_line:
-                    continue
-                if flow.released_between(view, bind_line, close_line):
-                    continue
-                if any(
-                    bind_line < pl < close_line or pl == close_line - 1
-                    for pl in privatize_lines
-                ):
-                    continue
-                yield self.finding(
-                    module, node,
-                    f"`{owner}.{node.func.attr}()` with live view "
-                    f"`{view}` (bound line {bind_line}); privatize or "
-                    "del the view first — unmapping under a live "
-                    "ndarray is a hard crash",
-                )
-
-    def _check_escape(
-        self,
-        module: ParsedModule,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
-        flow: FunctionFlow,
-        shm: set[str],
-        *,
-        in_worker: bool,
-    ) -> Iterator[Finding]:
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Call):
-                chain = attribute_chain(node.func)
-                dotted = ".".join(chain) if chain else ""
-                if dotted in ("pickle.dumps", "pickle.dump"):
-                    for arg in node.args[:1]:
-                        if (
-                            isinstance(arg, ast.Name)
-                            and arg.id in shm
-                        ):
-                            yield self.finding(
-                                module, node,
-                                f"pickling shm object `{arg.id}`; "
-                                "ship its .handle and attach() in "
-                                "the worker instead",
-                            )
-            elif (
-                in_worker
-                and isinstance(node, ast.Return)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in shm
-            ):
-                yield self.finding(
-                    module, node,
-                    f"worker `{fn.name}` returns shm object "
-                    f"`{node.value.id}` across the fork boundary; "
-                    "return plain data or a handle",
-                )
-
-
 register(AsyncioBlockingRule())
-register(ShmLifecycleRule())

@@ -18,13 +18,6 @@ module declares the pairing explicitly:
     _PARITY_COUNTERPARTS = {
         "compute_routing_reference": "repro.routing.spf.build_routing",
     }
-
-A reference module may additionally declare
-``_PARITY_EXTRA_COUNTERPART_MODULES = ("repro.runtime.shm", ...)`` — a
-tuple of modules with no counterpart function of their own that still
-sit on the bit-identity path (a shared-memory arena that backs the
-spliced matrices, say).  Those join :func:`counterpart_modules` and so
-inherit the determinism rules' float-reduction bans.
 """
 
 from __future__ import annotations
@@ -39,7 +32,6 @@ from repro.analysis.visitors import module_level_functions
 __all__ = ["ParityCoverageRule", "counterpart_modules"]
 
 _MAP_NAME = "_PARITY_COUNTERPARTS"
-_EXTRA_NAME = "_PARITY_EXTRA_COUNTERPART_MODULES"
 _SUFFIX = "_reference"
 
 
@@ -103,24 +95,6 @@ def _declared_counterparts(tree: ast.Module) -> dict[str, str]:
     return {}
 
 
-def _declared_extra_modules(tree: ast.Module) -> list[str]:
-    """The module's ``_PARITY_EXTRA_COUNTERPART_MODULES`` literal."""
-    for node in tree.body:
-        if (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and node.targets[0].id == _EXTRA_NAME
-            and isinstance(node.value, (ast.List, ast.Tuple))
-        ):
-            return [
-                e.value
-                for e in node.value.elts
-                if isinstance(e, ast.Constant) and isinstance(e.value, str)
-            ]
-    return []
-
-
 def _pairings(
     project: Project,
 ) -> Iterator[tuple[ParsedModule, ast.FunctionDef, str,
@@ -167,23 +141,13 @@ def counterpart_modules(project: Project) -> set[str]:
     Used by the determinism rules: a module like ``repro.core.place``
     lives outside the oracle's package but still carries bit-identical
     obligations, so order-sensitive float reductions are banned there
-    too.  Reference modules can widen the set with
-    ``_PARITY_EXTRA_COUNTERPART_MODULES`` for counterpart-less modules
-    on the bit-identity path (unknown names are ignored — the scope is
-    advisory, not a resolver).
+    too.
     """
-    out = {
+    return {
         def_module.name
         for _, _, _, def_module, _ in _pairings(project)
         if def_module is not None
     }
-    for module in project.modules:
-        if not module.is_reference:
-            continue
-        for name in _declared_extra_modules(module.tree):
-            if name in project.module_by_name:
-                out.add(name)
-    return out
 
 
 def _imported_names(module: ParsedModule) -> set[str]:

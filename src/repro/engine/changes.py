@@ -7,9 +7,10 @@ barrier hook that drains a ``(time, changes)`` schedule: whenever virtual
 time passes an entry, the incremental engine
 (:func:`repro.routing.delta.update_routing`) repairs the routing tables
 in place and the kernel's :class:`~repro.engine.lp.ShardContext` arrays
-are refreshed — all between windows, where no segment is in flight, so
-both engines apply each change at the identical point in the event
-stream and stay trace-identical to each other.
+are refreshed (:meth:`~repro.engine.kernel.EmulationKernel.sync_context`)
+— all between windows, where no segment is in flight, so both engines
+apply each change at the identical point in the event stream and stay
+trace-identical to each other.
 
 Two hard restrictions keep mid-run changes sound:
 
@@ -22,16 +23,12 @@ Two hard restrictions keep mid-run changes sound:
   derived from it, and a link faster than the lookahead would let an
   event schedule a successor inside its own window.
 
-With forked LP workers the spliced arrays must live in shared memory
-(:class:`repro.runtime.shm.ShmArena` — ``MAP_SHARED`` mappings survive
-the fork) or the workers would keep their copy-on-write snapshots;
-:func:`repro.engine.kernel.run_kernel` arranges that before the pool
-starts.
+Forked LP workers hold copy-on-write snapshots of those arrays, so the
+parallel kernel's ``sync_context`` also sends each worker the repaired
+rows over its pipe and waits for the ack before the next window.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.routing.delta import RoutingState, SetLinkCost, update_routing
 from repro.routing.perf import RoutingStats
@@ -39,7 +36,6 @@ from repro.routing.perf import RoutingStats
 __all__ = [
     "normalize_link_changes",
     "install_link_changes",
-    "privatize_shared",
 ]
 
 
@@ -78,24 +74,6 @@ def normalize_link_changes(link_changes) -> list[tuple[float, list]]:
         schedule.append((when, changes))
     schedule.sort(key=lambda item: item[0])
     return schedule
-
-
-def _refresh_context(kernel) -> None:
-    """Re-fill the shard context's link arrays after a routing repair.
-
-    ``ctx.next_hop`` aliases ``tables.next_hop`` and was already spliced
-    in place; the latency/bandwidth/pair-lookup arrays snapshot state
-    that ``Network.set_link`` rebuilt, so their values are copied back
-    into the existing (possibly shared-memory) buffers — shapes never
-    change under :class:`SetLinkCost`.
-    """
-    ctx = kernel._ctx
-    _, _, lat, bw = kernel.net.link_endpoint_arrays()
-    ctx.link_lat[...] = lat
-    ctx.link_bw[...] = bw
-    keys, lids = kernel.tables._lookup_arrays()
-    ctx.pair_keys[...] = keys
-    ctx.pair_lids[...] = lids
 
 
 def install_link_changes(
@@ -141,7 +119,7 @@ def install_link_changes(
             touched = update_routing(
                 state, changes, cache=cache, stats=kernel.routing_stats,
             )
-            _refresh_context(kernel)
+            kernel.sync_context(touched)
             kernel.link_change_log.append(
                 (when, len(changes), int(len(touched)))
             )
@@ -149,21 +127,3 @@ def install_link_changes(
 
     kernel.barrier_hooks.append(_service)
 
-
-def privatize_shared(kernel) -> None:
-    """Copy arena-backed arrays into private memory before unmapping.
-
-    Closing a shared segment unmaps it even while ndarray views exist —
-    a later read through such a view is a hard crash, not an exception.
-    The kernel's tables and :class:`~repro.engine.lp.ShardContext` are
-    the only long-lived holders (shards read through the one shared
-    context object), so rebinding them to private copies makes
-    ``ShmArena.close`` safe while keeping the returned tables usable.
-    """
-    tables = kernel.tables
-    tables.dist = np.array(tables.dist)
-    tables.next_hop = np.array(tables.next_hop)
-    ctx = kernel._ctx
-    object.__setattr__(ctx, "next_hop", tables.next_hop)
-    for field in ("pair_keys", "pair_lids", "link_bw", "link_lat"):
-        object.__setattr__(ctx, field, np.array(getattr(ctx, field)))

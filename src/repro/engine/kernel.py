@@ -115,7 +115,6 @@ class EmulationKernel:
         queue_limit_s: float | None = None,
         queue=None,
         telemetry=None,
-        arena=None,
     ) -> None:
         from repro.obs.telemetry import ensure_telemetry
 
@@ -180,11 +179,7 @@ class EmulationKernel:
 
         # All numeric per-link state lives in a single LP shard covering
         # the whole network; the public accounting arrays alias its.
-        # An arena (repro.runtime.shm.ShmArena) rehomes the context
-        # arrays in shared memory so mid-run routing repairs reach
-        # forked LP workers — see repro.engine.changes.
-        self.arena = arena
-        self._ctx = shard_context(net, tables, self.queue_disc, arena)
+        self._ctx = shard_context(net, tables, self.queue_disc)
         self._shard = LPShard(self._ctx)
         # Per-link, per-direction busy-until times (FIFO transmission).
         self._busy = self._shard.busy
@@ -624,6 +619,25 @@ class EmulationKernel:
             for hook in self.barrier_hooks:
                 hook(self.now)
 
+    def sync_context(self, touched: np.ndarray) -> None:
+        """Bring the shard context up to date after a barrier-time routing
+        repair touched the ``touched`` source rows (see
+        :mod:`repro.engine.changes`).
+
+        ``ctx.next_hop`` aliases ``tables.next_hop`` and was already
+        spliced in place; the latency / bandwidth / pair-lookup arrays
+        snapshot state that ``Network.set_link`` rebuilt, so their values
+        are copied into the existing buffers — shapes never change under
+        :class:`~repro.routing.delta.SetLinkCost`.
+        """
+        ctx = self._ctx
+        _, _, lat, bw = self.net.link_endpoint_arrays()
+        ctx.link_lat[...] = lat
+        ctx.link_bw[...] = bw
+        keys, lids = self.tables._lookup_arrays()
+        ctx.pair_keys[...] = keys
+        ctx.pair_lids[...] = lids
+
     def _finalize_run(self) -> None:
         """Post-drain hook (the LP engine gathers shard partials here)."""
 
@@ -719,10 +733,9 @@ def run_kernel(
     batches as ``(time, changes)`` pairs (see
     :func:`repro.engine.changes.install_link_changes`): routing tables are
     repaired incrementally at the first window barrier past each time.
-    With forked LP workers (``engine='parallel'``, ``processes=True``) the
-    routing/link arrays are rehomed into a
-    :class:`repro.runtime.shm.ShmArena` so the in-place repairs reach the
-    workers through the shared mapping.
+    With forked LP workers (``engine='parallel'``, ``processes=True``) each
+    repair is shipped to the workers over their pipes before the next
+    window starts.
     """
     if rebalance is not None and engine != "parallel":
         raise ValueError(
@@ -731,55 +744,45 @@ def run_kernel(
             "sequential engine does not have"
         )
     reset_flow_ids()
-    arena = None
     state = None
     if link_changes is not None:
         from repro.routing.delta import routing_state
 
-        if engine == "parallel" and processes:
-            from repro.runtime.shm import ShmArena
-
-            arena = ShmArena()
         # The kernel must be built on the very tables the delta engine
         # splices; routing_state copies, so rebind before construction.
-        state = routing_state(tables, arena=arena)
+        state = routing_state(tables)
         tables = state.tables
-    try:
-        if engine == "sequential":
-            kernel = EmulationKernel(
-                net, tables, train_packets=train_packets,
-                collector=collector, queue_limit_s=queue_limit_s,
-                queue=queue, telemetry=telemetry, arena=arena,
-            )
-        elif engine == "parallel":
-            from repro.engine.lp import ParallelEmulationKernel
+    if engine == "sequential":
+        kernel = EmulationKernel(
+            net, tables, train_packets=train_packets,
+            collector=collector, queue_limit_s=queue_limit_s,
+            queue=queue, telemetry=telemetry,
+        )
+    elif engine == "parallel":
+        from repro.engine.lp import ParallelEmulationKernel
 
-            if parts is None:
-                raise ValueError(
-                    "engine='parallel' needs a parts array (one partition "
-                    "id per node); build one with repro.partition.Mapper "
-                    "or call repro.api.emulate(engine='parallel', k=...) "
-                    "which derives it for you"
-                )
-            kernel = ParallelEmulationKernel(
-                net, tables, parts=parts, processes=processes,
-                train_packets=train_packets, collector=collector,
-                queue_limit_s=queue_limit_s, queue=queue,
-                telemetry=telemetry, arena=arena,
-            )
-            if rebalance is not None:
-                from repro.rebalance import attach_rebalancer
-
-                attach_rebalancer(kernel, rebalance)
-        else:
+        if parts is None:
             raise ValueError(
-                f"unknown engine {engine!r}; choose 'sequential' or "
-                f"'parallel'"
+                "engine='parallel' needs a parts array (one partition "
+                "id per node); build one with repro.partition.Mapper "
+                "or call repro.api.emulate(engine='parallel', k=...) "
+                "which derives it for you"
             )
-    except BaseException:
-        if arena is not None:
-            arena.close()
-        raise
+        kernel = ParallelEmulationKernel(
+            net, tables, parts=parts, processes=processes,
+            train_packets=train_packets, collector=collector,
+            queue_limit_s=queue_limit_s, queue=queue,
+            telemetry=telemetry,
+        )
+        if rebalance is not None:
+            from repro.rebalance import attach_rebalancer
+
+            attach_rebalancer(kernel, rebalance)
+    else:
+        raise ValueError(
+            f"unknown engine {engine!r}; choose 'sequential' or "
+            f"'parallel'"
+        )
     try:
         if link_changes is not None:
             from repro.engine.changes import install_link_changes
@@ -792,9 +795,4 @@ def run_kernel(
         close = getattr(kernel, "close", None)
         if close is not None:
             close()
-        if arena is not None:
-            from repro.engine.changes import privatize_shared
-
-            privatize_shared(kernel)
-            arena.close()
     return trace, kernel

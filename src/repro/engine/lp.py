@@ -19,7 +19,8 @@ Two layers live here:
   produced :class:`~repro.engine.trace.EventTrace` is byte-identical to the
   sequential engine's.  Workers exchange segments and results over pipes at
   segment granularity — the conservative-window barrier of the paper's
-  MaSSF kernel.
+  MaSSF kernel — and a mid-run routing repair reaches them the same way
+  (the ``"ctx"`` command, see :mod:`repro.engine.changes`).
 
 Per-link float accounting is accumulated per shard and summed elementwise
 at the end of the run, so with more than one LP those *aggregate* arrays
@@ -83,8 +84,12 @@ CHANNEL_STATE_BYTES = 16
 
 @dataclass(frozen=True)
 class ShardContext:
-    """Immutable per-run arrays every shard needs (fork-shared, copy-on-
-    write; nothing here is mutated after construction)."""
+    """Per-run arrays every shard needs (fork-inherited, copy-on-write).
+
+    Fixed after construction except under mid-run link changes, when
+    :meth:`~repro.engine.kernel.EmulationKernel.sync_context` overwrites
+    ``next_hop`` rows and the pair / link arrays in place at a barrier.
+    """
 
     n_nodes: int
     n_links: int
@@ -98,7 +103,7 @@ class ShardContext:
 
 
 def shard_context(
-    net: Network, tables: RoutingTables, queue_disc=None, arena=None
+    net: Network, tables: RoutingTables, queue_disc=None
 ) -> ShardContext:
     """Snapshot the routed network into a :class:`ShardContext`.
 
@@ -106,39 +111,21 @@ def shard_context(
     shard-side admission (it is stateless per decision); any other
     discipline is handled by the kernel's ordered path and leaves the
     context limit unset.
-
-    ``arena`` (a :class:`repro.runtime.shm.ShmArena`) rehomes the
-    mutable-under-change arrays — next hops, latencies, bandwidths, the
-    pair lookup — into shared-memory segments, so mid-run routing
-    repairs in the parent are visible to already-forked LP workers
-    (plain fork inheritance is copy-on-write and would freeze them).
     """
     u, v, lat, bw = net.link_endpoint_arrays()
     pair_keys, pair_lids = tables._lookup_arrays()
     limit = None
     if queue_disc is not None and type(queue_disc) is DropTail:
         limit = float(queue_disc.limit_s)
-    next_hop = tables.next_hop
-    pair_keys = np.asarray(pair_keys, dtype=np.int64)
-    pair_lids = np.asarray(pair_lids, dtype=np.int64)
-    bw = np.asarray(bw, dtype=np.float64)
-    lat = np.asarray(lat, dtype=np.float64)
-    if arena is not None:
-        next_hop = arena.share("next_hop", next_hop)
-        tables.next_hop = next_hop
-        pair_keys = arena.share("pair_keys", pair_keys)
-        pair_lids = arena.share("pair_lids", pair_lids)
-        bw = arena.share("link_bw", bw)
-        lat = arena.share("link_lat", lat)
     return ShardContext(
         n_nodes=net.n_nodes,
         n_links=net.n_links,
-        next_hop=next_hop,
-        pair_keys=pair_keys,
-        pair_lids=pair_lids,
+        next_hop=tables.next_hop,
+        pair_keys=np.asarray(pair_keys, dtype=np.int64),
+        pair_lids=np.asarray(pair_lids, dtype=np.int64),
         link_u=np.asarray(u, dtype=np.int64),
-        link_bw=bw,
-        link_lat=lat,
+        link_bw=np.asarray(bw, dtype=np.float64),
+        link_lat=np.asarray(lat, dtype=np.float64),
         queue_limit_s=limit,
     )
 
@@ -449,6 +436,14 @@ def _worker_main(conn) -> None:
                 keys, values = payload
                 shard.busy.reshape(-1)[keys] = values
                 conn.send(("ok", None))
+            elif cmd == "ctx":
+                # Mid-run routing repair: the fork-inherited context is
+                # copy-on-write, hence private — overwrite it in place.
+                rows, next_hop_rows, link_arrays = payload
+                shard.ctx.next_hop[rows] = next_hop_rows
+                for name, values in link_arrays.items():
+                    getattr(shard.ctx, name)[...] = values
+                conn.send(("ok", None))
             else:
                 conn.send(("err", ValueError(f"unknown command {cmd!r}")))
         except Exception as exc:  # propagate to the parent verbatim
@@ -578,6 +573,24 @@ class ParallelEmulationKernel(EmulationKernel):
         if status == "err":
             raise payload
         return payload
+
+    def sync_context(self, touched: np.ndarray) -> None:
+        """Also ship the repaired rows and link arrays to every forked
+        worker over its pipe and wait for the acks (in-process shards
+        read the parent's context object, which ``super()`` refreshed).
+        """
+        super().sync_context(touched)
+        if self._conns is None:
+            return
+        ctx = self._ctx
+        message = ("ctx", (touched, ctx.next_hop[touched], {
+            name: getattr(ctx, name)
+            for name in ("pair_keys", "pair_lids", "link_bw", "link_lat")
+        }))
+        for lp in range(self.n_lps):
+            self._send(lp, message)
+        for lp in range(self.n_lps):
+            self._recv(lp)
 
     # ------------------------------------------------------------------ #
     def _process_segment(self, seg: EventBatch):

@@ -81,19 +81,3 @@ class KernelStats:
             self.trains_dropped,
             self.packets_delivered,
         )
-
-    def merge(self, other: "KernelStats") -> None:
-        """Accumulate another stats object into this one (the LP engine
-        aggregates per-shard deltas)."""
-        self.transfers_submitted += other.transfers_submitted
-        self.transfers_delivered += other.transfers_delivered
-        self.trains_forwarded += other.trains_forwarded
-        self.trains_dropped += other.trains_dropped
-        self.packets_delivered += other.packets_delivered
-        self.windows += other.windows
-        self.segments += other.segments
-        self.vector_events += other.vector_events
-        self.python_loop_events += other.python_loop_events
-        self.control_events += other.control_events
-        self.hook_cuts += other.hook_cuts
-        self.window_merges += other.window_merges

@@ -184,7 +184,6 @@ class ApproachEvaluation:
 
     mapping: MappingResult
     metrics: EmulationMetrics
-    replay_metrics: EmulationMetrics
     outcome: ApproachOutcome
 
 
@@ -299,19 +298,14 @@ def evaluate_workload(
                 compute=compute, telemetry=tel,
                 timeline_label={**label_base, "approach": name},
             )
-            replay_metrics = evaluate_mapping(
-                eval_run.trace, net, mapping.parts, cost=config.cost,
-                compute=None,
-            )
         results[name] = ApproachEvaluation(
             mapping=mapping,
             metrics=metrics,
-            replay_metrics=replay_metrics,
             outcome=ApproachOutcome(
                 approach=name,
                 load_imbalance=metrics.load_imbalance,
                 app_emulation_time=metrics.wall_app,
-                network_emulation_time=replay_metrics.wall_network,
+                network_emulation_time=metrics.wall_network,
                 edge_cut=mapping.partition.weighted_cut,
                 remote_packets=metrics.remote_packets,
                 lookahead=metrics.lookahead,

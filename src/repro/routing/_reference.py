@@ -42,12 +42,6 @@ _PARITY_COUNTERPARTS = {
     "update_routing_reference": "repro.routing.delta.update_routing",
 }
 
-#: Modules that carry the reference modules' bit-identity obligations
-#: without defining a counterpart function themselves (the determinism
-#: rules ban order-sensitive float reductions there too): shared-memory
-#: splices feed the routing matrices the parity suite compares.
-_PARITY_EXTRA_COUNTERPART_MODULES = ("repro.runtime.shm",)
-
 
 # --------------------------------------------------------------------- #
 # All-pairs routing (original)
@@ -186,8 +180,6 @@ def update_routing_reference(state, changes, stats=None) -> np.ndarray:
         shape=(net.n_nodes, net.n_nodes),
     )
     state.generation += 1
-    if state.arena is not None:
-        state.arena.generation = state.generation
     return np.array(touched, dtype=np.int64)
 
 

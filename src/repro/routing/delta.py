@@ -22,10 +22,6 @@ link changes by recomputing only the *affected* source rows:
 4. recompute exactly those source rows (in blocks) and splice them in
    place.
 
-In-place splicing is what makes the zero-copy story work: when the state
-is backed by an :class:`repro.runtime.shm.ShmArena`, LP worker processes
-observe the update without any re-pickling.
-
 A ``cache`` keys the recomputed rows on (fingerprint-before, metric,
 table version, canonical change set), so replaying a change stream — in
 particular a change-then-revert pair — skips the Dijkstra work entirely;
@@ -61,7 +57,8 @@ __all__ = [
     "derive_routing",
 ]
 
-#: Default source-row block handed to each pool task.
+#: Default number of source rows per Dijkstra call — bounds the
+#: ``block × n`` predecessor matrix scipy materialises for each call.
 _DELTA_BLOCK_SIZE = 1024
 
 
@@ -137,26 +134,15 @@ class RoutingState:
     tables: RoutingTables
     graph: sp.csr_matrix
     generation: int = 0
-    arena: object | None = None
-
-    def share(self, arena) -> "RoutingState":
-        """Move ``dist`` / ``next_hop`` into shared memory (zero-copy
-        visibility for forked workers across later in-place updates)."""
-        self.tables.dist = arena.share("dist", self.tables.dist)
-        self.tables.next_hop = arena.share("next_hop", self.tables.next_hop)
-        self.arena = arena
-        arena.generation = self.generation
-        return self
 
 
-def routing_state(tables: RoutingTables, *, arena=None) -> RoutingState:
+def routing_state(tables: RoutingTables) -> RoutingState:
     """Wrap computed tables for incremental maintenance.
 
     Copies the matrices (the input may be a cache-shared object that must
     stay pristine) and rebuilds the cost CSR the tables correspond to.
-    With an ``arena``, the copies land in shared memory.
     """
-    state = RoutingState(
+    return RoutingState(
         tables=RoutingTables(
             net=tables.net, metric=tables.metric,
             dist=np.array(tables.dist, dtype=np.float64),
@@ -164,9 +150,6 @@ def routing_state(tables: RoutingTables, *, arena=None) -> RoutingState:
         ),
         graph=_cost_graph(tables.net, tables.metric),
     )
-    if arena is not None:
-        state.share(arena)
-    return state
 
 
 def _canonical_changes(old_graph, new_graph):
@@ -237,6 +220,67 @@ def _recompute_rows(touched, graph, *, block_size, stats):
     return d_rows, nh_rows
 
 
+def _repair(
+    dist: np.ndarray,
+    next_hop: np.ndarray,
+    diff,
+    new_graph,
+    *,
+    fp_before: str,
+    metric: str,
+    block_size: int | None,
+    cache,
+    stats,
+) -> np.ndarray:
+    """Recompute and splice the source rows a canonical ``diff`` affects.
+
+    ``dist`` / ``next_hop`` hold the tables valid before the change and
+    are repaired in place (the caller decides whether they are the live
+    arrays or copies); ``diff`` is :func:`_canonical_changes` of the old
+    cost graph against ``new_graph``.  Returns the sorted touched source
+    ids — empty when the cost graphs are equal (a bandwidth move under
+    the latency metric, a dominated parallel link).  Recomputed rows go
+    through ``cache`` under the ``routing-delta`` kind.
+    """
+    a, b, old_c, new_c = diff
+    if len(a) == 0:
+        touched = np.zeros(0, dtype=np.int64)
+    else:
+        touched = _affected_sources(dist, a, b, old_c, new_c)
+    if stats is not None:
+        stats.delta_updates += 1
+        stats.affected_sources += len(touched)
+    if len(touched) == 0:
+        return touched
+    canon = tuple(
+        (int(ai), int(bi), float(oc), float(nc))
+        for ai, bi, oc, nc in zip(a, b, old_c, new_c)
+    )
+
+    if block_size is None:
+        block_size = _DELTA_BLOCK_SIZE
+    block_size = max(1, int(block_size))
+
+    def compute():
+        return _recompute_rows(
+            touched, new_graph, block_size=block_size, stats=stats,
+        )
+
+    if cache is not None:
+        d_rows, nh_rows = cache.get_or_compute(
+            "routing-delta",
+            (fp_before, metric, ROUTING_TABLE_VERSION, canon),
+            compute,
+        )
+    else:
+        d_rows, nh_rows = compute()
+    dist[touched] = d_rows
+    next_hop[touched] = nh_rows
+    if stats is not None:
+        stats.touched_sources += len(touched)
+    return touched
+
+
 def update_routing(
     state: RoutingState,
     changes,
@@ -275,54 +319,20 @@ def update_routing(
     if not list(changes):
         return np.zeros(0, dtype=np.int64)
     apply_changes(net, changes)
-    if block_size is None:
-        block_size = _DELTA_BLOCK_SIZE
-    block_size = max(1, int(block_size))
 
     with tel.span("routing/delta"):
         new_graph = _cost_graph(net, tables.metric)
-        a, b, old_c, new_c = _canonical_changes(state.graph, new_graph)
-        if len(a) == 0:
-            # Cost graph unchanged (e.g. bandwidth move under the latency
-            # metric, or adding a dominated parallel link) — distances
-            # and next hops stand, but link records moved.
-            touched = np.zeros(0, dtype=np.int64)
-        else:
-            touched = _affected_sources(tables.dist, a, b, old_c, new_c)
-        if stats is not None:
-            stats.delta_updates += 1
-            stats.affected_sources += len(touched)
-        if len(touched):
-            canon = tuple(
-                (int(ai), int(bi), float(oc), float(nc))
-                for ai, bi, oc, nc in zip(a, b, old_c, new_c)
-            )
-
-            def compute():
-                return _recompute_rows(
-                    touched, new_graph, block_size=block_size, stats=stats,
-                )
-
-            if cache is not None:
-                d_rows, nh_rows = cache.get_or_compute(
-                    "routing-delta",
-                    (fp_before, tables.metric, ROUTING_TABLE_VERSION,
-                     canon),
-                    compute,
-                )
-            else:
-                d_rows, nh_rows = compute()
-            tables.dist[touched] = d_rows
-            tables.next_hop[touched] = nh_rows
-            if stats is not None:
-                stats.touched_sources += len(touched)
+        touched = _repair(
+            tables.dist, tables.next_hop,
+            _canonical_changes(state.graph, new_graph), new_graph,
+            fp_before=fp_before, metric=tables.metric,
+            block_size=block_size, cache=cache, stats=stats,
+        )
         # Link records changed even when no row did — refresh the
         # (u, v) -> Link lookup and the pair-id tables.
         tables.__post_init__()
         state.graph = new_graph
         state.generation += 1
-        if state.arena is not None:
-            state.arena.generation = state.generation
     tel.count("routing.delta_updates")
     tel.count("routing.touched_sources", len(touched))
     return touched
@@ -371,44 +381,16 @@ def derive_routing(
         new_graph = _cost_graph(net, tables.metric)
         if new_graph.shape != base.graph.shape:
             return None
-        a, b, old_c, new_c = _canonical_changes(base.graph, new_graph)
-        if max_changes is not None and len(a) > int(max_changes):
+        diff = _canonical_changes(base.graph, new_graph)
+        if max_changes is not None and len(diff[0]) > int(max_changes):
             return None
-        if len(a) == 0:
-            touched = np.zeros(0, dtype=np.int64)
-        else:
-            touched = _affected_sources(tables.dist, a, b, old_c, new_c)
-        if stats is not None:
-            stats.delta_updates += 1
-            stats.affected_sources += len(touched)
         dist = np.array(tables.dist, dtype=np.float64)
         next_hop = np.array(tables.next_hop, dtype=np.int32)
-        if len(touched):
-            canon = tuple(
-                (int(ai), int(bi), float(oc), float(nc))
-                for ai, bi, oc, nc in zip(a, b, old_c, new_c)
-            )
-
-            def compute():
-                return _recompute_rows(
-                    touched, new_graph,
-                    block_size=max(1, int(block_size or _DELTA_BLOCK_SIZE)),
-                    stats=stats,
-                )
-
-            if cache is not None:
-                d_rows, nh_rows = cache.get_or_compute(
-                    "routing-delta",
-                    (tables.net.fingerprint(), tables.metric,
-                     ROUTING_TABLE_VERSION, canon),
-                    compute,
-                )
-            else:
-                d_rows, nh_rows = compute()
-            dist[touched] = d_rows
-            next_hop[touched] = nh_rows
-            if stats is not None:
-                stats.touched_sources += len(touched)
+        touched = _repair(
+            dist, next_hop, diff, new_graph,
+            fp_before=tables.net.fingerprint(), metric=tables.metric,
+            block_size=block_size, cache=cache, stats=stats,
+        )
         derived = RoutingState(
             tables=RoutingTables(
                 net=net, metric=tables.metric, dist=dist, next_hop=next_hop,

@@ -80,19 +80,3 @@ class RoutingStats:
     touched_sources: int = 0
     rewalked_pairs: int = 0
     kept_pairs: int = 0
-
-    def merge(self, other: "RoutingStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.dijkstra_calls += other.dijkstra_calls
-        self.nexthop_rounds += other.nexthop_rounds
-        self.python_dest_fills += other.python_dest_fills
-        self.walks += other.walks
-        self.walk_rounds += other.walk_rounds
-        self.python_walk_steps += other.python_walk_steps
-        self.routed_pairs += other.routed_pairs
-        self.spliced_pairs += other.spliced_pairs
-        self.delta_updates += other.delta_updates
-        self.affected_sources += other.affected_sources
-        self.touched_sources += other.touched_sources
-        self.rewalked_pairs += other.rewalked_pairs
-        self.kept_pairs += other.kept_pairs

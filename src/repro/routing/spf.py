@@ -24,7 +24,6 @@ from scipy.sparse.csgraph import shortest_path
 from repro.routing.tables import (
     METRICS,
     RoutingTables,
-    link_cost,
     link_cost_array,
 )
 from repro.topology.network import Network
@@ -40,11 +39,6 @@ ROUTING_TABLE_VERSION = 2
 #: Networks above this size default to blocked per-source computation.
 _AUTO_BLOCK_NODES = 4096
 _AUTO_BLOCK_SIZE = 1024
-
-
-def _link_cost(link, metric: str) -> float:
-    # Kept for backward compatibility; canonical home is routing.tables.
-    return link_cost(link, metric)
 
 
 def build_routing(

@@ -12,8 +12,6 @@ system to optimize:
   deterministic per-cell seeding, per-cell error records (a crashed worker
   never kills the sweep), a timeout/retry policy, and run observability
   (per-cell timing, cache hit/miss counters, progress callbacks).
-- :mod:`repro.runtime.shm` — shared-memory arenas that let forked LP
-  processes see in-place routing splices without re-pickling.
 
 The grid executor is one of exactly two places work crosses a process
 boundary; the other is the LP command loop in :mod:`repro.engine.lp`.

@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.obs.telemetry import Telemetry
-from repro.runtime.cache import resolve_cache
+from repro.runtime.cache import ArtifactCache, resolve_cache
 from repro.service.jobs import (
     Job,
     JobCancelled,
@@ -88,6 +88,11 @@ class MappingService:
         self.config = config or ServiceConfig()
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.disk = resolve_cache(self.config.cache)
+        if self.disk is not None and self.disk is not self.config.cache:
+            # A disk tier the service builds itself gets no in-process
+            # dict: the warm LRU is the memory tier, and an unbounded
+            # copy of every routing table beside it defeats its budget.
+            self.disk = ArtifactCache(self.disk.root, memory=False)
         self.warm = WarmCache(
             budget_bytes=self.config.budget_bytes,
             disk=self.disk,

@@ -1,10 +1,5 @@
 """Oracle module: its presence puts this package in float-sum scope."""
 
-_PARITY_EXTRA_COUNTERPART_MODULES = (
-    "repro.runtime.shmlike",  # no oracle package, no counterpart def
-    "repro.runtime.missing",  # unknown names are ignored, not errors
-)
-
 
 def total_weight_reference(weights):
     acc = 0.0

@@ -1,4 +1,4 @@
-"""The two concurrency rule families against known-good/known-bad fixtures.
+"""The concurrency rule against known-good/known-bad fixtures.
 
 Each fixture is a miniature project root; assertions pin the exact
 ``(rule, path, line)`` of every expected finding so a rule that drifts
@@ -8,7 +8,6 @@ Each fixture is a miniature project root; assertions pin the exact
 from tests.analysis.conftest import check_fixture, locations
 
 BAD_LOOP = "src/repro/service/loop.py"
-BAD_USE = "src/repro/runtime/use.py"
 
 
 class TestAsyncioBlocking:
@@ -40,23 +39,3 @@ class TestAsyncioBlocking:
         result = check_fixture("asyncio", "asyncio-blocking")
         assert not any("clean.py" in f.path for f in result.findings)
 
-
-class TestShmLifecycle:
-    def test_exact_findings(self):
-        result = check_fixture("shm_lifecycle", "shm-lifecycle")
-        assert locations(result.findings) == [
-            ("shm-lifecycle", BAD_USE, 13),  # close with live view
-            ("shm-lifecycle", BAD_USE, 19),  # pickling the arena
-            ("shm-lifecycle", BAD_USE, 24),  # worker returns shm object
-        ]
-
-    def test_messages_name_the_objects(self):
-        result = check_fixture("shm_lifecycle", "shm-lifecycle")
-        by_line = {f.line: f.message for f in result.findings}
-        assert "live view `view` (bound line 11)" in by_line[13]
-        assert "pickling shm object `arena`" in by_line[19]
-        assert "worker `_attach_worker` returns shm object" in by_line[24]
-
-    def test_privatize_and_del_are_clean(self):
-        result = check_fixture("shm_lifecycle", "shm-lifecycle")
-        assert not any("clean.py" in f.path for f in result.findings)

@@ -36,23 +36,9 @@ class TestFloatSum:
     def test_bad_module_exact_locations(self):
         result = check_fixture("float_sum", "float-sum")
         bad = "src/repro/partition/bad.py"
-        extra = "src/repro/runtime/shmlike.py"
         assert locations(result.findings) == [
             ("float-sum", bad, 7),  # builtin sum()
             ("float-sum", bad, 11),  # np.sum()
-            ("float-sum", extra, 6),  # declared-extra-module scope
-        ]
-
-    def test_declared_extra_modules_join_scope(self):
-        # shmlike.py shares no package with an oracle and defines no
-        # counterpart; only the oracle's
-        # _PARITY_EXTRA_COUNTERPART_MODULES declaration puts it in
-        # scope — and the unknown "repro.runtime.missing" entry in the
-        # same tuple is ignored rather than fatal.
-        result = check_fixture("float_sum", "float-sum")
-        extra = "src/repro/runtime/shmlike.py"
-        assert [f.path for f in result.findings if f.path == extra] == [
-            extra
         ]
 
     def test_fsum_int_and_method_calls_allowed(self):

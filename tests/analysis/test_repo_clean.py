@@ -16,7 +16,6 @@ EXPECTED_RULES = {
     "parallel-safety",
     "telemetry-span",
     "asyncio-blocking",
-    "shm-lifecycle",
 }
 
 

@@ -1,7 +1,7 @@
 """Mid-run link-cost changes: engine parity and validation.
 
 A ``link_changes`` schedule must leave the three execution modes
-(sequential, in-process LPs, forked LPs over shared memory) producing
+(sequential, in-process LPs, forked LPs synced over their pipes) producing
 *identical* traces — every change is applied at a window barrier, the
 same point in all engines — and the repaired tables must equal a fresh
 :func:`~repro.routing.spf.build_routing` on the mutated network.
@@ -108,19 +108,59 @@ def test_parallel_engines_trace_identical(sequential_run, processes):
     assert np.array_equal(kernel.tables.next_hop, oracle.next_hop)
 
 
-def test_forked_run_returns_private_tables(sequential_run):
-    """After the arena is torn down the returned tables must stay
-    readable (they are privatized before the segments unlink)."""
+def test_forked_run_tables_and_context_match_fresh_build_after_close():
+    """``run_kernel`` has closed the pool by the time it returns; the
+    tables and every context array it hands back must still be readable
+    and equal to what a fresh build on the mutated network produces."""
     net, tables, workload = _scenario()
     parts = np.arange(net.n_nodes, dtype=np.int64) % 3
+    schedule = _schedule(net)[:1]  # end the run on the changed latency
     _, kernel = run_kernel(
         net, tables, workload, seed=3, engine="parallel", parts=parts,
-        processes=True, link_changes=_schedule(net),
+        processes=True, link_changes=schedule,
     )
-    # Touch every repaired array — crashes, not failures, if still shared.
-    assert np.isfinite(kernel.tables.dist).any()
-    assert kernel.tables.next_hop.min() >= -1
-    assert kernel._ctx.link_lat.min() > 0
+    assert kernel._procs is None
+    fresh_tables = build_routing(kernel.net, cache=None)
+    fresh = EmulationKernel(kernel.net, fresh_tables)._ctx
+    assert np.array_equal(kernel.tables.dist, fresh_tables.dist)
+    assert np.array_equal(kernel.tables.next_hop, fresh_tables.next_hop)
+    for field in ("next_hop", "pair_keys", "pair_lids", "link_bw",
+                  "link_lat"):
+        assert np.array_equal(
+            getattr(kernel._ctx, field), getattr(fresh, field)
+        ), field
+    assert kernel._ctx.link_lat[5] == schedule[0][1].latency_s
+
+
+def test_forked_bandwidth_only_change_reaches_workers():
+    """A bandwidth move under the latency metric touches zero source rows
+    — the link arrays must reach the forked workers all the same (the
+    serialization spans, hence the trace, depend on them)."""
+    def scenario():
+        # Fresh per run: applying the schedule mutates the network.
+        net, tables, workload = _scenario()
+        batch = [
+            SetLinkCost(lid, bandwidth_bps=link.bandwidth_bps / 8)
+            for lid, link in enumerate(net.links)
+        ]
+        return net, tables, workload, [(0.3, batch)]
+
+    net, tables, workload, schedule = scenario()
+    seq_trace, seq_kernel = run_kernel(
+        net, tables, workload, seed=3, link_changes=schedule
+    )
+    assert seq_kernel.link_change_log == [(0.3, net.n_links, 0)]
+    net, tables, workload, _ = scenario()
+    plain, _ = run_kernel(net, tables, workload, seed=3)
+    assert not _traces_equal(seq_trace, plain)
+    net, tables, workload, schedule = scenario()
+    parts = np.arange(net.n_nodes, dtype=np.int64) % 3
+    trace, kernel = run_kernel(
+        net, tables, workload, seed=3, engine="parallel", parts=parts,
+        processes=True, link_changes=schedule,
+    )
+    assert _traces_equal(trace, seq_trace)
+    assert kernel.link_change_log == seq_kernel.link_change_log
 
 
 # --------------------------------------------------------------------- #

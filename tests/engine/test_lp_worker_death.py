@@ -3,7 +3,8 @@
 SIGKILL one forked LP at a window barrier (no segment in flight, the
 point where ``kernel.barrier_hooks`` run) and the parent must raise
 :class:`~repro.engine.lp.LPWorkerError` naming that LP — promptly, with
-no child process and no ``/dev/shm`` segment left behind.
+no child process left behind — whether the next thing the parent sends
+is a segment or a mid-run routing repair (the ``"ctx"`` command).
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ def _kill_victim_once(kernel):
 
 class _KillingWorkload:
     """Wraps a workload; installing it also arms the kill hook (the only
-    way to reach the kernel that :func:`run_kernel` builds itself)."""
+    way to reach the kernel that :func:`run_kernel` builds itself) —
+    ahead of the link-change hook ``run_kernel`` installed first, so at
+    the first barrier the worker dies and *then* the change fires."""
 
     def __init__(self, inner) -> None:
         self.inner = inner
@@ -59,13 +62,8 @@ class _KillingWorkload:
 
     def install(self, kernel, rng) -> None:
         self.kernel = kernel
-        kernel.barrier_hooks.append(_kill_victim_once(kernel))
+        kernel.barrier_hooks.insert(0, _kill_victim_once(kernel))
         self.inner.install(kernel, rng)
-
-
-def _own_shm_segments() -> list[str]:
-    prefix = f"massf-{os.getpid()}-"
-    return [n for n in os.listdir("/dev/shm") if n.startswith(prefix)]
 
 
 def test_killed_worker_raises_typed_error_and_close_reaps():
@@ -92,12 +90,24 @@ def test_killed_worker_raises_typed_error_and_close_reaps():
     assert not multiprocessing.active_children()
 
 
-def test_run_kernel_leaves_no_child_and_no_shm_segment():
+def test_dead_worker_surfaces_from_context_sync_and_leaves_no_child(
+    monkeypatch,
+):
     net, tables, wl, parts = _scenario()
     link = net.links[5]
-    schedule = [(0.5, SetLinkCost(5, latency_s=link.latency_s * 2))]
+    schedule = [(0.0, SetLinkCost(5, latency_s=link.latency_s * 2))]
     killing = _KillingWorkload(wl)
-    before = _own_shm_segments()
+    # Segments must not be what notices the death: any sent after the
+    # kill fails the test instead of raising LPWorkerError.
+    sent_after_kill = []
+    real_send = ParallelEmulationKernel._send
+
+    def send(self, lp, message):
+        if not self._procs[VICTIM].is_alive():
+            sent_after_kill.append(message[0])
+        real_send(self, lp, message)
+
+    monkeypatch.setattr(ParallelEmulationKernel, "_send", send)
     with pytest.raises(LPWorkerError) as err:
         run_kernel(
             net, tables, killing, seed=21, train_packets=4,
@@ -105,6 +115,6 @@ def test_run_kernel_leaves_no_child_and_no_shm_segment():
             link_changes=schedule,
         )
     assert err.value.lp == VICTIM
+    assert sent_after_kill and set(sent_after_kill) == {"ctx"}
     assert killing.kernel._procs is None  # closed by run_kernel
     assert not multiprocessing.active_children()
-    assert _own_shm_segments() == before

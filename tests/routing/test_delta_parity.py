@@ -28,7 +28,6 @@ from repro.routing.delta import (
 )
 from repro.routing.perf import RoutingStats
 from repro.routing.spf import build_routing
-from repro.runtime.shm import ShmArena
 from repro.topology import campus_network, synth_network, teragrid_network
 
 METRIC_NAMES = ("latency", "hops", "inv-bandwidth")
@@ -217,22 +216,6 @@ def test_blocked_recompute_matches_fresh():
         [LinkUp(8), SetLinkCost(3, latency_s=links[3].latency_s)],
     ], block_size=32)
     assert state.generation == 3
-
-
-def test_shm_backed_recompute_matches_fresh():
-    net = campus_network()
-    link = net.links[6]
-    with ShmArena() as arena:
-        state = routing_state(build_routing(net), arena=arena)
-        assert state.tables.dist is arena["dist"]
-        assert state.tables.next_hop is arena["next_hop"]
-        update_routing(
-            state, [SetLinkCost(6, latency_s=link.latency_s * 3)]
-        )
-        _assert_matches_fresh(state, "shm-backed")
-        # Splices landed in the shared segments, not private copies.
-        assert state.tables.dist is arena["dist"]
-        assert arena.generation == state.generation == 1
 
 
 def test_stats_accumulate_across_stream():

@@ -5,7 +5,8 @@ tolerant grid cells on a ``ProcessPoolExecutor``; ``engine/lp.py::
 _start_pool`` forks long-lived stateful LP shards that talk over pipes.
 They do different jobs, so they stay separate — and a third mechanism
 has to argue its way past this test (see DESIGN.md, "Two process
-crossings").
+crossings").  The pipes and the pool are also the only ways *data*
+crosses: no shared-memory segment backs any array.
 """
 
 import ast
@@ -47,3 +48,27 @@ def test_exactly_two_functions_start_processes():
         "runtime/executor.py::_run_pool",
         "engine/lp.py::_start_pool",
     }
+
+
+def test_nothing_imports_shared_memory():
+    """The LP pipes and the grid pool are the only cross-process data
+    paths; ``multiprocessing.shared_memory`` (and the ``resource_tracker``
+    patching it drags in) has to argue its way back like a third fork
+    site would."""
+    banned = ("shared_memory", "resource_tracker")
+    found: set[str] = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        rel = path.relative_to(SRC / "repro").as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if any(part in banned for name in names
+                   for part in name.split(".")):
+                found.add(f"{rel}:{node.lineno}")
+    assert found == set()

@@ -53,6 +53,29 @@ def test_apply_changes_delta_derives_from_warm_state(service):
     assert job.result["n_changes"] == 1
 
 
+def test_disk_tier_keeps_nothing_in_process_past_the_warm_budget(tmp_path):
+    """The warm LRU is the service's only memory tier: tables it evicts
+    must not live on in the artifact cache's in-process dict."""
+    from repro.runtime.cache import ArtifactCache
+
+    config = ServiceConfig(
+        workers=1, budget_bytes=1, cache=str(tmp_path / "cache")
+    )
+    with MappingService(config) as svc:
+        for seed in range(3):
+            topo = dict(TOPO, seed=seed)
+            assert run(svc, dict(MAP_REQUEST, topology=topo)).state is (
+                JobState.DONE
+            )
+        assert svc.disk.stats.by_kind["routing"]["misses"] == 3
+        assert len(svc.warm.keys("routing")) <= 1  # budget overflowed
+        assert not svc.disk._memory
+        assert list(svc.disk.root.glob("routing/*.pkl"))  # still on disk
+    # A caller-supplied cache is used as given.
+    own = ArtifactCache(tmp_path / "own")
+    assert MappingService(ServiceConfig(cache=own)).disk is own
+
+
 def test_failing_job_does_not_poison_warm_state(service):
     bad = dict(MAP_REQUEST, approach="bogus")
     failed = run(service, bad)

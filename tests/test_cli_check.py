@@ -107,7 +107,7 @@ def test_rule_filter_limits_the_run(dirty_root, capsys):
 def test_list_rules(capsys):
     assert massf(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert len(out.splitlines()) == 8
+    assert len(out.splitlines()) == 7
     for rule_id in (
         "unseeded-rng",
         "float-sum",
@@ -116,7 +116,6 @@ def test_list_rules(capsys):
         "parallel-safety",
         "telemetry-span",
         "asyncio-blocking",
-        "shm-lifecycle",
     ):
         assert rule_id in out
 
