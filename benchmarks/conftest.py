@@ -24,7 +24,7 @@ CAMPAIGN_SEED = 2
 @pytest.fixture(scope="session")
 def artifact_cache(tmp_path_factory) -> ArtifactCache:
     """Session-scoped disk cache: routing tables and emulation runs shared
-    across figure benchmarks (and across worker processes in prefetch)."""
+    across figure benchmarks."""
     return ArtifactCache(tmp_path_factory.mktemp("massf-cache"))
 
 

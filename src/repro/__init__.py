@@ -16,13 +16,13 @@ The package implements, from scratch:
   ScaLapack / GridNPB foreground application traffic models.
 - :mod:`repro.profiling` — NetFlow-like per-router flow profiling with dump
   files, used by PROFILE.
-- :mod:`repro.replay` — trace recording and causality-preserving replay
-  ("network emulation time in isolation").
 - :mod:`repro.core` — the paper's contribution: the TOP / PLACE / PROFILE
   mapping approaches, the multi-objective weight combination of §2.3 and the
   profile segment clustering of §3.3.
 - :mod:`repro.experiments` — end-to-end experiment harness regenerating every
-  table and figure of the evaluation section.
+  table and figure of the evaluation section; all four metrics, the
+  isolated network emulation ("replay") time of Figs. 9/10 included, are
+  scored off one evaluation run.
 
 - :mod:`repro.runtime` — the parallel experiment runtime: a process-pool
   grid executor and a content-addressed artifact cache.

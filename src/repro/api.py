@@ -48,9 +48,6 @@ __all__ = [
 #: Built-in topology names accepted by :func:`load_topology`.
 TOPOLOGIES = ("campus", "teragrid", "brite", "brite-large")
 
-#: Engine-node counts of the paper's Table 1 (and §4.2.3) setups.
-_DEFAULT_K = {"campus": 3, "teragrid": 5, "brite": 8, "brite-large": 20}
-
 
 def load_topology(source: str, **kwargs):
     """Build a virtual network.

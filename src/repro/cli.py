@@ -302,9 +302,6 @@ def _configure_sweep(parser: argparse.ArgumentParser) -> None:
                         help="per-cell soft timeout in seconds")
     parser.add_argument("--retries", type=int, default=1,
                         help="retries for crashed / timed-out cells")
-    parser.add_argument("--group", choices=("run", "cell"), default="run",
-                        help="task granularity: one task per (setup, seed) "
-                        "sharing the evaluation emulation, or one per cell")
     parser.add_argument("--cache-dir", default=None,
                         help="artifact cache directory (default: "
                         "$MASSF_CACHE_DIR or .massf-cache)")
@@ -338,8 +335,7 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
         args.cache_dir if args.cache_dir else "default"
     )
     runtime = RuntimeConfig(
-        workers=args.workers, timeout_s=args.timeout,
-        retries=args.retries, group=args.group,
+        workers=args.workers, timeout_s=args.timeout, retries=args.retries,
     )
     telemetry = None
     if args.stats:

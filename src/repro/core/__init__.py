@@ -34,5 +34,3 @@ __all__ = [
     "auto_memory_map",
     "AutoMemoryResult",
 ]
-
-APPROACHES = ("top", "place", "profile")

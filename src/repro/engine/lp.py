@@ -659,14 +659,6 @@ class ParallelEmulationKernel(EmulationKernel):
             self._chan_keys = keys[order]
         return self._chan_xadj, self._chan_keys
 
-    def node_state_bytes(self, nodes) -> int:
-        """Serialized migration payload size for ``nodes`` —
-        :data:`CHANNEL_STATE_BYTES` per owned (link, direction) channel."""
-        xadj, _ = self._channel_index()
-        nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
-        degrees = xadj[nodes + 1] - xadj[nodes]
-        return int(degrees.sum()) * CHANNEL_STATE_BYTES
-
     def _extract_channels(self, lp: int, keys: np.ndarray) -> np.ndarray:
         """Pull the exact busy floats for ``keys`` out of ``lp``, zeroing
         them there (a channel is non-zero in exactly one shard, which is

@@ -25,9 +25,15 @@ def next_flow_id() -> int:
 
 
 def reset_flow_ids() -> None:
-    """Reset the flow-id counter (tests / fresh experiment runs)."""
+    """Reset the flow-id counter (tests / fresh experiment runs).
+
+    :func:`~repro.engine.kernel.run_kernel` calls this before every run,
+    grid workers included: the reset happens in the process that then
+    creates the run's transfers, so flow ids depend on the run alone,
+    never on which tasks a worker ran before it.
+    """
     global _flow_counter
-    _flow_counter = itertools.count(1)
+    _flow_counter = itertools.count(1)  # massf: ignore[parallel-safety]
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 An :class:`EventTrace` stores one row per kernel event in parallel numpy
 arrays — virtual time, node, forwarding target, packet count, flow id — plus
-the realized transfers.  Mapping evaluation, profiling aggregation, replay,
-and the fine-grained load plots are all vectorized queries over these
-arrays.
+the realized transfers.  Mapping evaluation (isolated network emulation
+time included), profiling aggregation and the fine-grained load plots are
+all vectorized queries over these arrays.
 """
 
 from __future__ import annotations

@@ -83,29 +83,6 @@ class Campaign:
             )
         return self._cache[key]
 
-    def prefetch(self, apps=("scalapack", "gridnpb"), runtime=None) -> None:
-        """Warm the artifact cache for the standard figure matrix in
-        parallel.
-
-        Runs the (setup × app) grid through the parallel runtime so the
-        expensive emulations land in ``artifact_cache`` (which must be a
-        disk cache for worker processes to share it); subsequent
-        ``results_for`` calls then hit the cache.  Without an artifact
-        cache this is a no-op.
-        """
-        if self.artifact_cache is None or getattr(
-            self.artifact_cache, "root", None
-        ) is None:
-            return
-        from repro.runtime.executor import RuntimeConfig, run_grid
-
-        setups = [s for app in apps for s in self._setups(app)]
-        run_grid(
-            setups, (self.seed,), APPROACHES, config=self.config,
-            runtime=runtime or RuntimeConfig(),
-            cache=self.artifact_cache,
-        )
-
     def _setup_kwargs(self) -> dict:
         kwargs: dict = {"workload_kwargs": dict(self.workload_kwargs)}
         if self.intensity is not None:
@@ -155,14 +132,20 @@ class Campaign:
         return t
 
     def fig9_replay_scalapack(self) -> ExperimentTable:
-        """Figure 9: isolated network emulation time, ScaLapack replays."""
+        """Figure 9: isolated network emulation time, ScaLapack.
+
+        The paper replays the recorded traffic as fast as possible; here
+        that is the evaluation trace scored without compute demand
+        (``EmulationMetrics.wall_network``), which equals re-injecting the
+        recorded transfers into a fresh kernel."""
         t = self._matrix("scalapack", "network_emulation_time")
         t.title = "Figure 9. ScaLapack Isolated Network Emulation"
         t.unit = "s"
         return t
 
     def fig10_replay_gridnpb(self) -> ExperimentTable:
-        """Figure 10: isolated network emulation time, GridNPB replays."""
+        """Figure 10: isolated network emulation time, GridNPB (see
+        :meth:`fig9_replay_scalapack`)."""
         t = self._matrix("gridnpb", "network_emulation_time")
         t.title = "Figure 10. GridNPB Isolated Network Emulation"
         t.unit = "s"

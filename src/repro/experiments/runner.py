@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.mapper import Mapper, MapperConfig, MappingResult
 from repro.engine.costmodel import CostModel
-from repro.engine.kernel import EmulationKernel
+from repro.engine.kernel import run_kernel
 from repro.engine.parallel import EmulationMetrics, evaluate_mapping
 from repro.engine.trace import EventTrace
 from repro.experiments.setups import ExperimentSetup
@@ -29,7 +29,6 @@ from repro.experiments.workloads import Workload
 from repro.metrics.summary import ApproachOutcome
 from repro.profiling.aggregate import ProfileData
 from repro.profiling.netflow import NetFlowCollector
-from repro.replay.trace import TransferTrace
 from repro.routing.spf import build_routing
 from repro.routing.tables import RoutingTables
 
@@ -81,7 +80,6 @@ class EmulationRun:
     """One kernel execution's artifacts."""
 
     trace: EventTrace
-    transfers: TransferTrace
     profile: ProfileData | None
 
 
@@ -137,45 +135,19 @@ def run_emulation(
             NetFlowCollector(config.netflow_granularity)
             if collect_netflow else None
         )
-        if config.engine == "parallel" and not collect_netflow:
-            from repro.engine.lp import ParallelEmulationKernel
-
-            if parts is None:
-                raise ValueError(
-                    "engine='parallel' needs a parts array (one partition "
-                    "id per node); pass parts=mapping.parts, or use "
-                    "repro.api.emulate(engine='parallel', k=...) which "
-                    "derives one"
-                )
-            kernel = ParallelEmulationKernel(
-                net, tables, parts=parts,
-                train_packets=config.train_packets, telemetry=tel,
+        trace, _ = run_kernel(
+            net, tables, workload, seed=seed,
+            train_packets=config.train_packets, collector=collector,
+            telemetry=tel,
+            engine="sequential" if collect_netflow else config.engine,
+            parts=parts,
+        )
+        profile = None
+        if collector is not None:
+            profile = ProfileData.from_run(
+                collector, trace, net, interval=config.profile_interval,
             )
-        else:
-            kernel = EmulationKernel(
-                net, tables, train_packets=config.train_packets,
-                collector=collector, telemetry=tel,
-            )
-        try:
-            rng = np.random.default_rng(seed)
-            workload.install(kernel, rng)
-            trace = kernel.run(until=workload.duration)
-            profile = None
-            if collector is not None:
-                profile = ProfileData.from_run(
-                    collector, trace, net, interval=config.profile_interval,
-                )
-            return EmulationRun(
-                trace=trace,
-                transfers=TransferTrace.from_kernel(
-                    kernel, workload.duration
-                ),
-                profile=profile,
-            )
-        finally:
-            close = getattr(kernel, "close", None)
-            if close is not None:
-                close()
+        return EmulationRun(trace=trace, profile=profile)
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Seed sweeps: mean ± spread statistics over repeated experiments.
 
 The paper reports single runs; a reproduction should show its orderings are
-not seed luck.  :func:`sweep_setup` repeats ``evaluate_setup`` across seeds
+not seed luck.  :func:`sweep_setup` runs the (seed × approach) grid through
+:func:`repro.runtime.executor.run_grid` — serially in-process by default —
 and aggregates each §4.1.1 metric per approach; :func:`ordering_confidence`
 reports how often the expected ordering (TOP worst, PROFILE best) held.
 """
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.runner import RunnerConfig, evaluate_setup
+from repro.experiments.runner import RunnerConfig
 from repro.experiments.setups import ExperimentSetup
+from repro.runtime.executor import RuntimeConfig, run_grid
 
 __all__ = [
     "MetricStats",
@@ -74,55 +76,29 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def _aggregate(
-    setup_name: str,
-    seeds: tuple[int, ...],
-    approaches: tuple[str, ...],
-    outcome_of,
-) -> SweepResult:
-    """Build a :class:`SweepResult` from ``outcome_of(seed, approach)``."""
-    imbalance: dict[str, list[float]] = {a: [] for a in approaches}
-    app_time: dict[str, list[float]] = {a: [] for a in approaches}
-    net_time: dict[str, list[float]] = {a: [] for a in approaches}
-    for seed in seeds:
-        for name in approaches:
-            outcome = outcome_of(seed, name)
-            imbalance[name].append(outcome.load_imbalance)
-            app_time[name].append(outcome.app_emulation_time)
-            net_time[name].append(outcome.network_emulation_time)
-    return SweepResult(
-        setup_name=setup_name,
-        seeds=tuple(seeds),
-        imbalance={a: MetricStats.of(v) for a, v in imbalance.items()},
-        app_time={a: MetricStats.of(v) for a, v in app_time.items()},
-        network_time={a: MetricStats.of(v) for a, v in net_time.items()},
-    )
-
-
 def sweep_setup(
     setup: ExperimentSetup,
     seeds: tuple[int, ...] = (1, 2, 3),
     approaches: tuple[str, ...] = ("top", "place", "profile"),
     config: RunnerConfig | None = None,
     *,
-    runtime=None,
+    runtime: RuntimeConfig | None = None,
     cache=None,
     progress=None,
     telemetry=None,
 ) -> SweepResult:
-    """Run ``evaluate_setup`` once per seed and aggregate the metrics.
+    """Evaluate ``setup`` once per seed through :func:`run_grid` and
+    aggregate the metrics.
 
-    The default path runs the seeds serially in-process.  Passing a
-    ``runtime`` (:class:`repro.runtime.executor.RuntimeConfig`) fans the
+    ``runtime`` defaults to ``RuntimeConfig(workers=0)``: the seeds run
+    serially in this process.  A runtime with workers fans the
     (seed × approach) grid out over worker processes instead — results are
-    bit-for-bit identical to the serial path (deterministic per-cell
-    seeding).  ``cache`` shares routing tables and emulation runs across
-    cells and across repeated sweeps; ``progress`` is forwarded to the
-    grid executor.  ``telemetry``
-    (:class:`repro.obs.telemetry.Telemetry`) collects the sweep's phase
-    breakdown, per-cell records and load timelines; cell completions are
-    additionally mirrored into its ``progress`` event series live, so a
-    monitoring hook sees them as they happen.
+    bit-for-bit identical (deterministic per-cell seeding).  ``cache``
+    shares routing tables and emulation runs across cells and across
+    repeated sweeps; ``progress`` is forwarded to the grid executor.
+    ``telemetry`` (:class:`repro.obs.telemetry.Telemetry`) collects the
+    sweep's phase breakdown, its per-cell ``cells`` event series and load
+    timelines.  Raises ``RuntimeError`` if any cell failed.
     """
     from repro.obs.telemetry import ensure_telemetry
 
@@ -130,66 +106,13 @@ def sweep_setup(
     if not seeds:
         raise ValueError("need at least one seed")
     seeds = tuple(int(s) for s in seeds)
-    if tel.enabled:
-        user_progress = progress
-
-        def progress(cell, done, total):  # noqa: F811 - deliberate wrap
-            tel.event(
-                "progress", done=done, total=total,
-                setup=cell.setup_name, seed=cell.seed,
-                approach=cell.approach, ok=cell.ok,
-                duration_s=round(cell.duration_s, 6),
-            )
-            if user_progress is not None:
-                user_progress(cell, done, total)
-
-    if runtime is not None:
-        from repro.runtime.executor import run_grid
-
-        with tel.span("sweep"):
-            grid = run_grid(
-                setup, seeds, approaches, config=config, runtime=runtime,
-                cache=cache, progress=progress, telemetry=tel,
-            )
-            return sweep_result_from_grid(grid, setup, seeds, approaches)
-    results_by_seed = {}
     with tel.span("sweep"):
-        for seed in seeds:
-            results_by_seed[seed] = evaluate_setup(
-                setup, approaches=approaches, seed=seed, config=config,
-                cache=cache, telemetry=tel,
-            )
-            if progress is not None:
-                _emit_serial_progress(
-                    progress, setup, seed, seeds, approaches,
-                    results_by_seed[seed],
-                )
-    return _aggregate(
-        setup.describe(), seeds, tuple(approaches),
-        lambda seed, name: results_by_seed[seed][name].outcome,
-    )
-
-
-def _emit_serial_progress(
-    progress, setup, seed, seeds, approaches, results
-) -> None:
-    """Synthesize per-cell progress callbacks on the serial path.
-
-    The grid executor reports cells as workers finish; the serial path
-    previously reported nothing.  One :class:`CellResult`-shaped record
-    per approach keeps the callback signature identical on both paths.
-    """
-    from repro.runtime.executor import CellResult
-
-    seed_index = list(seeds).index(seed)
-    total = len(seeds) * len(approaches)
-    for i, name in enumerate(approaches):
-        cell = CellResult(
-            setup_name=setup.name, app_name=setup.app_name,
-            seed=seed, approach=name,
-            outcome=results[name].outcome,
+        grid = run_grid(
+            setup, seeds, approaches, config=config,
+            runtime=runtime or RuntimeConfig(workers=0), cache=cache,
+            progress=progress, telemetry=tel,
         )
-        progress(cell, seed_index * len(approaches) + i + 1, total)
+        return sweep_result_from_grid(grid, setup, seeds, approaches)
 
 
 def sweep_result_from_grid(
@@ -213,10 +136,22 @@ def sweep_result_from_grid(
         raise RuntimeError(
             f"{len(failures)} sweep cell(s) failed: {detail}"
         )
-    return _aggregate(
-        setup.describe(), tuple(int(s) for s in seeds), tuple(approaches),
-        lambda seed, name: grid.outcome(setup.name, seed, name),
-    )
+    seeds = tuple(int(s) for s in seeds)
+    metrics = {
+        metric: {
+            name: MetricStats.of([
+                getattr(grid.outcome(setup.name, seed, name), attr)
+                for seed in seeds
+            ])
+            for name in approaches
+        }
+        for metric, attr in (
+            ("imbalance", "load_imbalance"),
+            ("app_time", "app_emulation_time"),
+            ("network_time", "network_emulation_time"),
+        )
+    }
+    return SweepResult(setup_name=setup.describe(), seeds=seeds, **metrics)
 
 
 def ordering_confidence(

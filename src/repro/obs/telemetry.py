@@ -11,8 +11,8 @@ executor and the sweep — and records
   aggregated per path (count / total / min / max);
 - **counters** — monotonic totals (cache hits, retries, packets);
 - **gauges** — last-written values (lookahead, queue depth);
-- **events** — append-only rows per named series (per-cell completions,
-  live sweep progress);
+- **events** — append-only rows per named series (grid-cell completions,
+  rebalancer migrations);
 - **timelines** — per-engine-node load matrices binned by virtual time,
   the raw data behind the paper's Figure 2/8 plots.
 

@@ -50,9 +50,10 @@ def migration_state_bytes(net: Network, nodes) -> int:
 
     A node's migration state is its outgoing (link, direction) channel
     set — one entry per incident link — at
-    :data:`CHANNEL_STATE_BYTES` each.  Mirrors
-    :meth:`repro.engine.lp.ParallelEmulationKernel.node_state_bytes`
-    without needing a kernel (policies price candidate moves with this).
+    :data:`CHANNEL_STATE_BYTES` each — the payload
+    :meth:`repro.engine.lp.ParallelEmulationKernel.migrate_routers`
+    charges for the same nodes, priced without a kernel (policies price
+    candidate moves with this).
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
     return CHANNEL_STATE_BYTES * int(

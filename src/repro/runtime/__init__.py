@@ -8,10 +8,12 @@ system to optimize:
   workloads and configs, so artifacts can be content-addressed.
 - :mod:`repro.runtime.cache` — a content-addressed artifact cache (memory +
   disk) for routing tables, profiling runs and evaluation runs.
-- :mod:`repro.runtime.executor` — a process-pool grid executor with
-  deterministic per-cell seeding, per-cell error records (a crashed worker
-  never kills the sweep), a timeout/retry policy, and run observability
-  (per-cell timing, cache hit/miss counters, progress callbacks).
+- :mod:`repro.runtime.executor` — the grid executor every sweep runs
+  through: in-process (``workers=0``, the serial sweep) or on a process
+  pool, with deterministic per-cell seeding, per-cell error records (a
+  crashed worker never kills the sweep, an interrupt still stops it), a
+  timeout/retry policy for pool crashes, and run observability (per-cell
+  timing, cache hit/miss counters, progress callbacks).
 
 The grid executor is one of exactly two places work crosses a process
 boundary; the other is the LP command loop in :mod:`repro.engine.lp`.
@@ -21,7 +23,6 @@ from repro.runtime.cache import ArtifactCache, CacheStats, default_cache
 from repro.runtime.executor import (
     CellResult,
     GridResult,
-    GridStats,
     RuntimeConfig,
     run_grid,
 )
@@ -35,6 +36,5 @@ __all__ = [
     "RuntimeConfig",
     "CellResult",
     "GridResult",
-    "GridStats",
     "run_grid",
 ]

@@ -194,13 +194,6 @@ class ArtifactCache:
         self.store(kind, key, value)
         return value
 
-    # ------------------------------------------------------------------ #
-    def clear_memory(self) -> None:
-        """Drop the in-process tier (disk entries stay)."""
-        if self._memory is not None:
-            with self._mem_lock:
-                self._memory.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = str(self.root) if self.root else "memory-only"
         return f"<ArtifactCache {where} {self.stats.summary()}>"

@@ -14,10 +14,9 @@ executor fans cells out across cores with:
 - **observability** — per-cell wall timing, merged cache hit/miss
   counters, and a progress callback.
 
-Grouping: with ``group="run"`` (default) all approaches of one
-``(setup, seed)`` run in one task so they share the evaluation emulation
-in-process; ``group="cell"`` schedules every approach separately for
-maximum parallelism (worth it once the artifact cache is warm).
+One task evaluates every approach of one ``(setup, seed)``, so the
+approaches share the evaluation emulation in-process.  ``workers=0`` runs
+the tasks in the caller's process, one after another: the serial sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import traceback
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro.runtime.cache import ArtifactCache, CacheStats
@@ -37,7 +36,6 @@ from repro.runtime.cache import ArtifactCache, CacheStats
 __all__ = [
     "RuntimeConfig",
     "CellResult",
-    "GridStats",
     "GridResult",
     "run_grid",
 ]
@@ -58,21 +56,15 @@ class RuntimeConfig:
         processes (ignored when ``workers == 0``).
     retries:
         Additional attempts for a task whose worker crashed or timed out.
-        Deterministic in-task exceptions are *not* retried — they would
-        fail identically again.
-    group:
-        ``"run"`` (one task per ``(setup, seed)``, approaches share the
-        evaluation emulation) or ``"cell"`` (one task per approach).
+        Deterministic failures — in-task exceptions, a task that cannot
+        be pickled — are *not* retried: they would fail identically again.
     """
 
     workers: int | None = None
     timeout_s: float | None = None
     retries: int = 1
-    group: str = "run"
 
     def __post_init__(self) -> None:
-        if self.group not in ("run", "cell"):
-            raise ValueError("group must be 'run' or 'cell'")
         if self.workers is not None and self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.retries < 0:
@@ -99,33 +91,10 @@ class CellResult:
 
 
 @dataclass
-class GridStats:
-    """Run observability: timings, failures, cache behaviour."""
-
-    wall_s: float = 0.0
-    n_cells: int = 0
-    n_ok: int = 0
-    n_failed: int = 0
-    n_retries: int = 0
-    cell_seconds: float = 0.0
-    workers: int = 0
-    cache: CacheStats = field(default_factory=CacheStats)
-
-    def summary(self) -> str:
-        return (
-            f"{self.n_ok}/{self.n_cells} cells ok"
-            + (f" ({self.n_failed} failed)" if self.n_failed else "")
-            + f" in {self.wall_s:.1f}s wall / {self.cell_seconds:.1f}s cell "
-            f"time on {self.workers} workers; {self.cache.summary()}"
-        )
-
-
-@dataclass
 class GridResult:
     """All cell records of one grid execution, in grid order."""
 
     cells: list[CellResult]
-    stats: GridStats
 
     def ok(self) -> list[CellResult]:
         return [c for c in self.cells if c.ok]
@@ -154,7 +123,7 @@ class _TaskTimeout(Exception):
 @dataclass(frozen=True)
 class _Task:
     task_id: int
-    setup: object  # ExperimentSetup (network stripped for transport)
+    setup: object  # ExperimentSetup (network stripped for a worker)
     seed: int
     approaches: tuple[str, ...]
     config: object  # RunnerConfig | None
@@ -223,14 +192,25 @@ def _execute_task(
     task: _Task, cache: ArtifactCache | None = None,
     telemetry: Any = None,
 ) -> _TaskOutcome:
-    """Run one task; never raises (failures become error records)."""
+    """Run one task.  A failure becomes an error record; an interrupt or
+    exit (``KeyboardInterrupt``, ``SystemExit``) propagates.
+
+    ``cache`` / ``telemetry`` are the caller's live objects (the inline
+    path).  A worker task opens its own from ``cache_root`` /
+    ``collect_telemetry`` instead and reports their counters in the
+    outcome for the parent to merge.
+    """
     from repro.experiments.runner import evaluate_setup
     from repro.obs.telemetry import Telemetry
 
-    if cache is None and task.cache_root is not None:
-        cache = ArtifactCache(task.cache_root)
-    if telemetry is None and task.collect_telemetry:
-        telemetry = Telemetry()
+    own_cache = (
+        ArtifactCache(task.cache_root) if task.cache_root is not None else None
+    )
+    own_tel = Telemetry() if task.collect_telemetry else None
+    if own_cache is not None:
+        cache = own_cache
+    if own_tel is not None:
+        telemetry = own_tel
     pid = os.getpid()
     start = time.perf_counter()
 
@@ -261,7 +241,7 @@ def _execute_task(
             for name in task.approaches
         ]
         retryable = False
-    except BaseException as exc:  # noqa: BLE001 - error record, not crash
+    except Exception as exc:  # error record, not crash
         duration = time.perf_counter() - start
         tb = traceback.format_exc(limit=8)
         cells = [
@@ -280,17 +260,11 @@ def _execute_task(
     finally:
         _disarm_soft_timeout(old_handler, timer_armed)
 
-    # Report this task's counters; the parent merges them.  When the cache
-    # object is shared (inline mode) the parent reads the live object and
-    # discards this delta instead.
-    delta = cache.stats if cache is not None else CacheStats()
     return _TaskOutcome(
-        task_id=task.task_id, cells=cells, cache_stats=delta,
+        task_id=task.task_id, cells=cells,
+        cache_stats=own_cache.stats if own_cache is not None else CacheStats(),
         retryable=retryable,
-        telemetry=(
-            telemetry.to_dict()
-            if telemetry is not None and telemetry.enabled else None
-        ),
+        telemetry=own_tel.to_dict() if own_tel is not None else None,
     )
 
 
@@ -304,32 +278,30 @@ def _build_tasks(
     config: Any,
     cache_root: str | None,
     runtime: RuntimeConfig,
-    collect_telemetry: bool = False,
+    collect_telemetry: bool,
 ) -> list[_Task]:
+    """One task per ``(setup, seed)``; a task bound for a worker process
+    carries the cache root, timeout and telemetry flag, an inline one
+    leaves them to the caller's live objects."""
+    inline = runtime.workers == 0
     tasks: list[_Task] = []
     for setup in setups:
-        # Ship a copy without the cached Network: workers rebuild it
-        # deterministically from the factory, and the parent's instance
-        # may be large.
-        light = replace(setup, _network=None)
+        # Workers rebuild the network deterministically from the factory;
+        # stripping the cached instance keeps the pickled task small.
+        shipped = setup if inline else replace(setup, _network=None)
         for seed in seeds:
-            if runtime.group == "run":
-                groups: list[tuple[str, ...]] = [tuple(approaches)]
-            else:
-                groups = [(a,) for a in approaches]
-            for group in groups:
-                tasks.append(
-                    _Task(
-                        task_id=len(tasks),
-                        setup=light,
-                        seed=int(seed),
-                        approaches=group,
-                        config=config,
-                        cache_root=cache_root,
-                        timeout_s=runtime.timeout_s,
-                        collect_telemetry=collect_telemetry,
-                    )
+            tasks.append(
+                _Task(
+                    task_id=len(tasks),
+                    setup=shipped,
+                    seed=int(seed),
+                    approaches=approaches,
+                    config=config,
+                    cache_root=None if inline else cache_root,
+                    timeout_s=None if inline else runtime.timeout_s,
+                    collect_telemetry=collect_telemetry and not inline,
                 )
+            )
     return tasks
 
 
@@ -377,21 +349,24 @@ def run_grid(
         cells.
     runtime:
         :class:`RuntimeConfig`; defaults to auto-sized workers, no
-        timeout, one retry.
+        timeout, one retry.  ``workers=0`` evaluates the tasks in this
+        process, in grid order, with the caller's setups, cache and
+        collector (no timeout).
     cache:
         Artifact cache specification (see
         :func:`repro.runtime.cache.resolve_cache`).  Worker processes
-        share the *disk* tier; a memory-only cache only helps the
+        share the *disk* tier and their hit/miss counters merge into
+        this cache's ``stats``; a memory-only cache only helps the
         in-process path.
     progress:
         ``progress(cell_result, done_cells, total_cells)`` called as cells
         finish (in completion order).
     telemetry:
         Optional :class:`repro.obs.telemetry.Telemetry`.  When enabled,
-        every task runs with its own collector (worker processes included)
-        whose snapshot merges back here — phase spans, kernel counters and
-        per-cell load timelines from all workers land in one place — plus
-        the grid's own ``cells`` event series and executor counters.
+        every worker task runs with its own collector whose snapshot
+        merges back here — phase spans, kernel counters and per-cell load
+        timelines from all workers land in one place — plus the grid's own
+        ``cells`` event series and ``grid.*`` / ``cache.*`` counters.
 
     Returns
     -------
@@ -423,8 +398,7 @@ def run_grid(
         setups, seeds, approaches, config, cache_root, runtime,
         collect_telemetry=tel.enabled,
     )
-    total_cells = sum(len(t.approaches) for t in tasks)
-    stats = GridStats(n_cells=total_cells)
+    total_cells = len(tasks) * len(approaches)
     outcomes: dict[int, _TaskOutcome] = {}
     done_cells = 0
     start = time.perf_counter()
@@ -432,16 +406,12 @@ def run_grid(
     def _record(outcome: _TaskOutcome) -> None:
         nonlocal done_cells
         outcomes[outcome.task_id] = outcome
-        stats.cache.merge(outcome.cache_stats)
+        if cache_obj is not None:
+            cache_obj.stats.merge(outcome.cache_stats)
         if outcome.telemetry is not None:
             tel.merge(outcome.telemetry)
         for cell in outcome.cells:
             done_cells += 1
-            stats.cell_seconds += cell.duration_s
-            if cell.ok:
-                stats.n_ok += 1
-            else:
-                stats.n_failed += 1
             tel.event(
                 "cells",
                 setup=cell.setup_name, app=cell.app_name, seed=cell.seed,
@@ -454,58 +424,42 @@ def run_grid(
             if progress is not None:
                 progress(cell, done_cells, total_cells)
 
+    n_workers = runtime.workers
+    if n_workers is None:
+        n_workers = max(1, min(len(tasks), os.cpu_count() or 1))
     with tel.span("grid/run"):
-        if runtime.workers == 0:
-            stats.workers = 0
+        if n_workers == 0:
             for task in tasks:
-                # Inline mode uses the live cache object (memory tier
-                # included), the caller's live telemetry collector, and
-                # skips the SIGALRM timeout: we are in the caller's process.
-                inline = replace(task, timeout_s=None, cache_root=None,
-                                 collect_telemetry=False)
-                outcome = _execute_task(
-                    inline, cache=cache_obj,
+                _record(_execute_task(
+                    task, cache=cache_obj,
                     telemetry=tel if tel.enabled else None,
-                )
-                outcome.cache_stats = CacheStats()  # live in cache_obj
-                outcome.telemetry = None  # already in the live collector
-                _record(outcome)
-            if cache_obj is not None:
-                stats.cache = cache_obj.stats
+                ))
         else:
-            n_workers = runtime.workers
-            if n_workers is None:
-                n_workers = max(1, min(len(tasks), os.cpu_count() or 1))
-            stats.workers = n_workers
             _run_pool(tasks, n_workers, runtime, _record)
-            if cache_obj is not None:
-                # Parent-side counters (earlier use) + worker deltas.
-                cache_obj.stats.merge(stats.cache)
 
-    stats.wall_s = time.perf_counter() - start
-    stats.n_retries = sum(
-        max(0, max((c.attempts for c in o.cells), default=1) - 1)
-        for o in outcomes.values()
-    )
-    if tel.enabled:
-        tel.count("grid.cells", stats.n_cells)
-        tel.count("grid.cells_ok", stats.n_ok)
-        tel.count("grid.cells_failed", stats.n_failed)
-        tel.count("grid.retries", stats.n_retries)
-        tel.gauge("grid.workers", stats.workers)
-        tel.gauge("grid.wall_s", stats.wall_s)
-        tel.count("cache.hits", stats.cache.hits)
-        tel.count("cache.misses", stats.cache.misses)
-        tel.count("cache.stores", stats.cache.stores)
-        for kind, per in sorted(stats.cache.by_kind.items()):
-            tel.count(f"cache.{kind}.hits", per.get("hits", 0))
-            tel.count(f"cache.{kind}.misses", per.get("misses", 0))
     cells = [
         cell
         for task in tasks
         for cell in outcomes[task.task_id].cells
     ]
-    return GridResult(cells=cells, stats=stats)
+    if tel.enabled:
+        n_ok = sum(cell.ok for cell in cells)
+        tel.count("grid.cells", len(cells))
+        tel.count("grid.cells_ok", n_ok)
+        tel.count("grid.cells_failed", len(cells) - n_ok)
+        tel.count("grid.retries", sum(
+            o.cells[0].attempts - 1 for o in outcomes.values()
+        ))
+        tel.gauge("grid.workers", n_workers)
+        tel.gauge("grid.wall_s", time.perf_counter() - start)
+        cache_stats = cache_obj.stats if cache_obj is not None else CacheStats()
+        tel.count("cache.hits", cache_stats.hits)
+        tel.count("cache.misses", cache_stats.misses)
+        tel.count("cache.stores", cache_stats.stores)
+        for kind, per in sorted(cache_stats.by_kind.items()):
+            tel.count(f"cache.{kind}.hits", per.get("hits", 0))
+            tel.count(f"cache.{kind}.misses", per.get("misses", 0))
+    return GridResult(cells=cells)
 
 
 def _run_pool(
@@ -518,7 +472,10 @@ def _run_pool(
 
     A crashed worker breaks the whole ``ProcessPoolExecutor``; the loop
     records which tasks finished, rebuilds the pool, and resubmits the
-    rest (bounded by ``runtime.retries`` per task).
+    rest (bounded by ``runtime.retries`` per task).  Only a crash or a
+    soft timeout is retried: any other exception out of a future (a task
+    that cannot be pickled, say) is deterministic and becomes an error
+    record on its first attempt.
     """
     import multiprocessing
 
@@ -542,7 +499,7 @@ def _run_pool(
                 attempts[task.task_id] += 1
                 try:
                     futures[pool.submit(_execute_task, task)] = task.task_id
-                except BaseException as exc:  # unpicklable payload etc.
+                except Exception as exc:
                     record(
                         _error_outcome(
                             task,
@@ -560,8 +517,11 @@ def _run_pool(
                     except BrokenProcessPool:
                         crashed.append(task_id)
                         continue
-                    except BaseException as exc:  # noqa: BLE001
-                        crashed.append(task_id)
+                    except Exception as exc:
+                        record(_error_outcome(
+                            by_id[task_id], f"{type(exc).__name__}: {exc}",
+                            attempts[task_id],
+                        ))
                         continue
                     for cell in outcome.cells:
                         cell.attempts = attempts[task_id]

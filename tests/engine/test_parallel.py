@@ -9,6 +9,7 @@ from repro.engine.kernel import EmulationKernel
 from repro.engine.packet import Transfer
 from repro.engine.parallel import evaluate_mapping, lookahead_of
 from repro.engine.trace import TraceRecorder
+from repro.traffic.http import HttpTraffic
 
 
 def run_tiny(tiny_routed, n_transfers=40, seed=0):
@@ -102,6 +103,30 @@ def test_balanced_mapping_beats_skewed(tiny_routed):
     m_nat = evaluate_mapping(trace, net, natural)
     m_skew = evaluate_mapping(trace, net, skewed)
     assert m_nat.load_imbalance < m_skew.load_imbalance
+
+
+def test_replay_reproduces_event_trace(tiny_routed, rng):
+    """Figs. 9/10's isolated network emulation time is the evaluation trace
+    scored without compute: injecting the recorded transfers open loop into
+    a fresh kernel (the paper's as-fast-as-possible replay) scores the same."""
+    net, tables = tiny_routed
+    kern = EmulationKernel(net, tables, train_packets=8)
+    HttpTraffic(request_size=30e3, think_time=2.0, n_servers=1,
+                clients_per_server=2, duration=24.0).install(kern, rng)
+    original = kern.run(until=30.0)
+    log = sorted(kern.transfer_log)
+    fresh = EmulationKernel(net, tables, train_packets=8)
+    fresh.submit_transfers(
+        [Transfer(src=s, dst=d, nbytes=b, flow_id=f, tag=tag)
+         for _, s, d, b, f, tag in log],
+        [row[0] for row in log],
+    )
+    parts = (np.arange(net.n_nodes) % 2).astype(np.int64)
+    direct = evaluate_mapping(original, net, parts, compute=None)
+    replayed = evaluate_mapping(fresh.run(until=30.0), net, parts, compute=None)
+    assert replayed.total_packets == direct.total_packets > 0
+    assert np.allclose(replayed.loads, direct.loads)
+    assert replayed.wall_network == pytest.approx(direct.wall_network, rel=1e-9)
 
 
 def test_compute_profile_serializes_when_dominant(tiny_routed):

@@ -170,16 +170,18 @@ def test_repeat_parallel_sweep_hits_cache(tmp_path):
     cold_cache = ArtifactCache(tmp_path)
     cold = run_grid(setup, seeds, ("top", "profile"),
                     runtime=RuntimeConfig(workers=2), cache=cold_cache)
-    assert cold.stats.n_failed == 0
+    assert not cold.failures()
 
     warm_cache = ArtifactCache(tmp_path)
     warm = run_grid(setup, seeds, ("top", "profile"),
                     runtime=RuntimeConfig(workers=2), cache=warm_cache)
-    assert warm.stats.n_failed == 0
-    total = warm.stats.cache.hits + warm.stats.cache.misses
+    assert not warm.failures()
+    # Worker processes' counters merge into the caller's cache.
+    total = warm_cache.stats.hits + warm_cache.stats.misses
     assert total > 0
-    assert warm.stats.cache.hits / total >= 0.9
-    assert warm.stats.cell_seconds < cold.stats.cell_seconds
+    assert warm_cache.stats.hits / total >= 0.9
+    assert (sum(c.duration_s for c in warm.cells)
+            < sum(c.duration_s for c in cold.cells))
 
     for seed in seeds:
         for name in ("top", "profile"):

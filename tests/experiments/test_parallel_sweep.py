@@ -58,8 +58,8 @@ def test_parallel_grid_matches_serial(serial_reference):
         setup, SEEDS, APPROACHES,
         runtime=RuntimeConfig(workers=min(4, os.cpu_count() or 1)),
     )
-    assert grid.stats.n_failed == 0
-    assert grid.stats.n_ok == len(SEEDS) * len(APPROACHES)
+    assert not grid.failures()
+    assert len(grid.ok()) == len(SEEDS) * len(APPROACHES)
     for seed in SEEDS:
         for name in APPROACHES:
             ours = grid.outcome(setup.name, seed, name)
@@ -68,25 +68,11 @@ def test_parallel_grid_matches_serial(serial_reference):
             assert stable_hash(ours) == stable_hash(ref)
 
 
-def test_cell_grouping_matches_serial(serial_reference):
-    setup, serial = serial_reference
-    grid = run_grid(
-        setup, SEEDS[:2], APPROACHES,
-        runtime=RuntimeConfig(workers=2, group="cell"),
-    )
-    for seed in SEEDS[:2]:
-        for name in APPROACHES:
-            assert outcomes_identical(
-                grid.outcome(setup.name, seed, name),
-                serial[seed][name].outcome,
-            ), (seed, name)
-
-
 def test_inline_grid_matches_serial(serial_reference):
     setup, serial = serial_reference
     grid = run_grid(setup, SEEDS[:2], APPROACHES,
                     runtime=RuntimeConfig(workers=0))
-    assert grid.stats.workers == 0
+    assert {cell.worker_pid for cell in grid.cells} == {os.getpid()}
     for seed in SEEDS[:2]:
         for name in APPROACHES:
             assert outcomes_identical(
@@ -140,7 +126,7 @@ def test_cell_exception_becomes_error_record():
         bad_factory_setup(_exploding_network), (1, 2), ("top",),
         runtime=RuntimeConfig(workers=2),
     )
-    assert grid.stats.n_failed == 2 and grid.stats.n_ok == 0
+    assert len(grid.failures()) == 2 and not grid.ok()
     for cell in grid.cells:
         assert not cell.ok
         assert "boom: factory failed" in cell.error
@@ -173,6 +159,36 @@ def test_crash_does_not_poison_healthy_cells():
                               ref["top"].outcome)
 
 
+def test_unpicklable_task_is_an_error_not_a_crash():
+    """A task that cannot be sent to a worker fails the same way every
+    time: an error record naming the pickling error, never retried."""
+    grid = run_grid(
+        bad_factory_setup(lambda: None), (1,), ("top",),
+        runtime=RuntimeConfig(workers=1, retries=1),
+    )
+    (cell,) = grid.cells
+    assert "pickle" in cell.error.lower()
+    assert cell.attempts == 1
+
+
+def test_interrupt_stops_inline_grid():
+    """Ctrl-C in a serial sweep reaches the caller: no cell after the
+    interrupted one is evaluated."""
+    calls = []
+
+    def interrupted():
+        calls.append(1)
+        raise KeyboardInterrupt
+
+    setups = [
+        dataclasses.replace(bad_factory_setup(interrupted), name=f"s{i}")
+        for i in range(3)
+    ]
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(setups, (1,), ("top",), runtime=RuntimeConfig(workers=0))
+    assert len(calls) == 1
+
+
 def test_timeout_produces_error_record():
     setup = campus_setup("scalapack")  # full-size workload: slow enough
     grid = run_grid(
@@ -193,8 +209,6 @@ def test_sweep_raises_on_failed_cells():
 
 
 def test_runtime_config_validates():
-    with pytest.raises(ValueError):
-        RuntimeConfig(group="bogus")
     with pytest.raises(ValueError):
         RuntimeConfig(workers=-1)
     with pytest.raises(ValueError):
