@@ -71,8 +71,7 @@ class EventQueue:
 # --------------------------------------------------------------------- #
 #: Parallel array fields of one train-event batch, in push order.
 _BATCH_FIELDS = (
-    "time", "seq", "node", "dst", "count", "nbytes", "flow", "last",
-    "hook", "train",
+    "time", "seq", "node", "dst", "count", "nbytes", "flow", "last", "train",
 )
 
 
@@ -80,11 +79,11 @@ _BATCH_FIELDS = (
 class EventBatch:
     """A group of train events as parallel arrays.
 
-    ``time``/``nbytes`` are float64; ``last``/``hook`` are bool; every
-    other field is int64.  ``hook`` marks trains whose transfer carries
-    an ``on_delivery`` callback, and ``train`` is then that transfer's
-    index in the kernel's hooked-transfer list (-1 otherwise); ``seq`` is
-    the global tie-break sequence shared with the control-event heap.
+    ``time``/``nbytes`` are float64; ``last`` is bool; every other field
+    is int64.  ``train`` is the index of the train's transfer in the
+    kernel's hooked-transfer list when that transfer carries an
+    ``on_delivery`` callback, -1 otherwise; ``seq`` is the global
+    tie-break sequence shared with the control-event heap.
     """
 
     time: np.ndarray
@@ -95,23 +94,22 @@ class EventBatch:
     nbytes: np.ndarray
     flow: np.ndarray
     last: np.ndarray
-    hook: np.ndarray
     train: np.ndarray
 
     def __len__(self) -> int:
         return len(self.time)
 
+    # Spelled out: per-chunk hot path, where a generic loop costs more.
     def arrays(self) -> tuple[np.ndarray, ...]:
         return (self.time, self.seq, self.node, self.dst, self.count,
-                self.nbytes, self.flow, self.last, self.hook, self.train)
+                self.nbytes, self.flow, self.last, self.train)
 
     def take(self, index) -> "EventBatch":
         """New batch of the rows selected by ``index`` (slice or array)."""
         return EventBatch(
             self.time[index], self.seq[index], self.node[index],
             self.dst[index], self.count[index], self.nbytes[index],
-            self.flow[index], self.last[index], self.hook[index],
-            self.train[index],
+            self.flow[index], self.last[index], self.train[index],
         )
 
     def sorted_by_key(self) -> "EventBatch":
@@ -123,18 +121,10 @@ class EventBatch:
     def concatenate(batches: list["EventBatch"]) -> "EventBatch":
         if len(batches) == 1:
             return batches[0]
-        return EventBatch(
-            np.concatenate([b.time for b in batches]),
-            np.concatenate([b.seq for b in batches]),
-            np.concatenate([b.node for b in batches]),
-            np.concatenate([b.dst for b in batches]),
-            np.concatenate([b.count for b in batches]),
-            np.concatenate([b.nbytes for b in batches]),
-            np.concatenate([b.flow for b in batches]),
-            np.concatenate([b.last for b in batches]),
-            np.concatenate([b.hook for b in batches]),
-            np.concatenate([b.train for b in batches]),
-        )
+        return EventBatch(*(
+            np.concatenate(cols)
+            for cols in zip(*(b.arrays() for b in batches))
+        ))
 
 
 def merge_newer(rem: EventBatch, inj: EventBatch) -> EventBatch:
@@ -171,18 +161,23 @@ class BatchEventQueue:
 
     Events land in bucket ``floor(time / window_s)``; the kernel drains the
     minimum occupied bucket, sorted by ``(time, seq)``, one conservative
-    window at a time.  Pushes append chunks; sorting is deferred to
-    :meth:`pop_bucket` so the common path (push a segment's successors,
-    pop the next window) costs one lexsort per window.
+    window at a time.  Pushes append whole batches; bucketing is deferred
+    to the first window read (:meth:`min_bucket` / :meth:`has_bucket` /
+    :meth:`pop_bucket`) and sorting to :meth:`pop_bucket`, so the common
+    path (push a segment's successors, pop the next window) costs one
+    lexsort per window — and a run that hands its events over with
+    :meth:`pop_all` never buckets at all.
     """
 
     def __init__(self, window_s: float) -> None:
         if not window_s > 0:
             raise ValueError("window_s must be positive")
         self.window_s = float(window_s)
+        # Pushed batches not yet bucketed.
+        self._pushed: list[EventBatch] = []
         # bucket -> list of (batch, start, end) row ranges.  Ranges stay
-        # views into the pushed batches until the bucket is popped, so a
-        # push costs one bucket sort — no per-bucket array copies.
+        # views into the pushed batches until the bucket is popped, so
+        # bucketing costs one sort per batch — no per-bucket array copies.
         self._chunks: dict[int, list[tuple[EventBatch, int, int]]] = {}
         self._heap: list[int] = []
         self._pending = 0
@@ -195,6 +190,7 @@ class BatchEventQueue:
 
     def has_bucket(self, bucket: int) -> bool:
         """Whether any pending event currently lands in ``bucket``."""
+        self._bucket_pushed()
         return bucket in self._chunks
 
     def push_batch(self, batch: EventBatch) -> None:
@@ -204,10 +200,14 @@ class BatchEventQueue:
             return
         if float(batch.time.min()) < 0:
             raise ValueError("cannot schedule before time 0")
-        buckets = np.floor_divide(batch.time, self.window_s).astype(np.int64)
-        if n == 1 or (buckets == buckets[0]).all():
-            self._add_chunk(int(buckets[0]), batch, 0, n)
-        else:
+        self._pushed.append(batch)
+        self._pending += n
+
+    def _bucket_pushed(self) -> None:
+        for batch in self._pushed:
+            n = len(batch)
+            buckets = np.floor_divide(
+                batch.time, self.window_s).astype(np.int64)
             # One stable sort groups each bucket's rows contiguously.
             order = np.argsort(buckets, kind="stable")
             sorted_batch = batch.take(order)
@@ -217,7 +217,18 @@ class BatchEventQueue:
             for end in list(edges) + [n]:
                 self._add_chunk(int(bs[start]), sorted_batch, start, end)
                 start = end
-        self._pending += n
+        self._pushed = []
+
+    def pop_all(self) -> list[EventBatch]:
+        """Remove and return every pending event, unsorted, as one batch
+        per pushed batch (bucketed rows come back as their ranges)."""
+        out = self._pushed + [
+            b.take(slice(s, e))
+            for chunks in self._chunks.values() for b, s, e in chunks
+        ]
+        self._pushed, self._chunks, self._heap = [], {}, []
+        self._pending = 0
+        return out
 
     def _add_chunk(
         self, key: int, batch: EventBatch, start: int, end: int
@@ -231,33 +242,21 @@ class BatchEventQueue:
 
     def min_bucket(self) -> int | None:
         """Lowest occupied bucket id, or None when empty."""
+        self._bucket_pushed()
         while self._heap and self._heap[0] not in self._chunks:
             heapq.heappop(self._heap)  # stale entry (already drained)
         return self._heap[0] if self._heap else None
 
     def pop_bucket(self, bucket: int) -> EventBatch | None:
         """Remove and return bucket ``bucket`` sorted by ``(time, seq)``."""
+        self._bucket_pushed()
         chunks = self._chunks.pop(bucket, None)
         if chunks is None:
             return None
-        if len(chunks) == 1:
-            batch, start, end = chunks[0]
-            merged = batch if start == 0 and end == len(batch) else (
-                batch.take(slice(start, end))
-            )
-        else:
-            merged = EventBatch(
-                np.concatenate([b.time[s:e] for b, s, e in chunks]),
-                np.concatenate([b.seq[s:e] for b, s, e in chunks]),
-                np.concatenate([b.node[s:e] for b, s, e in chunks]),
-                np.concatenate([b.dst[s:e] for b, s, e in chunks]),
-                np.concatenate([b.count[s:e] for b, s, e in chunks]),
-                np.concatenate([b.nbytes[s:e] for b, s, e in chunks]),
-                np.concatenate([b.flow[s:e] for b, s, e in chunks]),
-                np.concatenate([b.last[s:e] for b, s, e in chunks]),
-                np.concatenate([b.hook[s:e] for b, s, e in chunks]),
-                np.concatenate([b.train[s:e] for b, s, e in chunks]),
-            )
-        merged = merged.sorted_by_key()
+        ranges = [(b.arrays(), s, e) for b, s, e in chunks]
+        merged = EventBatch(*(
+            np.concatenate([cols[i][s:e] for cols, s, e in ranges])
+            for i in range(len(_BATCH_FIELDS))
+        )).sorted_by_key()
         self._pending -= len(merged)
         return merged

@@ -7,23 +7,29 @@ fire closed-loop callbacks.  Every executed event is recorded into an
 :class:`~repro.engine.trace.EventTrace` (one row per train-at-node, packet
 counts preserved), which downstream code scores under any partition.
 
-Unlike the original per-event heap kernel (preserved verbatim as
-:class:`repro.engine._reference.ReferenceKernel`, the parity oracle), the
-hot path here is *batched*: train events live in a struct-of-arrays
-calendar (:class:`~repro.engine.eventq.BatchEventQueue`) bucketed by the
-conservative lookahead window (:func:`~repro.engine.sync.conservative_window`
-— the minimum link latency, so no event can schedule a successor inside its
-own window), and whole windows are popped and processed as sorted numpy
-arrays.  Only the order-coupled parts fall back to python loops: control
-callbacks, delivery hooks (the only events that reach a python object —
-``_hooked`` holds each hooked :class:`Transfer` once and nothing else),
-multi-event FIFO groups on one (link, direction), RED admission, and
-NetFlow collection.
+Injection is batched into a struct-of-arrays calendar
+(:class:`~repro.engine.eventq.BatchEventQueue`); only delivery hooks reach a
+python object (``_hooked`` holds each hooked :class:`Transfer` once).
+:meth:`EmulationKernel.run` then picks one of two drains per run:
 
-The produced traces are **bit-identical** to the reference kernel's — same
-:class:`~repro.engine.trace.EventTrace` arrays byte for byte, same semantic
+- the **window drain** pops whole conservative lookahead windows
+  (:func:`~repro.engine.sync.conservative_window`, the minimum link latency)
+  and processes them as sorted numpy arrays.  It keeps dense runs, the LP
+  engine, and any kernel with ``barrier_hooks`` or ``segment_observers``
+  (mid-run link changes and the rebalancer act at window barriers);
+- the **per-event drain** runs one ``heapq`` of ``(time, seq, ...)`` tuples
+  (the calendar's rows beside the control entries) through the reference
+  kernel's ``_arrive``.  It takes order-coupled runs (a NetFlow collector or
+  a non-DropTail queue) and sparse ones: fewer train rows due by the horizon
+  per window than :data:`_PER_EVENT_DENSITY`, counted at the start of the
+  run (traffic generated mid-run counts as zero).
+
+Under either drain the traces are **bit-identical** to the reference heap
+kernel's (:class:`repro.engine._reference.ReferenceKernel`, the parity
+oracle): same :class:`~repro.engine.trace.EventTrace` bytes, same semantic
 :class:`~repro.engine.perf.KernelStats`, same per-link accounting arrays.
-Three facts make that work:
+The per-event drain is the oracle's order by construction; for the window
+drain three facts make it work:
 
 - rows enter the recorder in execution order and ``finish()`` sorts stably
   by time, so equal-time rows keep pop order;
@@ -52,6 +58,7 @@ class.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Callable
 
 import numpy as np
@@ -72,6 +79,10 @@ __all__ = ["EmulationKernel", "KernelStats", "run_kernel"]
 #: split in :meth:`EmulationKernel.submit_transfers` relies on.
 _MAX_NBYTES = 2.0 ** 53
 
+#: Train rows due per conservative window below which a run drains per
+#: event (measured crossover, DESIGN.md §6 "Two drains").
+_PER_EVENT_DENSITY = 5.0
+
 
 class EmulationKernel:
     """One emulation run over a routed network (batched sequential engine).
@@ -86,7 +97,7 @@ class EmulationKernel:
         Optional NetFlow-like collector with a ``record(time, router,
         out_link, src, dst, flow, count, nbytes)`` method, invoked at every
         router hop (see :mod:`repro.profiling.netflow`).  Forces the
-        ordered per-event path (collection order is part of its contract).
+        per-event drain (collection order is part of its contract).
     queue_limit_s:
         Drop-tail horizon: a train is dropped when the link backlog it would
         join exceeds this many seconds of transmission (None = no drops).
@@ -94,13 +105,14 @@ class EmulationKernel:
     queue:
         Explicit queue discipline (e.g. :class:`repro.engine.queues.RED`);
         takes precedence over ``queue_limit_s``.  Anything other than a
-        plain :class:`~repro.engine.queues.DropTail` forces the ordered
-        per-event path (RED admission consumes an RNG in arrival order).
+        plain :class:`~repro.engine.queues.DropTail` forces the per-event
+        drain (RED admission consumes an RNG in arrival order).
     telemetry:
         Optional :class:`repro.obs.telemetry.Telemetry`; :meth:`run`
-        records a ``kernel/run`` span plus aggregate event / packet / drop
-        counters and queue-depth gauges.  Nothing is recorded per event —
-        the hot loop stays untouched.
+        records a ``kernel/run`` span and a ``kernel/run`` event row (the
+        drain that ran and the density it was chosen on) plus aggregate
+        event / packet / drop counters and queue-depth gauges.  Nothing is
+        recorded per event — the hot loop stays untouched.
 
     All options are keyword-only.
     """
@@ -130,7 +142,7 @@ class EmulationKernel:
         if queue is None and queue_limit_s is not None:
             queue = DropTail(queue_limit_s)
         self.queue_disc = queue
-        # Order-coupled state forces the per-event path for whole segments.
+        # Order-coupled state forces the per-event drain.
         self._ordered = self.collector is not None or (
             self.queue_disc is not None
             and type(self.queue_disc) is not DropTail
@@ -141,7 +153,8 @@ class EmulationKernel:
 
         self.window_s = conservative_window(net)
         self.calendar = BatchEventQueue(self.window_s)
-        self._ctrl: list[tuple[float, int, Callable, tuple]] = []
+        # (time, seq, callback, args) heap; the per-event drain adds trains.
+        self._ctrl: list[tuple] = []
         self._seq = 0
         self._events = 0
         # Transfers submitted with a delivery hook, one entry each (indexed
@@ -161,11 +174,13 @@ class EmulationKernel:
         #: bucket pops) — the only points where cross-window state such as
         #: the LP engine's channel ownership may change mid-run.  The
         #: online rebalancer (:mod:`repro.rebalance`) and forced migration
-        #: schedules install themselves here.
+        #: schedules install themselves here.  Any hook keeps a run on the
+        #: window drain, except on an order-coupled kernel, which has no
+        #: barriers and never calls them.
         self.barrier_hooks: list[Callable[[float], None]] = []
         #: Observers ``observe(seg, next_col)`` of every vectorized
-        #: dispatched segment (load monitoring; never called on the
-        #: ordered per-event path).
+        #: dispatched segment (load monitoring; any observer keeps a run on
+        #: the window drain).
         self.segment_observers: list[Callable[[EventBatch, np.ndarray],
                                               None]] = []
 
@@ -203,8 +218,11 @@ class EmulationKernel:
 
     def schedule(self, time: float, callback: Callable, *args) -> None:
         """Run ``callback(kernel, time, *args)`` at virtual ``time``."""
-        if time < 0:
-            raise ValueError("cannot schedule before time 0")
+        if not 0 <= time < math.inf:
+            raise ValueError(
+                f"cannot schedule a callback at time={time!r}: times must "
+                f"be finite and not before time 0"
+            )
         heapq.heappush(self._ctrl, (time, self._next_seq(), callback, args))
 
     def submit_transfer(self, transfer: Transfer, time: float) -> None:
@@ -239,6 +257,11 @@ class EmulationKernel:
                 f"transfer src == dst == {transfer.src}; a transfer must "
                 f"cross the network — pick two distinct hosts"
             )
+        if not math.isfinite(time):
+            return ValueError(
+                f"transfer {transfer.src} -> {transfer.dst} submitted at "
+                f"time={time!r}; submission times must be finite"
+            )
         if time < self.now:
             return ValueError("cannot submit a transfer in the past")
         # The reference kernel counts a submission before it looks up the
@@ -271,7 +294,7 @@ class EmulationKernel:
         hop = self.tables.next_hop[src, dst].astype(np.int64)
         bad = (
             ~((nbf > 0) & (nbf < _MAX_NBYTES)) | (src == dst)
-            | (t_arr < self.now) | (hop < 0)
+            | ~(np.isfinite(t_arr) & (t_arr >= self.now)) | (hop < 0)
         )
         if bad.any():
             i = int(np.argmax(bad))
@@ -350,20 +373,16 @@ class EmulationKernel:
             nbytes=tnb,
             flow=flow[tidx],
             last=is_last,
-            hook=hooked[tidx],
             train=hook_idx[tidx],
         ))
 
     # ------------------------------------------------------------------ #
-    # Batched dispatch
+    # Window drain: batched dispatch
     # ------------------------------------------------------------------ #
     def _dispatch(self, batch: EventBatch, start: int, end: int) -> None:
         """Execute events ``batch[start:end]`` (already in (time, seq)
         order, no control event or delivery hook strictly inside)."""
         self._events += end - start
-        if self._ordered:
-            self._dispatch_ordered(batch, start, end)
-            return
         seg = batch.take(slice(start, end))
         next_col, span_col, succ_pos, succ_time = self._process_segment(seg)
         self.recorder.record_batch(
@@ -388,7 +407,6 @@ class EmulationKernel:
                 nbytes=seg.nbytes[succ_pos],
                 flow=seg.flow[succ_pos],
                 last=seg.last[succ_pos],
-                hook=seg.hook[succ_pos],
                 train=seg.train[succ_pos],
             ))
 
@@ -412,81 +430,8 @@ class EmulationKernel:
         if res.trains_dropped and self.queue_disc is not None:
             self.queue_disc.drops += res.trains_dropped
 
-    def _dispatch_ordered(self, batch: EventBatch, start: int, end: int) -> None:
-        """Per-event fallback replicating the reference kernel's
-        ``_arrive`` exactly (RED admission / NetFlow collection are coupled
-        to arrival order across the whole network)."""
-        rec = self.recorder
-        st = self.stats
-        s_idx: list[int] = []
-        s_nxt: list[int] = []
-        s_time: list[float] = []
-        s_seq: list[int] = []
-        for i in range(start, end):
-            time = float(batch.time[i])
-            node = int(batch.node[i])
-            dst = int(batch.dst[i])
-            count = int(batch.count[i])
-            flow = int(batch.flow[i])
-            if node == dst:
-                rec.record(time, node, DELIVERED, count, flow)
-                st.packets_delivered += count
-                if batch.last[i]:
-                    st.transfers_delivered += 1
-                continue
-            nbytes = float(batch.nbytes[i])
-            nxt = self.tables.hop(node, dst)
-            if nxt < 0:
-                raise RuntimeError(f"no route from {node} to {dst}")
-            link = self.tables.link_between(node, nxt)
-            direction = 0 if node == link.u else 1
-            backlog = self._busy[link.link_id, direction] - time
-            if self.queue_disc is not None and not self.queue_disc.admit(
-                link.link_id, direction, max(backlog, 0.0)
-            ):
-                # Dropped: record the processing work, forward nothing.
-                rec.record(time, node, DELIVERED, count, flow)
-                st.trains_dropped += 1
-                continue
-            rec.record(
-                time, node, nxt, count, flow, span=link.tx_time(nbytes)
-            )
-            st.trains_forwarded += 1
-            if self._is_router[node] and self.collector is not None:
-                self.collector.record(
-                    time, node, link.link_id, self._flow_src[flow], dst,
-                    flow, count, nbytes,
-                )
-            tx = link.tx_time(nbytes)
-            depart = max(time, self._busy[link.link_id, direction]) + tx
-            self._busy[link.link_id, direction] = depart
-            self.link_packets[link.link_id] += count
-            self.link_bytes[link.link_id] += nbytes
-            self.link_busy_s[link.link_id] += tx
-            if backlog > self.link_max_backlog_s[link.link_id]:
-                self.link_max_backlog_s[link.link_id] = backlog
-            s_idx.append(i)
-            s_nxt.append(nxt)
-            s_time.append(depart + link.latency_s)
-            s_seq.append(self._next_seq())
-        st.python_loop_events += end - start
-        if s_idx:
-            sel = np.asarray(s_idx, dtype=np.int64)
-            self._staged.append(EventBatch(
-                time=np.asarray(s_time, dtype=np.float64),
-                seq=np.asarray(s_seq, dtype=np.int64),
-                node=np.asarray(s_nxt, dtype=np.int64),
-                dst=batch.dst[sel],
-                count=batch.count[sel],
-                nbytes=batch.nbytes[sel],
-                flow=batch.flow[sel],
-                last=batch.last[sel],
-                hook=batch.hook[sel],
-                train=batch.train[sel],
-            ))
-
     # ------------------------------------------------------------------ #
-    # Main loop
+    # Window drain: main loop
     # ------------------------------------------------------------------ #
     def _run_control(self) -> None:
         time, _, callback, args = heapq.heappop(self._ctrl)
@@ -495,12 +440,13 @@ class EmulationKernel:
         self._events += 1
         callback(self, time, *args)
 
-    def _run_hook(self, batch: EventBatch, i: int) -> None:
-        """Fire the delivery hook of the (already executed) event ``i``."""
-        transfer = self._hooked[int(batch.train[i])]
+    def _run_hook(self, train: int, time: float) -> None:
+        """Fire the delivery hook of hooked transfer ``train``, whose last
+        train was just delivered at ``time``."""
+        transfer = self._hooked[train]
         hook = transfer.on_delivery
         if hook is not None:
-            hook(self, float(batch.time[i]), transfer)
+            hook(self, time, transfer)
         self.stats.hook_cuts += 1
 
     def _merge_into_window(self, bucket: int, batch: EventBatch,
@@ -519,7 +465,8 @@ class EmulationKernel:
         self.stats.window_merges += 1
         h_end = int(np.searchsorted(merged.time, self._end_time,
                                     side="right"))
-        cut_mask = merged.hook & merged.last & (merged.node == merged.dst)
+        cut_mask = (merged.train >= 0) & merged.last & (
+            merged.node == merged.dst)
         return merged, h_end, cut_mask
 
     def _process_window(self, bucket: int, batch: EventBatch,
@@ -529,7 +476,7 @@ class EmulationKernel:
         n = len(batch)
         h_end = int(np.searchsorted(batch.time, end, side="right"))
         # Deliveries of a hooked transfer's last train cut the segment.
-        cut_mask = batch.hook & batch.last & (batch.node == batch.dst)
+        cut_mask = (batch.train >= 0) & batch.last & (batch.node == batch.dst)
         pos = 0
         while pos < n:
             ctrl_key = (
@@ -571,7 +518,8 @@ class EmulationKernel:
             self.stats.segments += 1
             pos = seg_end
             if hook_at >= 0:
-                self._run_hook(batch, hook_at)
+                self._run_hook(int(batch.train[hook_at]),
+                               float(batch.time[hook_at]))
                 if pos < n and self.calendar.has_bucket(bucket):
                     batch, h_end, cut_mask = self._merge_into_window(
                         bucket, batch, pos
@@ -593,11 +541,9 @@ class EmulationKernel:
             return
         staged = self._staged
         self._staged = []
-        self.calendar.push_batch(
-            staged[0] if len(staged) == 1 else EventBatch.concatenate(staged)
-        )
+        self.calendar.push_batch(EventBatch.concatenate(staged))
 
-    def _drain(self, end: float) -> None:
+    def _drain_windows(self, end: float) -> None:
         while True:
             bucket = self.calendar.min_bucket()
             if bucket is None:
@@ -618,6 +564,115 @@ class EmulationKernel:
                 return
             for hook in self.barrier_hooks:
                 hook(self.now)
+
+    # ------------------------------------------------------------------ #
+    # Per-event drain
+    # ------------------------------------------------------------------ #
+    @staticmethod
+    def _heap_rows(batches: list[EventBatch], end: float) -> list[tuple]:
+        """``(time, seq, node, dst, count, nbytes, flow, last, train)``
+        tuples of the rows due by ``end``."""
+        rows: list[tuple] = []
+        for b in batches:
+            due = b.time <= end
+            rows.extend(zip(*(col[due].tolist() for col in b.arrays())))
+        return rows
+
+    def _drain_events(self, batches: list[EventBatch], end: float) -> None:
+        """Run every event due by ``end`` through one ``(time, seq)`` heap
+        (``_ctrl`` itself, so :meth:`schedule` pushes into it; trains a
+        callback submits are moved over from the calendar after it
+        returns) with the reference kernel's ``_arrive`` as the body."""
+        heap = self._ctrl
+        heap.extend(self._heap_rows(batches, end))
+        heapq.heapify(heap)
+        pop, push = heapq.heappop, heapq.heappush
+        rec, st, cal = self.recorder, self.stats, self.calendar
+        hop, link_between = self.tables.hop, self.tables.link_between
+        qdisc, collector = self.queue_disc, self.collector
+        # Per-link state as python rows (busy-until per direction, then the
+        # four accounting columns), written back after the drain.
+        cols = (self._busy[:, 0], self._busy[:, 1], self.link_packets,
+                self.link_bytes, self.link_busy_s, self.link_max_backlog_s)
+        links = np.column_stack(cols).tolist()
+        # (node, dst) -> (next hop, link id, direction, bandwidth, latency);
+        # routing cannot change without barriers.
+        routes: dict[tuple[int, int], tuple] = {}
+        n_ctrl = n_train = 0
+        while heap and heap[0][0] <= end:
+            ev = pop(heap)
+            time = self.now = ev[0]
+            if len(ev) == 4:
+                n_ctrl += 1
+                ev[2](self, time, *ev[3])
+            else:
+                n_train += 1
+                _, _, node, dst, count, nbytes, flow, last, train = ev
+                if node == dst:
+                    rec.record(time, node, DELIVERED, count, flow)
+                    st.packets_delivered += count
+                    if not last:
+                        continue
+                    st.transfers_delivered += 1
+                    if train < 0:
+                        continue
+                    self._run_hook(train, time)
+                else:
+                    route = routes.get((node, dst))
+                    if route is None:
+                        nxt = hop(node, dst)
+                        if nxt < 0:
+                            raise RuntimeError(
+                                f"no route from {node} to {dst}")
+                        link = link_between(node, nxt)
+                        route = routes[node, dst] = (
+                            nxt, link.link_id, 0 if node == link.u else 1,
+                            link.bandwidth_bps, link.latency_s)
+                    nxt, lid, direction, bw, lat = route
+                    row = links[lid]
+                    backlog = row[direction] - time
+                    if qdisc is not None and not qdisc.admit(
+                        lid, direction, max(backlog, 0.0)
+                    ):
+                        # Dropped: record the work, forward nothing.
+                        rec.record(time, node, DELIVERED, count, flow)
+                        st.trains_dropped += 1
+                        continue
+                    tx = nbytes * 8.0 / bw  # Link.tx_time, bit for bit
+                    rec.record(time, node, nxt, count, flow, tx)
+                    st.trains_forwarded += 1
+                    if collector is not None and self._is_router[node]:
+                        collector.record(
+                            time, node, lid, self._flow_src[flow], dst,
+                            flow, count, nbytes,
+                        )
+                    depart = row[direction] = max(time, row[direction]) + tx
+                    row[2] += count
+                    row[3] += nbytes
+                    row[4] += tx
+                    if backlog > row[5]:
+                        row[5] = backlog
+                    push(heap, (depart + lat, self._next_seq(),
+                                nxt, dst, count, nbytes, flow, last, train))
+                    continue
+            if cal:
+                for ev in self._heap_rows(cal.pop_all(), end):
+                    push(heap, ev)
+        for col, values in zip(cols, np.reshape(links, (-1, 6)).T):
+            col[...] = values
+        st.control_events += n_ctrl
+        st.python_loop_events += n_train
+        self._events += n_ctrl + n_train
+
+    def _per_event(self, density: float) -> bool:
+        """The drain selection (see the module docstring)."""
+        if self._ordered:
+            return True
+        # Subclasses (the LP engine) shard whole windows.
+        if (type(self) is not EmulationKernel or self.barrier_hooks
+                or self.segment_observers):
+            return False
+        return density < _PER_EVENT_DENSITY
 
     def sync_context(self, touched: np.ndarray) -> None:
         """Bring the shard context up to date after a barrier-time routing
@@ -649,12 +704,23 @@ class EmulationKernel:
         """
         if until <= 0:
             raise ValueError("horizon must be positive")
-        self._end_time = float(until)
+        end = self._end_time = float(until)
+        batches = self.calendar.pop_all()
+        due = int(sum(np.count_nonzero(b.time <= end) for b in batches))
+        density = due * self.window_s / end  # train rows due per window
+        per_event = self._per_event(density)
         with self.telemetry.span("kernel/run"):
-            self._drain(self._end_time)
+            if per_event:
+                self._drain_events(batches, end)
+            else:
+                for b in batches:
+                    self.calendar.push_batch(b)
+                self._drain_windows(end)
         self._finalize_run()
         tel = self.telemetry
         if tel.enabled:
+            tel.event("kernel/run", density=density,
+                      drain="per_event" if per_event else "windows")
             tel.count("kernel.events", self._events)
             tel.count("kernel.trains_forwarded", self.stats.trains_forwarded)
             tel.count("kernel.trains_dropped", self.stats.trains_dropped)

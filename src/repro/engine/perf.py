@@ -8,14 +8,16 @@ be identical across every engine — the reference heap kernel
 (:mod:`repro.engine.lp`); the differential parity suite compares them
 bit-for-bit via :meth:`KernelStats.semantic`.
 
-The *operation* counters describe how the batched engines did the work:
-how many conservative windows were advanced, how many events went through
-the vectorized fast path versus the ordered python fallback (multi-event
-FIFO groups, RED admission, NetFlow collection), and how often a segment
-had to be cut for a control event or a delivery hook.  The perf-guard test
-(``tests/engine/test_perf_guard.py``) asserts bounds on these so the build
-fails if someone quietly reintroduces per-event python dispatch on the
-fast path.  The reference kernel leaves them at zero.
+The *operation* counters describe how the drain that ran did the work
+(:mod:`repro.engine.kernel` picks one per run): on the window drain, how
+many conservative windows were advanced, how many events went through the
+vectorized fast path versus the python loop (multi-event FIFO groups), and
+how often a segment had to be cut for a control event or a delivery hook;
+on the per-event drain every train event is a python-loop event and
+``windows`` / ``segments`` / ``vector_events`` / ``window_merges`` stay 0.
+The perf-guard test (``tests/engine/test_perf_guard.py``) asserts bounds on
+these so the build fails if someone quietly reintroduces per-event python
+dispatch on dense runs.  The reference kernel leaves them at zero.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class KernelStats:
         Semantic traffic counters — engine-independent (see
         :meth:`semantic`).
     windows:
-        Conservative lookahead windows advanced by the batched main loop.
+        Conservative lookahead windows advanced by the window drain.
     segments:
         Vectorized dispatches — at least one per non-empty window, plus
         one per control-event or delivery-hook cut inside a window.
@@ -45,15 +47,15 @@ class KernelStats:
         (deliveries, and forwards whose (link, direction) FIFO group was a
         singleton within the segment).
     python_loop_events:
-        Train events that took the ordered python fallback: multi-event
-        FIFO groups (the busy-time recurrence is order-sensitive), RED
-        admission, or NetFlow collection.
+        Train events executed one at a time in python: every train event
+        of a per-event run, and on the window drain the multi-event FIFO
+        groups (the busy-time recurrence is order-sensitive).
     control_events:
         Scheduled callbacks (traffic generators, delivery hooks) popped
         from the control heap.
     hook_cuts:
-        Segments cut short because a delivery hook had to run before the
-        remaining events could be batched.
+        Delivery hooks run (on the window drain, each one cuts its
+        segment short before the remaining events can be batched).
     window_merges:
         Same-window event batches re-merged after a control event or hook
         injected new events into the window being processed.

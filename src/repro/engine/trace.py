@@ -105,6 +105,8 @@ class EventTrace:
         lengths = {len(a) for a in arrays}
         if len(lengths) != 1:
             raise ValueError("trace columns have differing lengths")
+        if not np.isfinite(self.time).all():
+            raise ValueError("trace times must be finite")
         if self.n_events and np.any(np.diff(self.time) < 0):
             raise ValueError("trace times must be non-decreasing")
         if self.n_events and (

@@ -4,14 +4,15 @@ The vectorized injection body (the batched kernel's only one — its
 ``submit_transfer`` is the one-row call) must be observationally identical
 to the reference kernel submitting the same transfers one by one — same
 trace bytes, same transfer log, same sequence numbers (interleaving
-order), and the same validation errors with the same partial effects.
+order), and the same validation errors with the same partial effects —
+under both kernel drains (the ``drains`` fixture pins the selection).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine._reference import ReferenceKernel
@@ -55,22 +56,24 @@ def _run(net, tables, submit, **kernel_kw):
     return trace, kernel
 
 
-def test_bulk_matches_loop(routed):
+def test_bulk_matches_loop(routed, drains):
     net, tables = routed
-    trace_bulk, k_bulk = _run(
-        net, tables, lambda k, tr, t: k.submit_transfers(tr, t)
-    )
 
     def loop(kernel, transfers, times):
         for tr, t in zip(transfers, times):
             kernel.submit_transfer(tr, float(t))
 
-    trace_loop, k_loop = _run(net, tables, loop)
-    for field in TRACE_FIELDS:
-        a, b = getattr(trace_bulk, field), getattr(trace_loop, field)
-        assert a.tobytes() == b.tobytes(), field
-    assert k_bulk.transfer_log == k_loop.transfer_log
-    assert k_bulk.stats.semantic() == k_loop.stats.semantic()
+    for drain in drains:
+        trace_bulk, k_bulk = _run(
+            net, tables, lambda k, tr, t: k.submit_transfers(tr, t)
+        )
+        drains.check(k_bulk, drain)
+        trace_loop, k_loop = _run(net, tables, loop)
+        for field in TRACE_FIELDS:
+            a, b = getattr(trace_bulk, field), getattr(trace_loop, field)
+            assert a.tobytes() == b.tobytes(), (drain, field)
+        assert k_bulk.transfer_log == k_loop.transfer_log
+        assert k_bulk.stats.semantic() == k_loop.stats.semantic()
 
 
 def test_bulk_broadcasts_scalar_time(routed):
@@ -137,27 +140,33 @@ def _reference_columns(kernel):
     return {name: list(col) for name, col in zip(_COLUMNS, zip(*rows))}
 
 
+_UNCHECKED_BY_ORACLE = ("bytes", "endpoints", "nan", "inf")
+
+
 def _break(kind, transfer, tables):
-    """Mutate ``transfer`` into one of the four rejected kinds; returns
-    its submission time."""
+    """Mutate ``transfer`` into one of the rejected kinds; returns its
+    submission time."""
     if kind == "bytes":
         transfer.nbytes = 0.0
     elif kind == "endpoints":
         transfer.dst = transfer.src
-    elif kind == "route":
+    elif kind in ("route", "nan", "inf"):
+        # A non-finite time is reported before the missing route.
         tables.next_hop[transfer.src, transfer.dst] = -1
-    return -1.0 if kind == "past" else 0.3
+    return {"past": -1.0, "nan": float("nan"), "inf": float("inf")}.get(
+        kind, 0.3)
 
 
-@pytest.mark.parametrize("kind", ("bytes", "endpoints", "past", "route"))
-def test_error_prefix_matches_reference_loop(kind):
+@pytest.mark.parametrize(
+    "kind", ("bytes", "endpoints", "past", "nan", "inf", "route"))
+def test_error_prefix_matches_reference_loop(kind, drains):
     """``[ok, ok, bad, ok]``: rows before the offender are injected, the
     offender raises today's message, the row after it never enters —
     ``transfer_log``, the sequence counter, the INJECTED rows and the
     staged calendar equal what ``ReferenceKernel``'s loop leaves behind.
     The oracle does not re-validate bytes / endpoints (``Transfer``
-    construction does), so for those two kinds its loop is handed the
-    prefix and the message is pinned literally."""
+    construction does) nor reject non-finite times, so for those kinds its
+    loop is handed the prefix and the message is pinned literally."""
     net = synth_network(n_routers=40, seed=2)
     tables = build_routing(net)
     hosts = [h.node_id for h in net.hosts()]
@@ -165,6 +174,10 @@ def test_error_prefix_matches_reference_loop(kind):
         "bytes": "at least one byte",
         "endpoints": "pick two distinct hosts",
         "past": "cannot submit a transfer in the past",
+        "nan": f"{hosts[4]} -> {hosts[5]} submitted at time=nan; "
+               f"submission times must be finite",
+        "inf": f"{hosts[4]} -> {hosts[5]} submitted at time=inf; "
+               f"submission times must be finite",
         "route": f"no route {hosts[4]} -> {hosts[5]}",
     }[kind]
 
@@ -181,7 +194,7 @@ def test_error_prefix_matches_reference_loop(kind):
     def attempt(cls):
         transfers, times = batch()
         kernel = cls(net, tables, train_packets=8)
-        if cls is ReferenceKernel and kind in ("bytes", "endpoints"):
+        if cls is ReferenceKernel and kind in _UNCHECKED_BY_ORACLE:
             kernel.submit_transfers(transfers[:2], times[:2])
         else:
             with pytest.raises(ValueError, match=message):
@@ -194,13 +207,41 @@ def test_error_prefix_matches_reference_loop(kind):
     assert k_new._seq == len(k_ref.queue) > 2
     assert k_new.stats.semantic() == k_ref.stats.semantic()
     assert _staged_columns(k_new) == _reference_columns(k_ref)
-    # popping the calendar emptied k_new: run a fresh pair
-    k_new, k_ref = attempt(EmulationKernel), attempt(ReferenceKernel)
-    t_new, t_ref = k_new.run(until=5.0), k_ref.run(until=5.0)
-    assert (t_new.next_node == INJECTED).sum() == 2
-    for field in TRACE_FIELDS:
-        a, b = getattr(t_new, field), getattr(t_ref, field)
-        assert a.tobytes() == b.tobytes(), field
+    # popping the calendar emptied k_new: run fresh kernels
+    t_ref = attempt(ReferenceKernel).run(until=5.0)
+    for drain in drains:
+        k_new = attempt(EmulationKernel)
+        t_new = k_new.run(until=5.0)
+        drains.check(k_new, drain)
+        assert (t_new.next_node == INJECTED).sum() == 2
+        for field in TRACE_FIELDS:
+            a, b = getattr(t_new, field), getattr(t_ref, field)
+            assert a.tobytes() == b.tobytes(), (drain, field)
+
+
+@pytest.mark.parametrize("when", (float("nan"), float("inf")))
+def test_non_finite_time_cannot_erase_the_run(routed, when, drains):
+    """A nan / inf time used to pass both the submit and the schedule
+    checks and land in calendar bucket INT64_MIN, which popped first, lay
+    beyond the horizon and ended the run at once: a valid transfer then
+    produced no train event.  Both calls now raise a named error and the
+    valid transfer runs to delivery."""
+    net, tables = routed
+    hosts = [h.node_id for h in net.hosts()]
+    for drain in drains:
+        reset_flow_ids()
+        kernel = EmulationKernel(net, tables)
+        ok = Transfer(src=hosts[0], dst=hosts[1], nbytes=50_000.0)
+        bad = Transfer(src=hosts[2], dst=hosts[3], nbytes=1_000.0)
+        with pytest.raises(ValueError, match="times must be finite"):
+            kernel.submit_transfers([ok, bad], [0.001, when])
+        with pytest.raises(ValueError, match="times must be finite"):
+            kernel.schedule(when, lambda k, t: None)
+        assert len(kernel.transfer_log) == 1
+        trace = kernel.run(until=1.0)
+        drains.check(kernel, drain)
+        assert (trace.next_node != INJECTED).sum() > 0
+        assert kernel.stats.transfers_delivered == 1
 
 
 @pytest.mark.parametrize("nbytes", (2.0 ** 53, float("inf"), float("nan")))
@@ -219,7 +260,7 @@ def test_unsplittable_size_raises_at_once(routed, nbytes):
     assert kernel.calendar.min_bucket() is None
 
 
-def test_bulk_mixed_hooks_match_reference(routed):
+def test_bulk_mixed_hooks_match_reference(routed, drains):
     """A mixed hooked / hook-free batch goes through the one injection
     body: byte-identical to the per-transfer loop and to the reference
     kernel, each hook fired once, one ``_hooked`` entry per hooked
@@ -228,7 +269,7 @@ def test_bulk_mixed_hooks_match_reference(routed):
     hosts = [h.node_id for h in net.hosts()]
     fired = []
 
-    def run(submit, cls=EmulationKernel):
+    def run(submit, cls=EmulationKernel, drain=None):
         reset_flow_ids()
         kernel = cls(net, tables)
         transfers = [
@@ -237,28 +278,33 @@ def test_bulk_mixed_hooks_match_reference(routed):
             Transfer(src=hosts[2], dst=hosts[3], nbytes=5_000.0),
         ]
         submit(kernel, transfers, [0.1, 0.1])
-        return kernel.run(until=1.0)
+        trace = kernel.run(until=1.0)
+        if drain is not None:
+            drains.check(kernel, drain)
+        return trace
 
-    t_bulk = run(lambda k, tr, t: k.submit_transfers(tr, t))
-    n_fired = len(fired)
-    assert n_fired == 1
-    t_loop = run(
-        lambda k, tr, t: [k.submit_transfer(x, ti) for x, ti in zip(tr, t)]
-    )
-    assert len(fired) == 2 * n_fired
-    for field in TRACE_FIELDS:
-        assert np.array_equal(
-            getattr(t_bulk, field), getattr(t_loop, field)
-        ), field
     t_ref = run(lambda k, tr, t: k.submit_transfers(tr, t), ReferenceKernel)
-    assert len(fired) == 3 * n_fired
-    for field in TRACE_FIELDS:
-        a, b = getattr(t_bulk, field), getattr(t_ref, field)
-        assert a.tobytes() == b.tobytes(), field
+    assert len(fired) == 1
+    for drain in drains:
+        del fired[:]
+        t_bulk = run(lambda k, tr, t: k.submit_transfers(tr, t), drain=drain)
+        assert len(fired) == 1
+        t_loop = run(
+            lambda k, tr, t: [k.submit_transfer(x, ti)
+                              for x, ti in zip(tr, t)],
+            drain=drain,
+        )
+        assert len(fired) == 2
+        for field in TRACE_FIELDS:
+            assert np.array_equal(
+                getattr(t_bulk, field), getattr(t_loop, field)
+            ), (drain, field)
+            a, b = getattr(t_bulk, field), getattr(t_ref, field)
+            assert a.tobytes() == b.tobytes(), (drain, field)
 
 
 def test_ordered_kernel_takes_bulk_path(routed):
-    """A NetFlow collector forces ordered *dispatch*, not per-transfer
+    """A NetFlow collector forces the per-event *drain*, not per-transfer
     injection: hook-free bulk submissions on an ordered kernel build no
     PacketTrain, and the collector sees exactly what the loop shows it."""
     net, tables = routed
@@ -273,7 +319,8 @@ def test_ordered_kernel_takes_bulk_path(routed):
         collector=NetFlowCollector("flow"),
     )
     assert k_bulk._hooked == []
-    assert k_bulk.stats.vector_events == 0  # still the ordered dispatch
+    assert k_bulk.stats.vector_events == 0  # the per-event drain
+    assert k_bulk.stats.windows == 0
     for field in TRACE_FIELDS:
         a, b = getattr(trace_bulk, field), getattr(trace_loop, field)
         assert a.tobytes() == b.tobytes(), field
@@ -281,17 +328,22 @@ def test_ordered_kernel_takes_bulk_path(routed):
     assert k_bulk.collector.records() == k_loop.collector.records()
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     sizes=st.lists(st.floats(min_value=1.0, max_value=5e6), min_size=1,
                    max_size=4),
     train_packets=st.sampled_from((1, 8, 32)),
+    drain=st.sampled_from(("windows", "per_event")),
 )
-def test_bulk_keeps_fractional_bytes(routed, sizes, train_packets):
+def test_bulk_keeps_fractional_bytes(routed, drains, sizes, train_packets,
+                                     drain):
     """Sizes need not be integer-valued (ScaLapack's ``size * 0.7`` is
     not): bulk == submit_transfer loop == ReferenceKernel, and the bulk
-    train columns equal ``packetize`` train by train."""
+    train columns equal ``packetize`` train by train.  (``drains`` only
+    pins a module constant, so sharing it across examples is safe.)"""
     net, tables = routed
+    drains.pin(drain)
     hosts = [h.node_id for h in net.hosts()]
 
     def run(cls, bulk):
@@ -319,6 +371,7 @@ def test_bulk_keeps_fractional_bytes(routed, sizes, train_packets):
     _, k_loop = run(EmulationKernel, bulk=False)
     _, k_ref = run(ReferenceKernel, bulk=False)
     traces = [k.run(until=60.0) for k in (k_bulk, k_loop, k_ref)]
+    drains.check(k_bulk, drain)
     for other, kernel in zip(traces[1:], (k_loop, k_ref)):
         for field in TRACE_FIELDS:
             a, b = getattr(traces[0], field), getattr(other, field)

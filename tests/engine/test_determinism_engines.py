@@ -1,8 +1,8 @@
 """Cross-engine determinism: one (seed, workload) → one byte trace.
 
-Every engine — the reference heap kernel, the batched sequential kernel,
-and the multi-process LP engine (both in-process shards and forked
-workers) — must produce byte-identical :class:`EventTrace` arrays for the
+Every engine — the reference heap kernel, the batched sequential kernel
+under each of its drains, and the multi-process LP engine (both
+in-process shards and forked workers) — must produce byte-identical :class:`EventTrace` arrays for the
 same seed and workload.  Tie-breaks are the hard part: two trains arriving
 at the same virtual time must execute in submission (sequence) order on
 every engine, so a symmetric topology that manufactures exact virtual-time
@@ -65,15 +65,25 @@ class _TieWorkload:
             )
 
 
-def _engine_runs(net, tables, workload, seed):
+def _sequential_runs(net, tables, workload, seed, drains):
+    """(label, trace) of the sequential kernel under each drain."""
+    runs = []
+    for drain in drains:
+        trace, kernel = run_kernel(
+            net, tables, workload, seed=seed, train_packets=4)
+        drains.check(kernel, drain)
+        runs.append((f"sequential-{drain}", trace))
+    return runs
+
+
+def _engine_runs(net, tables, workload, seed, drains):
     """(label, trace) for every engine over the same inputs."""
     parts = np.zeros(net.n_nodes, dtype=np.int64)
     parts[net.n_nodes // 2:] = 1
     runs = [
         ("reference", run_kernel_reference(
             net, tables, workload, seed=seed, train_packets=4)[0]),
-        ("sequential", run_kernel(
-            net, tables, workload, seed=seed, train_packets=4)[0]),
+        *_sequential_runs(net, tables, workload, seed, drains),
         ("lp-inline", run_kernel(
             net, tables, workload, seed=seed, train_packets=4,
             engine="parallel", parts=parts, processes=False)[0]),
@@ -93,15 +103,15 @@ def _assert_all_identical(runs):
             assert np.array_equal(a, b), f"{label0} vs {label}: {field}"
 
 
-def test_tie_breaks_identical_across_engines():
+def test_tie_breaks_identical_across_engines(drains):
     net = _symmetric_network()
     tables = build_routing(net)
-    runs = _assert_ties_present_and_compare(net, tables)
+    runs = _assert_ties_present_and_compare(net, tables, drains)
     _assert_all_identical(runs)
 
 
-def _assert_ties_present_and_compare(net, tables):
-    runs = _engine_runs(net, tables, _TieWorkload(), seed=0)
+def _assert_ties_present_and_compare(net, tables, drains):
+    runs = _engine_runs(net, tables, _TieWorkload(), seed=0, drains=drains)
     # The topology must actually manufacture virtual-time ties, or this
     # test exercises nothing.
     time = runs[0][1].time
@@ -109,7 +119,7 @@ def _assert_ties_present_and_compare(net, tables):
     return runs
 
 
-def test_random_soup_identical_across_engines():
+def test_random_soup_identical_across_engines(drains):
     from repro.topology.synth import synth_network
 
     net = synth_network(n_routers=60, seed=9)
@@ -118,18 +128,22 @@ def test_random_soup_identical_across_engines():
         n_flows=120, duration=1.5, min_bytes=2_000, max_bytes=80_000,
     )
     wl.prepare(net, np.random.default_rng(21))
-    _assert_all_identical(_engine_runs(net, tables, wl, seed=21))
+    _assert_all_identical(_engine_runs(net, tables, wl, seed=21,
+                                       drains=drains))
 
 
-def test_repeat_runs_byte_identical(tiny_routed):
+def test_repeat_runs_byte_identical(tiny_routed, drains):
     """Same seed twice → byte-identical arrays (regression guard for any
-    hidden global state in the batched queue / staging layers)."""
+    hidden global state in the batched queue / staging layers / heap)."""
     net, tables = tiny_routed
     wl = SyntheticTransfers(
         n_flows=40, duration=1.0, min_bytes=2_000, max_bytes=40_000,
     )
     wl.prepare(net, np.random.default_rng(5))
-    t1, _ = run_kernel(net, tables, wl, seed=5)
-    t2, _ = run_kernel(net, tables, wl, seed=5)
-    for field in TRACE_FIELDS:
-        assert getattr(t1, field).tobytes() == getattr(t2, field).tobytes()
+    for drain in drains:
+        t1, k1 = run_kernel(net, tables, wl, seed=5)
+        t2, _ = run_kernel(net, tables, wl, seed=5)
+        drains.check(k1, drain)
+        for field in TRACE_FIELDS:
+            assert (getattr(t1, field).tobytes()
+                    == getattr(t2, field).tobytes())

@@ -1,0 +1,171 @@
+"""The sequential kernel's two drains: selection, equivalence, refusals.
+
+:meth:`~repro.engine.kernel.EmulationKernel.run` drains a run either
+window by window (numpy) or event by event (one ``(time, seq)`` heap).
+Which one runs is a speed decision only: over random closed-loop soups the
+two give byte-identical traces, equal per-link accounting and equal
+semantic stats.  Order-coupled kernels (NetFlow collector, RED) always
+drain per event and therefore cannot take mid-run link changes, which are
+applied at window barriers.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.engine.kernel import EmulationKernel, run_kernel
+from repro.engine.lp import ParallelEmulationKernel
+from repro.engine.packet import Transfer, reset_flow_ids
+from repro.engine.queues import RED, DropTail
+from repro.obs.telemetry import Telemetry
+from repro.profiling.netflow import NetFlowCollector
+from repro.routing.delta import SetLinkCost
+from repro.routing.spf import build_routing
+from repro.topology.synth import synth_network
+
+TRACE_FIELDS = ("time", "node", "next_node", "packets", "flow", "span")
+LINK_ARRAYS = ("link_packets", "link_bytes", "link_busy_s",
+               "link_max_backlog_s")
+
+
+class _ClosedLoopSoup:
+    """Random transfers; every ``hook_every``-th one is hooked and, on
+    delivery, answers with a reply and schedules a follow-up transfer —
+    so both drains see mid-run submissions from hooks and from control
+    callbacks, not only install-time traffic."""
+
+    def __init__(self, n_flows, hook_every, duration):
+        self.n_flows = n_flows
+        self.hook_every = hook_every
+        self.duration = duration
+
+    def install(self, kernel, rng):
+        hosts = [h.node_id for h in kernel.net.hosts()]
+
+        def pair():
+            src, dst = rng.choice(hosts, size=2, replace=False)
+            return int(src), int(dst)
+
+        def follow_up(k, t):
+            src, dst = pair()
+            k.submit_transfer(Transfer(src=src, dst=dst, nbytes=3_000.0), t)
+
+        def answer(k, t, tr):
+            k.submit_transfer(
+                Transfer(src=tr.dst, dst=tr.src, nbytes=1_500.0), t)
+            k.schedule(t + float(rng.uniform(0.0, 0.01)), follow_up)
+
+        transfers = []
+        for i in range(self.n_flows):
+            src, dst = pair()
+            hooked = self.hook_every and i % self.hook_every == 0
+            transfers.append(Transfer(
+                src=src, dst=dst, nbytes=float(rng.integers(500, 60_000)),
+                on_delivery=answer if hooked else None,
+            ))
+        times = np.sort(rng.uniform(0.0, self.duration / 2, self.n_flows))
+        kernel.submit_transfers(transfers, times)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_routers=st.integers(6, 30),
+    topo_seed=st.integers(0, 3),
+    n_flows=st.integers(1, 60),
+    hook_every=st.sampled_from((0, 1, 3)),
+    train_packets=st.sampled_from((1, 4, 32)),
+    droptail=st.booleans(),
+    duration=st.floats(0.05, 1.0),
+)
+def test_drains_are_trace_identical(drains, n_routers, topo_seed, n_flows,
+                                    hook_every, train_packets, droptail,
+                                    duration):
+    net = synth_network(n_routers=n_routers, seed=topo_seed)
+    tables = build_routing(net)
+    wl = _ClosedLoopSoup(n_flows, hook_every, duration)
+    runs = []
+    for drain in drains:
+        trace, kernel = run_kernel(
+            net, tables, wl, seed=topo_seed, train_packets=train_packets,
+            queue=DropTail(0.002) if droptail else None,
+        )
+        drains.check(kernel, drain)
+        runs.append((trace, kernel))
+    (t_win, k_win), (t_evt, k_evt) = runs
+    for field in TRACE_FIELDS:
+        assert getattr(t_win, field).tobytes() == \
+            getattr(t_evt, field).tobytes(), field
+    for name in LINK_ARRAYS:
+        assert np.array_equal(getattr(k_win, name), getattr(k_evt, name)), name
+    assert k_win.stats.semantic() == k_evt.stats.semantic()
+    assert k_win.transfer_log == k_evt.transfer_log
+    if droptail:
+        assert k_win.queue_disc.drops == k_evt.queue_disc.drops
+
+
+def _routed():
+    net = synth_network(n_routers=20, seed=1)
+    return net, build_routing(net)
+
+
+def _install_one(kernel, at=0.01):
+    hosts = [h.node_id for h in kernel.net.hosts()]
+    kernel.submit_transfer(
+        Transfer(src=hosts[0], dst=hosts[1], nbytes=20_000.0), at)
+
+
+@pytest.mark.parametrize("option", ("collector", "red"))
+def test_link_changes_refused_on_order_coupled_kernels(option):
+    net, tables = _routed()
+    kw = ({"collector": NetFlowCollector("flow")} if option == "collector"
+          else {"queue": RED(min_th_s=0.005, max_th_s=0.03)})
+    named = {"collector": "collector=NetFlowCollector",
+             "red": "queue=RED"}[option]
+
+    class _Idle:
+        duration = 1.0
+
+        def install(self, kernel, rng):
+            _install_one(kernel)
+
+    with pytest.raises(ValueError, match=f"cannot honour {named}"):
+        run_kernel(net, tables, _Idle(), link_changes=[
+            (0.5, SetLinkCost(0, latency_s=net.links[0].latency_s * 2))
+        ], **kw)
+
+
+def test_selection_rule():
+    """Sparse plain runs drain per event; order-coupled runs do whatever
+    the density; barrier hooks, segment observers and the LP engine keep
+    the window drain."""
+    net, tables = _routed()
+
+    def drain_of(kernel, until=1.0):
+        reset_flow_ids()
+        tel = Telemetry()
+        kernel.telemetry = tel
+        _install_one(kernel)
+        kernel.run(until=until)
+        (row,) = tel.series["kernel/run"]
+        assert (row["drain"] == "windows") == (kernel.stats.windows > 0)
+        return row["drain"], row["density"]
+
+    # One train due over 1 s: density = window_s / 1 s.
+    kernel = EmulationKernel(net, tables)
+    assert drain_of(kernel) == ("per_event", kernel.window_s)
+    assert drain_of(EmulationKernel(net, tables, queue=RED()))[0] == \
+        "per_event"
+
+    hooked = EmulationKernel(net, tables)
+    hooked.barrier_hooks.append(lambda now: None)
+    assert drain_of(hooked)[0] == "windows"
+    observed = EmulationKernel(net, tables)
+    observed.segment_observers.append(lambda seg, nxt: None)
+    assert drain_of(observed)[0] == "windows"
+    parts = np.arange(net.n_nodes, dtype=np.int64) % 2
+    lp = ParallelEmulationKernel(net, tables, parts=parts, processes=False)
+    assert drain_of(lp)[0] == "windows"

@@ -4,10 +4,11 @@ Every install-time generator (ScaLapack, the GridNPB workflow, CBR,
 Poisson) hands its transfers to ``submit_transfers`` in one batch; on
 :class:`~repro.engine._reference.ReferenceKernel` that method *is* the
 ``submit_transfer`` loop, so ``run_kernel`` vs ``run_kernel_reference``
-proves "bulk == loop" for real applications — on the vector path, and on
-the ordered path the NetFlow profile run and RED take (where the collector
-must see the same fields, in the same order, as the per-train objects of
-the reference would have shown it).
+proves "bulk == loop" for real applications — under both kernel drains
+(the ``drains`` fixture pins the selection), and on the per-event drain the
+NetFlow profile run and RED always take (where the collector must see the
+same fields, in the same order, as the per-train objects of the reference
+would have shown it).  The gridnpb cells carry hooked HTTP traffic.
 
 Horizons are short on purpose: injection covers the whole application,
 execution only its first seconds.
@@ -90,18 +91,25 @@ def routed(request):
 
 @pytest.mark.parametrize("mode", sorted(_MODES))
 @pytest.mark.parametrize("workload", sorted(_WORKLOADS))
-def test_applications_match_reference(routed, workload, mode):
+def test_applications_match_reference(routed, workload, mode, drains):
     net, tables = routed
     factory, until = _WORKLOADS[workload]
     wl = factory(net)
     wl.prepare(net, np.random.default_rng(1))
-    trace_new, k_new = run_kernel(
-        net, tables, wl, seed=1, until=until, **_MODES[mode]()
-    )
     trace_ref, k_ref = run_kernel_reference(
         net, tables, wl, seed=1, until=until, **_MODES[mode]()
     )
+    for drain in drains:
+        trace_new, k_new = run_kernel(
+            net, tables, wl, seed=1, until=until, **_MODES[mode]()
+        )
+        drains.check(k_new, drain)
+        _assert_matches(workload, mode, until, trace_new, k_new, trace_ref,
+                        k_ref)
 
+
+def _assert_matches(workload, mode, until, trace_new, k_new, trace_ref,
+                    k_ref):
     for field in TRACE_FIELDS:
         a, b = getattr(trace_new, field), getattr(trace_ref, field)
         assert a.dtype == b.dtype, field
@@ -121,6 +129,8 @@ def test_applications_match_reference(routed, workload, mode):
     assert all(
         transfer.on_delivery is not None for transfer in k_new._hooked
     )
+    if workload == "gridnpb":
+        assert k_new.stats.hook_cuts > 0
     if mode.startswith("netflow"):
         assert k_new.stats.vector_events == 0
         assert k_new.collector.n_records > 0

@@ -4,8 +4,10 @@ The grid is topology × queue discipline × train size.  Every cell runs the
 same prepared workload through :func:`repro.engine.kernel.run_kernel` and
 :func:`repro.engine._reference.run_kernel_reference` and compares the
 results bit-exactly: trace arrays byte for byte, semantic stats, per-link
-accounting.  RED and multi-packet trains exercise the ordered python
-fallback; drop-tail and ``train_packets=1`` exercise the vector path.
+accounting — once per kernel drain (the ``drains`` fixture pins the
+selection).  RED always drains per event; on the window drain multi-packet
+trains exercise the python FIFO loop and ``train_packets=1`` the vector
+path.
 """
 
 from __future__ import annotations
@@ -58,43 +60,40 @@ def _workload(net):
 
 @pytest.mark.parametrize("queue_name", sorted(_QUEUES))
 @pytest.mark.parametrize("train_packets", [1, 32])
-def test_batched_matches_reference(routed, queue_name, train_packets):
+def test_batched_matches_reference(routed, queue_name, train_packets,
+                                   drains):
     net, tables = routed
     wl = _workload(net)
-    trace_new, kernel_new = run_kernel(
-        net, tables, wl, seed=11, train_packets=train_packets,
-        queue=_QUEUES[queue_name](),
-    )
     trace_ref, kernel_ref = run_kernel_reference(
         net, tables, wl, seed=11, train_packets=train_packets,
         queue=_QUEUES[queue_name](),
     )
+    for drain in drains:
+        trace_new, kernel_new = run_kernel(
+            net, tables, wl, seed=11, train_packets=train_packets,
+            queue=_QUEUES[queue_name](),
+        )
+        drains.check(kernel_new, drain)
 
-    for field in TRACE_FIELDS:
-        a, b = getattr(trace_new, field), getattr(trace_ref, field)
-        assert a.dtype == b.dtype, field
-        assert np.array_equal(a, b), field
-    assert trace_new.duration == trace_ref.duration
-    assert trace_new.n_events > 0
+        for field in TRACE_FIELDS:
+            a, b = getattr(trace_new, field), getattr(trace_ref, field)
+            assert a.dtype == b.dtype, (drain, field)
+            assert np.array_equal(a, b), (drain, field)
+        assert trace_new.duration == trace_ref.duration
+        assert trace_new.n_events > 0
 
-    assert kernel_new.stats.semantic() == kernel_ref.stats.semantic()
-    assert kernel_new.transfer_log == kernel_ref.transfer_log
+        assert kernel_new.stats.semantic() == kernel_ref.stats.semantic()
+        assert kernel_new.transfer_log == kernel_ref.transfer_log
 
-    np.testing.assert_array_equal(
-        kernel_new.link_packets, kernel_ref.link_packets
-    )
-    np.testing.assert_array_equal(
-        kernel_new.link_bytes, kernel_ref.link_bytes
-    )
-    np.testing.assert_array_equal(
-        kernel_new.link_busy_s, kernel_ref.link_busy_s
-    )
-    np.testing.assert_array_equal(
-        kernel_new.link_max_backlog_s, kernel_ref.link_max_backlog_s
-    )
+        for name in ("link_packets", "link_bytes", "link_busy_s",
+                     "link_max_backlog_s"):
+            np.testing.assert_array_equal(
+                getattr(kernel_new, name), getattr(kernel_ref, name),
+                err_msg=f"{drain}: {name}",
+            )
 
 
-def test_red_drops_and_stays_bit_identical():
+def test_red_drops_and_stays_bit_identical(drains):
     """A RED run that actually drops (the grid's load is too light to
     trigger drops, so the discipline's order-sensitive RNG consumption
     needs its own heavier cell) still matches the reference bit-exactly."""
@@ -105,15 +104,18 @@ def test_red_drops_and_stays_bit_identical():
     )
     wl.prepare(net, np.random.default_rng(11))
     red = lambda: RED(min_th_s=0.001, max_th_s=0.03, max_p=1.0, seed=5)
-    trace_new, kernel_new = run_kernel(
-        net, tables, wl, seed=11, train_packets=32, queue=red(),
-    )
     trace_ref, kernel_ref = run_kernel_reference(
         net, tables, wl, seed=11, train_packets=32, queue=red(),
     )
-    assert kernel_new.stats.trains_dropped > 0
-    assert kernel_new.stats.semantic() == kernel_ref.stats.semantic()
-    for field in TRACE_FIELDS:
-        assert np.array_equal(
-            getattr(trace_new, field), getattr(trace_ref, field)
-        ), field
+    for drain in drains:
+        trace_new, kernel_new = run_kernel(
+            net, tables, wl, seed=11, train_packets=32, queue=red(),
+        )
+        drains.check(kernel_new, drain)
+        assert kernel_new.stats.trains_dropped > 0
+        assert kernel_new.stats.semantic() == kernel_ref.stats.semantic()
+        assert kernel_new.queue_disc.drops == kernel_ref.queue_disc.drops
+        for field in TRACE_FIELDS:
+            assert np.array_equal(
+                getattr(trace_new, field), getattr(trace_ref, field)
+            ), (drain, field)

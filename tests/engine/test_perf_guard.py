@@ -2,8 +2,11 @@
 
 These do not time anything (wall clocks are too noisy for CI); they assert
 on :class:`~repro.engine.perf.KernelStats` operation counters, which are
-deterministic.  If someone quietly reroutes the fast path through
-per-event python dispatch, ``vector_events`` collapses and these fail.
+deterministic.  A dense soup must take the window drain and stay there on
+the numpy fast path — if someone quietly reroutes large segments through
+per-event python dispatch, ``vector_events`` collapses and these fail.  A
+sparse soup must take the per-event drain without touching the calendar's
+window machinery at all.
 """
 
 from __future__ import annotations
@@ -11,62 +14,105 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.kernel import run_kernel
+from repro.engine.kernel import EmulationKernel, run_kernel
+from repro.engine.packet import reset_flow_ids
+from repro.engine.trace import INJECTED
 from repro.experiments.workloads import SyntheticTransfers
+from repro.obs.telemetry import Telemetry
 from repro.routing.spf import build_routing
 from repro.topology.synth import synth_network
 
 
-@pytest.fixture(scope="module")
-def soup_run():
-    net = synth_network(n_routers=120, seed=4)
-    tables = build_routing(net)
+def _soup(n_routers, n_flows, duration):
+    net = synth_network(n_routers=n_routers, seed=4)
     wl = SyntheticTransfers(
-        n_flows=400, duration=2.0, min_bytes=5_000, max_bytes=120_000,
+        n_flows=n_flows, duration=duration, min_bytes=5_000,
+        max_bytes=120_000,
     )
     wl.prepare(net, np.random.default_rng(17))
-    trace, kernel = run_kernel(net, tables, wl, seed=17, train_packets=32)
-    return trace, kernel
+    return net, build_routing(net), wl
+
+
+@pytest.fixture(scope="module")
+def soup_run():
+    """A dense open-loop soup (≈ 15 train rows per conservative window)."""
+    net, tables, wl = _soup(n_routers=200, n_flows=4000, duration=0.5)
+    tel = Telemetry()
+    trace, kernel = run_kernel(net, tables, wl, seed=17, train_packets=32,
+                               telemetry=tel)
+    return trace, kernel, tel
 
 
 def test_vector_path_dominates(soup_run):
-    """On an open-loop drop-free soup, the overwhelming majority of train
-    events must ride the numpy fast path."""
-    _, kernel = soup_run
+    """On a dense open-loop drop-free soup the window drain runs, and the
+    overwhelming majority of train events ride the numpy fast path."""
+    _, kernel, tel = soup_run
+    (row,) = tel.series["kernel/run"]
+    assert row["drain"] == "windows" and row["density"] > 10
     st = kernel.stats
     total = st.vector_events + st.python_loop_events
     assert total > 0
-    # ~77% on this soup today; the floor leaves headroom for workload
+    # ~94% on this soup today; the floor leaves headroom for workload
     # drift but fails hard if the fast path is rerouted (→ near 0).
-    assert st.vector_events / total > 0.7
+    assert st.vector_events / total > 0.85
 
 
 def test_events_accounted_exactly(soup_run):
     """vector + python-loop events = every executed train event (each
     non-injection trace row is exactly one train event)."""
-    from repro.engine.trace import INJECTED
-
-    trace, kernel = soup_run
+    trace, kernel, _ = soup_run
     st = kernel.stats
     n_train_events = int((trace.next_node != INJECTED).sum())
     assert st.vector_events + st.python_loop_events == n_train_events
 
 
 def test_windows_bounded_by_horizon(soup_run):
-    """The batched loop advances whole conservative windows: the window
-    count stays within the horizon / lookahead budget (plus merges), i.e.
-    no degeneration into per-event windows."""
-    trace, kernel = soup_run
-    assert kernel.stats.windows <= trace.n_events
+    """The window drain advances whole conservative windows: the window
+    count stays within the horizon / lookahead budget, i.e. no
+    degeneration into per-event windows."""
+    trace, kernel, _ = soup_run
+    budget = int(np.ceil(trace.duration / kernel.window_s)) + 1
+    assert 0 < kernel.stats.windows <= min(trace.n_events, budget)
     assert kernel.stats.segments >= kernel.stats.windows - 1
 
 
 def test_open_loop_soup_needs_no_merges(soup_run):
     """Every transfer is known at install time, so nothing should inject
     into a window mid-flight: merges stay zero on this shape."""
-    _, kernel = soup_run
+    _, kernel, _ = soup_run
     assert kernel.stats.window_merges == 0
     assert kernel.stats.hook_cuts == 0
+
+
+def test_sparse_soup_drains_per_event():
+    """A sparse soup (≈ 0.4 rows per window) runs per event: the calendar
+    is handed over whole — no window is bucketed, popped or pushed inside
+    ``run()`` — and every train event is one python-loop event."""
+    net, tables, wl = _soup(n_routers=120, n_flows=400, duration=2.0)
+    reset_flow_ids()
+    tel = Telemetry()
+    kernel = EmulationKernel(net, tables, train_packets=32, telemetry=tel)
+    wl.install(kernel, np.random.default_rng(17))
+    calls: list[str] = []
+
+    def spy(name):
+        method = getattr(kernel.calendar, name)
+
+        def counted(*args):
+            calls.append(name)
+            return method(*args)
+        setattr(kernel.calendar, name, counted)
+
+    for name in ("pop_bucket", "push_batch", "_bucket_pushed"):
+        spy(name)
+    trace = kernel.run(until=wl.duration)
+    (row,) = tel.series["kernel/run"]
+    assert row["drain"] == "per_event" and row["density"] < 1
+    assert calls == []
+    st = kernel.stats
+    assert st.windows == st.segments == st.vector_events == 0
+    assert st.python_loop_events == int((trace.next_node != INJECTED).sum())
+    assert st.python_loop_events > 0
 
 
 def test_install_injects_one_batch_per_generator(monkeypatch):
@@ -76,7 +122,6 @@ def test_install_injects_one_batch_per_generator(monkeypatch):
     ``Transfer`` per *hooked* (``http*``) transfer."""
     from repro.engine import kernel as kernel_mod
     from repro.engine import packet as packet_mod
-    from repro.engine.packet import reset_flow_ids
     from repro.experiments.workloads import build_workload
     from repro.topology.campus import campus_network
 

@@ -53,6 +53,16 @@ def test_validate_catches_bad_node():
         trace.validate()
 
 
+@pytest.mark.parametrize("bad", (np.inf, np.nan))
+def test_validate_rejects_non_finite_times(bad):
+    """``np.diff`` of an inf / nan row is never < 0, so sortedness alone
+    let such a trace through."""
+    trace = make_trace()
+    trace.time[-1] = bad
+    with pytest.raises(ValueError, match="times must be finite"):
+        trace.validate()
+
+
 def test_save_load_roundtrip(tmp_path, tiny_routed):
     net, tables = tiny_routed
     kern = EmulationKernel(net, tables)
