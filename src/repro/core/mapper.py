@@ -153,7 +153,8 @@ class Mapper:
             graph, self._link_index, latency_weights, traffic_weights,
             self.n_parts, p=self.config.latency_priority,
             algorithm=self.config.algorithm, tolerance=self.config.tolerance,
-            seed=self.config.seed,
+            seed=self.config.seed, target_fracs=self.target_fracs,
+            telemetry=self.telemetry,
         )
         result = self._partition(vwgt, combo.link_weights)
         return result, {

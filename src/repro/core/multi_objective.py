@@ -59,12 +59,15 @@ def combine_objectives(
     algorithm: str = "multilevel",
     tolerance: float = 1.05,
     seed: int = 0,
+    target_fracs: np.ndarray | None = None,
+    telemetry=None,
 ) -> MultiObjective:
     """Compute the §2.3 combined per-link edge weights.
 
-    ``graph`` must already carry the vertex weights (constraints) that the
-    final partitioning will use, so the normalizing single-objective runs
-    see the same balance problem.
+    ``graph`` must already carry the vertex weights (constraints) and
+    ``target_fracs`` the per-part shares that the final partitioning will
+    use, so the normalizing single-objective runs see the same balance
+    problem.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("latency priority p must be in [0, 1]")
@@ -73,16 +76,16 @@ def combine_objectives(
     if latency_weights.shape != traffic_weights.shape:
         raise ValueError("objective weight vectors must be parallel")
 
+    opts = dict(algorithm=algorithm, tolerance=tolerance, seed=seed,
+                target_fracs=target_fracs, telemetry=telemetry)
     g_lat = graph.with_adjwgt(
         link_weights_to_adjwgt(latency_weights, link_index)
     )
-    r_lat = part_graph(g_lat, k, algorithm=algorithm, tolerance=tolerance,
-                       seed=seed)
+    r_lat = part_graph(g_lat, k, **opts)
     g_bw = graph.with_adjwgt(
         link_weights_to_adjwgt(traffic_weights, link_index)
     )
-    r_bw = part_graph(g_bw, k, algorithm=algorithm, tolerance=tolerance,
-                      seed=seed)
+    r_bw = part_graph(g_bw, k, **opts)
 
     c_lat = max(r_lat.weighted_cut, _EPS)
     c_bw = max(r_bw.weighted_cut, _EPS)

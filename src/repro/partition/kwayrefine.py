@@ -10,10 +10,15 @@ The hot path is incremental: a per-vertex connectivity table (``(n, k)``
 edge weight into each part) is built **once** per call with a vectorized
 sweep over the CSR arrays, then invalidated only in the neighborhood of
 each moved vertex.  A cached external-weight vector makes the interior-
-vertex test O(1), so passes cost O(boundary) instead of O(n · k).  The
-original rescan-everything kernel survives as
+vertex test O(1), so passes cost O(boundary) instead of O(n · k).
+
+The balance-repair pre-pass (move vertices out of an over-envelope part
+until every part fits) scores all ``members × k`` candidates of the
+overloaded part in one numpy pass per move, drawing every tie-break in
+one vector call.  The original rescan-everything kernel survives as
 :func:`repro.partition._reference.kway_refine_reference`, the differential
-parity suite's oracle.
+parity suite's oracle: both kernels return the same parts and leave the
+RNG in the same state.
 """
 
 from __future__ import annotations
@@ -112,17 +117,18 @@ def kway_refine(
     totals = graph.total_vwgt()
     safe_totals = np.where(totals > 0, totals, 1.0)
 
-    # Python-scalar mirrors of the small per-part state.  The admissibility
-    # and load tests run per candidate move (hundreds of thousands of times
-    # per call); tiny-array numpy reductions dominate wall time there, while
-    # python float arithmetic performs the *same IEEE operations* bit-for-
-    # bit, so mirrored tests decide identically to the reference kernel.
+    # Python-scalar mirrors of the small per-part state.  The gain passes
+    # run the admissibility and load tests once per boundary candidate;
+    # tiny-array numpy reductions dominate wall time there, while python
+    # float arithmetic performs the *same IEEE operations* bit-for-bit, so
+    # mirrored tests decide identically to the reference kernel.
     ncon = graph.ncon
     rcon = range(ncon)
+    cap_eps = cap + 1e-9
     vw_list: list[list[float]] = vwgt.tolist()
     pw_list: list[list[float]] = pw.tolist()
     counts_list: list[int] = counts.tolist()
-    cap_eps: list[list[float]] = (cap + 1e-9).tolist()
+    cap_eps_list: list[list[float]] = cap_eps.tolist()
     safe_list: list[float] = safe_totals.tolist()
 
     # --- incremental state: built once, invalidated per-neighborhood --- #
@@ -138,7 +144,7 @@ def kway_refine(
             return False
         pd = pw_list[dest]
         wv = vw_list[v]
-        ce = cap_eps[dest]
+        ce = cap_eps_list[dest]
         for c in rcon:
             if pd[c] + wv[c] > ce[c]:
                 return False
@@ -180,30 +186,32 @@ def kway_refine(
         stats.neighbor_updates += len(nbrs)
 
     # --- balance repair ------------------------------------------------ #
+    # One numpy pass per move over (overloaded part's members x parts), in
+    # the reference's member-major order.  Each admissible candidate draws
+    # one tie-break from a single vector draw — for numpy's bit generators
+    # the same stream as the reference's per-candidate scalar draws — and
+    # the move taken is the first lexicographic minimum of (-gain, draw).
     for _ in range(n):
         if budget <= 0:
             break
-        over = np.nonzero(np.any(pw > cap + 1e-9, axis=1))[0]
+        over = np.nonzero(np.any(pw > cap_eps, axis=1))[0]
         if len(over) == 0:
             break
         src = int(over[0])
-        members = np.nonzero(parts == src)[0]
-        best_key: tuple[float, float] | None = None
-        best_move: tuple[int, int] | None = None
-        for v in members:
-            v = int(v)
-            conn_v = conn[v]
-            for dest in range(k):
-                if dest == src or not admissible(v, dest):
-                    continue
-                gain = conn_v[dest] - conn_v[src]
-                key = (-gain, rng.random())
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_move = (v, dest)
-        if best_move is None:
+        if counts[src] <= 1:  # never empty a part
             break
-        move(*best_move)
+        members = np.nonzero(parts == src)[0]
+        fits = np.all(pw + vwgt[members][:, None, :] <= cap_eps, axis=2)
+        fits[:, src] = False
+        vi, di = np.nonzero(fits)
+        if len(vi) == 0:
+            break
+        cand = members[vi]
+        neg_gain = -(conn[cand, di] - conn[cand, src])
+        draws = rng.random(len(vi))
+        ties = np.flatnonzero(neg_gain == neg_gain.min())
+        best = ties[np.argmin(draws[ties])]
+        move(int(cand[best]), int(di[best]))
         budget -= 1
 
     # --- gain passes ----------------------------------------------------#

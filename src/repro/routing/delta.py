@@ -226,7 +226,7 @@ def _repair(
     diff,
     new_graph,
     *,
-    fp_before: str,
+    fp_before: str | None,
     metric: str,
     block_size: int | None,
     cache,
@@ -315,9 +315,11 @@ def update_routing(
     tel = ensure_telemetry(telemetry)
     tables = state.tables
     net = tables.net
-    fp_before = net.fingerprint()
-    if not list(changes):
+    changes = list(changes)
+    if not changes:
         return np.zeros(0, dtype=np.int64)
+    # The fingerprint is only a cache-key part: skip the hash without one.
+    fp_before = net.fingerprint() if cache is not None else None
     apply_changes(net, changes)
 
     with tel.span("routing/delta"):
@@ -386,9 +388,10 @@ def derive_routing(
             return None
         dist = np.array(tables.dist, dtype=np.float64)
         next_hop = np.array(tables.next_hop, dtype=np.int32)
+        fp_before = tables.net.fingerprint() if cache is not None else None
         touched = _repair(
             dist, next_hop, diff, new_graph,
-            fp_before=tables.net.fingerprint(), metric=tables.metric,
+            fp_before=fp_before, metric=tables.metric,
             block_size=block_size, cache=cache, stats=stats,
         )
         derived = RoutingState(

@@ -59,3 +59,34 @@ def test_normalization_is_scale_invariant(setup):
     b = combine_objectives(graph, link_index, w_lat, w_bw * 1000.0, k=2,
                            p=0.5, seed=3)
     assert np.allclose(a.link_weights, b.link_weights)
+
+
+def test_normalizing_runs_see_engine_capacities(campus):
+    """With uneven engine capacities the single-objective runs that give
+    C_latency / C_bandwidth are balanced to the same shares as the final
+    run, not to uniform ones."""
+    from repro.core.graphbuild import link_weights_to_adjwgt
+    from repro.core.mapper import Mapper
+    from repro.core.place import build_place_inputs
+    from repro.partition.api import part_graph
+
+    caps = np.array([2.0, 1.0, 1.0])
+    mapper = Mapper(campus, n_parts=3, engine_capacities=caps)
+    diag = mapper.map_place([], []).diagnostics
+    cfg = mapper.config
+    inputs = build_place_inputs(
+        campus, mapper.tables, [], [], memory_weight=cfg.memory_weight,
+        memory_mode=cfg.memory_mode,
+        use_representatives=cfg.use_representatives,
+    )
+    graph, link_index = network_csr(campus)
+    g_lat = graph.with_vwgt(inputs.vwgt).with_adjwgt(
+        link_weights_to_adjwgt(inputs.link_weights_latency, link_index)
+    )
+
+    def c_latency(target_fracs):
+        return part_graph(g_lat, 3, tolerance=cfg.tolerance, seed=cfg.seed,
+                          target_fracs=target_fracs).weighted_cut
+
+    assert diag["c_latency"] == c_latency(caps / caps.sum())
+    assert diag["c_latency"] != c_latency(None)

@@ -81,6 +81,36 @@ def test_kway_scans_boundary_vertices_only():
     assert stats.boundary_scans < stats.passes * graph.n // 2
 
 
+class _CountingRNG:
+    """A ``Generator`` stand-in that counts ``random`` calls."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self.random_calls = 0
+
+    def random(self, *args, **kwargs):
+        self.random_calls += 1
+        return self._rng.random(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_kway_repair_draws_once_per_move_not_per_candidate():
+    """Balance repair scores every (member, destination) candidate of the
+    overloaded part in one vector pass: one tie-break draw call per move."""
+    graph = random_graph(32, n=80, extra=160)
+    parts0 = np.zeros(graph.n, dtype=np.int64)
+    parts0[:4] = (1, 2, 3, 3)
+    stats = RefineStats()
+    rng = _CountingRNG(np.random.default_rng(6))
+    # No gain passes: every move counted is a repair move.
+    kway_refine(graph, parts0, 4, tolerance=1.1, max_passes=0, rng=rng,
+                stats=stats)
+    assert stats.moves >= 20
+    assert rng.random_calls <= stats.moves
+
+
 def test_stats_merge_accumulates():
     a = RefineStats(full_gain_builds=1, conn_builds=0, passes=3, moves=10,
                     neighbor_updates=40, boundary_scans=7)

@@ -12,6 +12,8 @@ and the paper topologies (bandwidth weights are integral floats).
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.graphbuild import network_csr
 from repro.partition._reference import (
@@ -124,6 +126,67 @@ def test_kway_identical_from_unbalanced_start():
         graph, parts0, 4, tolerance=1.1, rng=np.random.default_rng(6)
     )
     assert np.array_equal(got, want)
+
+
+def assert_kway_parity(graph, parts0, k, seed, **kwargs) -> np.ndarray:
+    """Same parts as the oracle *and* the same RNG stream consumed — the
+    second keeps every later multilevel level identical too."""
+    rng_got = np.random.default_rng(seed)
+    rng_want = np.random.default_rng(seed)
+    got = kway_refine(graph, parts0, k, rng=rng_got, **kwargs)
+    want = kway_refine_reference(graph, parts0, k, rng=rng_want, **kwargs)
+    assert np.array_equal(got, want)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(6, 40),
+    k=st.integers(2, 5),
+    ncon=st.sampled_from((1, 2, 3)),
+    shares=st.lists(st.integers(1, 4), min_size=5, max_size=5),
+    crowd=st.integers(60, 100),
+    tolerance=st.sampled_from((1.0, 1.05, 1.2)),
+)
+@example(seed=8, n=40, k=5, ncon=3, shares=[4, 1, 1, 2, 1], crowd=100,
+         tolerance=1.05)
+def test_kway_repair_identical_to_reference(
+    seed, n, k, ncon, shares, crowd, tolerance
+):
+    """Balance repair from deliberately unbalanced starts (``crowd`` % of
+    the vertices in part 0, uneven target shares) matches the oracle move
+    for move.  Small-integer vertex and edge weights make gain ties common,
+    so the per-candidate tie-break draws decide moves."""
+    graph = random_graph(seed, n=n, extra=2 * n)
+    wrng = np.random.default_rng(seed + 300)
+    graph = graph.with_vwgt(
+        wrng.integers(1, 4, size=(n, ncon)).astype(np.float64)
+    )
+    parts0 = np.where(
+        wrng.random(n) * 100 < crowd, 0, wrng.integers(0, k, size=n)
+    ).astype(np.int64)
+    parts0[1:k] = np.arange(1, k)  # every part populated
+    fracs = np.asarray(shares[:k], dtype=np.float64)
+    assert_kway_parity(graph, parts0, k, seed,
+                       target_fracs=fracs / fracs.sum(), tolerance=tolerance)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kway_repair_leaves_overloaded_part_one_member(seed):
+    """Part 0 holds the two heavy vertices (8 > cap 6); repair moves one
+    out and leaves it a single member.  A part that starts with one member
+    is never overloaded — every cap is at least the heaviest vertex — so
+    this is the tightest start the repair can meet."""
+    graph = random_graph(seed, n=4, extra=6).with_vwgt(
+        np.array([4.0, 4.0, 1.0, 1.0])
+    )
+    parts0 = np.array([0, 0, 1, 1], dtype=np.int64)
+    got = assert_kway_parity(graph, parts0, 2, seed, tolerance=1.2,
+                             max_passes=0)
+    assert got[0] != got[1]
+    assert np.bincount(got, minlength=2)[0] == 1
 
 
 # --------------------------------------------------------------------- #

@@ -231,6 +231,27 @@ def test_stats_accumulate_across_stream():
     assert stats.touched_sources == stats.affected_sources > 0
 
 
+def test_generator_of_changes_applies_like_a_list():
+    """A one-shot iterable of changes is applied, not consumed by the
+    emptiness check: same touched ids and tables as the list."""
+    def stream(net):
+        return [SetLinkCost(3, latency_s=net.links[3].latency_s * 50)]
+
+    net_gen, net_list = campus_network(), campus_network()
+    state_gen = routing_state(build_routing(net_gen))
+    state_list = routing_state(build_routing(net_list))
+    touched_gen = update_routing(state_gen, (c for c in stream(net_gen)))
+    touched_list = update_routing(state_list, stream(net_list))
+    assert len(touched_list) > 0
+    assert np.array_equal(touched_gen, touched_list)
+    assert np.array_equal(state_gen.tables.dist, state_list.tables.dist)
+    assert np.array_equal(
+        state_gen.tables.next_hop, state_list.tables.next_hop
+    )
+    assert net_gen.fingerprint() == net_list.fingerprint()
+    _assert_matches_fresh(state_gen)
+
+
 # --------------------------------------------------------------------- #
 # Vectorized engine vs the scalar reference oracle
 # --------------------------------------------------------------------- #

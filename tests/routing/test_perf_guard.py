@@ -125,3 +125,30 @@ def test_telemetry_counters_emitted(net):
     assert counters["routing.nodes"] == net.n_nodes
     assert counters["routing.dijkstra_calls"] >= 1
     assert counters["routing.nexthop_rounds"] >= 1
+
+
+def test_uncached_delta_never_hashes_the_network(monkeypatch):
+    """The network fingerprint is only a cache-key part: without a cache,
+    neither update_routing nor derive_routing computes it."""
+    from repro.routing.delta import (
+        SetLinkCost,
+        derive_routing,
+        routing_state,
+        update_routing,
+    )
+    from repro.topology import campus_network
+    from repro.topology.network import Network
+
+    base = routing_state(build_routing(campus_network()))
+    state = routing_state(build_routing(campus_network()))
+    calls = []
+    real = Network.fingerprint
+    monkeypatch.setattr(
+        Network, "fingerprint", lambda self: calls.append(1) or real(self)
+    )
+    net = state.tables.net
+    update_routing(
+        state, [SetLinkCost(3, latency_s=net.links[3].latency_s * 50)]
+    )
+    assert derive_routing(base, net) is not None
+    assert calls == []
