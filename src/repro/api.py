@@ -297,10 +297,9 @@ def emulate(
         Optional :class:`repro.obs.Telemetry` and artifact-cache spec
         (used for routing tables and the derived partition).
     rebalance:
-        Attach an online rebalancer (parallel engine only): ``True``, a
-        policy name (``static`` / ``hysteresis`` / ``kurve`` / ``rsz``),
-        a :class:`repro.rebalance.RebalanceConfig`, or a prebuilt
-        :class:`repro.rebalance.OnlineRebalancer`.  The run's
+        Attach an online rebalancer (parallel engine only): a
+        :class:`repro.rebalance.RebalanceConfig` naming its policy
+        (``static`` / ``hysteresis`` / ``kurve``).  The run's
         :class:`~repro.rebalance.log.MigrationLog` lands on
         ``result.migration_log``.
     link_changes:

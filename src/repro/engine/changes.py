@@ -30,6 +30,8 @@ rows over its pipe and waits for the ack before the next window.
 
 from __future__ import annotations
 
+import math
+
 from repro.routing.delta import RoutingState, SetLinkCost, update_routing
 from repro.routing.perf import RoutingStats
 
@@ -56,8 +58,10 @@ def normalize_link_changes(link_changes) -> list[tuple[float, list]]:
                 f"got {entry!r}"
             ) from None
         when = float(when)
-        if when < 0:
-            raise ValueError(f"change time {when!r} is before time 0")
+        if not 0 <= when < math.inf:
+            raise ValueError(
+                f"change time {when!r} must be finite and not before time 0"
+            )
         if isinstance(changes, (list, tuple)):
             changes = list(changes)
         else:

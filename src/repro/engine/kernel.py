@@ -788,10 +788,9 @@ def run_kernel(
     train by train.  ``engine="parallel"`` shards the run across one
     logical process per partition in ``parts`` (see
     :class:`repro.engine.lp.ParallelEmulationKernel`; ``processes=False``
-    keeps the shards in-process for testing).  ``rebalance`` attaches an
-    online rebalancer to the parallel engine — a policy name, a
-    :class:`repro.rebalance.RebalanceConfig`, or a prebuilt
-    :class:`repro.rebalance.OnlineRebalancer`; the resulting
+    keeps the shards in-process for testing).  ``rebalance``, a
+    :class:`repro.rebalance.RebalanceConfig`, attaches an online
+    rebalancer to the parallel engine; the resulting
     :class:`~repro.rebalance.log.MigrationLog` is available as
     ``kernel.rebalancer.log``.
 

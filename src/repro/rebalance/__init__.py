@@ -15,8 +15,6 @@ from repro.rebalance.log import MigrationEvent, MigrationLog
 from repro.rebalance.migrate import (
     CHANNEL_STATE_BYTES,
     ForcedMigrationSchedule,
-    MigrationStats,
-    migration_state_bytes,
     node_state_bytes_array,
 )
 from repro.rebalance.monitor import (
@@ -31,10 +29,8 @@ from repro.rebalance.policy import (
     KurvePolicy,
     ProposalState,
     RebalancePolicy,
-    RSZPolicy,
     StaticPolicy,
     boundary_vertices,
-    make_policy,
 )
 
 __all__ = [
@@ -45,17 +41,13 @@ __all__ = [
     "LoadMonitor",
     "MigrationEvent",
     "MigrationLog",
-    "MigrationStats",
     "OnlineRebalancer",
     "POLICIES",
     "ProposalState",
     "RebalanceConfig",
     "RebalancePolicy",
-    "RSZPolicy",
     "StaticPolicy",
     "attach_rebalancer",
     "boundary_vertices",
-    "make_policy",
-    "migration_state_bytes",
     "node_state_bytes_array",
 ]

@@ -3,16 +3,13 @@
 The actual state transfer lives in the engine
 (:meth:`repro.engine.lp.ParallelEmulationKernel.migrate_routers` — it owns
 the shards and the fork boundary); this module provides what sits around
-it: the run-level :class:`MigrationStats` counters the perf-guard tests
-read, the network-level state-size accounting that migration *cost* is
+it: the network-level state-size accounting that migration *cost* is
 measured in, and :class:`ForcedMigrationSchedule` — the deterministic
 "migrate router r to LP d at virtual time t" harness the migration-parity
 suite and the bench drive the engine with.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,48 +18,21 @@ from repro.topology.network import Network
 
 __all__ = [
     "CHANNEL_STATE_BYTES",
-    "MigrationStats",
-    "migration_state_bytes",
+    "node_state_bytes_array",
     "ForcedMigrationSchedule",
 ]
 
 
-@dataclass
-class MigrationStats:
-    """Counters of one rebalanced run's decision pipeline.
-
-    Every trigger produces exactly one proposal, and every proposal is
-    either adopted or rejected — so ``triggers == proposals == adopted +
-    rejected`` always holds.  The byte / router counters cover adopted
-    events only (rejected proposals serialize nothing).
-    """
-
-    triggers: int = 0
-    proposals: int = 0
-    adopted: int = 0
-    rejected: int = 0
-    routers_migrated: int = 0
-    bytes_moved: int = 0
-
-
-def migration_state_bytes(net: Network, nodes) -> int:
-    """Serialized migration payload for ``nodes``, from the topology alone.
+def node_state_bytes_array(net: Network) -> np.ndarray:
+    """Per-node migration payload sizes, ``int64[n_nodes]``.
 
     A node's migration state is its outgoing (link, direction) channel
-    set — one entry per incident link — at
-    :data:`CHANNEL_STATE_BYTES` each — the payload
+    set — one entry per incident link — at :data:`CHANNEL_STATE_BYTES`
+    each: the payload
     :meth:`repro.engine.lp.ParallelEmulationKernel.migrate_routers`
-    charges for the same nodes, priced without a kernel (policies price
-    candidate moves with this).
+    charges for it, priced without a kernel (policies price candidate
+    moves with this).
     """
-    nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
-    return CHANNEL_STATE_BYTES * int(
-        sum(net.degree(int(v)) for v in nodes)
-    )
-
-
-def node_state_bytes_array(net: Network) -> np.ndarray:
-    """Per-node migration payload sizes, ``int64[n_nodes]``."""
     degrees = np.array(
         [net.degree(v) for v in range(net.n_nodes)], dtype=np.int64
     )
@@ -85,7 +55,7 @@ class ForcedMigrationSchedule:
         self._moves = sorted(moves, key=lambda m: m[0])
         self._next = 0
         self._kernel = None
-        #: ``(barrier_time, router, dest)`` per applied entry.
+        #: ``(barrier_time, router, dest)`` per router handed to the kernel.
         self.executed: list[tuple[float, int, int]] = []
 
     def attach(self, kernel) -> "ForcedMigrationSchedule":
@@ -113,14 +83,11 @@ class ForcedMigrationSchedule:
         batch = self._moves[self._next:due]
         self._next = due
         # Later entries for the same router win, matching apply order.
-        routers: list[int] = []
         dests: dict[int, int] = {}
-        for t, r, d in batch:
-            if r not in dests:
-                routers.append(r)
+        for _, r, d in batch:
             dests[r] = d
-            self.executed.append((now, r, d))
+        self.executed.extend((now, r, d) for r, d in dests.items())
         self._kernel.migrate_routers(
-            np.asarray(routers, dtype=np.int64),
-            np.asarray([dests[r] for r in routers], dtype=np.int64),
+            np.asarray(list(dests), dtype=np.int64),
+            np.asarray(list(dests.values()), dtype=np.int64),
         )

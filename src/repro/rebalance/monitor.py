@@ -8,8 +8,8 @@ the normalized-std imbalance signal per bin, and — when the signal clears
 the trigger threshold outside the cooldown — asks its policy for an
 incremental migration set.  A candidate survives two gates:
 
-1. the policy's own economics (hysteresis bill, kurve equilibrium, rsz
-   stopping rule — see :mod:`repro.rebalance.policy`), and
+1. the policy's own economics (hysteresis bill, kurve equilibrium — see
+   :mod:`repro.rebalance.policy`), and
 2. the **universal adoption gate** enforced here: the candidate's predicted
    imbalance must be *strictly* below the observed signal.
 
@@ -20,13 +20,14 @@ byte-identical — and everything lands in the :class:`MigrationLog`.
 
 The rebalancer also runs *detached* (no kernel): feed
 :meth:`OnlineRebalancer.observe` and :meth:`~OnlineRebalancer.on_barrier`
-synthetic loads and it makes the same decisions against its private
-partition copy — how the hypothesis property suite drives it.
+synthetic loads and it makes the same decisions against its own
+partition array — how the hypothesis property suite drives it.  Attached,
+it reads and migrates the kernel's partition array directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +41,8 @@ from repro.metrics.imbalance import load_imbalance
 from repro.obs.telemetry import ensure_telemetry
 from repro.partition.perf import RefineStats
 from repro.rebalance.log import MigrationEvent, MigrationLog
-from repro.rebalance.migrate import MigrationStats, node_state_bytes_array
-from repro.rebalance.policy import (
-    ProposalState,
-    boundary_vertices,
-    make_policy,
-)
+from repro.rebalance.migrate import node_state_bytes_array
+from repro.rebalance.policy import POLICIES, ProposalState, boundary_vertices
 from repro.topology.network import Network
 
 __all__ = [
@@ -63,8 +60,8 @@ class RebalanceConfig:
     Attributes
     ----------
     policy:
-        ``static`` / ``hysteresis`` / ``kurve`` / ``rsz`` (or a
-        :class:`~repro.rebalance.policy.RebalancePolicy` instance).
+        ``static`` / ``hysteresis`` / ``kurve`` (a key of
+        :data:`~repro.rebalance.policy.POLICIES`, checked here).
     bin_s:
         Observation bin width — the granularity of the imbalance signal.
     threshold:
@@ -85,14 +82,12 @@ class RebalanceConfig:
     kurve_rounds / kurve_comm / kurve_mig:
         Kurve best-response rounds and its communication / migration cost
         blend weights.
-    rsz_cost_weight:
-        RSZ's per-byte migration cost in normalized-load units.
     seed:
         Seed of the rebalancer's private generator (policy tie-breaks);
         same seed + same loads ⇒ identical :class:`MigrationLog`.
     """
 
-    policy: object = "hysteresis"
+    policy: str = "hysteresis"
     bin_s: float = 0.25
     threshold: float = 0.35
     cooldown_s: float = 0.5
@@ -105,8 +100,14 @@ class RebalanceConfig:
     kurve_rounds: int = 8
     kurve_comm: float = 0.05
     kurve_mig: float = 0.05
-    rsz_cost_weight: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"unknown rebalance policy {self.policy!r}; choose from "
+                f"{', '.join(sorted(POLICIES))}"
+            )
 
 
 class LoadMonitor:
@@ -181,10 +182,7 @@ class OnlineRebalancer:
     ) -> None:
         self.net = net
         self.config = config if config is not None else RebalanceConfig()
-        self.policy = make_policy(self.config.policy)
-        # Record the resolved policy name, not the spec object.
-        if self.config.policy is not self.policy.name:
-            self.config = replace(self.config, policy=self.policy.name)
+        self.policy = POLICIES[self.config.policy]()
         self.parts = np.asarray(parts, dtype=np.int64).copy()
         self.k = int(self.parts.max()) + 1 if len(self.parts) else 1
         graph, link_index = network_csr(net)
@@ -197,7 +195,6 @@ class OnlineRebalancer:
         self.state_bytes = node_state_bytes_array(net)
         self.monitor = LoadMonitor(net.n_nodes, self.config.bin_s)
         self.rng = np.random.default_rng(self.config.seed)
-        self.stats = MigrationStats()
         self.refine_stats = RefineStats()
         self.log = MigrationLog(
             policy=self.policy.name, bin_s=self.config.bin_s
@@ -209,17 +206,16 @@ class OnlineRebalancer:
 
     # ------------------------------------------------------------------ #
     def attach(self, kernel) -> "OnlineRebalancer":
-        """Install on a live :class:`ParallelEmulationKernel`."""
+        """Install on a live :class:`ParallelEmulationKernel`; from here on
+        the kernel's partition array is the one read and migrated."""
         if not hasattr(kernel, "migrate_routers"):
             raise TypeError(
                 "an OnlineRebalancer needs the parallel LP engine "
                 "(the sequential kernel has no LPs to migrate between)"
             )
-        if not np.array_equal(kernel._parts, self.parts):
-            raise ValueError(
-                "rebalancer and kernel disagree on the initial partition"
-            )
         self._kernel = kernel
+        self.parts = kernel._parts
+        self.k = kernel.n_lps
         kernel.segment_observers.append(self.observe)
         kernel.barrier_hooks.append(self.on_barrier)
         kernel.rebalancer = self
@@ -283,8 +279,6 @@ class OnlineRebalancer:
         signal: float,
     ) -> None:
         cfg = self.config
-        self.stats.triggers += 1
-        self.stats.proposals += 1
         parts_before = self.parts.copy()
         graph = self._graph.with_vwgt(node_loads)
         n_boundary = len(boundary_vertices(graph, parts_before))
@@ -325,12 +319,6 @@ class OnlineRebalancer:
                     dests = tuple(int(d) for d in cand[movers])
                     cost = int(self.state_bytes[movers].sum())
                     self._execute(movers, cand[movers])
-        if adopted:
-            self.stats.adopted += 1
-            self.stats.routers_migrated += len(routers)
-            self.stats.bytes_moved += cost
-        else:
-            self.stats.rejected += 1
         self.log.events.append(MigrationEvent(
             time=time,
             policy=self.policy.name,
@@ -347,49 +335,37 @@ class OnlineRebalancer:
 
     def _execute(self, movers: np.ndarray, dests: np.ndarray) -> None:
         if self._kernel is not None:
-            self._kernel.migrate_routers(movers, dests)
-        self.parts[movers] = dests
+            self._kernel.migrate_routers(movers, dests)  # rewrites parts
+        else:
+            self.parts[movers] = dests
 
     # ------------------------------------------------------------------ #
     def _emit_telemetry(self) -> None:
-        tel = self.telemetry
-        tel.count("rebalance.bins", len(self.log.bin_times))
-        tel.count("rebalance.triggers", self.stats.triggers)
-        tel.count("rebalance.adopted", self.stats.adopted)
-        tel.count("rebalance.rejected", self.stats.rejected)
-        tel.count("rebalance.routers_migrated", self.stats.routers_migrated)
-        tel.count("rebalance.bytes_moved", self.stats.bytes_moved)
-        tel.gauge("rebalance.auc", self.log.auc())
-        if self.log.lp_loads:
+        tel, log = self.telemetry, self.log
+        triggers, adopted = len(log.events), log.migration_count
+        tel.count("rebalance.bins", len(log.bin_times))
+        tel.count("rebalance.triggers", triggers)
+        tel.count("rebalance.adopted", adopted)
+        tel.count("rebalance.rejected", triggers - adopted)
+        tel.count("rebalance.routers_migrated", log.routers_moved)
+        tel.count("rebalance.bytes_moved", log.bytes_moved)
+        tel.gauge("rebalance.auc", log.auc())
+        if log.lp_loads:
             tel.timeline(
                 "rebalance/lp_loads",
-                np.asarray(self.log.lp_loads, dtype=np.float64).T,
+                np.asarray(log.lp_loads, dtype=np.float64).T,
                 self.config.bin_s,
                 policy=self.policy.name,
             )
-        for event in self.log.events:
+        for event in log.events:
             tel.event("rebalance/migrations", **event.to_dict())
 
 
-def attach_rebalancer(kernel, spec) -> OnlineRebalancer:
-    """Normalize a ``rebalance=`` spec and install it on ``kernel``.
-
-    Accepts an :class:`OnlineRebalancer` (attached as-is), a
-    :class:`RebalanceConfig`, a policy name string, or ``True`` (default
-    config).
-    """
-    if isinstance(spec, OnlineRebalancer):
-        return spec.attach(kernel)
-    if isinstance(spec, RebalanceConfig):
-        config = spec
-    elif spec is True:
-        config = RebalanceConfig()
-    elif isinstance(spec, str):
-        config = RebalanceConfig(policy=spec)
-    else:
+def attach_rebalancer(kernel, config: RebalanceConfig) -> OnlineRebalancer:
+    """Build a rebalancer from ``config`` and install it on ``kernel``."""
+    if not isinstance(config, RebalanceConfig):
         raise TypeError(
-            f"rebalance= accepts True, a policy name, a RebalanceConfig "
-            f"or an OnlineRebalancer; got {spec!r}"
+            f"rebalance= takes a RebalanceConfig; got {config!r}"
         )
     rebalancer = OnlineRebalancer(
         kernel.net, kernel._parts, config=config,

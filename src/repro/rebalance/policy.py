@@ -1,8 +1,8 @@
-"""Pluggable rebalancing policies: static / hysteresis / kurve / rsz.
+"""Pluggable rebalancing policies: static / hysteresis / kurve.
 
 A policy answers one question at each trigger: *given the last observation
 bin's per-node loads, which (neighborhood-local) migration set should run
-next?*  All four work over the PR 3 incremental-refinement machinery —
+next?*  All three work over the incremental-refinement machinery —
 the CSR connectivity table and boundary tests of
 :mod:`repro.partition.kwayrefine` — and all randomness flows through the
 rebalancer's single seeded generator, so a run's decisions are a pure
@@ -15,10 +15,6 @@ function of (workload, seed).
 - ``kurve`` — game-theoretic iterative repartitioning (Kurve, Kothari &
   Ranka): boundary vertices play best-response rounds against a blended
   computation + communication + migration cost, until no player improves.
-- ``rsz`` — dynamic balanced repartitioning with explicit migration cost
-  (Räcke, Schmid & Zabrodin): greedily drain the most loaded LP across
-  its boundary while a move's balance benefit exceeds its state-transfer
-  cost.
 
 Every policy returns a full candidate assignment (or ``None`` to decline);
 the monitor enforces the universal adoption gate — a candidate is executed
@@ -42,9 +38,7 @@ __all__ = [
     "StaticPolicy",
     "HysteresisPolicy",
     "KurvePolicy",
-    "RSZPolicy",
     "POLICIES",
-    "make_policy",
     "boundary_vertices",
 ]
 
@@ -226,96 +220,9 @@ class KurvePolicy(RebalancePolicy):
         return parts
 
 
-class RSZPolicy(RebalancePolicy):
-    """Greedy dynamic balanced repartitioning with explicit move cost.
-
-    Repeatedly picks the single best boundary move *out of the most
-    loaded LP*: the move whose reduction of the maximum LP load, net of
-    the migration cost of the vertex's channel state, is largest.  Stops
-    when no move has positive net benefit — the explicit-cost stopping
-    rule that distinguishes the Räcke–Schmid–Zabrodin formulation from
-    plain greedy balancing.
-    """
-
-    name = "rsz"
-
-    def propose(self, state: ProposalState) -> np.ndarray | None:
-        cfg = state.config
-        graph, k = state.graph, state.k
-        total = float(state.lp_loads.sum())
-        if total <= 0.0:
-            return None
-        target = total / k
-        parts = state.parts.copy()
-        lp = state.lp_loads.astype(np.float64).copy()
-        counts = np.bincount(parts, minlength=k)
-        loads = state.node_loads
-        budget = 64 if cfg.max_moves is None else int(cfg.max_moves)
-        moves = 0
-        for _ in range(budget):
-            hot = int(np.argmax(lp))
-            if counts[hot] <= 1:
-                break
-            state.stats.passes += 1
-            boundary = boundary_vertices(graph, parts)
-            members = boundary[parts[boundary] == hot]
-            others = np.delete(lp, hot)
-            rest_max = float(others.max()) if len(others) else 0.0
-            cur_max = float(lp[hot])
-            best_key: tuple[float, int, int] | None = None
-            for v in members:
-                v = int(v)
-                w = float(loads[v])
-                if w <= 0.0:
-                    continue
-                conn = part_connectivity(graph, parts, v, k)
-                state.stats.boundary_scans += 1
-                for d in np.nonzero(conn > 0.0)[0]:
-                    d = int(d)
-                    if d == hot:
-                        continue
-                    new_max = max(cur_max - w, lp[d] + w, rest_max)
-                    benefit = (cur_max - new_max) / target
-                    score = benefit - (
-                        cfg.rsz_cost_weight * float(state.state_bytes[v])
-                    )
-                    key = (-score, v, d)
-                    if best_key is None or key < best_key:
-                        best_key = key
-            if best_key is None or -best_key[0] <= 1e-12:
-                break
-            _, v, d = best_key
-            w = float(loads[v])
-            lp[hot] -= w
-            lp[d] += w
-            counts[hot] -= 1
-            counts[d] += 1
-            parts[v] = d
-            state.stats.moves += 1
-            moves += 1
-        if moves == 0:
-            return None
-        return parts
-
-
 POLICIES: dict[str, type[RebalancePolicy]] = {
     "static": StaticPolicy,
     "hysteresis": HysteresisPolicy,
     "kurve": KurvePolicy,
-    "rsz": RSZPolicy,
 }
 
-
-def make_policy(spec) -> RebalancePolicy:
-    """Normalize a policy spec: an instance, a class, or a name."""
-    if isinstance(spec, RebalancePolicy):
-        return spec
-    if isinstance(spec, type) and issubclass(spec, RebalancePolicy):
-        return spec()
-    name = str(spec).strip().lower()
-    if name not in POLICIES:
-        raise ValueError(
-            f"unknown rebalance policy {spec!r}; choose from "
-            f"{', '.join(sorted(POLICIES))}"
-        )
-    return POLICIES[name]()

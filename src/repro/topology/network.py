@@ -7,6 +7,7 @@ traffic generation, to the emulation engine, and — via
 
 from __future__ import annotations
 
+import math
 
 import networkx as nx
 import numpy as np
@@ -77,8 +78,11 @@ class Network:
         uid, vid = self._resolve(u), self._resolve(v)
         if uid == vid:
             raise ValueError("self-links are not allowed")
-        if bandwidth_bps <= 0 or latency_s <= 0:
-            raise ValueError("bandwidth and latency must be positive")
+        if not (0 < bandwidth_bps < math.inf and 0 < latency_s < math.inf):
+            raise ValueError(
+                f"bandwidth and latency must be positive and finite; got "
+                f"bandwidth_bps={bandwidth_bps!r}, latency_s={latency_s!r}"
+            )
         if vid < uid:
             uid, vid = vid, uid
         link = Link(
@@ -126,12 +130,17 @@ class Network:
         old = self._links[link_id]
         kw: dict[str, float] = {}
         if bandwidth_bps is not None:
-            if bandwidth_bps <= 0:
-                raise ValueError("bandwidth must be positive")
+            if not 0 < bandwidth_bps < math.inf:
+                raise ValueError(
+                    f"bandwidth must be positive and finite; got "
+                    f"{bandwidth_bps!r}"
+                )
             kw["bandwidth_bps"] = float(bandwidth_bps)
         if latency_s is not None:
-            if latency_s <= 0:
-                raise ValueError("latency must be positive")
+            if not 0 < latency_s < math.inf:
+                raise ValueError(
+                    f"latency must be positive and finite; got {latency_s!r}"
+                )
             kw["latency_s"] = float(latency_s)
         if not kw:
             return old

@@ -182,6 +182,17 @@ def test_normalize_rejects_negative_time():
         normalize_link_changes([(-1.0, SetLinkCost(0, latency_s=0.5))])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_normalize_rejects_non_finite_time(bad):
+    """A NaN entry would sort first and block every batch behind it; an
+    inf one would never fire.  Both are refused up front."""
+    with pytest.raises(ValueError, match=f"change time {bad!r} must be finite"):
+        normalize_link_changes([
+            (bad, SetLinkCost(0, latency_s=0.5)),
+            (1.0, SetLinkCost(0, latency_s=0.5)),
+        ])
+
+
 def test_install_rejects_sub_window_latency():
     net, tables, workload = _scenario()
     kernel = EmulationKernel(net, tables)

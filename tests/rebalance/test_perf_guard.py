@@ -46,7 +46,7 @@ def _rebalanced_run(policy, **config_kwargs):
 def runs():
     return {
         policy: _rebalanced_run(policy)
-        for policy in ("hysteresis", "kurve", "rsz")
+        for policy in ("hysteresis", "kurve")
     }
 
 
@@ -54,8 +54,9 @@ def test_hysteresis_refinement_is_incremental(runs):
     """kway refinement builds its (n, k) connectivity table once per
     proposal — re-scanning per pass would multiply this counter."""
     _, _, reb = runs["hysteresis"]
-    assert reb.stats.proposals >= 1, "scenario must actually trigger"
-    assert reb.refine_stats.conn_builds == reb.stats.proposals
+    proposals = len(reb.log.events)
+    assert proposals >= 1, "scenario must actually trigger"
+    assert reb.refine_stats.conn_builds == proposals
     assert reb.refine_stats.full_gain_builds == 0  # k-way path, not FM
     # Scanning is boundary-local: interior vertices are never inspected,
     # so scans stay strictly under the full-rescan cost of passes × n.
@@ -63,7 +64,7 @@ def test_hysteresis_refinement_is_incremental(runs):
     assert reb.refine_stats.boundary_scans < reb.refine_stats.passes * n
 
 
-@pytest.mark.parametrize("policy", ["kurve", "rsz"])
+@pytest.mark.parametrize("policy", ["kurve"])
 def test_game_policies_move_within_boundary_neighborhood(runs, policy):
     """Migration sets are neighborhood-local: every mover was a boundary
     vertex of the partition at trigger time, or adjacent to another mover
@@ -93,7 +94,7 @@ def test_game_policies_move_within_boundary_neighborhood(runs, policy):
             )
 
 
-@pytest.mark.parametrize("policy", ["hysteresis", "kurve", "rsz"])
+@pytest.mark.parametrize("policy", ["hysteresis", "kurve"])
 def test_serialization_covers_migrated_routers_exactly(runs, policy):
     """The kernel serialized channel state for adopted movers and nothing
     else: per-router payloads sum to the log's byte accounting."""
@@ -105,13 +106,12 @@ def test_serialization_covers_migrated_routers_exactly(runs, policy):
     assert kernel.channels_migrated == degrees
     assert kernel.migration_bytes == degrees * CHANNEL_STATE_BYTES
     assert kernel.migration_bytes == reb.log.bytes_moved
-    assert kernel.migration_bytes == reb.stats.bytes_moved
     assert kernel.routers_migrated == len(moved)
-    assert kernel.migrations_applied == reb.stats.adopted
+    assert kernel.migrations_applied == reb.log.migration_count
     assert kernel.migration_noops == 0  # adopted sets never contain no-ops
 
 
-@pytest.mark.parametrize("policy", ["hysteresis", "kurve", "rsz"])
+@pytest.mark.parametrize("policy", ["hysteresis", "kurve"])
 def test_proposals_respect_move_budget(runs, policy):
     _, _, reb = runs[policy]
     budget = reb.config.max_moves
@@ -136,7 +136,7 @@ def test_quiescent_run_migrates_nothing():
     )
     reb = kernel.rebalancer
     assert len(reb.log.bin_times) >= 4, "run must produce a timeline"
-    assert reb.stats.triggers == 0
+    assert reb.log.events == []
     assert kernel.migrations_applied == 0
     assert kernel.channels_migrated == 0
     assert kernel.migration_bytes == 0

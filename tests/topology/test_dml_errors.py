@@ -48,6 +48,10 @@ def _load(stem: str) -> str:
      r"link block 0: key 'bandwidth' must be a number, got 'fast'"),
     ("negative_bandwidth",
      r"link block 0: bandwidth and latency must be positive"),
+    ("nan_bandwidth",
+     r"link block 0: .* must be positive and finite; got bandwidth_bps=nan"),
+    ("inf_latency",
+     r"link block 0: .* must be positive and finite; .*latency_s=inf"),
     ("self_link", r"link block 0: self-links are not allowed"),
     ("link_out_of_range", r"link block 0: node id 9 out of range"),
     ("link_missing_latency", r"link block 0: missing key 'latency'"),

@@ -48,6 +48,23 @@ def test_bad_link_params_rejected():
         net.add_link(a, b, Mbps(1), 0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_link_params_rejected(bad):
+    """NaN slips past a ``<= 0`` test; both setters name the bad value."""
+    net = Network()
+    a, b = net.add_router("a"), net.add_router("b")
+    with pytest.raises(ValueError, match=f"bandwidth_bps={bad!r}"):
+        net.add_link(a, b, bad, ms(1))
+    with pytest.raises(ValueError, match=f"latency_s={bad!r}"):
+        net.add_link(a, b, Mbps(1), bad)
+    link = net.add_link(a, b, Mbps(1), ms(1))
+    with pytest.raises(ValueError, match=f"bandwidth .* got {bad!r}"):
+        net.set_link(link.link_id, bandwidth_bps=bad)
+    with pytest.raises(ValueError, match=f"latency .* got {bad!r}"):
+        net.set_link(link.link_id, latency_s=bad)
+    assert net.link(link.link_id) == link
+
+
 def test_resolve_by_name_and_id():
     net = Network()
     net.add_router("a")
