@@ -47,11 +47,6 @@ __all__ = [
 #: Suffix of the pseudo-node holding a module's import-time statements.
 MODULE_SCOPE = "<module>"
 
-#: Canonical names whose second positional / ``fn=`` argument runs on
-#: service worker threads.
-HANDLER_REGISTRARS = frozenset({
-    "repro.service.handlers.register_handler",
-})
 
 @dataclass(frozen=True)
 class FunctionInfo:
@@ -61,7 +56,6 @@ class FunctionInfo:
     module: str    # "pkg.mod"
     name: str      # "fn"
     line: int
-    is_async: bool = False
 
 
 @dataclass(frozen=True)
@@ -224,7 +218,6 @@ class CallGraph:
                     module=module.name,
                     name=node.name,
                     line=node.lineno,
-                    is_async=isinstance(node, ast.AsyncFunctionDef),
                 )
                 binds[node.name] = qual
             elif isinstance(node, ast.ClassDef):
@@ -364,41 +357,26 @@ class CallGraph:
         return out
 
     def reachable(
-        self,
-        roots: Iterable[str],
-        *,
-        refs: bool = True,
-        blocked: Iterable[str] = (),
+        self, roots: Iterable[str], *, refs: bool = True
     ) -> frozenset[str]:
-        """Functions reachable from ``roots``; never expands ``blocked``."""
-        block = set(blocked)
-        succ = self.successors(refs=refs)
-        if not block:
-            return reachable_from(succ, roots)
-        pruned = {
-            k: tuple(s for s in v if s not in block)
-            for k, v in succ.items()
-            if k not in block
-        }
-        return reachable_from(pruned, (r for r in roots if r not in block))
+        """Functions reachable from ``roots`` (inclusive)."""
+        return reachable_from(self.successors(refs=refs), roots)
 
     def witness_paths(
-        self, roots: Iterable[str], *, refs: bool = True,
-        blocked: Iterable[str] = (),
+        self, roots: Iterable[str], *, refs: bool = True
     ) -> dict[str, str]:
         """Map each reachable function to the root that first found it."""
-        block = set(blocked)
         succ = self.successors(refs=refs)
         origin: dict[str, str] = {}
         frontier: list[str] = []
         for root in roots:
-            if root not in origin and root not in block:
+            if root not in origin:
                 origin[root] = root
                 frontier.append(root)
         while frontier:
             node = frontier.pop(0)
             for nxt in succ.get(node, ()):
-                if nxt not in origin and nxt not in block:
+                if nxt not in origin:
                     origin[nxt] = origin[node]
                     frontier.append(nxt)
         return origin
@@ -421,63 +399,6 @@ class CallGraph:
             ):
                 return module, node
         return module, None
-
-    def async_functions(self, prefix: str) -> list[str]:
-        """Qualnames of ``async def`` symbols in modules under ``prefix``."""
-        dot = prefix + "."
-        return sorted(
-            info.qualname
-            for info in self.functions.values()
-            if info.is_async
-            and (info.module == prefix or info.module.startswith(dot))
-        )
-
-    # ------------------------------------------------------------------ #
-    # Entry-point discovery (dispatch sites)
-    # ------------------------------------------------------------------ #
-    def _dispatch_sites(
-        self, project: Project
-    ) -> Iterable[tuple[ParsedModule, ast.Call, str | None]]:
-        for module in project.modules:
-            for node in ast.walk(module.tree):
-                if isinstance(node, ast.Call):
-                    chain = attribute_chain(node.func)
-                    target = (
-                        self.resolve(module.name, chain)
-                        if chain is not None else None
-                    )
-                    yield module, node, target
-
-    def _arg_symbol(
-        self, module: ParsedModule, expr: ast.expr | None
-    ) -> str | None:
-        if expr is None:
-            return None
-        chain = attribute_chain(expr)
-        if chain is None:
-            return None
-        target = self.resolve(module.name, chain)
-        if target is not None and target in self.functions:
-            return target
-        return None
-
-    def registered_handlers(self, project: Project) -> frozenset[str]:
-        """Callables registered via ``register_handler(kind, fn)``."""
-        out: set[str] = set()
-        for module, call, target in self._dispatch_sites(project):
-            if target not in HANDLER_REGISTRARS:
-                continue
-            fn_expr: ast.expr | None = (
-                call.args[1] if len(call.args) >= 2 else None
-            )
-            if fn_expr is None:
-                for kw in call.keywords:
-                    if kw.arg == "fn":
-                        fn_expr = kw.value
-            sym = self._arg_symbol(module, fn_expr)
-            if sym is not None:
-                out.add(sym)
-        return frozenset(out)
 
 
 _GRAPH_ATTR = "_massf_callgraph"

@@ -1,6 +1,5 @@
 """Shipped rule set; importing this package registers every rule."""
 
-from repro.analysis.rules.concurrency import AsyncioBlockingRule
 from repro.analysis.rules.determinism import (
     FloatSumRule,
     SetIterationRule,
@@ -17,5 +16,4 @@ __all__ = [
     "ParityCoverageRule",
     "ParallelSafetyRule",
     "TelemetrySpanRule",
-    "AsyncioBlockingRule",
 ]

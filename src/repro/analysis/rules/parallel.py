@@ -24,6 +24,7 @@ module-global mutation (shared state goes through the
 from __future__ import annotations
 
 import ast
+import re
 from typing import Iterator
 
 from repro.analysis.callgraph import CallGraph, get_callgraph
@@ -40,6 +41,108 @@ from repro.analysis.visitors import (
 )
 
 __all__ = ["ParallelSafetyRule"]
+
+#: Receiver names that read as executors/pools even when their origin
+#: cannot be traced (parameters, attributes).
+_POOL_NAME_RE = re.compile(r"(^|_)(pool|executor)s?$", re.IGNORECASE)
+
+#: Constructor origins that produce executors.
+_POOL_ORIGINS = (
+    "ProcessPoolExecutor",
+    "ThreadPoolExecutor",
+)
+
+
+def _origin_is_pool(origin: str | None) -> bool:
+    if origin is None:
+        return False
+    return any(
+        origin == suffix.lstrip(".") or origin.endswith(suffix)
+        for suffix in _POOL_ORIGINS
+    )
+
+
+def resolves_to_pool(
+    receiver: ast.expr, origins: dict[str, str | None]
+) -> bool:
+    """True when ``receiver`` is plausibly an executor/pool object.
+
+    ``origins`` maps names to the dotted origin of their (module- or
+    function-scope) binding; a receiver resolves to a pool when its
+    origin is a known pool constructor, or — for
+    untraceable receivers — when its name says so (``pool``,
+    ``executor``, ``self._pool``).  A ``job.submit(...)`` therefore no
+    longer trips the check just because the method is called "submit".
+    """
+    if isinstance(receiver, ast.Name):
+        origin = origins.get(receiver.id)
+        if origin is not None:
+            return _origin_is_pool(origin)
+        return bool(_POOL_NAME_RE.search(receiver.id))
+    if isinstance(receiver, ast.Attribute):
+        return bool(_POOL_NAME_RE.search(receiver.attr))
+    return False
+
+
+def pool_dispatch_method(
+    node: ast.AST, origins: dict[str, str | None]
+) -> str | None:
+    """``"map"`` / ``"submit"`` when ``node`` calls that method on a
+    receiver that resolves to a pool; ``None`` otherwise."""
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("map", "submit")
+        and resolves_to_pool(node.func.value, origins)
+    ):
+        return node.func.attr
+    return None
+
+
+def module_pool_origins(
+    module: ParsedModule, graph: CallGraph | None = None
+) -> dict[str, str | None]:
+    """Name -> origin for every simple assignment anywhere in a module.
+
+    Scope-blind on purpose: a linter only needs "was this name ever
+    bound to a pool constructor in this file", and names rarely mean
+    two things in one module.
+    """
+    origins: dict[str, str | None] = {}
+    for node in ast.walk(module.tree):
+        value: ast.expr | None = None
+        names: list[str] = []
+        if isinstance(node, ast.Assign):
+            value = node.value
+            names = [
+                t.id for t in node.targets if isinstance(t, ast.Name)
+            ]
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            value = node.value
+            if isinstance(node.target, ast.Name):
+                names = [node.target.id]
+        if value is None or not names:
+            continue
+        if isinstance(value, ast.Call):
+            chain = attribute_chain(value.func)
+            if chain is None:
+                continue
+            dotted = None
+            if graph is not None:
+                dotted = graph.resolve(module.name, chain)
+            origin = dotted or ".".join(chain)
+        else:
+            chain = attribute_chain(value)
+            if chain is None:
+                continue
+            origin = ".".join(chain)
+        for name in names:
+            # First binding wins: constructors sit above reassignment
+            # churn, and "ever bound to a pool" is the question.
+            if _origin_is_pool(origin) or name not in origins:
+                origins[name] = origin
+    return origins
+
 
 #: Canonical dotted names whose *second* positional argument is a
 #: callable run concurrently by service worker threads.
@@ -69,8 +172,6 @@ def _is_pool_submit(
     executor/pool — by construction origin in this module or by an
     unambiguous name (``pool``, ``executor``, ``self._pool``).
     """
-    from repro.analysis.rules.concurrency import pool_dispatch_method
-
     return (
         bool(call.args)
         and pool_dispatch_method(call, origins) == "submit"
@@ -116,8 +217,6 @@ class ParallelSafetyRule(Rule):
     )
 
     def run(self, project: Project) -> Iterator[Finding]:
-        from repro.analysis.rules.concurrency import module_pool_origins
-
         graph = get_callgraph(project)
         checked: set[str] = set()
         for module in project.modules:

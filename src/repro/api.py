@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
 
@@ -437,7 +437,8 @@ def _as_setup(topology, *, app, intensity, duration, k, workload_kwargs):
     from repro.topology.network import Network
 
     if isinstance(topology, ExperimentSetup):
-        return topology
+        # A copy: the caller's setup keeps its own engine-node count.
+        return topology if k is None else replace(topology, n_engine_nodes=k)
     kwargs = dict(workload_kwargs=dict(workload_kwargs or {}))
     if intensity is not None:
         kwargs["intensity"] = intensity
@@ -537,8 +538,6 @@ def _with_engine(config, engine):
     """Overlay an ``engine=`` override onto a RunnerConfig (or build one)."""
     if engine is None:
         return config
-    from dataclasses import replace
-
     from repro.experiments.runner import RunnerConfig
 
     return replace(config or RunnerConfig(), engine=engine)

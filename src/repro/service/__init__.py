@@ -17,8 +17,8 @@ ROADMAP's "millions of users" story:
   parallel-safety rule;
 - :mod:`repro.service.core` — the worker threads multiplexing jobs onto
   the shared warm state and grid executor;
-- :mod:`repro.service.server` — the stdlib-``asyncio`` JSON-over-HTTP
-  front end with SSE telemetry streaming;
+- :mod:`repro.service.server` — the JSON-over-HTTP front end on the
+  stdlib's threaded ``http.server``, with SSE telemetry streaming;
 - :mod:`repro.service.client` — the blocking Python/CLI client.
 
 Quickstart::

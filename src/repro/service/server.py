@@ -1,10 +1,11 @@
-"""JSON-over-HTTP front end: stdlib ``asyncio.start_server`` only.
+"""JSON-over-HTTP front end on the stdlib ``http.server``.
 
-A deliberately small HTTP/1.1 loop (no framework, no new dependencies):
-one coroutine per connection, requests parsed by hand, responses JSON.
-Job execution happens on the service's worker threads; the event loop
-only ever shuffles bytes, so a slow job never blocks status polls or
-other submissions.
+One thread per connection (``ThreadingHTTPServer``), one request per
+connection, JSON in and out (no framework, no new dependencies).  The
+stdlib parses the request line and headers; anything it rejects, and
+every error answered here, carries a JSON ``{"error": ...}`` body.  Job
+execution happens on the service's worker threads, so a slow job never
+blocks status polls or other submissions.
 
 Endpoints (all under ``/api/v1``):
 
@@ -20,13 +21,22 @@ Endpoints (all under ``/api/v1``):
 - ``GET /api/v1/events`` — **SSE** stream; each telemetry event row is
   one ``event: <series>`` / ``data: <row JSON>`` message (the
   ``service.jobs`` series carries the job lifecycle).
+
+A request that is not complete within :data:`READ_TIMEOUT_S` is
+answered 408 and its connection closed.
 """
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import json
+import math
+import queue
+import socket
+import socketserver
 import threading
+from http import HTTPStatus
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro.service.core import MappingService, ServiceConfig
@@ -36,92 +46,29 @@ from repro.service.requests import parse_request
 __all__ = ["serve", "start_service_in_thread"]
 
 _MAX_BODY = 8 * 1024 * 1024
+_MAX_LINE = 64 * 1024
+
+#: Seconds a connection may take to deliver each part of its request
+#: (request line, headers, body) before it is answered 408.
+READ_TIMEOUT_S = 10.0
+
+#: Seconds between SSE keepalive comments on a quiet stream.
+_KEEPALIVE_S = 15.0
 
 
-def _response(
-    status: int,
-    body: dict | list,
-    *,
-    reason: str | None = None,
-) -> bytes:
-    payload = json.dumps(body).encode("utf-8")
-    reason = reason or {
-        200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
-        405: "Method Not Allowed", 429: "Too Many Requests",
-        500: "Internal Server Error",
-    }.get(status, "OK")
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
-        "Content-Type: application/json\r\n"
-        f"Content-Length: {len(payload)}\r\n"
-        "Connection: close\r\n"
-        "\r\n"
-    ).encode("ascii")
-    return head + payload
-
-
-async def _read_request(reader) -> tuple[str, str, dict, bytes] | None:
-    """Parse one request; None on EOF / malformed input."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
-    if not request_line:
+def _timeout_seconds(value) -> float | None:
+    """Validate a submitted ``timeout_s``: absent, or finite and >= 0."""
+    if value is None:
         return None
     try:
-        method, target, _version = request_line.decode("ascii").split()
-    except ValueError:
-        return None
-    headers: dict[str, str] = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        name, _, value = line.decode("latin-1").partition(":")
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0) or 0)
-    if length < 0 or length > _MAX_BODY:
-        return None
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), target, headers, body
-
-
-async def _stream_events(service: MappingService, writer) -> None:
-    """Bridge telemetry events onto one SSE connection until it drops."""
-    loop = asyncio.get_running_loop()
-    queue: asyncio.Queue = asyncio.Queue()
-
-    def _listener(series: str, row: dict) -> None:
-        # Called from worker threads — hop onto the loop thread-safely.
-        loop.call_soon_threadsafe(queue.put_nowait, (series, row))
-
-    unsubscribe = service.telemetry.subscribe(_listener)
-    try:
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: text/event-stream\r\n"
-            b"Cache-Control: no-cache\r\n"
-            b"Connection: close\r\n"
-            b"\r\n"
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not math.isfinite(seconds) or seconds < 0:
+        raise ValueError(
+            f"timeout_s must be a finite number >= 0, not {value!r}"
         )
-        writer.write(b": connected\n\n")
-        await writer.drain()
-        while True:
-            try:
-                series, row = await asyncio.wait_for(
-                    queue.get(), timeout=15.0
-                )
-                message = (
-                    f"event: {series}\ndata: {json.dumps(row)}\n\n"
-                ).encode("utf-8")
-            except asyncio.TimeoutError:
-                message = b": keepalive\n\n"
-            writer.write(message)
-            await writer.drain()
-    except (ConnectionError, asyncio.CancelledError):
-        pass
-    finally:
-        unsubscribe()
+    return seconds
 
 
 def _route(service: MappingService, method: str, path: str, body: bytes):
@@ -134,15 +81,12 @@ def _route(service: MappingService, method: str, path: str, body: bytes):
     if tail == ["jobs"] and method == "POST":
         try:
             data = json.loads(body.decode("utf-8") or "{}")
-            timeout_s = data.pop("timeout_s", None)
             request = parse_request(data)
+            timeout_s = _timeout_seconds(data.get("timeout_s"))
         except (ValueError, TypeError) as exc:
             return 400, {"error": str(exc)}
         try:
-            job = service.submit(
-                request,
-                timeout_s=None if timeout_s is None else float(timeout_s),
-            )
+            job = service.submit(request, timeout_s=timeout_s)
         except QueueFullError as exc:
             return 429, {"error": str(exc), "queue_depth": service.queue.depth}
         return 202, job.info().to_dict()
@@ -169,55 +113,168 @@ def _route(service: MappingService, method: str, path: str, body: bytes):
     return 404, {"error": f"unknown path {path!r}"}
 
 
-async def _handle_connection(service: MappingService, reader, writer):
-    try:
-        parsed = await _read_request(reader)
-        if parsed is None:
+class _Server(ThreadingHTTPServer):
+    """The listener: a service, the open SSE streams, a stop flag."""
+
+    def __init__(self, address, service: MappingService) -> None:
+        super().__init__(address, _Handler)
+        self.service = service
+        self.stopping = threading.Event()
+        self.streams: set[queue.Queue] = set()
+        self.streams_lock = threading.Lock()
+
+    def server_bind(self) -> None:
+        # HTTPServer.server_bind adds a reverse-DNS lookup (getfqdn) for
+        # a server name nothing here reads.
+        socketserver.TCPServer.server_bind(self)
+
+    def serve_until_stopped(self) -> None:
+        """Accept loop; :meth:`stop` wakes it without a poll interval."""
+        while not self.stopping.is_set():
+            try:
+                request, address = self.get_request()
+            except OSError:  # the listening socket was shut down
+                continue
+            self.process_request(request, address)
+
+    def stop(self) -> None:
+        self.stopping.set()
+        with self.streams_lock:
+            for stream in self.streams:
+                stream.put(None)
+        # Wakes the accept loop: its blocking accept() fails.
+        with contextlib.suppress(OSError):
+            self.socket.shutdown(socket.SHUT_RDWR)
+
+
+class _Handler(BaseHTTPRequestHandler):
+    server: _Server
+    protocol_version = "HTTP/1.1"
+    # Answer malformed and version-less requests with a full status line
+    # (the stdlib's HTTP/0.9 default sends a bare body).
+    default_request_version = "HTTP/1.0"
+    request_version = default_request_version
+    requestline = ""
+
+    def setup(self) -> None:
+        self.timeout = READ_TIMEOUT_S
+        super().setup()
+
+    def log_message(self, format, *args) -> None:
+        """Quiet: the service reports through telemetry, not stderr."""
+
+    def handle_one_request(self) -> None:
+        """The stdlib's version, except that every method goes through
+        :func:`_route` and a read timeout is answered 408, not dropped."""
+        try:
+            self.raw_requestline = self.rfile.readline(_MAX_LINE + 1)
+            if not self.raw_requestline:
+                self.close_connection = True
+            elif len(self.raw_requestline) > _MAX_LINE:
+                self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
+            elif self.parse_request():
+                self._answer()
+            elif not self.requestline.split():
+                # parse_request drops a blank request line unanswered.
+                self.send_error(HTTPStatus.BAD_REQUEST, "empty request line")
+        except TimeoutError:
+            self.send_error(
+                HTTPStatus.REQUEST_TIMEOUT,
+                f"request incomplete after {READ_TIMEOUT_S:g}s",
+            )
+        except ConnectionError:
+            self.close_connection = True
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        self._send_json(code, {"error": message or HTTPStatus(code).phrase})
+
+    def _send_json(self, status: int, body: dict | list) -> None:
+        payload = json.dumps(body).encode("utf-8")
+        try:
+            self.send_response(status)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(payload)
+        except OSError:  # the client hung up or stopped reading
+            self.close_connection = True
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or None once an error has been answered."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.send_error(HTTPStatus.BAD_REQUEST, "bad Content-Length")
+            return None
+        if length > _MAX_BODY:
+            self.send_error(
+                HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
+                f"body over {_MAX_BODY} bytes",
+            )
+            return None
+        body = self.rfile.read(length)
+        if len(body) < length:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, "body shorter than its Content-Length"
+            )
+            return None
+        return body
+
+    def _answer(self) -> None:
+        method = self.command.upper()
+        if self.path.split("?", 1)[0] == "/api/v1/events" and method == "GET":
+            self._stream_events()
             return
-        method, path, _headers, body = parsed
-        if path.split("?", 1)[0] == "/api/v1/events" and method == "GET":
-            await _stream_events(service, writer)
+        body = self._read_body()
+        if body is None:
             return
         try:
-            status, payload = _route(service, method, path, body)
+            status, payload = _route(self.server.service, method, self.path, body)
         except Exception as exc:  # noqa: BLE001 — connection must answer
-            status, payload = 500, {
-                "error": f"{type(exc).__name__}: {exc}"
-            }
-        writer.write(_response(status, payload))
-        await writer.drain()
-    except (ConnectionError, asyncio.IncompleteReadError):
-        pass
-    finally:
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        self._send_json(status, payload)
+
+    def _stream_events(self) -> None:
+        """Relay telemetry events onto this connection until it drops or
+        the server stops (a ``None`` on the queue)."""
+        events: queue.Queue = queue.Queue()
+        unsubscribe = self.server.service.telemetry.subscribe(
+            lambda series, row: events.put((series, row))
+        )
+        with self.server.streams_lock:
+            self.server.streams.add(events)
+        self.close_connection = True
         try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
+            if self.server.stopping.is_set():
+                return
+            self.send_response(HTTPStatus.OK)
+            self.send_header("Content-Type", "text/event-stream")
+            self.send_header("Cache-Control", "no-cache")
+            self.send_header("Connection", "close")
+            self.end_headers()
+            self.wfile.write(b": connected\n\n")
+            while True:
+                try:
+                    item = events.get(timeout=_KEEPALIVE_S)
+                except queue.Empty:
+                    message = b": keepalive\n\n"
+                else:
+                    if item is None:
+                        return
+                    series, row = item
+                    message = (
+                        f"event: {series}\ndata: {json.dumps(row)}\n\n"
+                    ).encode("utf-8")
+                self.wfile.write(message)
+        except OSError:  # the client hung up or stopped reading
             pass
-
-
-async def _serve_async(
-    service: MappingService,
-    *,
-    host: str,
-    port: int,
-    ready: "threading.Event | None" = None,
-    bound: dict | None = None,
-    stop_event: "asyncio.Event | None" = None,
-) -> None:
-    server = await asyncio.start_server(
-        lambda r, w: _handle_connection(service, r, w), host, port
-    )
-    sock = server.sockets[0].getsockname()
-    if bound is not None:
-        bound["host"], bound["port"] = sock[0], sock[1]
-    if ready is not None:
-        ready.set()
-    async with server:
-        if stop_event is None:
-            await server.serve_forever()
-        else:
-            await stop_event.wait()
+        finally:
+            unsubscribe()
+            with self.server.streams_lock:
+                self.server.streams.discard(events)
 
 
 def serve(
@@ -230,6 +287,7 @@ def serve(
     config = config or ServiceConfig()
     own = service is None
     service = service or MappingService(config)
+    server = _Server((config.host, config.port), service)
     service.start()
     if log is not None:
         log(
@@ -237,12 +295,12 @@ def serve(
             f"({config.workers} workers, queue {config.queue_size})"
         )
     try:
-        asyncio.run(
-            _serve_async(service, host=config.host, port=config.port)
-        )
+        server.serve_until_stopped()
     except KeyboardInterrupt:
         pass
     finally:
+        server.stop()
+        server.server_close()
         if own:
             service.stop()
 
@@ -255,51 +313,25 @@ def start_service_in_thread(
     """Boot a real server on a background thread (tests / benchmarks).
 
     Binds ``config.port`` (use ``0`` for an ephemeral port) and returns
-    ``(service, base_url, stop)``; ``stop()`` shuts down the listener
-    and the service's workers.
+    ``(service, base_url, stop)``; ``stop()`` shuts down the listener,
+    ends open SSE streams and stops the service's workers.
     """
     config = config or ServiceConfig(port=0)
     own = service is None
     service = service or MappingService(config)
+    server = _Server((config.host, config.port), service)
     service.start()
-    ready = threading.Event()
-    bound: dict = {}
-    loop_holder: dict = {}
-
-    def _run() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        stop_event = asyncio.Event()
-        loop_holder["loop"], loop_holder["stop"] = loop, stop_event
-        try:
-            loop.run_until_complete(_serve_async(
-                service, host=config.host, port=config.port,
-                ready=ready, bound=bound, stop_event=stop_event,
-            ))
-        finally:
-            # Drain lingering connection/SSE tasks before closing the
-            # loop, else they die noisily on "Event loop is closed".
-            pending = asyncio.all_tasks(loop)
-            for task in pending:
-                task.cancel()
-            if pending:
-                loop.run_until_complete(
-                    asyncio.gather(*pending, return_exceptions=True)
-                )
-            loop.close()
-
-    thread = threading.Thread(target=_run, name="massf-http", daemon=True)
+    thread = threading.Thread(
+        target=server.serve_until_stopped, name="massf-http", daemon=True
+    )
     thread.start()
-    if not ready.wait(10.0):
-        raise RuntimeError("service failed to bind within 10s")
 
     def stop() -> None:
-        loop = loop_holder.get("loop")
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(loop_holder["stop"].set)
+        server.stop()
         thread.join(5.0)
+        server.server_close()
         if own:
             service.stop()
 
-    base_url = f"http://{bound['host']}:{bound['port']}"
-    return service, base_url, stop
+    host, port = server.server_address[:2]
+    return service, f"http://{host}:{port}", stop

@@ -15,7 +15,6 @@ EXPECTED_RULES = {
     "parity-coverage",
     "parallel-safety",
     "telemetry-span",
-    "asyncio-blocking",
 }
 
 

@@ -140,3 +140,22 @@ def test_sweep_serial_matches_sweep_setup():
                          workload_kwargs=dict(SMALL_WORKLOAD))
     direct = sweep_setup(setup, seeds=(1, 2), approaches=("top",))
     assert facade == direct
+
+
+def test_k_applies_to_an_experiment_setup_without_mutating_it():
+    from dataclasses import replace
+
+    from repro.experiments.setups import campus_setup
+    from repro.experiments.sweep import sweep_setup
+
+    setup = campus_setup("scalapack", intensity="light",
+                         workload_kwargs=dict(SMALL_WORKLOAD))
+    assert setup.n_engine_nodes == 3
+    results = repro.run_experiment(setup, k=2, approaches=("top",), seed=1)
+    assert results["top"].mapping.k == 2
+    facade = repro.sweep(setup, k=2, seeds=(1,), approaches=("top",),
+                         workers=0)
+    direct = sweep_setup(replace(setup, n_engine_nodes=2), seeds=(1,),
+                         approaches=("top",))
+    assert facade == direct
+    assert setup.n_engine_nodes == 3

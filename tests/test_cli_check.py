@@ -107,7 +107,7 @@ def test_rule_filter_limits_the_run(dirty_root, capsys):
 def test_list_rules(capsys):
     assert massf(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    assert len(out.splitlines()) == 7
+    assert len(out.splitlines()) == 6
     for rule_id in (
         "unseeded-rng",
         "float-sum",
@@ -115,7 +115,6 @@ def test_list_rules(capsys):
         "parity-coverage",
         "parallel-safety",
         "telemetry-span",
-        "asyncio-blocking",
     ):
         assert rule_id in out
 
