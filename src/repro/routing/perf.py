@@ -60,6 +60,10 @@ class RoutingStats:
         The perf guard asserts ``touched_sources == affected_sources``
         exactly: recomputing fewer breaks correctness, recomputing more
         (e.g. a silent full-table rebuild) breaks the perf contract.
+    resettled_cells:
+        (source, destination) cells the delta engine re-settled and spliced.
+    fallback_rows:
+        Touched rows it recomputed whole (tied tree or failed certificate).
     rewalked_pairs:
         Endpoint pairs re-walked by the incremental traffic estimator
         (their old route visited a touched source).
@@ -78,5 +82,7 @@ class RoutingStats:
     delta_updates: int = 0
     affected_sources: int = 0
     touched_sources: int = 0
+    resettled_cells: int = 0
+    fallback_rows: int = 0
     rewalked_pairs: int = 0
     kept_pairs: int = 0

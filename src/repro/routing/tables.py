@@ -96,6 +96,25 @@ class RoutingTables:
         }
         self._pair_lookup: tuple[np.ndarray, np.ndarray] | None = None
 
+    def refresh_pairs(self, links) -> None:
+        """Re-derive the lookup for the node pairs of ``links`` only, by
+        the construction rule (min cost among up links, first on ties)."""
+        use_cost = self.metric in METRICS
+        for u, v in sorted({(link.u, link.v) for link in links}):
+            best: tuple[float, Link] | None = None
+            for nbr, link in self.net.neighbors(u):
+                if nbr != v or not link.up:
+                    continue
+                cost = link_cost(link, self.metric) if use_cost else 0.0
+                if best is None or cost < best[0]:
+                    best = (cost, link)
+            for pair in ((u, v), (v, u)):
+                if best is None:
+                    self._link_of.pop(pair, None)
+                else:
+                    self._link_of[pair] = best[1]
+        self._pair_lookup = None
+
     def hop(self, src: int, dst: int) -> int:
         """Next hop from ``src`` toward ``dst`` (-1 when src == dst)."""
         return int(self.next_hop[src, dst])

@@ -99,6 +99,12 @@ class Network:
     # ------------------------------------------------------------------ #
     # Mutation (link attribute / admin-state changes)
     # ------------------------------------------------------------------ #
+    def _link_to_change(self, link_id: int) -> Link:
+        # A negative id would silently address a link from the end.
+        if not 0 <= link_id < len(self._links):
+            raise ValueError(f"link id {link_id} out of range")
+        return self._links[link_id]
+
     def _swap_link(self, old: Link, new: Link) -> None:
         """Replace a frozen link record everywhere it is referenced."""
         self._links[new.link_id] = new
@@ -127,7 +133,7 @@ class Network:
         """
         from dataclasses import replace
 
-        old = self._links[link_id]
+        old = self._link_to_change(link_id)
         kw: dict[str, float] = {}
         if bandwidth_bps is not None:
             if not 0 < bandwidth_bps < math.inf:
@@ -157,7 +163,7 @@ class Network:
         """
         from dataclasses import replace
 
-        old = self._links[link_id]
+        old = self._link_to_change(link_id)
         if old.up == bool(up):
             return old
         new = replace(old, up=bool(up))

@@ -1,6 +1,6 @@
 """Perf-contract guards for the incremental routing engine.
 
-Two promises beyond bit-identity:
+Three promises beyond bit-identity:
 
 - **Touched == affected, exactly.** The delta engine recomputes the
   affected-source set and nothing else.  Fewer would break correctness
@@ -10,13 +10,21 @@ Two promises beyond bit-identity:
   (pre-change fingerprint, canonical change set); replaying a change is a
   cache hit, and a full revert restores the original fingerprint so even
   a from-scratch ``build_routing`` is served from cache.
+- **Work proportional to the change.** Inside a touched row only the
+  cells a change can move are re-settled, in one scipy call per change;
+  a row whose shortest-path tree is tied is recomputed whole instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.routing.delta import SetLinkCost, routing_state, update_routing
+from repro.routing.delta import (
+    LinkDown,
+    SetLinkCost,
+    routing_state,
+    update_routing,
+)
 from repro.routing.perf import RoutingStats
 from repro.routing.spf import build_routing
 from repro.runtime.cache import ArtifactCache
@@ -117,5 +125,45 @@ def test_cached_delta_result_is_spliced_not_aliased(tmp_path):
         update_routing(state, list(forward), cache=cache)
         update_routing(state, list(backward), cache=cache)
     oracle = build_routing(net, cache=None)
+    assert np.array_equal(state.tables.dist, oracle.dist)
+    assert np.array_equal(state.tables.next_hop, oracle.next_hop)
+
+
+# --------------------------------------------------------------------- #
+# Region re-settle
+# --------------------------------------------------------------------- #
+def test_single_increase_resettles_exactly_the_changed_cells():
+    """One pricier link on a 400-router net under ``latency``: no row
+    falls back, the re-settled cells are exactly the cells whose distance
+    changed, and the whole repair costs at most one scipy call."""
+    net = synth_network(n_routers=400, hosts_per_router=0.2, seed=3)
+    link = net.links[10]
+    state = routing_state(build_routing(net))
+    before = state.tables.dist.copy()
+    stats = RoutingStats()
+    touched = update_routing(
+        state, [SetLinkCost(10, latency_s=link.latency_s * 10)],
+        stats=stats,
+    )
+    assert len(touched) > 0
+    assert stats.fallback_rows == 0
+    assert stats.resettled_cells == int((state.tables.dist != before).sum())
+    assert stats.dijkstra_calls <= 1
+    oracle = build_routing(net, cache=None)
+    assert np.array_equal(state.tables.dist, oracle.dist)
+    assert np.array_equal(state.tables.next_hop, oracle.next_hop)
+
+
+def test_hops_change_falls_back_on_every_touched_row():
+    """Hop counts tie everywhere, so no row's tree is unique: every
+    touched row is recomputed whole, and the result still matches."""
+    net = synth_network(n_routers=60, hosts_per_router=0.5, seed=2)
+    state = routing_state(build_routing(net, "hops"))
+    stats = RoutingStats()
+    touched = update_routing(state, [LinkDown(4)], stats=stats)
+    assert len(touched) > 0
+    assert stats.fallback_rows == len(touched)
+    assert stats.resettled_cells == 0
+    oracle = build_routing(net, "hops", cache=None)
     assert np.array_equal(state.tables.dist, oracle.dist)
     assert np.array_equal(state.tables.next_hop, oracle.next_hop)
