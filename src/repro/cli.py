@@ -334,9 +334,13 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args) -> int:
     cache = None if args.no_cache else resolve_cache(
         args.cache_dir if args.cache_dir else "default"
     )
-    runtime = RuntimeConfig(
-        workers=args.workers, timeout_s=args.timeout, retries=args.retries,
-    )
+    try:
+        runtime = RuntimeConfig(
+            workers=args.workers, timeout_s=args.timeout,
+            retries=args.retries,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     telemetry = None
     if args.stats:
         from repro.obs import Telemetry
@@ -550,16 +554,19 @@ def _configure_serve(parser: argparse.ArgumentParser) -> None:
 def _cmd_serve(parser: argparse.ArgumentParser, args) -> int:
     from repro.service import ServiceConfig, serve
 
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_size=args.queue_size,
-        cache=None if args.no_cache else (args.cache_dir or "default"),
-        budget_bytes=args.budget_mb * 1024 * 1024,
-        max_delta_changes=args.max_delta_changes,
-        default_timeout_s=args.default_timeout,
-    )
+    try:
+        config = ServiceConfig(
+            host=args.host,
+            port=args.port,
+            workers=args.workers,
+            queue_size=args.queue_size,
+            cache=None if args.no_cache else (args.cache_dir or "default"),
+            budget_bytes=args.budget_mb * 1024 * 1024,
+            max_delta_changes=args.max_delta_changes,
+            default_timeout_s=args.default_timeout,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     serve(config, log=lambda line: print(line, file=sys.stderr))
     return 0
 

@@ -43,8 +43,6 @@ class MapperConfig:
         the paper's default) or ``"constraint"`` (multi-constraint).
     use_segments, max_segments:
         §3.3 segment clustering for PROFILE.
-    profile_interval:
-        NetFlow binning interval (seconds) used when aggregating profiles.
     use_representatives:
         PLACE's traceroute-reduction optimization.
     """
@@ -61,7 +59,6 @@ class MapperConfig:
     memory_mode: str = "sum"
     use_segments: bool = True
     max_segments: int = 3
-    profile_interval: float = 5.0
     use_representatives: bool = True
 
 

@@ -43,11 +43,8 @@ from repro.traffic.flows import PredictedFlow, TrafficGenerator
 __all__ = [
     "PlaceInputs",
     "TrafficEstimate",
-    "TrafficEstimateState",
     "foreground_placement_flows",
     "estimate_traffic",
-    "estimate_traffic_state",
-    "update_traffic_estimate",
     "build_place_inputs",
 ]
 
@@ -185,25 +182,6 @@ def estimate_traffic(
     return estimate
 
 
-@dataclass
-class TrafficEstimateState:
-    """Routed pairs + their paths, kept live across topology changes.
-
-    Produced by :func:`estimate_traffic_state`; after an incremental
-    routing repair (:func:`repro.routing.delta.update_routing`),
-    :func:`update_traffic_estimate` re-walks only the pairs whose stored
-    path crossed a recomputed source row and re-aggregates.  ``tables``
-    must be the *same* object the delta engine splices into.
-    """
-
-    net: Network
-    tables: RoutingTables
-    pairs: list
-    pair_rates: np.ndarray
-    paths: list
-    estimate: TrafficEstimate
-
-
 def _aggregate_paths(
     net: Network, tables: RoutingTables, paths, pair_rates, n_routes: int
 ) -> TrafficEstimate:
@@ -219,109 +197,6 @@ def _aggregate_paths(
     return TrafficEstimate(
         link_rate=link_rate, node_rate=node_rate, n_routes=n_routes
     )
-
-
-def estimate_traffic_state(
-    net: Network,
-    tables: RoutingTables,
-    flows: list[PredictedFlow],
-    *,
-    telemetry=None,
-    stats=None,
-) -> TrafficEstimateState:
-    """Route predicted flows and keep the per-pair paths for updates.
-
-    The returned estimate is bit-identical to
-    ``estimate_traffic(net, tables, flows, use_representatives=False)``
-    — the state simply retains what that computation discards (the
-    deduped pairs and their routed paths) so later
-    :func:`update_traffic_estimate` calls can skip unchanged regions.
-    """
-    from repro.obs.telemetry import ensure_telemetry
-
-    tel = ensure_telemetry(telemetry)
-    with tel.span("place/estimate-state"):
-        if not flows:
-            pairs: list = []
-            pair_rates = np.zeros(0, dtype=np.float64)
-            paths: list = []
-        else:
-            pairs, pair_rates = _dedupe_flows(flows, net.n_nodes)
-            if stats is not None:
-                stats.routed_pairs += len(pairs)
-            paths = batched_walks(tables, pairs, stats=stats)
-        estimate = _aggregate_paths(
-            net, tables, paths, pair_rates, n_routes=len(paths)
-        )
-    tel.count("place.pairs", len(pairs))
-    return TrafficEstimateState(
-        net=net, tables=tables, pairs=pairs, pair_rates=pair_rates,
-        paths=paths, estimate=estimate,
-    )
-
-
-def update_traffic_estimate(
-    state: TrafficEstimateState,
-    touched: np.ndarray,
-    *,
-    telemetry=None,
-    stats=None,
-) -> TrafficEstimate:
-    """Repair a traffic estimate after an incremental routing update.
-
-    ``touched`` is the recomputed-source array returned by
-    :func:`repro.routing.delta.update_routing` (the tables themselves
-    were already spliced in place).  A stored path is provably still the
-    path a fresh walk would take iff none of its forwarding decisions —
-    every node on it except the final destination — lives in a touched
-    row; only the remainder is re-walked.  Aggregation always reruns
-    over all pairs (link ids behind a hop can change under link
-    up/down), so the result is bit-identical to a from-scratch
-    ``estimate_traffic(..., use_representatives=False)`` on the updated
-    tables.  ``stats`` fills ``rewalked_pairs`` / ``kept_pairs``.
-    """
-    from repro.obs.telemetry import ensure_telemetry
-
-    tel = ensure_telemetry(telemetry)
-    net, tables = state.net, state.tables
-    n_pairs = len(state.pairs)
-    with tel.span("place/estimate-update"):
-        touched = np.asarray(touched, dtype=np.int64)
-        if n_pairs and len(touched):
-            lengths = np.fromiter(
-                (len(p) for p in state.paths), dtype=np.int64, count=n_pairs
-            )
-            total = int(lengths.sum())
-            flat = np.fromiter(
-                (v for p in state.paths for v in p), dtype=np.int64,
-                count=total,
-            )
-            offsets = np.zeros(n_pairs, dtype=np.int64)
-            np.cumsum(lengths[:-1], out=offsets[1:])
-            touched_mask = np.zeros(net.n_nodes, dtype=bool)
-            touched_mask[touched] = True
-            hit = touched_mask[flat]
-            hit[offsets + lengths - 1] = False  # dst decides nothing
-            affected = np.logical_or.reduceat(hit, offsets)
-            walk_idx = np.flatnonzero(affected)
-        else:
-            walk_idx = np.zeros(0, dtype=np.int64)
-        if len(walk_idx):
-            rewalked = batched_walks(
-                tables, [state.pairs[i] for i in walk_idx.tolist()],
-                stats=stats,
-            )
-            for i, path in zip(walk_idx.tolist(), rewalked):
-                state.paths[i] = path
-        if stats is not None:
-            stats.rewalked_pairs += len(walk_idx)
-            stats.kept_pairs += n_pairs - len(walk_idx)
-        state.estimate = _aggregate_paths(
-            net, tables, state.paths, state.pair_rates,
-            n_routes=len(state.paths),
-        )
-    tel.count("place.rewalked_pairs", len(walk_idx))
-    return state.estimate
 
 
 def build_place_inputs(

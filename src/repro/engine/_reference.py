@@ -12,13 +12,13 @@ semantic :class:`~repro.engine.perf.KernelStats`, same per-link accounting
 arrays.  The differential parity suite
 (``tests/engine/test_kernel_parity.py``) proves the promise by driving both
 :func:`run_kernel_reference` and its counterpart
-:func:`repro.engine.kernel.run_kernel` over the topology × queue-discipline
-× train-packets grid.
+:func:`repro.engine.kernel.run_kernel` over the topology × train-packets
+grid.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -49,8 +49,6 @@ class ReferenceKernel:
         tables: RoutingTables,
         train_packets: int = 32,
         collector=None,
-        queue_limit_s: Optional[float] = None,
-        queue=None,
         telemetry=None,
     ) -> None:
         from repro.obs.telemetry import ensure_telemetry
@@ -62,11 +60,6 @@ class ReferenceKernel:
         self.train_packets = int(train_packets)
         self.collector = collector
         self.telemetry = ensure_telemetry(telemetry)
-        if queue is None and queue_limit_s is not None:
-            from repro.engine.queues import DropTail
-
-            queue = DropTail(queue_limit_s)
-        self.queue_disc = queue
         self.queue = EventQueue()
         self.recorder = TraceRecorder(net.n_nodes)
         self.stats = KernelStats()
@@ -153,15 +146,6 @@ class ReferenceKernel:
         link = self.tables.link_between(node, nxt)
         direction = 0 if node == link.u else 1
         backlog = self._busy[link.link_id, direction] - time
-        if self.queue_disc is not None and not self.queue_disc.admit(
-            link.link_id, direction, max(backlog, 0.0)
-        ):
-            # Dropped: record the processing work, forward nothing.
-            self.recorder.record(
-                time, node, DELIVERED, train.count, train.flow_id
-            )
-            self.stats.trains_dropped += 1
-            return
 
         self.recorder.record(
             time, node, nxt, train.count, train.flow_id,
@@ -207,7 +191,6 @@ class ReferenceKernel:
         if tel.enabled:
             tel.count("kernel.events", self.queue.processed)
             tel.count("kernel.trains_forwarded", self.stats.trains_forwarded)
-            tel.count("kernel.trains_dropped", self.stats.trains_dropped)
             tel.count("kernel.packets_delivered",
                       self.stats.packets_delivered)
             tel.count("kernel.transfers", self.stats.transfers_submitted)
@@ -237,8 +220,6 @@ def run_kernel_reference(
     seed: int = 0,
     until: float | None = None,
     train_packets: int = 32,
-    queue=None,
-    queue_limit_s: float | None = None,
     collector=None,
     telemetry=None,
 ) -> tuple[EventTrace, "ReferenceKernel"]:
@@ -254,7 +235,7 @@ def run_kernel_reference(
     reset_flow_ids()
     kernel = ReferenceKernel(
         net, tables, train_packets=train_packets, collector=collector,
-        queue_limit_s=queue_limit_s, queue=queue, telemetry=telemetry,
+        telemetry=telemetry,
     )
     workload.install(kernel, np.random.default_rng(seed))
     horizon = float(until if until is not None else workload.duration)

@@ -87,10 +87,10 @@ def install_link_changes(
 
     ``state`` must wrap the very tables the kernel was built on (its
     context aliases their ``next_hop``).  Raises at install time — not
-    mid-run — on an order-coupled kernel (collector or non-DropTail
-    queue) and when a scheduled latency undercuts the conservative
-    window.  Progress lands on ``kernel.link_change_log`` (``(time,
-    n_changes, n_touched)`` per applied batch) and
+    mid-run — on a kernel with a NetFlow collector and when a scheduled
+    latency undercuts the conservative window.  Progress lands on
+    ``kernel.link_change_log`` (``(time, n_changes, n_touched)`` per
+    applied batch) and
     ``kernel.routing_stats`` (a :class:`~repro.routing.perf.RoutingStats`
     filling ``delta_updates`` / ``affected_sources`` /
     ``touched_sources``).
@@ -101,13 +101,11 @@ def install_link_changes(
             "the kernel on state.tables, or use run_kernel(link_changes=)"
         )
     if kernel._ordered:
-        option = (f"collector={type(kernel.collector).__name__}"
-                  if kernel.collector is not None
-                  else f"queue={type(kernel.queue_disc).__name__}")
         raise ValueError(
-            f"link_changes cannot honour {option}: NetFlow collection and "
-            f"non-DropTail queues run the per-event drain, which has no "
-            f"window barriers to apply changes at; drop one of the two"
+            f"link_changes cannot honour "
+            f"collector={type(kernel.collector).__name__}: NetFlow "
+            f"collection runs the per-event drain, which has no window "
+            f"barriers to apply changes at; drop one of the two"
         )
     schedule = normalize_link_changes(link_changes)
     for when, changes in schedule:

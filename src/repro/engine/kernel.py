@@ -1,9 +1,10 @@
 """The batched discrete-event emulation kernel.
 
 Simulates the virtual network in virtual time: packet trains traverse
-store-and-forward FIFO links with per-direction transmission queueing and
-propagation delay; routers forward via the routing tables; hosts deliver and
-fire closed-loop callbacks.  Every executed event is recorded into an
+unbounded store-and-forward FIFO links (no train is ever dropped) with
+per-direction transmission queueing and propagation delay; routers forward
+via the routing tables; hosts deliver and fire closed-loop callbacks.
+Every executed event is recorded into an
 :class:`~repro.engine.trace.EventTrace` (one row per train-at-node, packet
 counts preserved), which downstream code scores under any partition.
 
@@ -19,10 +20,11 @@ python object (``_hooked`` holds each hooked :class:`Transfer` once).
   (mid-run link changes and the rebalancer act at window barriers);
 - the **per-event drain** runs one ``heapq`` of ``(time, seq, ...)`` tuples
   (the calendar's rows beside the control entries) through the reference
-  kernel's ``_arrive``.  It takes order-coupled runs (a NetFlow collector or
-  a non-DropTail queue) and sparse ones: fewer train rows due by the horizon
-  per window than :data:`_PER_EVENT_DENSITY`, counted at the start of the
-  run (traffic generated mid-run counts as zero).
+  kernel's ``_arrive``.  It takes order-coupled runs (a NetFlow collector,
+  whose collection order is part of its contract) and sparse ones: fewer
+  train rows due by the horizon per window than :data:`_PER_EVENT_DENSITY`,
+  counted at the start of the run (traffic generated mid-run counts as
+  zero).
 
 Under either drain the traces are **bit-identical** to the reference heap
 kernel's (:class:`repro.engine._reference.ReferenceKernel`, the parity
@@ -36,7 +38,7 @@ drain three facts make it work:
 - successor events of one vectorized segment are pushed in segment order
   with consecutive sequence numbers — exactly the values the reference's
   pop/push interleave would have assigned (deliveries push nothing, each
-  admitted forward pushes exactly one successor);
+  forward pushes exactly one successor);
 - the per-(link, direction) busy-time recurrence ``depart = max(t, busy) +
   tx`` is float-order-sensitive, so only singleton FIFO groups take the
   elementwise path (``np.maximum`` is bit-identical to scalar ``max``);
@@ -66,7 +68,6 @@ import numpy as np
 from repro.engine.eventq import EventBatch, merge_newer
 from repro.engine.packet import MTU_BYTES, Transfer, reset_flow_ids
 from repro.engine.perf import KernelStats
-from repro.engine.queues import DropTail
 from repro.engine.sync import conservative_window, cut_before, first_true
 from repro.engine.trace import DELIVERED, INJECTED, EventTrace, TraceRecorder
 from repro.routing.tables import RoutingTables
@@ -98,20 +99,11 @@ class EmulationKernel:
         out_link, src, dst, flow, count, nbytes)`` method, invoked at every
         router hop (see :mod:`repro.profiling.netflow`).  Forces the
         per-event drain (collection order is part of its contract).
-    queue_limit_s:
-        Drop-tail horizon: a train is dropped when the link backlog it would
-        join exceeds this many seconds of transmission (None = no drops).
-        Shorthand for ``queue=DropTail(queue_limit_s)``.
-    queue:
-        Explicit queue discipline (e.g. :class:`repro.engine.queues.RED`);
-        takes precedence over ``queue_limit_s``.  Anything other than a
-        plain :class:`~repro.engine.queues.DropTail` forces the per-event
-        drain (RED admission consumes an RNG in arrival order).
     telemetry:
         Optional :class:`repro.obs.telemetry.Telemetry`; :meth:`run`
         records a ``kernel/run`` span and a ``kernel/run`` event row (the
         drain that ran and the density it was chosen on) plus aggregate
-        event / packet / drop counters and queue-depth gauges.  Nothing is
+        event / packet counters and a backlog gauge.  Nothing is
         recorded per event — the hot loop stays untouched.
 
     All options are keyword-only.
@@ -124,8 +116,6 @@ class EmulationKernel:
         *,
         train_packets: int = 32,
         collector=None,
-        queue_limit_s: float | None = None,
-        queue=None,
         telemetry=None,
     ) -> None:
         from repro.obs.telemetry import ensure_telemetry
@@ -139,14 +129,8 @@ class EmulationKernel:
             raise ValueError("train_packets must be >= 1")
         self.collector = collector
         self.telemetry = ensure_telemetry(telemetry)
-        if queue is None and queue_limit_s is not None:
-            queue = DropTail(queue_limit_s)
-        self.queue_disc = queue
-        # Order-coupled state forces the per-event drain.
-        self._ordered = self.collector is not None or (
-            self.queue_disc is not None
-            and type(self.queue_disc) is not DropTail
-        )
+        # A collector couples the run to event order: per-event drain.
+        self._ordered = collector is not None
 
         from repro.engine.eventq import BatchEventQueue
         from repro.engine.lp import LPShard, shard_context
@@ -194,7 +178,7 @@ class EmulationKernel:
 
         # All numeric per-link state lives in a single LP shard covering
         # the whole network; the public accounting arrays alias its.
-        self._ctx = shard_context(net, tables, self.queue_disc)
+        self._ctx = shard_context(net, tables)
         self._shard = LPShard(self._ctx)
         # Per-link, per-direction busy-until times (FIFO transmission).
         self._busy = self._shard.busy
@@ -424,11 +408,8 @@ class EmulationKernel:
         st.packets_delivered += res.packets_delivered
         st.transfers_delivered += res.transfers_delivered
         st.trains_forwarded += res.trains_forwarded
-        st.trains_dropped += res.trains_dropped
         st.vector_events += res.vector_events
         st.python_loop_events += res.python_loop_events
-        if res.trains_dropped and self.queue_disc is not None:
-            self.queue_disc.drops += res.trains_dropped
 
     # ------------------------------------------------------------------ #
     # Window drain: main loop
@@ -589,7 +570,7 @@ class EmulationKernel:
         pop, push = heapq.heappop, heapq.heappush
         rec, st, cal = self.recorder, self.stats, self.calendar
         hop, link_between = self.tables.hop, self.tables.link_between
-        qdisc, collector = self.queue_disc, self.collector
+        collector = self.collector
         # Per-link state as python rows (busy-until per direction, then the
         # four accounting columns), written back after the drain.
         cols = (self._busy[:, 0], self._busy[:, 1], self.link_packets,
@@ -631,13 +612,6 @@ class EmulationKernel:
                     nxt, lid, direction, bw, lat = route
                     row = links[lid]
                     backlog = row[direction] - time
-                    if qdisc is not None and not qdisc.admit(
-                        lid, direction, max(backlog, 0.0)
-                    ):
-                        # Dropped: record the work, forward nothing.
-                        rec.record(time, node, DELIVERED, count, flow)
-                        st.trains_dropped += 1
-                        continue
                     tx = nbytes * 8.0 / bw  # Link.tx_time, bit for bit
                     rec.record(time, node, nxt, count, flow, tx)
                     st.trains_forwarded += 1
@@ -723,7 +697,6 @@ class EmulationKernel:
                       drain="per_event" if per_event else "windows")
             tel.count("kernel.events", self._events)
             tel.count("kernel.trains_forwarded", self.stats.trains_forwarded)
-            tel.count("kernel.trains_dropped", self.stats.trains_dropped)
             tel.count("kernel.packets_delivered",
                       self.stats.packets_delivered)
             tel.count("kernel.transfers", self.stats.transfers_submitted)
@@ -767,8 +740,6 @@ def run_kernel(
     seed: int = 0,
     until: float | None = None,
     train_packets: int = 32,
-    queue=None,
-    queue_limit_s: float | None = None,
     collector=None,
     telemetry=None,
     engine: str = "sequential",
@@ -820,8 +791,7 @@ def run_kernel(
     if engine == "sequential":
         kernel = EmulationKernel(
             net, tables, train_packets=train_packets,
-            collector=collector, queue_limit_s=queue_limit_s,
-            queue=queue, telemetry=telemetry,
+            collector=collector, telemetry=telemetry,
         )
     elif engine == "parallel":
         from repro.engine.lp import ParallelEmulationKernel
@@ -836,7 +806,6 @@ def run_kernel(
         kernel = ParallelEmulationKernel(
             net, tables, parts=parts, processes=processes,
             train_packets=train_packets, collector=collector,
-            queue_limit_s=queue_limit_s, queue=queue,
             telemetry=telemetry,
         )
         if rebalance is not None:

@@ -25,13 +25,11 @@ Two layers live here:
 Per-link float accounting is accumulated per shard and summed elementwise
 at the end of the run, so with more than one LP those *aggregate* arrays
 can differ from the sequential engine's in the last bit (float addition is
-not associative); the event trace, the semantic stats and the drop counts
-remain exact.
+not associative); the event trace and the semantic stats remain exact.
 
-The parallel engine supports drop-tail or unlimited queues only: RED
-admission and NetFlow collection consume state in global arrival order,
-which no partitioned execution can reproduce — construct it with those and
-it refuses (naming the offending option), pointing back at
+The parallel engine refuses a NetFlow collector: collection consumes state
+in global arrival order, which no partitioned execution can reproduce —
+construct it with one and it refuses, pointing back at
 ``engine="sequential"``.
 
 **Live migration.**  Because each (link, direction) channel's FIFO
@@ -53,13 +51,11 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from repro.engine.eventq import EventBatch
 from repro.engine.kernel import EmulationKernel
-from repro.engine.queues import DropTail
 from repro.engine.sync import group_by_owner
 from repro.engine.trace import DELIVERED
 from repro.routing.tables import RoutingTables
@@ -99,24 +95,12 @@ class ShardContext:
     link_u: np.ndarray         # int64[m], lower endpoint of each link
     link_bw: np.ndarray        # float64[m], bandwidth (bit/s)
     link_lat: np.ndarray       # float64[m], propagation latency (s)
-    queue_limit_s: Optional[float]  # drop-tail horizon, None = no drops
 
 
-def shard_context(
-    net: Network, tables: RoutingTables, queue_disc=None
-) -> ShardContext:
-    """Snapshot the routed network into a :class:`ShardContext`.
-
-    Only a plain :class:`~repro.engine.queues.DropTail` translates into
-    shard-side admission (it is stateless per decision); any other
-    discipline is handled by the kernel's ordered path and leaves the
-    context limit unset.
-    """
+def shard_context(net: Network, tables: RoutingTables) -> ShardContext:
+    """Snapshot the routed network into a :class:`ShardContext`."""
     u, v, lat, bw = net.link_endpoint_arrays()
     pair_keys, pair_lids = tables._lookup_arrays()
-    limit = None
-    if queue_disc is not None and type(queue_disc) is DropTail:
-        limit = float(queue_disc.limit_s)
     return ShardContext(
         n_nodes=net.n_nodes,
         n_links=net.n_links,
@@ -126,7 +110,6 @@ def shard_context(
         link_u=np.asarray(u, dtype=np.int64),
         link_bw=np.asarray(bw, dtype=np.float64),
         link_lat=np.asarray(lat, dtype=np.float64),
-        queue_limit_s=limit,
     )
 
 
@@ -136,9 +119,9 @@ class ShardResult:
 
     ``next``/``span`` are full-segment columns (next hop or
     :data:`~repro.engine.trace.DELIVERED`; serialization span or 0);
-    ``succ_pos`` are the segment positions (ascending) of admitted
-    forwards and ``succ_time`` their successor arrival times.  The integer
-    fields are counter deltas for :class:`~repro.engine.perf.KernelStats`.
+    ``succ_pos`` are the segment positions (ascending) of forwards and
+    ``succ_time`` their successor arrival times.  The integer fields are
+    counter deltas for :class:`~repro.engine.perf.KernelStats`.
     """
 
     next: np.ndarray
@@ -148,7 +131,6 @@ class ShardResult:
     packets_delivered: int
     transfers_delivered: int
     trains_forwarded: int
-    trains_dropped: int
     vector_events: int
     python_loop_events: int
 
@@ -228,7 +210,7 @@ class LPShard:
         if len(f) == 0:
             return ShardResult(
                 next_col, span_col, _EMPTY_I, _EMPTY_F,
-                pkts, tdel, 0, 0, n_deliver, 0,
+                pkts, tdel, 0, n_deliver, 0,
             )
 
         fnode = node[f]
@@ -243,11 +225,9 @@ class LPShard:
         dirs = (fnode != self.ctx.link_u[lids]).astype(np.int64)
         tx = nbytes[f] * 8.0 / self.ctx.link_bw[lids]
         key = lids * 2 + dirs
-        limit = self.ctx.queue_limit_s
 
         depart = np.empty(len(f), dtype=np.float64)
         backlog = np.empty(len(f), dtype=np.float64)
-        admit = np.ones(len(f), dtype=bool)
 
         # FIFO groups: events sharing a (link, direction) channel within
         # the segment.  Stable sort keeps event order inside each group.
@@ -264,42 +244,34 @@ class LPShard:
         sing = order[starts[single]]  # event positions of singleton groups
         if len(sing):
             b0 = busy_flat[key[sing]]
-            bk = b0 - ftime[sing]
-            backlog[sing] = bk
-            if limit is not None:
-                admit[sing] = np.maximum(bk, 0.0) <= limit
+            backlog[sing] = b0 - ftime[sing]
             dep = np.maximum(ftime[sing], b0) + tx[sing]
             depart[sing] = dep
-            sel = sing[admit[sing]]
-            busy_flat[key[sel]] = depart[sel]
+            busy_flat[key[sing]] = dep
 
         n_multi, n_scalar = self._process_fifo_groups(
             order, ks, starts, ends, single, ftime, tx,
-            backlog, depart, admit, busy_flat, limit,
+            backlog, depart, busy_flat,
         )
 
-        next_col[f] = np.where(admit, nxt, DELIVERED)
-        fa = f[admit]
-        span_col[fa] = tx[admit]
+        next_col[f] = nxt
+        span_col[f] = tx
 
         # Accounting in event order (np.add.at applies index-sequentially,
         # so the float sums accumulate exactly as the scalar loop would).
-        alids = lids[admit]
-        np.add.at(self.link_packets, alids, count[fa])
-        np.add.at(self.link_bytes, alids, nbytes[fa])
-        np.add.at(self.link_busy_s, alids, tx[admit])
-        np.maximum.at(self.link_max_backlog_s, alids, backlog[admit])
+        np.add.at(self.link_packets, lids, count[f])
+        np.add.at(self.link_bytes, lids, nbytes[f])
+        np.add.at(self.link_busy_s, lids, tx)
+        np.maximum.at(self.link_max_backlog_s, lids, backlog)
 
-        n_fwd = int(admit.sum())
         return ShardResult(
             next=next_col,
             span=span_col,
-            succ_pos=fa,
-            succ_time=depart[admit] + self.ctx.link_lat[alids],
+            succ_pos=f,
+            succ_time=depart + self.ctx.link_lat[lids],
             packets_delivered=pkts,
             transfers_delivered=tdel,
-            trains_forwarded=n_fwd,
-            trains_dropped=len(f) - n_fwd,
+            trains_forwarded=len(f),
             vector_events=n_deliver + int(single.sum()) + n_multi - n_scalar,
             python_loop_events=n_scalar,
         )
@@ -315,13 +287,11 @@ class LPShard:
         tx: np.ndarray,
         backlog: np.ndarray,
         depart: np.ndarray,
-        admit: np.ndarray,
         busy_flat: np.ndarray,
-        limit: Optional[float],
     ) -> tuple[int, int]:
         """Replay the FIFO recurrence for groups with several events.
 
-        ``busy = max(t, busy) + tx`` per admitted event is a float-order-
+        ``busy = max(t, busy) + tx`` per event is a float-order-
         sensitive scan, so it cannot be prefix-summed — but it *can* run
         one round at a time across groups: round ``r`` executes the
         ``r``-th event of every still-active group with elementwise numpy
@@ -354,11 +324,7 @@ class LPShard:
                     tl = ftime[idxs].tolist()
                     txl = tx[idxs].tolist()
                     for j, t, txj in zip(idxs.tolist(), tl, txl):
-                        b = busy - t
-                        backlog[j] = b
-                        if limit is not None and max(b, 0.0) > limit:
-                            admit[j] = False
-                            continue
+                        backlog[j] = busy - t
                         d = max(t, busy) + txj
                         depart[j] = d
                         busy = d
@@ -367,16 +333,10 @@ class LPShard:
             j = order[starts_m[active] + r]
             tj = ftime[j]
             bg = busy_g[active]
-            b = bg - tj
-            backlog[j] = b
+            backlog[j] = bg - tj
             d = np.maximum(tj, bg) + tx[j]
             depart[j] = d
-            if limit is not None:
-                adm = np.maximum(b, 0.0) <= limit
-                admit[j] = adm
-                busy_g[active] = np.where(adm, d, bg)
-            else:
-                busy_g[active] = d
+            busy_g[active] = d
             r += 1
             active = active[sizes_m[active] > r]
         busy_flat[gkeys] = busy_g
@@ -479,21 +439,10 @@ class ParallelEmulationKernel(EmulationKernel):
     ) -> None:
         super().__init__(net, tables, **options)
         if self._ordered:
-            offending = []
-            if self.collector is not None:
-                offending.append(
-                    f"collector={type(self.collector).__name__}"
-                )
-            if self.queue_disc is not None and (
-                type(self.queue_disc) is not DropTail
-            ):
-                offending.append(
-                    f"queue={type(self.queue_disc).__name__}"
-                )
             raise ValueError(
                 f"ParallelEmulationKernel cannot honour "
-                f"{' and '.join(offending)}: RED admission and NetFlow "
-                f"collection consume state in global arrival order, which "
+                f"collector={type(self.collector).__name__}: NetFlow "
+                f"collection consumes state in global arrival order, which "
                 f"partitioned execution cannot reproduce; drop the option "
                 f"or use engine='sequential'"
             )

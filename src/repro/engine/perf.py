@@ -34,7 +34,7 @@ class KernelStats:
     Attributes
     ----------
     transfers_submitted, transfers_delivered, trains_forwarded,
-    trains_dropped, packets_delivered:
+    packets_delivered:
         Semantic traffic counters — engine-independent (see
         :meth:`semantic`).
     windows:
@@ -64,7 +64,6 @@ class KernelStats:
     transfers_submitted: int = 0
     transfers_delivered: int = 0
     trains_forwarded: int = 0
-    trains_dropped: int = 0
     packets_delivered: int = 0
     windows: int = 0
     segments: int = 0
@@ -74,12 +73,11 @@ class KernelStats:
     hook_cuts: int = 0
     window_merges: int = 0
 
-    def semantic(self) -> tuple[int, int, int, int, int]:
+    def semantic(self) -> tuple[int, int, int, int]:
         """The engine-independent counters, for differential comparison."""
         return (
             self.transfers_submitted,
             self.transfers_delivered,
             self.trains_forwarded,
-            self.trains_dropped,
             self.packets_delivered,
         )

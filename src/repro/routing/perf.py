@@ -64,11 +64,6 @@ class RoutingStats:
         (source, destination) cells the delta engine re-settled and spliced.
     fallback_rows:
         Touched rows it recomputed whole (tied tree or failed certificate).
-    rewalked_pairs:
-        Endpoint pairs re-walked by the incremental traffic estimator
-        (their old route visited a touched source).
-    kept_pairs:
-        Pairs whose stored route provably survived the change (no walk).
     """
 
     dijkstra_calls: int = 0
@@ -84,5 +79,3 @@ class RoutingStats:
     touched_sources: int = 0
     resettled_cells: int = 0
     fallback_rows: int = 0
-    rewalked_pairs: int = 0
-    kept_pairs: int = 0

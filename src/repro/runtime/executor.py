@@ -21,6 +21,7 @@ the tasks in the caller's process, one after another: the serial sweep.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import time
@@ -53,7 +54,8 @@ class RuntimeConfig:
         reference path — still produces the same :class:`GridResult`).
     timeout_s:
         Soft per-task timeout enforced with ``SIGALRM`` inside worker
-        processes (ignored when ``workers == 0``).
+        processes (ignored when ``workers == 0``); ``None`` or a finite
+        number > 0.
     retries:
         Additional attempts for a task whose worker crashed or timed out.
         Deterministic failures — in-task exceptions, a task that cannot
@@ -69,6 +71,14 @@ class RuntimeConfig:
             raise ValueError("workers must be >= 0")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        # setitimer(0) disarms the timer: 0 would run the cell untimed.
+        if self.timeout_s is not None and not (
+            math.isfinite(self.timeout_s) and self.timeout_s > 0
+        ):
+            raise ValueError(
+                f"timeout_s must be None or a finite number > 0, not "
+                f"{self.timeout_s!r}"
+            )
 
 
 @dataclass

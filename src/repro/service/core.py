@@ -22,6 +22,7 @@ Job execution order per job:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -52,6 +53,23 @@ class ServiceConfig:
     cache: object = None             # disk cache spec (resolve_cache)
     host: str = "127.0.0.1"
     port: int = 8351
+
+    def __post_init__(self) -> None:
+        # queue.Queue(0) is unbounded and a nan deadline never expires:
+        # both would silently void the promise the knob makes.
+        for name in ("workers", "queue_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("budget_bytes", "max_delta_changes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        timeout = self.default_timeout_s
+        if timeout is not None and not (math.isfinite(timeout)
+                                        and timeout >= 0):
+            raise ValueError(
+                f"default_timeout_s must be None or a finite number >= 0, "
+                f"not {timeout!r}"
+            )
 
 
 def _worker_loop(service: "MappingService") -> None:
@@ -112,7 +130,7 @@ class MappingService:
     def start(self) -> "MappingService":
         if self._threads:
             return self
-        for i in range(max(1, int(self.config.workers))):
+        for i in range(self.config.workers):
             thread = threading.Thread(
                 target=_worker_loop, args=(self,),
                 name=f"massf-worker-{i}", daemon=True,

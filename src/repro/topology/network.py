@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import numpy as np
 
 from repro.topology.elements import Link, NetNode, NodeKind
@@ -352,21 +351,6 @@ class Network:
                     seen[u] = True
                     stack.append(u)
         return bool(seen.all())
-
-    def to_networkx(self) -> nx.Graph:
-        """Convert to a networkx graph (node/link attributes preserved)."""
-        graph = nx.Graph(name=self.name)
-        for node in self._nodes:
-            graph.add_node(
-                node.node_id, name=node.name, kind=node.kind.value,
-                as_id=node.as_id, site=node.site,
-            )
-        for link in self._links:
-            graph.add_edge(
-                link.u, link.v, link_id=link.link_id,
-                bandwidth_bps=link.bandwidth_bps, latency_s=link.latency_s,
-            )
-        return graph
 
     def summary(self) -> str:
         """Table-1-style one-liner."""

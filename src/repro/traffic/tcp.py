@@ -6,10 +6,12 @@ too.  This module adds a closed-loop TCP abstraction on top of the
 emulation kernel: a :class:`TcpFlow` sends one congestion window per round
 trip, growing the window by slow start and congestion avoidance, halving it
 on a retransmission timeout — so transfer pacing reacts to emulated network
-conditions (RTT, queueing, drop-tail losses) instead of being open-loop.
+conditions (RTT, queueing) instead of being open-loop.  Links are
+unbounded FIFOs, so a timeout means a window that queued past ``rto``,
+never a loss.
 
 This is deliberately a *flow-level* TCP (per-window, not per-segment ACKs):
-it reproduces the burst structure and loss reaction that matter for load
+it reproduces the burst structure and timeout reaction that matter for load
 shape at a fraction of the event cost.
 """
 

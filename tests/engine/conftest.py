@@ -13,7 +13,7 @@ class Drains:
     """Iterating pins :meth:`EmulationKernel.run`'s selection to each drain
     in turn (``"windows"``, then ``"per_event"``) by patching the private
     density threshold — there is no public option.  Order-coupled kernels
-    (collector, RED) drain per event whatever the pin."""
+    (a NetFlow collector) drain per event whatever the pin."""
 
     names = ("windows", "per_event")
 

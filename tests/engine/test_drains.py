@@ -4,7 +4,7 @@
 window by window (numpy) or event by event (one ``(time, seq)`` heap).
 Which one runs is a speed decision only: over random closed-loop soups the
 two give byte-identical traces, equal per-link accounting and equal
-semantic stats.  Order-coupled kernels (NetFlow collector, RED) always
+semantic stats.  Order-coupled kernels (a NetFlow collector) always
 drain per event and therefore cannot take mid-run link changes, which are
 applied at window barriers.
 """
@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from repro.engine.kernel import EmulationKernel, run_kernel
 from repro.engine.lp import ParallelEmulationKernel
 from repro.engine.packet import Transfer, reset_flow_ids
-from repro.engine.queues import RED, DropTail
 from repro.obs.telemetry import Telemetry
 from repro.profiling.netflow import NetFlowCollector
 from repro.routing.delta import SetLinkCost
@@ -78,12 +77,10 @@ class _ClosedLoopSoup:
     n_flows=st.integers(1, 60),
     hook_every=st.sampled_from((0, 1, 3)),
     train_packets=st.sampled_from((1, 4, 32)),
-    droptail=st.booleans(),
     duration=st.floats(0.05, 1.0),
 )
 def test_drains_are_trace_identical(drains, n_routers, topo_seed, n_flows,
-                                    hook_every, train_packets, droptail,
-                                    duration):
+                                    hook_every, train_packets, duration):
     net = synth_network(n_routers=n_routers, seed=topo_seed)
     tables = build_routing(net)
     wl = _ClosedLoopSoup(n_flows, hook_every, duration)
@@ -91,7 +88,6 @@ def test_drains_are_trace_identical(drains, n_routers, topo_seed, n_flows,
     for drain in drains:
         trace, kernel = run_kernel(
             net, tables, wl, seed=topo_seed, train_packets=train_packets,
-            queue=DropTail(0.002) if droptail else None,
         )
         drains.check(kernel, drain)
         runs.append((trace, kernel))
@@ -103,8 +99,6 @@ def test_drains_are_trace_identical(drains, n_routers, topo_seed, n_flows,
         assert np.array_equal(getattr(k_win, name), getattr(k_evt, name)), name
     assert k_win.stats.semantic() == k_evt.stats.semantic()
     assert k_win.transfer_log == k_evt.transfer_log
-    if droptail:
-        assert k_win.queue_disc.drops == k_evt.queue_disc.drops
 
 
 def _routed():
@@ -118,13 +112,9 @@ def _install_one(kernel, at=0.01):
         Transfer(src=hosts[0], dst=hosts[1], nbytes=20_000.0), at)
 
 
-@pytest.mark.parametrize("option", ("collector", "red"))
+@pytest.mark.parametrize("option", ("collector",))
 def test_link_changes_refused_on_order_coupled_kernels(option):
     net, tables = _routed()
-    kw = ({"collector": NetFlowCollector("flow")} if option == "collector"
-          else {"queue": RED(min_th_s=0.005, max_th_s=0.03)})
-    named = {"collector": "collector=NetFlowCollector",
-             "red": "queue=RED"}[option]
 
     class _Idle:
         duration = 1.0
@@ -132,10 +122,11 @@ def test_link_changes_refused_on_order_coupled_kernels(option):
         def install(self, kernel, rng):
             _install_one(kernel)
 
-    with pytest.raises(ValueError, match=f"cannot honour {named}"):
+    with pytest.raises(ValueError,
+                       match="cannot honour collector=NetFlowCollector"):
         run_kernel(net, tables, _Idle(), link_changes=[
             (0.5, SetLinkCost(0, latency_s=net.links[0].latency_s * 2))
-        ], **kw)
+        ], collector=NetFlowCollector("flow"))
 
 
 def test_selection_rule():
@@ -157,8 +148,9 @@ def test_selection_rule():
     # One train due over 1 s: density = window_s / 1 s.
     kernel = EmulationKernel(net, tables)
     assert drain_of(kernel) == ("per_event", kernel.window_s)
-    assert drain_of(EmulationKernel(net, tables, queue=RED()))[0] == \
-        "per_event"
+    collected = EmulationKernel(net, tables,
+                                collector=NetFlowCollector("flow"))
+    assert drain_of(collected)[0] == "per_event"
 
     hooked = EmulationKernel(net, tables)
     hooked.barrier_hooks.append(lambda now: None)

@@ -6,7 +6,7 @@ Poisson) hands its transfers to ``submit_transfers`` in one batch; on
 ``submit_transfer`` loop, so ``run_kernel`` vs ``run_kernel_reference``
 proves "bulk == loop" for real applications — under both kernel drains
 (the ``drains`` fixture pins the selection), and on the per-event drain the
-NetFlow profile run and RED always take (where the collector must see the
+NetFlow profile run always takes (where the collector must see the
 same fields, in the same order, as the per-train objects of the reference
 would have shown it).  The gridnpb cells carry hooked HTTP traffic.
 
@@ -21,7 +21,6 @@ import pytest
 
 from repro.engine._reference import run_kernel_reference
 from repro.engine.kernel import run_kernel
-from repro.engine.queues import RED
 from repro.experiments.workloads import Workload, build_workload
 from repro.profiling.netflow import NetFlowCollector
 from repro.routing.spf import build_routing
@@ -72,14 +71,12 @@ _WORKLOADS = {
     "cbr+poisson": (_background, 8.0),
 }
 
-# Stateful (collector records, RED's EWMA and rng): one fresh instance per
-# run, never shared across the pair.
+# Stateful (collector records): one fresh instance per run, never shared
+# across the pair.
 _MODES = {
     "plain": lambda: {},
     "netflow-flow": lambda: {"collector": NetFlowCollector("flow")},
     "netflow-pair": lambda: {"collector": NetFlowCollector("pair")},
-    "red": lambda: {"queue": RED(min_th_s=0.005, max_th_s=0.03, max_p=0.5,
-                                 seed=5)},
 }
 
 

@@ -92,25 +92,6 @@ def test_fifo_queueing_serializes_trains():
     assert np.diff(deliveries)[0] == pytest.approx(1e-3, rel=1e-6)
 
 
-def test_droptail_queue_limit():
-    net = Network()
-    a = net.add_host("a")
-    r = net.add_router("r")
-    b = net.add_host("b")
-    net.add_link(a, r, Mbps(120), ms(1))
-    net.add_link(r, b, Mbps(1.2), ms(1))  # slow bottleneck: 10 ms/packet
-    tables = build_routing(net)
-    kern = EmulationKernel(
-        net, tables, train_packets=1, queue_limit_s=0.05
-    )
-    kern.submit_transfer(
-        Transfer(src=a.node_id, dst=b.node_id, nbytes=100 * MTU_BYTES), 0.0
-    )
-    kern.run(until=20.0)
-    assert kern.stats.trains_dropped > 0
-    assert kern.stats.packets_delivered < 100
-
-
 def test_on_delivery_callback_fires(tiny_routed):
     net, tables = tiny_routed
     kern = EmulationKernel(net, tables)

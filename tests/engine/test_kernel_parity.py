@@ -1,13 +1,13 @@
 """Differential parity: batched kernel vs the reference heap kernel.
 
-The grid is topology × queue discipline × train size.  Every cell runs the
-same prepared workload through :func:`repro.engine.kernel.run_kernel` and
+The grid is topology × train size over unbounded FIFO links.  Every cell
+runs the same prepared workload through
+:func:`repro.engine.kernel.run_kernel` and
 :func:`repro.engine._reference.run_kernel_reference` and compares the
 results bit-exactly: trace arrays byte for byte, semantic stats, per-link
 accounting — once per kernel drain (the ``drains`` fixture pins the
-selection).  RED always drains per event; on the window drain multi-packet
-trains exercise the python FIFO loop and ``train_packets=1`` the vector
-path.
+selection).  On the window drain multi-packet trains exercise the python
+FIFO loop and ``train_packets=1`` the vector path.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import pytest
 
 from repro.engine._reference import run_kernel_reference
 from repro.engine.kernel import run_kernel
-from repro.engine.queues import RED, DropTail
 from repro.experiments.workloads import SyntheticTransfers
 from repro.routing.spf import build_routing
 from repro.topology.brite import brite_network
@@ -34,14 +33,8 @@ _FACTORIES = {
     "synth": lambda: synth_network(n_routers=60, seed=3),
 }
 
-# Queue disciplines are stateful (RED keeps an EWMA and an RNG), so each
-# run gets a *fresh* instance from its factory — sharing one instance
-# across the pair would leak state and break the comparison.
-_QUEUES = {
-    "none": lambda: None,
-    "droptail": lambda: DropTail(0.05),
-    "red": lambda: RED(min_th_s=0.005, max_th_s=0.03, max_p=0.5, seed=5),
-}
+# Links are unbounded FIFOs: the one queue cell, named "none".
+_QUEUES = ("none",)
 
 
 @pytest.fixture(scope="module", params=sorted(_FACTORIES))
@@ -58,7 +51,7 @@ def _workload(net):
     return wl
 
 
-@pytest.mark.parametrize("queue_name", sorted(_QUEUES))
+@pytest.mark.parametrize("queue_name", _QUEUES)
 @pytest.mark.parametrize("train_packets", [1, 32])
 def test_batched_matches_reference(routed, queue_name, train_packets,
                                    drains):
@@ -66,12 +59,10 @@ def test_batched_matches_reference(routed, queue_name, train_packets,
     wl = _workload(net)
     trace_ref, kernel_ref = run_kernel_reference(
         net, tables, wl, seed=11, train_packets=train_packets,
-        queue=_QUEUES[queue_name](),
     )
     for drain in drains:
         trace_new, kernel_new = run_kernel(
             net, tables, wl, seed=11, train_packets=train_packets,
-            queue=_QUEUES[queue_name](),
         )
         drains.check(kernel_new, drain)
 
@@ -92,30 +83,3 @@ def test_batched_matches_reference(routed, queue_name, train_packets,
                 err_msg=f"{drain}: {name}",
             )
 
-
-def test_red_drops_and_stays_bit_identical(drains):
-    """A RED run that actually drops (the grid's load is too light to
-    trigger drops, so the discipline's order-sensitive RNG consumption
-    needs its own heavier cell) still matches the reference bit-exactly."""
-    net = _FACTORIES["synth"]()
-    tables = build_routing(net)
-    wl = SyntheticTransfers(
-        n_flows=200, duration=1.0, min_bytes=2_000, max_bytes=200_000,
-    )
-    wl.prepare(net, np.random.default_rng(11))
-    red = lambda: RED(min_th_s=0.001, max_th_s=0.03, max_p=1.0, seed=5)
-    trace_ref, kernel_ref = run_kernel_reference(
-        net, tables, wl, seed=11, train_packets=32, queue=red(),
-    )
-    for drain in drains:
-        trace_new, kernel_new = run_kernel(
-            net, tables, wl, seed=11, train_packets=32, queue=red(),
-        )
-        drains.check(kernel_new, drain)
-        assert kernel_new.stats.trains_dropped > 0
-        assert kernel_new.stats.semantic() == kernel_ref.stats.semantic()
-        assert kernel_new.queue_disc.drops == kernel_ref.queue_disc.drops
-        for field in TRACE_FIELDS:
-            assert np.array_equal(
-                getattr(trace_new, field), getattr(trace_ref, field)
-            ), (drain, field)

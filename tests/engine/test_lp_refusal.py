@@ -1,10 +1,10 @@
 """The LP engine's refusal of order-coupled configs names the offender.
 
-``ParallelEmulationKernel`` cannot honour options that consume state in
-global arrival order (RED's EWMA + RNG, NetFlow collection): partitioned
-execution would silently produce different results.  The refusal must say
-*which* option is order-coupled — "parallel emulation failed" with no
-noun sends users hunting through their config.
+``ParallelEmulationKernel`` cannot honour an option that consumes state in
+global arrival order (NetFlow collection): partitioned execution would
+silently produce different results.  The refusal must say *which* option
+is order-coupled — "parallel emulation failed" with no noun sends users
+hunting through their config.
 """
 
 from __future__ import annotations
@@ -12,23 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.kernel import run_kernel
 from repro.engine.lp import ParallelEmulationKernel
-from repro.engine.queues import RED, DropTail
 from repro.profiling.netflow import NetFlowCollector
 
 
 def _parts(net):
     return np.arange(net.n_nodes, dtype=np.int64) % 3
-
-
-def test_red_refusal_names_the_queue(campus_routed):
-    net, tables = campus_routed
-    with pytest.raises(ValueError, match=r"queue=RED"):
-        ParallelEmulationKernel(
-            net, tables, parts=_parts(net), processes=False,
-            queue=RED(min_th_s=0.005, max_th_s=0.03, max_p=0.5, seed=5),
-        )
 
 
 def test_collector_refusal_names_the_collector(campus_routed):
@@ -40,19 +29,6 @@ def test_collector_refusal_names_the_collector(campus_routed):
         )
 
 
-def test_refusal_names_every_offending_option(campus_routed):
-    net, tables = campus_routed
-    with pytest.raises(
-        ValueError,
-        match=r"collector=NetFlowCollector and queue=RED",
-    ):
-        ParallelEmulationKernel(
-            net, tables, parts=_parts(net), processes=False,
-            collector=NetFlowCollector(),
-            queue=RED(min_th_s=0.005, max_th_s=0.03, max_p=0.5, seed=5),
-        )
-
-
 def test_refusal_points_at_the_sequential_engine(campus_routed):
     net, tables = campus_routed
     with pytest.raises(ValueError, match=r"engine='sequential'"):
@@ -60,30 +36,3 @@ def test_refusal_points_at_the_sequential_engine(campus_routed):
             net, tables, parts=_parts(net), processes=False,
             collector=NetFlowCollector(),
         )
-
-
-def test_droptail_is_not_order_coupled(campus_routed):
-    """Drop-tail admission is a pure function of the channel's own
-    backlog — the LP engine accepts it."""
-    net, tables = campus_routed
-    kernel = ParallelEmulationKernel(
-        net, tables, parts=_parts(net), processes=False,
-        queue=DropTail(0.05),
-    )
-    kernel.close()
-
-
-def test_sequential_engine_still_accepts_red(campus_routed):
-    """The refusal is the parallel engine's, not a global ban."""
-    net, tables = campus_routed
-
-    class _Empty:
-        duration = 0.01
-
-        def install(self, kernel, rng):
-            pass
-
-    run_kernel(
-        net, tables, _Empty(), seed=0,
-        queue=RED(min_th_s=0.005, max_th_s=0.03, max_p=0.5, seed=5),
-    )

@@ -11,6 +11,7 @@ memoization, even for identical values).
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
 
@@ -213,3 +214,12 @@ def test_runtime_config_validates():
         RuntimeConfig(workers=-1)
     with pytest.raises(ValueError):
         RuntimeConfig(retries=-1)
+
+
+@pytest.mark.parametrize("timeout_s", [0.0, -1.0, math.nan, math.inf])
+def test_runtime_config_rejects_timeouts_that_never_fire(timeout_s):
+    """setitimer(0) disarms the timer; a negative or nan one never arms
+    it: each would run the cell untimed."""
+    with pytest.raises(ValueError, match="timeout_s"):
+        RuntimeConfig(timeout_s=timeout_s)
+    assert RuntimeConfig(timeout_s=1e-3).timeout_s == 1e-3

@@ -5,7 +5,7 @@ migrated node's outgoing channels cross the LP boundary bit-exactly, so
 the :class:`~repro.engine.trace.EventTrace` must be *byte-identical*
 across the reference heap kernel, the batched sequential kernel, and the
 LP engine under any forced migration schedule.  The grid covers three
-topologies × {no queue, drop-tail}, and the schedules exercise every
+topologies over unbounded FIFO links, and the schedules exercise every
 awkward moment: a router migrated with a non-empty channel queue,
 mid-multi-train-transfer, at the first and last window, and a no-op
 migration (destination = current owner).
@@ -20,7 +20,6 @@ from repro.engine._reference import run_kernel_reference
 from repro.engine.kernel import run_kernel
 from repro.engine.lp import ParallelEmulationKernel
 from repro.engine.packet import reset_flow_ids
-from repro.engine.queues import DropTail
 from repro.experiments.workloads import SyntheticTransfers
 from repro.rebalance import ForcedMigrationSchedule
 from repro.routing.spf import build_routing
@@ -36,10 +35,8 @@ _FACTORIES = {
     "synth": lambda: synth_network(n_routers=60, seed=3),
 }
 
-_QUEUES = {
-    "none": lambda: None,
-    "droptail": lambda: DropTail(0.05),
-}
+# Links are unbounded FIFOs: the one queue cell, named "none".
+_QUEUES = ("none",)
 
 K = 3
 SEED = 11
@@ -64,14 +61,14 @@ def _parts(net):
     return np.arange(net.n_nodes, dtype=np.int64) % K
 
 
-def _barrier_times(net, tables, wl, queue):
+def _barrier_times(net, tables, wl):
     """Virtual times at which this cell's run actually reaches a barrier
     (migration points are *between* windows — the final window has none,
     so schedules must target real barriers, not arbitrary times)."""
     reset_flow_ids()
     kernel = ParallelEmulationKernel(
         net, tables, parts=_parts(net), processes=False,
-        train_packets=8, queue=queue,
+        train_packets=8,
     )
     times: list[float] = []
     kernel.barrier_hooks.append(times.append)
@@ -90,11 +87,11 @@ def _busiest_nodes(trace, count=3):
     return np.argsort(loads)[::-1][:count].tolist()
 
 
-def _run_with_schedule(net, tables, wl, queue, moves, processes=False):
+def _run_with_schedule(net, tables, wl, moves, processes=False):
     reset_flow_ids()
     kernel = ParallelEmulationKernel(
         net, tables, parts=_parts(net), processes=processes,
-        train_packets=8, queue=queue,
+        train_packets=8,
     )
     schedule = ForcedMigrationSchedule(moves).attach(kernel)
     try:
@@ -112,7 +109,7 @@ def _assert_traces_equal(a, b, context=""):
         assert np.array_equal(x, y), f"{context}: {field}"
 
 
-@pytest.mark.parametrize("queue_name", sorted(_QUEUES))
+@pytest.mark.parametrize("queue_name", _QUEUES)
 def test_forced_migrations_keep_trace_byte_identical(routed, queue_name):
     """Reference / batched / LP-fork agree under a busy-router schedule
     hitting the first window, mid-run (mid-train, non-empty queues), and
@@ -122,17 +119,15 @@ def test_forced_migrations_keep_trace_byte_identical(routed, queue_name):
 
     trace_ref, kernel_ref = run_kernel_reference(
         net, tables, wl, seed=SEED, train_packets=8,
-        queue=_QUEUES[queue_name](),
     )
     trace_seq, kernel_seq = run_kernel(
         net, tables, wl, seed=SEED, train_packets=8,
-        queue=_QUEUES[queue_name](),
     )
     _assert_traces_equal(trace_ref, trace_seq, "reference vs sequential")
 
     hot = _busiest_nodes(trace_ref)
     parts = _parts(net)
-    barriers = _barrier_times(net, tables, wl, _QUEUES[queue_name]())
+    barriers = _barrier_times(net, tables, wl)
     assert len(barriers) >= 4, "run too short to exercise migration points"
     moves = [
         # First barrier of the run.
@@ -144,7 +139,7 @@ def test_forced_migrations_keep_trace_byte_identical(routed, queue_name):
         (barriers[-1], hot[2], int((parts[hot[2]] + 1) % K)),
     ]
     trace_lp, kernel_lp, schedule = _run_with_schedule(
-        net, tables, wl, _QUEUES[queue_name](), moves,
+        net, tables, wl, moves,
     )
     _assert_traces_equal(trace_ref, trace_lp, "reference vs migrated-LP")
     assert schedule.pending == 0, "every scheduled migration must fire"
@@ -163,22 +158,21 @@ def test_forced_migrations_keep_trace_byte_identical(routed, queue_name):
     assert kernel_seq.stats.semantic() == kernel_lp.stats.semantic()
 
 
-@pytest.mark.parametrize("queue_name", sorted(_QUEUES))
+@pytest.mark.parametrize("queue_name", _QUEUES)
 def test_noop_migration_changes_nothing(routed, queue_name):
     """A migration to the current owner is counted but moves no state."""
     net, tables = routed
     wl = _workload(net)
     trace_ref, _ = run_kernel_reference(
         net, tables, wl, seed=SEED, train_packets=8,
-        queue=_QUEUES[queue_name](),
     )
     hot = _busiest_nodes(trace_ref)
     parts = _parts(net)
-    barriers = _barrier_times(net, tables, wl, _QUEUES[queue_name]())
+    barriers = _barrier_times(net, tables, wl)
     # dest == owner
     moves = [(barriers[len(barriers) // 2], hot[0], int(parts[hot[0]]))]
     trace_lp, kernel, schedule = _run_with_schedule(
-        net, tables, wl, _QUEUES[queue_name](), moves,
+        net, tables, wl, moves,
     )
     _assert_traces_equal(trace_ref, trace_lp, "no-op migration")
     assert schedule.pending == 0
@@ -199,14 +193,14 @@ def test_forked_workers_match_reference():
     )
     hot = _busiest_nodes(trace_ref)
     parts = _parts(net)
-    barriers = _barrier_times(net, tables, wl, None)
+    barriers = _barrier_times(net, tables, wl)
     moves = [
         (barriers[len(barriers) // 3], hot[0], int((parts[hot[0]] + 1) % K)),
         (barriers[2 * len(barriers) // 3], hot[1],
          int((parts[hot[1]] + 2) % K)),
     ]
     trace_lp, kernel, schedule = _run_with_schedule(
-        net, tables, wl, None, moves, processes=True,
+        net, tables, wl, moves, processes=True,
     )
     _assert_traces_equal(trace_ref, trace_lp, "forked workers")
     assert schedule.pending == 0
@@ -223,7 +217,7 @@ def test_migration_batches_and_repeated_entries():
         net, tables, wl, seed=SEED, train_packets=8,
     )
     hot = _busiest_nodes(trace_ref)
-    barriers = _barrier_times(net, tables, wl, None)
+    barriers = _barrier_times(net, tables, wl)
     at = barriers[len(barriers) // 2]
     moves = [
         (at, hot[0], 1),
@@ -231,7 +225,7 @@ def test_migration_batches_and_repeated_entries():
         (at, hot[0], 2),  # same router again: final dest wins
     ]
     trace_lp, kernel, schedule = _run_with_schedule(
-        net, tables, wl, None, moves,
+        net, tables, wl, moves,
     )
     _assert_traces_equal(trace_ref, trace_lp, "batched entries")
     assert kernel._parts[hot[0]] == 2

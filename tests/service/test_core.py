@@ -1,5 +1,7 @@
 """Service core: parity, failure isolation, cancellation, backpressure."""
 
+import math
+
 import pytest
 
 from repro.service import (
@@ -147,3 +149,25 @@ def test_status_document_shape(service):
     assert status["latency_p95_s"] >= status["latency_p50_s"] >= 0.0
     assert "topology" in status["warm"]["layers"]
     assert status["disk"]["stores"] >= 0
+
+
+@pytest.mark.parametrize("bad", [
+    {"workers": 0},
+    {"queue_size": 0},                     # queue.Queue(0) is unbounded
+    {"default_timeout_s": math.nan},       # now > nan is never True
+    {"default_timeout_s": -1.0},
+    {"default_timeout_s": math.inf},
+    {"budget_bytes": -1},
+    {"max_delta_changes": -1},
+], ids=["workers", "queue_size", "timeout-nan", "timeout-negative",
+        "timeout-inf", "budget_bytes", "max_delta_changes"])
+def test_config_rejects_values_that_break_its_promises(bad):
+    (name,) = bad
+    with pytest.raises(ValueError, match=name):
+        ServiceConfig(**bad)
+
+
+def test_config_accepts_its_boundary_values():
+    config = ServiceConfig(workers=1, queue_size=1, default_timeout_s=0.0,
+                           budget_bytes=0, max_delta_changes=0)
+    assert config.default_timeout_s == 0.0

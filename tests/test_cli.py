@@ -175,6 +175,36 @@ def test_massf_sweep_bad_seeds(capsys):
         massf(["sweep", "--seeds", "one,two"])
 
 
+@pytest.mark.parametrize("flags", [
+    ["--retries", "-1"], ["--workers", "-1"], ["--timeout", "0"],
+    ["--timeout", "-1"], ["--timeout", "nan"],
+])
+def test_massf_sweep_bad_runtime_flags_are_usage_errors(flags, capsys):
+    """A bad runtime flag is refused before any cell runs: no traceback,
+    and no timeout that silently never fires."""
+    with pytest.raises(SystemExit) as exc:
+        massf(["sweep", "--seeds", "1", "--no-cache", *flags])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--queue-size", "0"], ["--workers", "0"], ["--default-timeout", "nan"],
+    ["--budget-mb", "-1"], ["--max-delta-changes", "-1"],
+])
+def test_massf_serve_bad_values_are_usage_errors(flags, capsys, monkeypatch):
+    import repro.service
+
+    served = []
+    monkeypatch.setattr(repro.service, "serve",
+                        lambda config, log=None: served.append(config))
+    with pytest.raises(SystemExit) as exc:
+        massf(["serve", "--port", "0", *flags])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not served
+
+
 def test_massf_sweep_stats_and_report(tmp_path, capsys):
     """--stats writes a telemetry snapshot `massf stats` can render."""
     from repro.cli import massf

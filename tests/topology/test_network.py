@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.topology.elements import Gbps, Link, Mbps, NodeKind, ms, us
+from repro.topology.elements import Gbps, Link, Mbps, ms, us
 from repro.topology.network import Network
 
 
@@ -107,9 +107,3 @@ def test_validate_detects_isolated_host():
 def test_as_sizes(tiny_network):
     assert tiny_network.as_sizes() == {0: 4}
 
-
-def test_to_networkx_roundtrip(tiny_network):
-    g = tiny_network.to_networkx()
-    assert g.number_of_nodes() == tiny_network.n_nodes
-    assert g.number_of_edges() == tiny_network.n_links
-    assert g.nodes[0]["kind"] == NodeKind.ROUTER.value

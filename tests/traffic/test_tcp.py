@@ -72,11 +72,11 @@ def test_rtt_paces_rounds():
 
 
 def test_timeout_halves_and_recovers():
-    """A drop-tail bottleneck forces losses; the flow times out, backs off,
-    and still completes."""
+    """A 64-segment window takes ~0.77 s to serialise at 1 Mbps, longer
+    than the 0.5 s rto: the flow times out, backs off, and still
+    completes."""
     net, tables = line_net(bottleneck_mbps=1.0)
-    kern = EmulationKernel(net, tables, train_packets=2,
-                           queue_limit_s=0.05)
+    kern = EmulationKernel(net, tables, train_packets=2)
     flow = TcpFlow(kern, net.node("a").node_id, net.node("b").node_id,
                    nbytes=300e3, init_cwnd=4, ssthresh=64, max_cwnd=64,
                    rto=0.5)
@@ -87,13 +87,12 @@ def test_timeout_halves_and_recovers():
 
 
 def test_flow_gives_up_after_max_retries():
-    """With a zero-capacity-ish queue every window drops: the flow fails
-    rather than retrying forever."""
-    net, tables = line_net(bottleneck_mbps=0.01)
-    kern = EmulationKernel(net, tables, train_packets=1,
-                           queue_limit_s=1e-6)
+    """An rto below the 7 ms one-way delay times out every window: the
+    flow fails rather than retrying forever."""
+    net, tables = line_net()
+    kern = EmulationKernel(net, tables, train_packets=1)
     flow = TcpFlow(kern, net.node("a").node_id, net.node("b").node_id,
-                   nbytes=100e3, rto=0.2, max_retries=3)
+                   nbytes=100e3, rto=0.005, max_retries=3)
     flow.start(0.0)
     kern.run(until=600.0)
     assert flow.failed
