@@ -66,5 +66,6 @@ def test_multilevel_speed_on_large_graph(benchmark):
         link_weights_to_adjwgt(latency_objective_weights(net), link_index)
     )
 
-    result = benchmark(part_graph, graph, 20, "multilevel", 1.2, 3)
+    result = benchmark(part_graph, graph, 20, algorithm="multilevel",
+                       tolerance=1.2, seed=3)
     assert len(np.unique(result.parts)) == 20

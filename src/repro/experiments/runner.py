@@ -229,9 +229,12 @@ def evaluate_workload(
         assert profile_run.profile is not None
         # Model selection on the profiling data: §3.3's segment clustering
         # helps when the run has genuine stages, and amplifies noise when
-        # it does not.  Both candidate mappings are scored against the
-        # profiling run's own trace (the only data PROFILE may look at)
-        # and the better one ships.
+        # it does not.  When it finds at least two segments, the mappings
+        # with and without them are both scored against the profiling
+        # run's own trace (the only data PROFILE may look at) and the
+        # better one ships, the first on a tie.  With fewer segments (or
+        # segments disabled) both candidates would be the same problem,
+        # so the first is the only one mapped.
         candidates: list[tuple[float, MappingResult]] = []
         for use_segments in (config.mapper.use_segments, False):
             cand_mapper = Mapper(
@@ -248,8 +251,8 @@ def evaluate_workload(
             ).wall_app
             cand.diagnostics["profiling_run_score"] = score
             candidates.append((score, cand))
-            if not config.mapper.use_segments:
-                break  # segments disabled: one candidate only
+            if cand.diagnostics["n_segments"] < 2:
+                break
         candidates.sort(key=lambda item: item[0])
         mappings["profile"] = candidates[0][1]
 

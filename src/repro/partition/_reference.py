@@ -1,13 +1,27 @@
-"""Reference (pre-optimization) refinement implementations — test oracles.
+"""Reference (pre-optimization) partitioning kernels — test oracles.
 
-These are the original pure-Python FM and greedy k-way refinement kernels,
-kept verbatim so the differential parity suite can prove the optimized
-implementations in :mod:`repro.partition.fm` and
-:mod:`repro.partition.kwayrefine` produce cuts no worse — and, under fixed
-seeds on graphs with exactly-representable weights, *identical*
-assignments.  They recompute gains / connectivity from scratch (O(n) and
-O(n·k) per pass respectively), which is exactly the scaling behaviour the
-optimized kernels exist to avoid; never call them from production code.
+These are the original implementations, kept verbatim (the growth oracle
+without its never-passed ``seed_vertex`` parameter) so the differential
+parity suites can prove the optimized kernels produce *identical*
+assignments and leave the RNG in the identical state under fixed seeds:
+
+- :func:`fm_refine_reference` and :func:`kway_refine_reference` — FM and
+  greedy k-way refinement recomputing gains / connectivity from scratch
+  (O(n) and O(n·k) per pass), the twins of :mod:`repro.partition.fm` and
+  :mod:`repro.partition.kwayrefine`;
+- :func:`grow_bisection_reference` and
+  :func:`greedy_graph_growing_reference` — greedy graph growing with a
+  numpy gain per pushed vertex, the twins of
+  :mod:`repro.partition.initial` (which walks plain lists and must
+  reproduce numpy's float summation order);
+- :func:`heavy_edge_matching_reference` — heavy-edge matching with numpy
+  candidate selection per visited vertex, the twin of
+  :func:`repro.partition.coarsen.heavy_edge_matching`.
+
+The refinement oracles agree bit for bit on graphs with exactly
+representable weights; the growing and matching oracles on any weights.
+They scale exactly the way the optimized kernels exist to avoid; never
+call them from production code.
 """
 
 from __future__ import annotations
@@ -18,7 +32,13 @@ import numpy as np
 
 from repro.partition.csr import CSRGraph
 
-__all__ = ["fm_refine_reference", "kway_refine_reference"]
+__all__ = [
+    "fm_refine_reference",
+    "kway_refine_reference",
+    "grow_bisection_reference",
+    "greedy_graph_growing_reference",
+    "heavy_edge_matching_reference",
+]
 
 
 # --------------------------------------------------------------------- #
@@ -260,3 +280,126 @@ def kway_refine_reference(
         if moved == 0:
             break
     return parts
+
+
+# --------------------------------------------------------------------- #
+# Greedy graph growing (original)
+# --------------------------------------------------------------------- #
+def _norm_weights_reference(graph: CSRGraph) -> np.ndarray:
+    totals = graph.total_vwgt()
+    safe = np.where(totals > 0, totals, 1.0)
+    return graph.vwgt / safe
+
+
+def grow_bisection_reference(
+    graph: CSRGraph,
+    target_frac: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Original single-seed growth — numpy gain per pushed vertex."""
+    n = graph.n
+    if n == 0:
+        return np.zeros(0, dtype=np.int64)
+    if not 0.0 < target_frac < 1.0:
+        raise ValueError("target_frac must be in (0, 1)")
+
+    norm = _norm_weights_reference(graph)
+    parts = np.ones(n, dtype=np.int64)
+    grown = np.zeros(graph.ncon, dtype=np.float64)
+
+    seed = int(rng.integers(n))
+    counter = 0
+    heap: list[tuple[float, int, int]] = [(0.0, counter, seed)]
+    in_heap = np.zeros(n, dtype=bool)
+    in_heap[seed] = True
+
+    def gain(v: int) -> float:
+        weights = graph.neighbor_weights(v)
+        to_zero = parts[graph.neighbors(v)] == 0
+        return float(weights[to_zero].sum() - weights[~to_zero].sum())
+
+    while heap and grown.mean() < target_frac - 1e-9:
+        _, _, v = heapq.heappop(heap)
+        if parts[v] == 0:
+            continue
+        parts[v] = 0
+        grown += norm[v]
+        for u in graph.neighbors(v):
+            u = int(u)
+            if parts[u] == 1 and not in_heap[u]:
+                in_heap[u] = True
+                counter += 1
+                heapq.heappush(heap, (-gain(u), counter, u))
+        if not heap and grown.mean() < target_frac - 1e-9:
+            remaining = np.nonzero(parts == 1)[0]
+            if len(remaining) == 0:
+                break
+            seed = int(rng.choice(remaining))
+            counter += 1
+            heapq.heappush(heap, (0.0, counter, seed))
+            in_heap[seed] = True
+    return parts
+
+
+def greedy_graph_growing_reference(
+    graph: CSRGraph,
+    target_frac: float,
+    rng: np.random.Generator,
+    n_tries: int = 4,
+) -> np.ndarray:
+    """Original best-of-``n_tries`` greedy graph growing."""
+    from repro.partition.metrics import weighted_edge_cut
+
+    best: np.ndarray | None = None
+    best_key: tuple[float, float] | None = None
+    norm = _norm_weights_reference(graph)
+    for _ in range(max(1, n_tries)):
+        parts = grow_bisection_reference(graph, target_frac, rng)
+        cut = weighted_edge_cut(graph, parts)
+        share = norm[parts == 0].sum(axis=0)
+        balance_err = float(np.abs(share - target_frac).max()) if graph.n else 0.0
+        key = (cut, balance_err)
+        if best_key is None or key < best_key:
+            best, best_key = parts, key
+    assert best is not None
+    return best
+
+
+# --------------------------------------------------------------------- #
+# Heavy-edge matching (original)
+# --------------------------------------------------------------------- #
+def heavy_edge_matching_reference(
+    graph: CSRGraph, rng: np.random.Generator, two_hop: bool = True
+) -> np.ndarray:
+    """Original heavy-edge matching — numpy candidate scan per vertex."""
+    n = graph.n
+    match = np.full(n, -1, dtype=np.int64)
+    order = rng.permutation(n)
+    for v in order:
+        if match[v] != -1:
+            continue
+        nbrs = graph.neighbors(v)
+        avail = np.flatnonzero(match[nbrs] == -1)
+        if len(avail):
+            weights = graph.neighbor_weights(v)[avail]
+            best = int(nbrs[avail[np.argmax(weights)]])
+            match[v] = best
+            match[best] = v
+
+    if two_hop:
+        for center in order:
+            nbrs = graph.neighbors(int(center))
+            avail = np.flatnonzero(match[nbrs] == -1)
+            if len(avail) < 2:
+                continue
+            leaves = nbrs[avail]
+            weights = graph.neighbor_weights(int(center))[avail]
+            ranked = leaves[np.lexsort((-leaves, -weights))]
+            for a, b in zip(ranked[0::2], ranked[1::2]):
+                if match[a] == -1 and match[b] == -1:
+                    match[a] = b
+                    match[b] = a
+
+    unset = match == -1
+    match[unset] = np.nonzero(unset)[0]
+    return match

@@ -175,13 +175,14 @@ def part_graph(
         Matched case-insensitively; common aliases (``metis``, ``kway``,
         ``rb``, ...) are accepted.
     tolerance:
-        Multiplicative balance envelope for the quality algorithms.
+        Multiplicative balance envelope for the quality algorithms; finite
+        and at least 1.0.
     seed:
         Seed for the dedicated RNG; identical calls are deterministic.
     target_fracs:
-        Optional per-part weight shares (heterogeneous engine capacities);
-        supported by ``multilevel``, ``recursive``, ``random`` and
-        ``linear``.
+        Optional per-part weight shares (heterogeneous engine capacities),
+        finite and positive, normalized to sum to 1; supported by
+        ``multilevel``, ``recursive``, ``random`` and ``linear``.
     telemetry:
         Optional :class:`repro.obs.telemetry.Telemetry`; records a
         ``partition/<algorithm>`` span plus call/vertex/edge counters.
@@ -192,12 +193,14 @@ def part_graph(
     algorithm = resolve_algorithm(algorithm)
     if k < 1:
         raise ValueError("k must be >= 1")
+    if not (np.isfinite(tolerance) and tolerance >= 1.0):
+        raise ValueError(f"tolerance must be finite and >= 1.0, got {tolerance!r}")
     if target_fracs is not None:
         target_fracs = np.asarray(target_fracs, dtype=np.float64)
         if target_fracs.shape != (k,):
             raise ValueError(f"target_fracs must have shape ({k},)")
-        if np.any(target_fracs <= 0):
-            raise ValueError("target fractions must be positive")
+        if not np.all(np.isfinite(target_fracs) & (target_fracs > 0)):
+            raise ValueError("target_fracs must be finite and positive")
         target_fracs = target_fracs / target_fracs.sum()
     with tel.span(f"partition/{algorithm}"):
         if graph.n == 0:

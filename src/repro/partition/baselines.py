@@ -90,9 +90,11 @@ def linear_partition(
         parts[order] = np.arange(graph.n) * k // max(1, graph.n)
         return parts
     if target_fracs is None:
-        # Vertex i (in BFS order) goes to the chunk its cumulative weight
-        # lands in.
-        assignment = np.minimum((cum / total * k).astype(np.int64), k - 1)
+        # Vertex i (in BFS order) goes to the chunk its weight's midpoint
+        # lands in, so a vertex ending exactly on a chunk boundary stays
+        # in the chunk it closes.
+        mid = cum - weight[order] / 2.0
+        assignment = np.minimum((mid / total * k).astype(np.int64), k - 1)
     else:
         fracs = np.asarray(target_fracs, dtype=np.float64)
         bounds = np.cumsum(fracs / fracs.sum()) * total

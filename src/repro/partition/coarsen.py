@@ -6,10 +6,11 @@ visits vertices in random order and matches each unmatched vertex with the
 unmatched neighbour connected by the heaviest edge, which tends to hide heavy
 edges inside coarse vertices so they can never be cut.
 
-The per-vertex inner loops (candidate selection, two-hop leaf pairing) and
-the whole contraction step run vectorized over the CSR arrays, so one
-coarsening level costs O(m) numpy work plus an O(n) python visit loop —
-the shape that keeps 10k-router topologies inside the wall-time budget.
+Matching walks plain-list mirrors of the CSR arrays: both passes are one
+list walk over a random vertex order, O(m) Python steps with no numpy call
+per vertex.  Contraction runs vectorized over the CSR arrays.  Together a
+coarsening level costs O(m), the shape that keeps 10k-router topologies
+inside the wall-time budget.
 """
 
 from __future__ import annotations
@@ -55,16 +56,21 @@ def heavy_edge_matching(
     such stars geometrically (the METIS ``-minconn``-era refinement).
     """
     n = graph.n
-    match = np.full(n, UNMATCHED, dtype=np.int64)
-    order = rng.permutation(n)
+    xadj = graph.xadj.tolist()
+    adjncy = graph.adjncy.tolist()
+    adjwgt = graph.adjwgt.tolist()
+    match = [UNMATCHED] * n
+    order = rng.permutation(n).tolist()
     for v in order:
         if match[v] != UNMATCHED:
             continue
-        nbrs = graph.neighbors(v)
-        avail = np.flatnonzero(match[nbrs] == UNMATCHED)
-        if len(avail):
-            weights = graph.neighbor_weights(v)[avail]
-            best = int(nbrs[avail[np.argmax(weights)]])
+        best, best_w = UNMATCHED, 0.0
+        lo, hi = xadj[v], xadj[v + 1]
+        for u, w in zip(adjncy[lo:hi], adjwgt[lo:hi]):
+            # Strictly heavier only: the first maximum wins, as np.argmax.
+            if match[u] == UNMATCHED and (best == UNMATCHED or w > best_w):
+                best, best_w = u, w
+        if best != UNMATCHED:
             match[v] = best
             match[best] = v
 
@@ -72,23 +78,25 @@ def heavy_edge_matching(
         # Pair unmatched leaves that hang off the same centre, preferring
         # heavier leaf edges first so heavy stars collapse first.
         for center in order:
-            nbrs = graph.neighbors(int(center))
-            avail = np.flatnonzero(match[nbrs] == UNMATCHED)
+            lo, hi = xadj[center], xadj[center + 1]
+            avail = [
+                (w, u) for u, w in zip(adjncy[lo:hi], adjwgt[lo:hi])
+                if match[u] == UNMATCHED
+            ]
             if len(avail) < 2:
                 continue
-            leaves = nbrs[avail]
-            weights = graph.neighbor_weights(int(center))[avail]
-            # Descending weight, ties broken by descending leaf id — the
-            # same order as sorting (weight, id) tuples in reverse.
-            ranked = leaves[np.lexsort((-leaves, -weights))]
+            # Descending weight, ties broken by descending leaf id.
+            avail.sort(reverse=True)
+            ranked = [u for _, u in avail]
             for a, b in zip(ranked[0::2], ranked[1::2]):
                 if match[a] == UNMATCHED and match[b] == UNMATCHED:
                     match[a] = b
                     match[b] = a
 
-    unset = match == UNMATCHED
-    match[unset] = np.nonzero(unset)[0]
-    return match
+    return np.array(
+        [v if m == UNMATCHED else m for v, m in enumerate(match)],
+        dtype=np.int64,
+    )
 
 
 def matching_to_cmap(match: np.ndarray) -> np.ndarray:

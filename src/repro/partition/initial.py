@@ -4,6 +4,14 @@ Used on the coarsest graph of the multilevel hierarchy and as the splitter
 inside recursive bisection.  Starting from a random seed, part 0 is grown one
 frontier vertex at a time — preferring the vertex with the highest cut gain —
 until its share of the vertex weight reaches the target fraction.
+
+The growth loop walks plain-list mirrors of the CSR arrays (built once per
+call) instead of making numpy calls per vertex.  Its floats must still match
+the numpy oracle (:func:`repro.partition._reference.grow_bisection_reference`)
+bit for bit, so every sum follows numpy's order: ``np.sum`` adds left to
+right below 8 terms and pairwise from 8 up, so :func:`_np_sum` runs a
+``+=`` loop on short lists and hands longer ones to numpy.  The builtin
+``sum()`` is never used: from Python 3.12 on it compensates.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ from repro.partition.csr import CSRGraph
 
 __all__ = ["greedy_graph_growing", "grow_bisection"]
 
+#: Below this many terms ``np.sum`` is a plain left-to-right loop.
+_PAIRWISE_MIN = 8
+
 
 def _norm_weights(graph: CSRGraph) -> np.ndarray:
     """Vertex weights normalized so each constraint column sums to 1.
@@ -27,11 +38,29 @@ def _norm_weights(graph: CSRGraph) -> np.ndarray:
     return graph.vwgt / safe
 
 
+def _np_sum(values: list[float]) -> float:
+    """``values`` summed in exactly the order ``np.sum`` would use."""
+    if len(values) < _PAIRWISE_MIN:
+        total = 0.0
+        for x in values:
+            total += x
+        return total
+    return float(np.asarray(values, dtype=np.float64).sum())
+
+
+def _as_lists(
+    graph: CSRGraph, norm: np.ndarray
+) -> tuple[list, list, list, list]:
+    """Plain-list mirrors of ``xadj``, ``adjncy``, ``adjwgt`` and the
+    normalized vertex weights ``norm``."""
+    return (graph.xadj.tolist(), graph.adjncy.tolist(),
+            graph.adjwgt.tolist(), norm.tolist())
+
+
 def grow_bisection(
     graph: CSRGraph,
     target_frac: float,
     rng: np.random.Generator,
-    seed_vertex: int | None = None,
 ) -> np.ndarray:
     """Grow a single bisection from one seed.
 
@@ -41,52 +70,66 @@ def grow_bisection(
     keeps multi-constraint weights jointly near the target without favouring
     any single column.
     """
-    n = graph.n
+    return _grow(_as_lists(graph, _norm_weights(graph)), target_frac, rng)
+
+
+def _grow(
+    lists: tuple[list, list, list, list],
+    target_frac: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    xadj, adjncy, adjwgt, norm = lists
+    n = len(xadj) - 1
     if n == 0:
         return np.zeros(0, dtype=np.int64)
     if not 0.0 < target_frac < 1.0:
         raise ValueError("target_frac must be in (0, 1)")
 
-    norm = _norm_weights(graph)
-    parts = np.ones(n, dtype=np.int64)
-    grown = np.zeros(graph.ncon, dtype=np.float64)
+    ncon = len(norm[0])
+    side = [1] * n
+    grown = [0.0] * ncon
+    level = 0.0  # mean of ``grown``; changes only when a vertex joins
+    limit = target_frac - 1e-9
 
-    seed = int(seed_vertex) if seed_vertex is not None else int(rng.integers(n))
+    seed = int(rng.integers(n))
     counter = 0
     # Max-heap on gain (stored negated).  Gain of adding v to part 0 is
     # (edge weight to part 0) - (edge weight to part 1): classic GGG.
     heap: list[tuple[float, int, int]] = [(0.0, counter, seed)]
-    in_heap = np.zeros(n, dtype=bool)
+    in_heap = [False] * n
     in_heap[seed] = True
 
-    def gain(v: int) -> float:
-        weights = graph.neighbor_weights(v)
-        to_zero = parts[graph.neighbors(v)] == 0
-        return float(weights[to_zero].sum() - weights[~to_zero].sum())
-
-    while heap and grown.mean() < target_frac - 1e-9:
+    while heap and level < limit:
         _, _, v = heapq.heappop(heap)
-        if parts[v] == 0:
+        if side[v] == 0:
             continue
-        parts[v] = 0
-        grown += norm[v]
-        for u in graph.neighbors(v):
-            u = int(u)
-            if parts[u] == 1 and not in_heap[u]:
+        side[v] = 0
+        row = norm[v]
+        for c in range(ncon):
+            grown[c] += row[c]
+        level = _np_sum(grown) / ncon
+        for u in adjncy[xadj[v]:xadj[v + 1]]:
+            if side[u] == 1 and not in_heap[u]:
                 in_heap[u] = True
                 counter += 1
-                heapq.heappush(heap, (-gain(u), counter, u))
+                lo, hi = xadj[u], xadj[u + 1]
+                to_zero: list[float] = []
+                to_one: list[float] = []
+                for x, w in zip(adjncy[lo:hi], adjwgt[lo:hi]):
+                    (to_one if side[x] else to_zero).append(w)
+                gain = _np_sum(to_zero) - _np_sum(to_one)
+                heapq.heappush(heap, (-gain, counter, u))
         # A disconnected graph can exhaust the frontier early; restart the
         # growth from a fresh unassigned seed.
-        if not heap and grown.mean() < target_frac - 1e-9:
-            remaining = np.nonzero(parts == 1)[0]
-            if len(remaining) == 0:
+        if not heap and level < limit:
+            remaining = [x for x in range(n) if side[x]]
+            if not remaining:
                 break
             seed = int(rng.choice(remaining))
             counter += 1
             heapq.heappush(heap, (0.0, counter, seed))
             in_heap[seed] = True
-    return parts
+    return np.array(side, dtype=np.int64)
 
 
 def greedy_graph_growing(
@@ -105,8 +148,9 @@ def greedy_graph_growing(
     best: np.ndarray | None = None
     best_key: tuple[float, float] | None = None
     norm = _norm_weights(graph)
+    lists = _as_lists(graph, norm)
     for _ in range(max(1, n_tries)):
-        parts = grow_bisection(graph, target_frac, rng)
+        parts = _grow(lists, target_frac, rng)
         cut = weighted_edge_cut(graph, parts)
         share = norm[parts == 0].sum(axis=0)
         balance_err = float(np.abs(share - target_frac).max()) if graph.n else 0.0

@@ -107,3 +107,93 @@ def test_runner_config_cost_model_plumbed(small_setup):
         r_exp["top"].outcome.network_emulation_time
         > r_cheap["top"].outcome.network_emulation_time
     )
+
+
+def _profile_run_with_calls(setup, seed, monkeypatch):
+    """``evaluate_setup`` plus its ``part_graph`` call count and every
+    PROFILE candidate it mapped (in mapping order)."""
+    from repro.core.mapper import Mapper
+    from repro.obs.telemetry import Telemetry
+
+    mapped = []
+    real = Mapper.map_profile
+
+    def recording(self, *args, **kwargs):
+        mapped.append(real(self, *args, **kwargs))
+        return mapped[-1]
+
+    monkeypatch.setattr(Mapper, "map_profile", recording)
+    tel = Telemetry()
+    results = evaluate_setup(setup, seed=seed, telemetry=tel)
+    return results, tel.counters["partition.calls"], mapped
+
+
+def _unshortened_profile_mapping(setup, seed):
+    """PROFILE's choice with both candidates always mapped and scored."""
+    from dataclasses import replace
+
+    from repro.core.mapper import Mapper
+    from repro.engine.parallel import evaluate_mapping
+    from repro.experiments.runner import PROFILE_SEED_OFFSET
+
+    net, k, config = setup.network, setup.n_engine_nodes, RunnerConfig()
+    tables = build_routing(net)
+    workload = setup.build_workload(seed)
+    workload.prepare(net, np.random.default_rng(seed))
+    top = Mapper(net, n_parts=k, tables=tables, config=config.mapper).map_top()
+    run = run_emulation(net, tables, workload, seed + PROFILE_SEED_OFFSET,
+                        config=config, collect_netflow=True)
+    candidates = []
+    for use_segments in (True, False):
+        cand = Mapper(
+            net, n_parts=k, tables=tables,
+            config=replace(config.mapper, use_segments=use_segments),
+        ).map_profile(run.profile, initial_parts=top.parts)
+        score = evaluate_mapping(
+            run.trace, net, cand.parts, cost=config.cost,
+            compute=workload.compute_profile(),
+        ).wall_app
+        cand.diagnostics["profiling_run_score"] = score
+        candidates.append((score, cand))
+    candidates.sort(key=lambda item: item[0])
+    return candidates[0][1]
+
+
+def test_profile_maps_one_candidate_without_segments(small_setup,
+                                                     monkeypatch):
+    """Fewer than two segments: both candidates would be one problem, so
+    PROFILE is partitioned once (TOP 1 + PLACE 3 + PROFILE 3 = 7 calls,
+    not 10) and ships what the two-candidate loop would have shipped."""
+    results, calls, mapped = _profile_run_with_calls(small_setup, 2,
+                                                     monkeypatch)
+    assert len(mapped) == 1
+    assert mapped[0].diagnostics["n_segments"] < 2
+    assert calls == 7
+    monkeypatch.undo()
+    want = _unshortened_profile_mapping(small_setup, 2)
+    got = results["profile"].mapping
+    assert np.array_equal(got.parts, want.parts)
+    assert got.diagnostics == want.diagnostics
+    assert results["profile"].outcome.diagnostics == want.diagnostics
+
+
+def test_profile_scores_both_candidates_with_segments(small_setup,
+                                                      monkeypatch):
+    """Two segments: both candidates are partitioned (10 calls) and the
+    lower profiling-run score ships.  A one-bin second segment is a noise
+    constraint, so here the unsegmented second candidate wins."""
+    import repro.core.profile_map as profile_map
+
+    def two_segments(lp_series, **kwargs):
+        bins = np.arange(lp_series.shape[1])
+        return [bins[:-1], bins[-1:]]
+
+    monkeypatch.setattr(profile_map, "find_segments", two_segments)
+    results, calls, mapped = _profile_run_with_calls(small_setup, 2,
+                                                     monkeypatch)
+    assert calls == 10
+    assert [m.diagnostics["use_segments"] for m in mapped] == [True, False]
+    assert mapped[0].diagnostics["n_segments"] == 2
+    scores = [m.diagnostics["profiling_run_score"] for m in mapped]
+    assert scores[1] < scores[0]
+    assert results["profile"].mapping is mapped[1]

@@ -153,3 +153,38 @@ def test_unknown_algorithm_message_lists_choices(grid_graph):
 def test_part_graph_is_keyword_only(grid_graph):
     with pytest.raises(TypeError):
         part_graph(grid_graph, 2, "multilevel")  # noqa: the point
+
+
+def _path(n: int) -> CSRGraph:
+    return CSRGraph.from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+
+
+def test_linear_partition_chunks_end_on_boundaries():
+    """A vertex whose cumulative weight ends exactly on a chunk boundary
+    closes that chunk instead of opening the next one."""
+    r = part_graph(_path(12), 4, algorithm="linear", seed=0)
+    assert np.bincount(r.parts, minlength=4).tolist() == [3, 3, 3, 3]
+    assert r.max_imbalance == pytest.approx(1.0)
+    r = part_graph(_path(4), 4, algorithm="linear", seed=0)
+    assert sorted(r.parts.tolist()) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.5, -1.0,
+                                       0.999])
+def test_part_graph_rejects_meaningless_tolerance(grid_graph, tolerance):
+    with pytest.raises(ValueError, match="tolerance"):
+        part_graph(grid_graph, 2, tolerance=tolerance)
+
+
+@pytest.mark.parametrize("fracs", [[float("nan"), 1.0], [float("inf"), 1.0],
+                                   [0.0, 1.0], [-1.0, 2.0]])
+@pytest.mark.parametrize("algorithm", ["multilevel", "recursive", "linear"])
+def test_part_graph_rejects_meaningless_target_fracs(grid_graph, fracs,
+                                                    algorithm):
+    with pytest.raises(ValueError, match="target_fracs"):
+        part_graph(grid_graph, 2, algorithm=algorithm, target_fracs=fracs)
+
+
+def test_part_graph_accepts_exact_tolerance(grid_graph):
+    r = part_graph(grid_graph, 2, tolerance=1.0, seed=1)
+    assert len(np.unique(r.parts)) == 2
