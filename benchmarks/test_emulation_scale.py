@@ -1,4 +1,4 @@
-"""Engine scale study: batched kernel vs the reference, LPs at k=8, 10k+.
+"""Engine scale study: batched kernel vs the reference, k=8 LPs, 10k+.
 
 Three claims, in the order the tentpole states them:
 
@@ -7,19 +7,17 @@ Three claims, in the order the tentpole states them:
    Wall clocks on shared CI hosts are noisy, so the assertion takes the
    best of several batched runs against the best of two reference runs
    and retries once before failing.
-2. The multi-process LP engine runs k=8 LPs on brite-large and still
-   produces the byte-identical trace.  The wall-clock speedup > 1 claim
-   needs real cores — it is asserted only when the host has them (one
-   forked worker per LP cannot beat sequential on a single core); on
-   smaller hosts the same run still validates trace identity and LP load
-   accounting.
+2. The parallel engine (the sequential kernel seen through a k=8
+   partition) on brite-large produces the byte-identical trace and
+   counts events on every LP.  It runs in-process, so it claims no
+   wall-clock speedup; what k engine nodes would take is the cost
+   model's figure (``repro.engine.parallel``).
 3. The batched engine completes a 10k-router emulation — the Table 2 axis
    pushed two orders of magnitude past the paper — at a sane event rate.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -28,6 +26,7 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.engine._reference import run_kernel_reference
 from repro.engine.kernel import run_kernel
+from repro.engine.trace import INJECTED
 from repro.experiments.workloads import SyntheticTransfers
 from repro.routing.spf import build_routing
 from repro.topology.brite import brite_network
@@ -125,23 +124,16 @@ def test_lp_engine_k8_brite_large(benchmark, brite_large):
         benchmark, run_pair
     )
     print(f"\nbrite-large k=8: sequential {seq_wall:.2f}s, "
-          f"parallel {par_wall:.2f}s "
-          f"(speedup {seq_wall / par_wall:.2f}x on "
-          f"{os.cpu_count()} cores), lp_events={kernel.lp_events}")
+          f"parallel view {par_wall:.2f}s, lp_events={kernel.lp_events}")
     assert kernel.n_lps == 8
     _assert_identical(trace_seq, trace_par, "brite-large k=8")
     # Every LP must actually execute events (the partition is modular, so
     # an empty LP means dispatch broke, not that the mapping was skewed).
     assert (kernel.lp_events > 0).all()
-    assert kernel.lp_events.sum() > 0
-    if (os.cpu_count() or 1) >= 8:
-        assert seq_wall / par_wall > 1.0, (
-            f"k=8 LPs on {os.cpu_count()} cores should beat sequential "
-            f"(seq {seq_wall:.2f}s vs par {par_wall:.2f}s)"
-        )
-    else:
-        print(f"(speedup > 1 not asserted: {os.cpu_count()} core(s) "
-              "cannot run 8 LPs concurrently)")
+    # Every train event (every trace row but the injections) is counted
+    # against exactly one LP.
+    assert kernel.lp_events.sum() == trace_par.n_events - (
+        trace_par.next_node == INJECTED).sum()
 
 
 def test_batched_kernel_at_10k_routers(benchmark):

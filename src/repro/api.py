@@ -15,8 +15,8 @@ and the parallel runtime (:mod:`repro.runtime`) behind five functions:
 
 - :func:`load_topology` — a built-in topology by name, or a DML file.
 - :func:`build_mapping` — one TOP / PLACE / PROFILE mapping.
-- :func:`emulate` — one emulation run (sequential or multi-process LP
-  engine), returning an :class:`EmulationResult`.
+- :func:`emulate` — one emulation run (sequential, or seen through a
+  partition of logical processes), returning an :class:`EmulationResult`.
 - :func:`run_experiment` — the full profile → map → evaluate pipeline.
 - :func:`sweep` — repeat :func:`run_experiment` across seeds, optionally
   fanned out over worker processes with artifact caching.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable
@@ -264,7 +265,7 @@ def emulate(
     cache=None,
     rebalance=None,
     link_changes=None,
-    processes: bool = True,
+    processes=None,
 ) -> EmulationResult:
     """Run one emulation and return its artifacts — the engine-level
     sibling of :func:`run_experiment` (which scores mappings; this just
@@ -284,13 +285,15 @@ def emulate(
     until:
         Virtual horizon (defaults to ``workload.duration``).
     engine:
-        ``"sequential"`` (batched single-process kernel) or
-        ``"parallel"`` (one logical process per partition).  Traces are
-        bit-identical either way.
+        ``"sequential"`` (the batched kernel) or ``"parallel"`` (the same
+        kernel seen through a node partition, one logical process per
+        partition: per-LP event counts and live migration on top).
+        Traces and link accounting are bit-identical either way.
     k, parts:
-        Sharding for the parallel engine: an explicit per-node partition
-        array, or an engine-node count ``k`` from which a TOP partition
-        is derived via :func:`build_mapping`.  Ignored when sequential.
+        The parallel engine's partition: an explicit integer per-node
+        partition array, or an engine-node count ``k`` from which a TOP
+        partition is derived via :func:`build_mapping` — one or the
+        other, never both.  Ignored when sequential.
     train_packets, seed:
         Fidelity knob and the workload RNG seed.
     telemetry, cache:
@@ -309,8 +312,10 @@ def emulate(
         The batches applied land on ``result.link_change_log`` and the
         repaired tables on ``result.final_tables``.
     processes:
-        Parallel engine only: ``False`` keeps every logical process
-        in-process (same results, no forked workers).
+        No effect; warns when passed (nothing forks any more).  Kept only
+        for the benchmark's scale-emulate workload, which still passes
+        it; ROADMAP item 1(e)'s benchmark change deletes the keyword
+        together with that call.
 
     Returns
     -------
@@ -326,6 +331,17 @@ def emulate(
     if engine not in ("sequential", "parallel"):
         raise ValueError(
             f"unknown engine {engine!r}; choose 'sequential' or 'parallel'"
+        )
+    if k is not None and parts is not None:
+        raise ValueError(
+            "pass parts= or k=, not both: k derives a partition, parts "
+            "is one"
+        )
+    if processes is not None:
+        warnings.warn(
+            "emulate(processes=) has no effect: the parallel engine runs "
+            "in-process; drop the keyword",
+            DeprecationWarning, stacklevel=2,
         )
     cache = resolve_cache(cache)
     if not isinstance(net, Network):
@@ -349,7 +365,7 @@ def emulate(
     trace, kernel = run_kernel(
         net, tables, workload, seed=seed, until=until,
         train_packets=train_packets, telemetry=telemetry, engine=engine,
-        parts=parts, processes=processes, rebalance=rebalance,
+        parts=parts, rebalance=rebalance,
         link_changes=link_changes, cache=cache,
     )
     wall = time.perf_counter() - start

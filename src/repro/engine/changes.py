@@ -8,24 +8,19 @@ time passes an entry, the incremental engine
 (:func:`repro.routing.delta.update_routing`) repairs the routing tables
 in place and the kernel's :class:`~repro.engine.lp.ShardContext` arrays
 are refreshed (:meth:`~repro.engine.kernel.EmulationKernel.sync_context`)
-— all between windows, where no segment is in flight, so both engines
-apply each change at the identical point in the event stream and stay
-trace-identical to each other.
+— all between windows, where no segment is in flight, so every run
+applies each change at the identical point in the event stream.
 
 Two hard restrictions keep mid-run changes sound:
 
 - **Only** :class:`~repro.routing.delta.SetLinkCost` — link up/down and
   link addition change the link-id universe (per-link accounting arrays,
-  pair-lookup sizes) that every LP snapshotted at fork time.
+  pair-lookup sizes) that the kernel sized at construction.
 - A new latency must stay **at or above the conservative window**
   (:func:`repro.engine.sync.conservative_window` is the minimum link
   latency at kernel construction): the calendar's window bucketing is
   derived from it, and a link faster than the lookahead would let an
   event schedule a successor inside its own window.
-
-Forked LP workers hold copy-on-write snapshots of those arrays, so the
-parallel kernel's ``sync_context`` also sends each worker the repaired
-rows over its pipe and waits for the ack before the next window.
 """
 
 from __future__ import annotations
@@ -71,7 +66,7 @@ def normalize_link_changes(link_changes) -> list[tuple[float, list]]:
                 raise TypeError(
                     f"mid-run changes support SetLinkCost only (link "
                     f"up/down and AddLink change the per-link arrays "
-                    f"every LP snapshotted at fork time); got "
+                    f"the kernel sized at construction); got "
                     f"{change!r} — apply structural changes between "
                     f"runs via repro.routing.delta.update_routing"
                 )
@@ -131,7 +126,7 @@ def install_link_changes(
             touched = update_routing(
                 state, changes, cache=cache, stats=kernel.routing_stats,
             )
-            kernel.sync_context(touched)
+            kernel.sync_context()
             kernel.link_change_log.append(
                 (when, len(changes), int(len(touched)))
             )

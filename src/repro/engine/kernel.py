@@ -15,9 +15,11 @@ python object (``_hooked`` holds each hooked :class:`Transfer` once).
 
 - the **window drain** pops whole conservative lookahead windows
   (:func:`~repro.engine.sync.conservative_window`, the minimum link latency)
-  and processes them as sorted numpy arrays.  It keeps dense runs, the LP
-  engine, and any kernel with ``barrier_hooks`` or ``segment_observers``
-  (mid-run link changes and the rebalancer act at window barriers);
+  and processes them as sorted numpy arrays.  It keeps dense runs and any
+  kernel with ``barrier_hooks`` or ``segment_observers``: mid-run link
+  changes and the rebalancer act at window barriers, and the partition
+  view (:class:`repro.engine.lp.ParallelEmulationKernel`) counts LP loads
+  from a segment observer;
 - the **per-event drain** runs one ``heapq`` of ``(time, seq, ...)`` tuples
   (the calendar's rows beside the control entries) through the reference
   kernel's ``_arrive``.  It takes order-coupled runs (a NetFlow collector,
@@ -53,14 +55,14 @@ the ordering empirically).
 
 The kernel deliberately knows nothing about partitions or wall-clock cost —
 see :mod:`repro.engine.parallel` for the analytic model and
-:mod:`repro.engine.lp` for the multi-process LP engine built on top of this
-class.
+:mod:`repro.engine.lp` for the partition view built on top of this class.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -156,11 +158,11 @@ class EmulationKernel:
         #: Callbacks ``hook(now)`` run at every conservative-window barrier
         #: (after the window's successors are flushed, before the next
         #: bucket pops) — the only points where cross-window state such as
-        #: the LP engine's channel ownership may change mid-run.  The
-        #: online rebalancer (:mod:`repro.rebalance`) and forced migration
-        #: schedules install themselves here.  Any hook keeps a run on the
-        #: window drain, except on an order-coupled kernel, which has no
-        #: barriers and never calls them.
+        #: routing or the partition view's LP assignment may change
+        #: mid-run.  The online rebalancer (:mod:`repro.rebalance`) and
+        #: forced migration schedules install themselves here.  Any hook
+        #: keeps a run on the window drain, except on an order-coupled
+        #: kernel, which has no barriers and never calls them.
         self.barrier_hooks: list[Callable[[float], None]] = []
         #: Observers ``observe(seg, next_col)`` of every vectorized
         #: dispatched segment (load monitoring; any observer keeps a run on
@@ -368,9 +370,18 @@ class EmulationKernel:
         order, no control event or delivery hook strictly inside)."""
         self._events += end - start
         seg = batch.take(slice(start, end))
-        next_col, span_col, succ_pos, succ_time = self._process_segment(seg)
+        res = self._shard.process(
+            seg.time, seg.node, seg.dst, seg.count, seg.nbytes, seg.last
+        )
+        st = self.stats
+        st.packets_delivered += res.packets_delivered
+        st.transfers_delivered += res.transfers_delivered
+        st.trains_forwarded += res.trains_forwarded
+        st.vector_events += res.vector_events
+        st.python_loop_events += res.python_loop_events
+        next_col, succ_pos = res.next, res.succ_pos
         self.recorder.record_batch(
-            seg.time, seg.node, next_col, seg.count, seg.flow, span_col
+            seg.time, seg.node, next_col, seg.count, seg.flow, res.span
         )
         for observe in self.segment_observers:
             observe(seg, next_col)
@@ -383,7 +394,7 @@ class EmulationKernel:
             # can be batched into one calendar push per window — see
             # :meth:`_flush_staged`.
             self._staged.append(EventBatch(
-                time=succ_time,
+                time=res.succ_time,
                 seq=np.arange(base, base + s, dtype=np.int64),
                 node=next_col[succ_pos],
                 dst=seg.dst[succ_pos],
@@ -393,23 +404,6 @@ class EmulationKernel:
                 last=seg.last[succ_pos],
                 train=seg.train[succ_pos],
             ))
-
-    def _process_segment(self, seg: EventBatch):
-        """Run one segment through the (single, whole-network) LP shard."""
-        res = self._shard.process(
-            seg.time, seg.node, seg.dst, seg.count, seg.nbytes, seg.last
-        )
-        self._absorb(res)
-        return res.next, res.span, res.succ_pos, res.succ_time
-
-    def _absorb(self, res) -> None:
-        """Fold one shard result's counter deltas into the kernel stats."""
-        st = self.stats
-        st.packets_delivered += res.packets_delivered
-        st.transfers_delivered += res.transfers_delivered
-        st.trains_forwarded += res.trains_forwarded
-        st.vector_events += res.vector_events
-        st.python_loop_events += res.python_loop_events
 
     # ------------------------------------------------------------------ #
     # Window drain: main loop
@@ -642,16 +636,13 @@ class EmulationKernel:
         """The drain selection (see the module docstring)."""
         if self._ordered:
             return True
-        # Subclasses (the LP engine) shard whole windows.
-        if (type(self) is not EmulationKernel or self.barrier_hooks
-                or self.segment_observers):
+        if self.barrier_hooks or self.segment_observers:
             return False
         return density < _PER_EVENT_DENSITY
 
-    def sync_context(self, touched: np.ndarray) -> None:
+    def sync_context(self) -> None:
         """Bring the shard context up to date after a barrier-time routing
-        repair touched the ``touched`` source rows (see
-        :mod:`repro.engine.changes`).
+        repair (see :mod:`repro.engine.changes`).
 
         ``ctx.next_hop`` aliases ``tables.next_hop`` and was already
         spliced in place; the latency / bandwidth / pair-lookup arrays
@@ -668,7 +659,7 @@ class EmulationKernel:
         ctx.pair_lids[...] = lids
 
     def _finalize_run(self) -> None:
-        """Post-drain hook (the LP engine gathers shard partials here)."""
+        """Post-drain hook (the partition view finalizes its rebalancer)."""
 
     def run(self, until: float) -> EventTrace:
         """Process events up to virtual time ``until`` and freeze the trace.
@@ -744,7 +735,7 @@ def run_kernel(
     telemetry=None,
     engine: str = "sequential",
     parts=None,
-    processes: bool = True,
+    processes=None,
     rebalance=None,
     link_changes=None,
     cache=None,
@@ -756,12 +747,12 @@ def run_kernel(
     ``workload`` is anything with ``install(kernel, rng)`` (and a
     ``duration`` attribute used when ``until`` is omitted).  Flow ids are
     reset first so two runs of the same (seed, workload) are comparable
-    train by train.  ``engine="parallel"`` shards the run across one
-    logical process per partition in ``parts`` (see
-    :class:`repro.engine.lp.ParallelEmulationKernel`; ``processes=False``
-    keeps the shards in-process for testing).  ``rebalance``, a
-    :class:`repro.rebalance.RebalanceConfig`, attaches an online
-    rebalancer to the parallel engine; the resulting
+    train by train.  ``engine="parallel"`` runs the same kernel seen
+    through the node partition ``parts``, one logical process per
+    partition (see :class:`repro.engine.lp.ParallelEmulationKernel`):
+    same trace, plus per-LP event counts and live migration.
+    ``rebalance``, a :class:`repro.rebalance.RebalanceConfig`, attaches an
+    online rebalancer to the parallel engine; the resulting
     :class:`~repro.rebalance.log.MigrationLog` is available as
     ``kernel.rebalancer.log``.
 
@@ -769,10 +760,18 @@ def run_kernel(
     batches as ``(time, changes)`` pairs (see
     :func:`repro.engine.changes.install_link_changes`): routing tables are
     repaired incrementally at the first window barrier past each time.
-    With forked LP workers (``engine='parallel'``, ``processes=True``) each
-    repair is shipped to the workers over their pipes before the next
-    window starts.
+
+    ``processes`` has no effect and warns when passed: nothing forks any
+    more.  It is kept only for the benchmark's scale-emulate workload,
+    which still passes it; ROADMAP item 1(e)'s benchmark change deletes
+    the keyword together with that call.
     """
+    if processes is not None:
+        warnings.warn(
+            "run_kernel(processes=) has no effect: the parallel engine "
+            "runs in-process; drop the keyword",
+            DeprecationWarning, stacklevel=2,
+        )
     if rebalance is not None and engine != "parallel":
         raise ValueError(
             "rebalance= requires engine='parallel': the online rebalancer "
@@ -804,7 +803,7 @@ def run_kernel(
                 "which derives it for you"
             )
         kernel = ParallelEmulationKernel(
-            net, tables, parts=parts, processes=processes,
+            net, tables, parts=parts,
             train_packets=train_packets, collector=collector,
             telemetry=telemetry,
         )
@@ -817,16 +816,10 @@ def run_kernel(
             f"unknown engine {engine!r}; choose 'sequential' or "
             f"'parallel'"
         )
-    try:
-        if link_changes is not None:
-            from repro.engine.changes import install_link_changes
+    if link_changes is not None:
+        from repro.engine.changes import install_link_changes
 
-            install_link_changes(kernel, state, link_changes, cache=cache)
-        workload.install(kernel, np.random.default_rng(seed))
-        horizon = float(until if until is not None else workload.duration)
-        trace = kernel.run(until=horizon)
-    finally:
-        close = getattr(kernel, "close", None)
-        if close is not None:
-            close()
-    return trace, kernel
+        install_link_changes(kernel, state, link_changes, cache=cache)
+    workload.install(kernel, np.random.default_rng(seed))
+    horizon = float(until if until is not None else workload.duration)
+    return kernel.run(until=horizon), kernel

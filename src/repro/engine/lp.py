@@ -1,62 +1,40 @@
-"""Logical processes: sharded event execution for the batched kernels.
+"""Logical processes: the shard every kernel runs, and the partition view.
 
 Two layers live here:
 
 - :class:`LPShard` — the numeric core of batched event processing.  A shard
-  owns the FIFO busy-time state and per-link accounting for a subset of
-  (link, direction) channels and processes one segment of same-window train
+  owns the FIFO busy-time state and per-link accounting for the (link,
+  direction) channels and processes one segment of same-window train
   events at a time, entirely from numpy arrays (no train objects, no
-  callbacks).  The sequential :class:`~repro.engine.kernel.EmulationKernel`
-  runs ONE shard covering the whole network; the parallel engine runs one
-  per partition.
-- :class:`ParallelEmulationKernel` — the multi-process LP engine.  The
-  network is sharded by a node partition (``parts``); each LP is a forked
-  worker process owning every (link, direction) channel whose *sending*
-  endpoint it owns (events execute at the sender, so each channel's FIFO
-  recurrence stays within one LP).  The parent process remains the
-  sequencer: it owns the control heap, delivery hooks, flow ids, the
-  transfer log, sequence-number assignment and trace assembly, so the
-  produced :class:`~repro.engine.trace.EventTrace` is byte-identical to the
-  sequential engine's.  Workers exchange segments and results over pipes at
-  segment granularity — the conservative-window barrier of the paper's
-  MaSSF kernel — and a mid-run routing repair reaches them the same way
-  (the ``"ctx"`` command, see :mod:`repro.engine.changes`).
+  callbacks).  The :class:`~repro.engine.kernel.EmulationKernel` runs ONE
+  shard covering the whole network.
+- :class:`ParallelEmulationKernel` — the ``engine="parallel"`` kernel: the
+  sequential kernel seen through a node partition (``parts``), one logical
+  process (LP) per partition.  It executes nothing separately; it counts
+  the train events each LP would have executed (``lp_events``) and lets
+  the online rebalancer (:mod:`repro.rebalance`) move routers between LPs
+  at window barriers.  How long a partition would take on a cluster is the
+  analytic cost model's job (:mod:`repro.engine.parallel`), not this
+  class's.
 
-Per-link float accounting is accumulated per shard and summed elementwise
-at the end of the run, so with more than one LP those *aggregate* arrays
-can differ from the sequential engine's in the last bit (float addition is
-not associative); the event trace and the semantic stats remain exact.
+Because the run itself never reads ``parts``, the event trace, the
+semantic stats and the per-link accounting arrays are the sequential
+engine's bit for bit, under any migration schedule.
 
-The parallel engine refuses a NetFlow collector: collection consumes state
-in global arrival order, which no partitioned execution can reproduce —
+The view refuses a NetFlow collector: collection runs the per-event drain,
+which has no window barriers to migrate or count LP loads at —
 construct it with one and it refuses, pointing back at
 ``engine="sequential"``.
-
-**Live migration.**  Because each (link, direction) channel's FIFO
-recurrence is self-contained — the only cross-window state is the
-channel's busy-until float — a node can change owners *between* windows
-without perturbing the run: :meth:`ParallelEmulationKernel.migrate_routers`
-serializes the node's outgoing-channel busy times out of the owning LP
-(zeroing them there, so end-of-run summation stays exact), installs the
-exact float bits into the destination LP, and repoints ``parts``.  Events
-already staged in the calendar are routed at dispatch time, so both LPs'
-event queues splice automatically and the post-migration
-:class:`~repro.engine.trace.EventTrace` is byte-identical to a
-single-process run with the same schedule.  Migrations must happen at
-window barriers — install them via ``kernel.barrier_hooks`` (see
-:mod:`repro.rebalance`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.engine.eventq import EventBatch
 from repro.engine.kernel import EmulationKernel
-from repro.engine.sync import group_by_owner
 from repro.engine.trace import DELIVERED
 from repro.routing.tables import RoutingTables
 from repro.topology.network import Network
@@ -66,25 +44,18 @@ __all__ = [
     "ShardContext",
     "ShardResult",
     "ParallelEmulationKernel",
-    "LPWorkerError",
     "shard_context",
 ]
-
-#: Fork-inherited state for worker processes (set around Process.start()).
-_SHARED: dict | None = None
-
-#: Serialized migration payload per (link, direction) channel: the flat
-#: busy key (int64) plus the busy-until time (float64).
-CHANNEL_STATE_BYTES = 16
 
 
 @dataclass(frozen=True)
 class ShardContext:
-    """Per-run arrays every shard needs (fork-inherited, copy-on-write).
+    """Per-run arrays the shard needs.
 
     Fixed after construction except under mid-run link changes, when
-    :meth:`~repro.engine.kernel.EmulationKernel.sync_context` overwrites
-    ``next_hop`` rows and the pair / link arrays in place at a barrier.
+    :meth:`~repro.engine.kernel.EmulationKernel.sync_context` refreshes
+    the pair / link arrays in place at a barrier (``next_hop`` aliases the
+    tables the routing repair splices).
     """
 
     n_nodes: int
@@ -144,11 +115,11 @@ _ROUND_MIN_GROUPS = 8
 
 
 class LPShard:
-    """Busy-time state + per-link accounting for one logical process.
+    """Busy-time state + per-link accounting for the whole network.
 
-    The shard never sees events it does not own; with k > 1 LPs the caller
-    routes each event to the shard owning ``parts[node]``, which by
-    construction owns the (link, direction) channel the event transmits on.
+    Each event transmits on the (link, direction) channel whose sending
+    endpoint is the event's node, so the per-channel FIFO recurrence is
+    local to that node's events.
     """
 
     def __init__(self, ctx: ShardContext) -> None:
@@ -342,90 +313,49 @@ class LPShard:
         busy_flat[gkeys] = busy_g
         return n_multi, n_scalar
 
-    def partials(self) -> tuple[np.ndarray, ...]:
-        """The accounting arrays, for end-of-run aggregation."""
-        return (self.busy, self.link_packets, self.link_bytes,
-                self.link_busy_s, self.link_max_backlog_s)
 
-
-# --------------------------------------------------------------------- #
-# Worker processes
-# --------------------------------------------------------------------- #
-class LPWorkerError(RuntimeError):
-    """An LP worker process died (its pipe broke) mid-run."""
-
-    def __init__(self, lp: int, exitcode: int | None) -> None:
-        super().__init__(
-            f"LP {lp} worker process died (exit code {exitcode})"
+def _partition_ids(parts, n_nodes: int) -> np.ndarray:
+    """``parts`` as a private ``int64[n_nodes]`` copy, refusing entries
+    that are not non-negative integers (a float like 0.6 would otherwise
+    truncate silently to 0)."""
+    raw = np.asarray(parts)
+    if raw.dtype.kind not in "biu":
+        try:
+            values = raw.astype(np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"parts must hold integer partition ids; got dtype "
+                f"{raw.dtype}"
+            ) from None
+        bad = ~(np.isfinite(values) & (values == np.floor(values)))
+        if bad.any():
+            i = int(np.argmax(bad.ravel()))
+            raise ValueError(
+                f"parts must hold integer partition ids; entry {i} is "
+                f"{values.ravel()[i]!r}"
+            )
+    ids = raw.astype(np.int64)  # astype always copies
+    if ids.shape != (n_nodes,):
+        raise ValueError(
+            f"parts must assign every node a partition: expected shape "
+            f"({n_nodes},), got {ids.shape}"
         )
-        self.lp = lp
-        self.exitcode = exitcode
-
-
-#: What a pipe to a dead worker raises: ``recv`` sees EOF or a reset,
-#: ``send`` a broken pipe.
-_PIPE_ERRORS = (EOFError, BrokenPipeError, ConnectionResetError)
-
-
-def _worker_main(conn) -> None:
-    """One LP worker: build a shard from the fork-shared context and serve
-    segment requests until told to stop."""
-    shard = LPShard(_SHARED["ctx"])
-    while True:
-        try:
-            cmd, payload = conn.recv()
-        except EOFError:
-            break
-        if cmd == "stop":
-            break
-        try:
-            if cmd == "seg":
-                conn.send(("ok", shard.process(*payload)))
-            elif cmd == "stats":
-                conn.send(("ok", shard.partials()))
-            elif cmd == "xfer_out":
-                # Migration: hand the flat busy keys' exact float state to
-                # the parent and zero them here (the channel has exactly
-                # one owner at any barrier; stale values would corrupt the
-                # end-of-run busy summation).
-                flat = shard.busy.reshape(-1)
-                values = flat[payload].copy()
-                flat[payload] = 0.0
-                conn.send(("ok", values))
-            elif cmd == "xfer_in":
-                keys, values = payload
-                shard.busy.reshape(-1)[keys] = values
-                conn.send(("ok", None))
-            elif cmd == "ctx":
-                # Mid-run routing repair: the fork-inherited context is
-                # copy-on-write, hence private — overwrite it in place.
-                rows, next_hop_rows, link_arrays = payload
-                shard.ctx.next_hop[rows] = next_hop_rows
-                for name, values in link_arrays.items():
-                    getattr(shard.ctx, name)[...] = values
-                conn.send(("ok", None))
-            else:
-                conn.send(("err", ValueError(f"unknown command {cmd!r}")))
-        except Exception as exc:  # propagate to the parent verbatim
-            conn.send(("err", exc))
-    conn.close()
+    if len(ids) and ids.min() < 0:
+        raise ValueError("partition ids must be non-negative")
+    return ids
 
 
 class ParallelEmulationKernel(EmulationKernel):
-    """Multi-process LP engine: same trace, sharded execution.
+    """The sequential kernel seen through a node partition.
 
     Parameters (beyond :class:`~repro.engine.kernel.EmulationKernel`'s
     keyword options)
     ----------
     parts:
-        ``int[n_nodes]`` partition ids — one LP per partition.  Each LP
-        owns the events executing at its nodes and the (link, direction)
-        channels those events transmit on.
-    processes:
-        True forks one worker per LP (requires the ``fork`` start method;
-        falls back to in-process shards where unavailable).  False keeps
-        every shard in-process — same code path, same results, no IPC —
-        which is what the determinism tests exercise.
+        ``int[n_nodes]`` partition ids — one logical process per
+        partition.  ``lp_events[p]`` counts the train events executed at
+        nodes of partition ``p``; :meth:`migrate_routers` rewrites the
+        ids between windows.  The caller's array is never mutated.
     """
 
     def __init__(
@@ -434,7 +364,6 @@ class ParallelEmulationKernel(EmulationKernel):
         tables: RoutingTables,
         *,
         parts,
-        processes: bool = True,
         **options,
     ) -> None:
         super().__init__(net, tables, **options)
@@ -442,209 +371,48 @@ class ParallelEmulationKernel(EmulationKernel):
             raise ValueError(
                 f"ParallelEmulationKernel cannot honour "
                 f"collector={type(self.collector).__name__}: NetFlow "
-                f"collection consumes state in global arrival order, which "
-                f"partitioned execution cannot reproduce; drop the option "
-                f"or use engine='sequential'"
+                f"collection runs the per-event drain, which has no "
+                f"window barriers to count LP loads or migrate routers "
+                f"at; drop the option or use engine='sequential'"
             )
-        # Private copy: live migration rewrites partition ids in place and
-        # must never mutate the caller's array.
-        parts = np.asarray(parts, dtype=np.int64).copy()
-        if parts.shape != (net.n_nodes,):
-            raise ValueError(
-                f"parts must assign every node a partition: expected shape "
-                f"({net.n_nodes},), got {parts.shape}"
-            )
-        if len(parts) and parts.min() < 0:
-            raise ValueError("partition ids must be non-negative")
-        self._parts = parts
-        self.n_lps = int(parts.max()) + 1 if len(parts) else 1
+        self._parts = _partition_ids(parts, net.n_nodes)
+        self.n_lps = int(self._parts.max()) + 1 if len(self._parts) else 1
         #: Train events dispatched to each LP (imbalance reporting).
         self.lp_events = np.zeros(self.n_lps, dtype=np.int64)
         #: Attached :class:`repro.rebalance.OnlineRebalancer` (or None).
         self.rebalancer = None
-        # Migration accounting (perf-guard observability: serialization
-        # happens only for migrated routers, no-ops move nothing).
+        # Migration accounting, priced as a hand-over of each mover's
+        # outgoing channel state (no-ops move nothing).
         self.migrations_applied = 0
         self.routers_migrated = 0
         self.channels_migrated = 0
         self.migration_bytes = 0
         self.migration_noops = 0
-        self._chan_xadj: np.ndarray | None = None
-        self._chan_keys: np.ndarray | None = None
-        self._procs: list | None = None
-        self._conns: list | None = None
-        self._shards: list[LPShard] | None = None
-        if processes:
-            self._start_pool()
-        if self._conns is None:
-            self._shards = [LPShard(self._ctx) for _ in range(self.n_lps)]
+        self.segment_observers.append(self._count_lp_events)
 
-    # ------------------------------------------------------------------ #
-    def _start_pool(self) -> None:
-        global _SHARED
-        try:
-            mp = multiprocessing.get_context("fork")
-        except ValueError:
-            return  # no fork on this platform: stay in-process
-        _SHARED = {"ctx": self._ctx}
-        conns, procs = [], []
-        try:
-            for _ in range(self.n_lps):
-                parent, child = mp.Pipe()
-                proc = mp.Process(
-                    target=_worker_main, args=(child,), daemon=True
-                )
-                proc.start()
-                child.close()
-                conns.append(parent)
-                procs.append(proc)
-        finally:
-            _SHARED = None
-        self._conns = conns
-        self._procs = procs
-
-    def _worker_died(self, lp: int) -> LPWorkerError:
-        proc = self._procs[lp]
-        proc.join(timeout=1)  # the pipe breaks before the exit status lands
-        return LPWorkerError(lp, proc.exitcode)
-
-    def _send(self, lp: int, message: tuple) -> None:
-        try:
-            self._conns[lp].send(message)
-        except _PIPE_ERRORS:
-            raise self._worker_died(lp) from None
-
-    def _recv(self, lp: int):
-        try:
-            status, payload = self._conns[lp].recv()
-        except _PIPE_ERRORS:
-            raise self._worker_died(lp) from None
-        if status == "err":
-            raise payload
-        return payload
-
-    def sync_context(self, touched: np.ndarray) -> None:
-        """Also ship the repaired rows and link arrays to every forked
-        worker over its pipe and wait for the acks (in-process shards
-        read the parent's context object, which ``super()`` refreshed).
-        """
-        super().sync_context(touched)
-        if self._conns is None:
-            return
-        ctx = self._ctx
-        message = ("ctx", (touched, ctx.next_hop[touched], {
-            name: getattr(ctx, name)
-            for name in ("pair_keys", "pair_lids", "link_bw", "link_lat")
-        }))
-        for lp in range(self.n_lps):
-            self._send(lp, message)
-        for lp in range(self.n_lps):
-            self._recv(lp)
-
-    # ------------------------------------------------------------------ #
-    def _process_segment(self, seg: EventBatch):
-        owners = self._parts[seg.node]
-        groups = group_by_owner(owners, self.n_lps)
-        n = len(seg)
-        next_col = np.empty(n, dtype=np.int64)
-        span_col = np.zeros(n, dtype=np.float64)
-        if self._conns is not None:
-            for owner, positions in groups:
-                self._send(owner, ("seg", (
-                    seg.time[positions], seg.node[positions],
-                    seg.dst[positions], seg.count[positions],
-                    seg.nbytes[positions], seg.last[positions],
-                )))
-            results = [self._recv(owner) for owner, _ in groups]
-        else:
-            results = [
-                self._shards[owner].process(
-                    seg.time[positions], seg.node[positions],
-                    seg.dst[positions], seg.count[positions],
-                    seg.nbytes[positions], seg.last[positions],
-                )
-                for owner, positions in groups
-            ]
-        sp_parts: list[np.ndarray] = []
-        st_parts: list[np.ndarray] = []
-        for (owner, positions), res in zip(groups, results):
-            self._absorb(res)
-            self.lp_events[owner] += len(positions)
-            next_col[positions] = res.next
-            span_col[positions] = res.span
-            if len(res.succ_pos):
-                sp_parts.append(positions[res.succ_pos])
-                st_parts.append(res.succ_time)
-        if not sp_parts:
-            return next_col, span_col, _EMPTY_I, _EMPTY_F
-        gp = np.concatenate(sp_parts)
-        gt = np.concatenate(st_parts)
-        # Successor seqs are assigned in event order across the whole
-        # segment, exactly as the sequential engine numbers them.
-        order = np.argsort(gp, kind="stable")
-        return next_col, span_col, gp[order], gt[order]
-
-    # ------------------------------------------------------------------ #
-    # Live migration
-    # ------------------------------------------------------------------ #
-    def _channel_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR of flat busy keys (``2 * link + direction``) per owning node.
-
-        Node ``v`` owns, for every incident link ``l``, the direction it
-        *sends* on: ``0`` when ``v == link_u[l]``, else ``1`` — exactly the
-        keys :meth:`LPShard.process` writes for events executing at ``v``.
-        """
-        if self._chan_xadj is None:
-            u, v, _, _ = self.net.link_endpoint_arrays()
-            m = self._ctx.n_links
-            owner = np.concatenate((u, v)).astype(np.int64)
-            lid = np.arange(m, dtype=np.int64)
-            keys = np.concatenate((lid * 2, lid * 2 + 1))
-            order = np.argsort(owner, kind="stable")
-            counts = np.bincount(owner, minlength=self.net.n_nodes)
-            xadj = np.zeros(self.net.n_nodes + 1, dtype=np.int64)
-            np.cumsum(counts, out=xadj[1:])
-            self._chan_xadj = xadj
-            self._chan_keys = keys[order]
-        return self._chan_xadj, self._chan_keys
-
-    def _extract_channels(self, lp: int, keys: np.ndarray) -> np.ndarray:
-        """Pull the exact busy floats for ``keys`` out of ``lp``, zeroing
-        them there (a channel is non-zero in exactly one shard, which is
-        what keeps :meth:`_finalize_run`'s summation exact)."""
-        if self._conns is not None:
-            self._send(lp, ("xfer_out", keys))
-            return self._recv(lp)
-        flat = self._shards[lp].busy.reshape(-1)
-        values = flat[keys].copy()
-        flat[keys] = 0.0
-        return values
-
-    def _install_channels(
-        self, lp: int, keys: np.ndarray, values: np.ndarray
-    ) -> None:
-        if self._conns is not None:
-            self._send(lp, ("xfer_in", (keys, values)))
-            self._recv(lp)
-        else:
-            self._shards[lp].busy.reshape(-1)[keys] = values
+    def _count_lp_events(self, seg: EventBatch, next_col: np.ndarray) -> None:
+        self.lp_events += np.bincount(
+            self._parts[seg.node], minlength=self.n_lps
+        )
 
     def migrate_routers(self, routers, dests) -> int:
-        """Reassign ``routers`` to the LPs named in ``dests``, live.
+        """Reassign ``routers`` to the LPs named in ``dests``.
 
-        Must be called at a conservative-window barrier (between windows —
-        e.g. from ``kernel.barrier_hooks``): no segment is in flight there
-        and all staged successors are already in the calendar, so moving a
-        node's outgoing-channel FIFO state and repointing ``parts`` is the
-        *complete* ownership transfer.  The busy-until floats carry over
-        bit-exactly, so the remainder of the run — and hence the
-        :class:`~repro.engine.trace.EventTrace` — is byte-identical to a
-        run that never migrated.
+        Call it at a conservative-window barrier (e.g. from
+        ``kernel.barrier_hooks``), so every segment counts against one
+        partition.  The run never reads ``parts``, so the remainder of the
+        run — the :class:`~repro.engine.trace.EventTrace` included — is
+        the same as a run that never migrated.
 
+        Each mover is charged its outgoing (link, direction) channels, one
+        per incident link, at
+        :data:`~repro.rebalance.migrate.CHANNEL_STATE_BYTES` each.
         Entries whose destination equals the current owner are no-ops:
-        counted (``migration_noops``) but nothing is serialized.  Returns
-        the serialized payload size in bytes.
+        counted (``migration_noops``) but charged nothing.  Returns the
+        charged payload in bytes.
         """
+        from repro.rebalance.migrate import CHANNEL_STATE_BYTES
+
         routers = np.atleast_1d(np.asarray(routers, dtype=np.int64))
         dests = np.atleast_1d(np.asarray(dests, dtype=np.int64))
         if routers.shape != dests.shape:
@@ -664,88 +432,20 @@ class ParallelEmulationKernel(EmulationKernel):
             raise ValueError(
                 f"destination LP out of range 0..{self.n_lps - 1}"
             )
-        sources = self._parts[routers]
-        moving = sources != dests
+        moving = self._parts[routers] != dests
         self.migration_noops += int((~moving).sum())
         if not moving.any():
             return 0
-        xadj, ckeys = self._channel_index()
-        # Group movers by (source LP, destination LP) so each pair costs
-        # one extract + one install round-trip.
-        lanes: dict[tuple[int, int], list[int]] = {}
-        for r, s, d in zip(
-            routers[moving].tolist(), sources[moving].tolist(),
-            dests[moving].tolist(),
-        ):
-            lanes.setdefault((s, d), []).append(r)
-        payload = 0
-        for (src_lp, dst_lp) in sorted(lanes):
-            nodes = lanes[(src_lp, dst_lp)]
-            keys = np.concatenate(
-                [ckeys[xadj[r]:xadj[r + 1]] for r in nodes]
-            )
-            if len(keys):
-                values = self._extract_channels(src_lp, keys)
-                self._install_channels(dst_lp, keys, values)
-            self.channels_migrated += len(keys)
-            payload += len(keys) * CHANNEL_STATE_BYTES
+        movers = routers[moving].tolist()
+        channels = int(sum(self.net.degree(r) for r in movers))
+        payload = channels * CHANNEL_STATE_BYTES
         self._parts[routers] = dests
         self.migrations_applied += 1
         self.routers_migrated += int(moving.sum())
+        self.channels_migrated += channels
         self.migration_bytes += payload
         return payload
 
     def _finalize_run(self) -> None:
-        """Sum per-shard accounting into the kernel's public arrays.
-
-        Elementwise sums over k shards: exact for packets/bytes (each
-        (link, direction) is owned by exactly one LP), bit-equal to
-        sequential for everything except cross-direction float addition
-        order on links whose two directions live in different LPs.
-        """
         if self.rebalancer is not None:
             self.rebalancer.finalize()
-        if self._conns is not None:
-            for lp in range(self.n_lps):
-                self._send(lp, ("stats", None))
-            partials = [self._recv(i) for i in range(self.n_lps)]
-        else:
-            partials = [shard.partials() for shard in self._shards]
-        self._busy[:] = 0.0
-        self.link_packets[:] = 0.0
-        self.link_bytes[:] = 0.0
-        self.link_busy_s[:] = 0.0
-        self.link_max_backlog_s[:] = 0.0
-        for busy, pkts, nbytes, busy_s, max_backlog in partials:
-            self._busy += busy
-            self.link_packets += pkts
-            self.link_bytes += nbytes
-            self.link_busy_s += busy_s
-            np.maximum(self.link_max_backlog_s, max_backlog,
-                       out=self.link_max_backlog_s)
-
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Stop the worker pool (idempotent; in-process mode is a no-op)."""
-        if self._conns is None:
-            return
-        for conn in self._conns:
-            try:
-                conn.send(("stop", None))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-        for conn in self._conns:
-            conn.close()
-        self._conns = None
-        self._procs = None
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass

@@ -4,7 +4,7 @@
 counters (transfers, trains, packets) describe the virtual traffic and must
 be identical across every engine — the reference heap kernel
 (:mod:`repro.engine._reference`), the batched sequential kernel
-(:mod:`repro.engine.kernel`) and the multi-process LP engine
+(:mod:`repro.engine.kernel`) and its partition view
 (:mod:`repro.engine.lp`); the differential parity suite compares them
 bit-for-bit via :meth:`KernelStats.semantic`.
 

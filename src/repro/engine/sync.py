@@ -32,7 +32,6 @@ __all__ = [
     "conservative_window",
     "cut_before",
     "first_true",
-    "group_by_owner",
 ]
 
 #: Window length used when the network has no links (degenerate, but a
@@ -115,31 +114,3 @@ def first_true(mask: np.ndarray, start: int, end: int) -> int:
     if not seg.any():
         return -1
     return start + int(np.argmax(seg))
-
-
-def group_by_owner(
-    owners: np.ndarray, n_owners: int
-) -> list[tuple[int, np.ndarray]]:
-    """Split positions ``0..len(owners)`` by owner id, order preserved.
-
-    Returns ``(owner, positions)`` pairs for each owner that appears, in
-    ascending owner id; ``positions`` keeps the original (execution)
-    order.  This is how the LP engine shards one window's events across
-    logical processes.
-    """
-    owners = np.asarray(owners)
-    if len(owners) == 0:
-        return []
-    order = np.argsort(owners, kind="stable")
-    sorted_owners = owners[order]
-    starts = np.concatenate(
-        ([0], np.nonzero(np.diff(sorted_owners))[0] + 1)
-    )
-    ends = np.concatenate((starts[1:], [len(owners)]))
-    out: list[tuple[int, np.ndarray]] = []
-    for a, b in zip(starts, ends):
-        owner = int(sorted_owners[a])
-        if not 0 <= owner < n_owners:
-            raise ValueError(f"event owner {owner} out of range")
-        out.append((owner, order[a:b]))
-    return out

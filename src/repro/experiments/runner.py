@@ -103,7 +103,7 @@ def run_emulation(
     records an ``emulate/{profile-run,eval-run}`` span around the actual
     simulation (cache hits record nothing) plus the kernel's counters.
 
-    ``parts`` shards the run across logical processes when
+    ``parts`` is the parallel engine's logical-process partition when
     ``config.engine == "parallel"`` (profiling runs ignore it — NetFlow
     collection forces the sequential engine).  Both engines produce
     bit-identical traces, so ``parts`` is deliberately *not* part of the

@@ -4,7 +4,7 @@ The paper's traffic-based balance (PLACE/PROFILE) is computed *before* a
 run; this package closes the loop **during** one.  A monitor rides the
 kernel's conservative-window barriers, folds dispatched events into an
 imbalance signal, and — under a pluggable policy — migrates routers
-between logical processes live, moving their channel state bit-exactly so
+between logical processes live, by rewriting the kernel's partition, so
 the event trace never notices.  See :mod:`repro.rebalance.monitor` for
 the control loop, :mod:`repro.rebalance.policy` for the policies,
 :mod:`repro.rebalance.migrate` for cost accounting and forced schedules,

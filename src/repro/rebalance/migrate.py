@@ -1,10 +1,10 @@
 """Migration execution helpers: cost accounting and forced schedules.
 
-The actual state transfer lives in the engine
-(:meth:`repro.engine.lp.ParallelEmulationKernel.migrate_routers` — it owns
-the shards and the fork boundary); this module provides what sits around
-it: the network-level state-size accounting that migration *cost* is
-measured in, and :class:`ForcedMigrationSchedule` — the deterministic
+The partition rewrite lives in the engine
+(:meth:`repro.engine.lp.ParallelEmulationKernel.migrate_routers`); this
+module prices it: :data:`CHANNEL_STATE_BYTES` and the per-node state
+sizes that migration *cost* is measured in, read by the engine and the
+policies alike.  :class:`ForcedMigrationSchedule` is the deterministic
 "migrate router r to LP d at virtual time t" harness the migration-parity
 suite and the bench drive the engine with.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.lp import CHANNEL_STATE_BYTES
 from repro.topology.network import Network
 
 __all__ = [
@@ -22,16 +21,19 @@ __all__ = [
     "ForcedMigrationSchedule",
 ]
 
+#: Migration payload per (link, direction) channel: the flat busy key
+#: (int64) plus the busy-until time (float64).
+CHANNEL_STATE_BYTES = 16
+
 
 def node_state_bytes_array(net: Network) -> np.ndarray:
     """Per-node migration payload sizes, ``int64[n_nodes]``.
 
     A node's migration state is its outgoing (link, direction) channel
     set — one entry per incident link — at :data:`CHANNEL_STATE_BYTES`
-    each: the payload
+    each: what
     :meth:`repro.engine.lp.ParallelEmulationKernel.migrate_routers`
-    charges for it, priced without a kernel (policies price candidate
-    moves with this).
+    charges for it, and what policies price candidate moves with.
     """
     degrees = np.array(
         [net.degree(v) for v in range(net.n_nodes)], dtype=np.int64

@@ -14,9 +14,10 @@ incremental migration set.  A candidate survives two gates:
    imbalance must be *strictly* below the observed signal.
 
 Adopted sets execute immediately via
-:meth:`~repro.engine.lp.ParallelEmulationKernel.migrate_routers` — channel
-state crosses the fork boundary bit-exactly, so the trace stays
-byte-identical — and everything lands in the :class:`MigrationLog`.
+:meth:`~repro.engine.lp.ParallelEmulationKernel.migrate_routers` — a
+rewrite of the kernel's partition array, which the run itself never
+reads, so the trace stays byte-identical — and everything lands in the
+:class:`MigrationLog`.
 
 The rebalancer also runs *detached* (no kernel): feed
 :meth:`OnlineRebalancer.observe` and :meth:`~OnlineRebalancer.on_barrier`

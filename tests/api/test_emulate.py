@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.api import EmulationResult, emulate
-from repro.engine.kernel import EmulationKernel
+from repro.engine.kernel import EmulationKernel, run_kernel
 from repro.experiments.workloads import SyntheticTransfers, build_workload
 from repro.routing.spf import build_routing
 
@@ -77,6 +77,52 @@ def test_emulate_validation(campus_ctx):
         emulate(net, tables, wl, engine="warp")
     with pytest.raises(ValueError, match="parts=.*or k="):
         emulate(net, tables, wl, engine="parallel")
+
+
+@pytest.mark.parametrize("offset", (0.6, np.nan))
+def test_emulate_refuses_non_integer_parts(campus_ctx, offset):
+    """0.6 would truncate to LP 0 and NaN would fail deep in numpy; both
+    are refused up front, naming ``parts``."""
+    net, tables, wl = campus_ctx
+    parts = (np.arange(net.n_nodes) % 2) + 0.0
+    parts[1] += offset
+    with pytest.raises(ValueError, match="parts must hold integer"):
+        emulate(net, tables, wl, seed=3, engine="parallel", parts=parts)
+
+
+def test_emulate_accepts_integer_valued_float_parts(campus_ctx):
+    net, tables, wl = campus_ctx
+    ints = np.arange(net.n_nodes) % 2
+    a = emulate(net, tables, wl, seed=3, engine="parallel", parts=ints)
+    b = emulate(net, tables, wl, seed=3, engine="parallel",
+                parts=ints.astype(np.float64))
+    assert np.array_equal(a.lp_events, b.lp_events)
+
+
+def test_emulate_refuses_parts_and_k_together(campus_ctx):
+    net, tables, wl = campus_ctx
+    parts = np.arange(net.n_nodes) % 2
+    with pytest.raises(ValueError, match="not both"):
+        emulate(net, tables, wl, seed=3, engine="parallel", parts=parts,
+                k=5)
+
+
+def test_processes_keyword_is_inert_and_warns(campus_ctx):
+    net, tables, wl = campus_ctx
+    plain = emulate(net, tables, wl, seed=3, engine="parallel", k=2)
+    with pytest.warns(DeprecationWarning, match="processes"):
+        forked = emulate(net, tables, wl, seed=3, engine="parallel", k=2,
+                         processes=True)
+    with pytest.warns(DeprecationWarning, match="processes"):
+        trace, _ = run_kernel(net, tables, wl, seed=3, processes=False)
+    assert np.array_equal(plain.lp_events, forked.lp_events)
+    for field in TRACE_FIELDS:
+        assert np.array_equal(
+            getattr(plain.trace, field), getattr(forked.trace, field)
+        ), field
+        assert np.array_equal(
+            getattr(plain.trace, field), getattr(trace, field)
+        ), field
 
 
 def test_emulate_reexported_from_package():

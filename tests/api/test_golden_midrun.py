@@ -21,6 +21,7 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.api import emulate
@@ -42,7 +43,11 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _run() -> dict:
+def _emulate(policy: str | None):
+    """The midrun run: parallel under ``policy``, or sequential for None.
+
+    Fresh scenario per call: applying the schedule mutates the network.
+    """
     scenario = diurnal_scenario(seed=SEED)
     tables = build_routing(scenario.net)
     link = scenario.net.links[SHIFT_LINK]
@@ -50,12 +55,21 @@ def _run() -> dict:
         (2.0, SetLinkCost(SHIFT_LINK, latency_s=link.latency_s * SHIFT_FACTOR)),
         (4.0, SetLinkCost(SHIFT_LINK, latency_s=link.latency_s)),
     ]
-    result = emulate(
+    if policy is None:
+        return emulate(
+            scenario.net, tables, scenario.workload, seed=SEED,
+            link_changes=schedule,
+        )
+    return emulate(
         scenario.net, tables, scenario.workload, seed=SEED,
-        engine="parallel", parts=scenario.parts, processes=False,
-        rebalance=RebalanceConfig(policy="hysteresis", seed=SEED),
+        engine="parallel", parts=scenario.parts,
+        rebalance=RebalanceConfig(policy=policy, seed=SEED),
         link_changes=schedule,
     )
+
+
+def _run() -> dict:
+    result = _emulate("hysteresis")
     trace = result.trace
     log = result.migration_log
     return {
@@ -104,3 +118,22 @@ def test_both_dynamics_engaged(current):
     assert times == [2.0, 4.0]
     assert all(entry[2] > 0 for entry in current["link_change_log"])
     assert current["n_events"] > 0
+
+
+LINK_FIELDS = ("link_packets", "link_bytes", "link_busy_s",
+               "link_max_backlog_s")
+
+
+@pytest.mark.parametrize("policy", ("static", "hysteresis"))
+def test_link_accounting_equals_sequential(policy):
+    """The parallel engine is the sequential kernel seen through a
+    partition, so its per-link aggregates are the sequential run's bit
+    for bit, whatever the rebalancer migrated."""
+    sequential = _emulate(None)
+    parallel = _emulate(policy)
+    assert (parallel.migration_log.migration_count > 0) == (
+        policy == "hysteresis")
+    for field in LINK_FIELDS:
+        assert np.array_equal(
+            getattr(parallel, field), getattr(sequential, field)
+        ), field

@@ -1,9 +1,9 @@
 """Cross-engine determinism: one (seed, workload) → one byte trace.
 
 Every engine — the reference heap kernel, the batched sequential kernel
-under each of its drains, and the multi-process LP engine (both
-in-process shards and forked workers) — must produce byte-identical :class:`EventTrace` arrays for the
-same seed and workload.  Tie-breaks are the hard part: two trains arriving
+under each of its drains, and the parallel engine's partition view over
+it — must produce byte-identical :class:`EventTrace` arrays for the same
+seed and workload.  Tie-breaks are the hard part: two trains arriving
 at the same virtual time must execute in submission (sequence) order on
 every engine, so a symmetric topology that manufactures exact virtual-time
 ties is part of the grid.
@@ -84,12 +84,9 @@ def _engine_runs(net, tables, workload, seed, drains):
         ("reference", run_kernel_reference(
             net, tables, workload, seed=seed, train_packets=4)[0]),
         *_sequential_runs(net, tables, workload, seed, drains),
-        ("lp-inline", run_kernel(
+        ("parallel", run_kernel(
             net, tables, workload, seed=seed, train_packets=4,
-            engine="parallel", parts=parts, processes=False)[0]),
-        ("lp-fork", run_kernel(
-            net, tables, workload, seed=seed, train_packets=4,
-            engine="parallel", parts=parts, processes=True)[0]),
+            engine="parallel", parts=parts)[0]),
     ]
     return runs
 

@@ -159,5 +159,5 @@ def test_selection_rule():
     observed.segment_observers.append(lambda seg, nxt: None)
     assert drain_of(observed)[0] == "windows"
     parts = np.arange(net.n_nodes, dtype=np.int64) % 2
-    lp = ParallelEmulationKernel(net, tables, parts=parts, processes=False)
+    lp = ParallelEmulationKernel(net, tables, parts=parts)
     assert drain_of(lp)[0] == "windows"

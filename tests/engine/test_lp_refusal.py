@@ -1,10 +1,10 @@
-"""The LP engine's refusal of order-coupled configs names the offender.
+"""The parallel engine's refusal of order-coupled configs names the offender.
 
-``ParallelEmulationKernel`` cannot honour an option that consumes state in
-global arrival order (NetFlow collection): partitioned execution would
-silently produce different results.  The refusal must say *which* option
-is order-coupled — "parallel emulation failed" with no noun sends users
-hunting through their config.
+``ParallelEmulationKernel`` counts LP loads and migrates routers at window
+barriers, and an option that couples the run to global arrival order
+(NetFlow collection) forces the per-event drain, which has none.  The
+refusal must say *which* option is order-coupled — "parallel emulation
+failed" with no noun sends users hunting through their config.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def test_collector_refusal_names_the_collector(campus_routed):
     net, tables = campus_routed
     with pytest.raises(ValueError, match=r"collector=NetFlowCollector"):
         ParallelEmulationKernel(
-            net, tables, parts=_parts(net), processes=False,
+            net, tables, parts=_parts(net),
             collector=NetFlowCollector(),
         )
 
@@ -33,6 +33,6 @@ def test_refusal_points_at_the_sequential_engine(campus_routed):
     net, tables = campus_routed
     with pytest.raises(ValueError, match=r"engine='sequential'"):
         ParallelEmulationKernel(
-            net, tables, parts=_parts(net), processes=False,
+            net, tables, parts=_parts(net),
             collector=NetFlowCollector(),
         )

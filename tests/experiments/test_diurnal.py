@@ -72,7 +72,7 @@ def policy_runs():
     for policy in sorted(POLICIES):
         trace, kernel = run_kernel(
             scenario.net, tables, scenario.workload, seed=SEED,
-            engine="parallel", parts=scenario.parts, processes=False,
+            engine="parallel", parts=scenario.parts,
             rebalance=RebalanceConfig(policy=policy, seed=SEED),
         )
         out[policy] = (trace, kernel.rebalancer.log)

@@ -86,7 +86,7 @@ def audit_runs(request):
     for policy in sorted(POLICIES):
         trace, kernel = run_kernel(
             scenario.net, tables, scenario.workload, seed=seed,
-            engine="parallel", parts=scenario.parts, processes=False,
+            engine="parallel", parts=scenario.parts,
             rebalance=RebalanceConfig(policy=policy, seed=seed),
         )
         runs[policy] = (trace, kernel.rebalancer.log)

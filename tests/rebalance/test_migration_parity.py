@@ -1,14 +1,17 @@
 """Migration-correctness battery: the trace never notices a migration.
 
-Live migration is pure state relocation — the busy-until floats of the
-migrated node's outgoing channels cross the LP boundary bit-exactly, so
-the :class:`~repro.engine.trace.EventTrace` must be *byte-identical*
-across the reference heap kernel, the batched sequential kernel, and the
-LP engine under any forced migration schedule.  The grid covers three
-topologies over unbounded FIFO links, and the schedules exercise every
-awkward moment: a router migrated with a non-empty channel queue,
-mid-multi-train-transfer, at the first and last window, and a no-op
-migration (destination = current owner).
+The parallel engine is the sequential kernel seen through a partition,
+and a migration only rewrites that partition, which the run never reads.
+So the :class:`~repro.engine.trace.EventTrace` (and every per-link
+aggregate) is *byte-identical* across the reference heap kernel, the
+batched sequential kernel, and the parallel engine under any forced
+migration schedule — by construction now; these tests pin that the
+construction stays that way, and that the migration accounting counts
+what it should.  The grid covers three topologies over unbounded FIFO
+links, and the schedules exercise every awkward moment: a router
+migrated with a non-empty channel queue, mid-multi-train-transfer, at the
+first and last window, and a no-op migration (destination = current
+owner).
 """
 
 from __future__ import annotations
@@ -67,16 +70,12 @@ def _barrier_times(net, tables, wl):
     so schedules must target real barriers, not arbitrary times)."""
     reset_flow_ids()
     kernel = ParallelEmulationKernel(
-        net, tables, parts=_parts(net), processes=False,
-        train_packets=8,
+        net, tables, parts=_parts(net), train_packets=8,
     )
     times: list[float] = []
     kernel.barrier_hooks.append(times.append)
-    try:
-        wl.install(kernel, np.random.default_rng(SEED))
-        kernel.run(until=DURATION)
-    finally:
-        kernel.close()
+    wl.install(kernel, np.random.default_rng(SEED))
+    kernel.run(until=DURATION)
     return times
 
 
@@ -87,18 +86,14 @@ def _busiest_nodes(trace, count=3):
     return np.argsort(loads)[::-1][:count].tolist()
 
 
-def _run_with_schedule(net, tables, wl, moves, processes=False):
+def _run_with_schedule(net, tables, wl, moves):
     reset_flow_ids()
     kernel = ParallelEmulationKernel(
-        net, tables, parts=_parts(net), processes=processes,
-        train_packets=8,
+        net, tables, parts=_parts(net), train_packets=8,
     )
     schedule = ForcedMigrationSchedule(moves).attach(kernel)
-    try:
-        wl.install(kernel, np.random.default_rng(SEED))
-        trace = kernel.run(until=DURATION)
-    finally:
-        kernel.close()
+    wl.install(kernel, np.random.default_rng(SEED))
+    trace = kernel.run(until=DURATION)
     return trace, kernel, schedule
 
 
@@ -111,7 +106,7 @@ def _assert_traces_equal(a, b, context=""):
 
 @pytest.mark.parametrize("queue_name", _QUEUES)
 def test_forced_migrations_keep_trace_byte_identical(routed, queue_name):
-    """Reference / batched / LP-fork agree under a busy-router schedule
+    """Reference / batched / parallel agree under a busy-router schedule
     hitting the first window, mid-run (mid-train, non-empty queues), and
     the last window."""
     net, tables = routed
@@ -145,16 +140,12 @@ def test_forced_migrations_keep_trace_byte_identical(routed, queue_name):
     assert schedule.pending == 0, "every scheduled migration must fire"
     assert kernel_lp.routers_migrated == len(moves)
     assert kernel_lp.migration_bytes > 0
-    # Link accounting: packet counts are exact (each (link, direction)
-    # channel is owned by exactly one LP at any instant, migrations
-    # included); busy seconds are ulp-level only, because the two
-    # directions of a cut link are summed in a different float order.
-    np.testing.assert_array_equal(
-        kernel_ref.link_packets, kernel_lp.link_packets
-    )
-    np.testing.assert_allclose(
-        kernel_ref.link_busy_s, kernel_lp.link_busy_s, rtol=1e-12
-    )
+    # Link accounting is the sequential kernel's, bit for bit.
+    for field in ("link_packets", "link_bytes", "link_busy_s",
+                  "link_max_backlog_s"):
+        np.testing.assert_array_equal(
+            getattr(kernel_seq, field), getattr(kernel_lp, field)
+        )
     assert kernel_seq.stats.semantic() == kernel_lp.stats.semantic()
 
 
@@ -183,8 +174,9 @@ def test_noop_migration_changes_nothing(routed, queue_name):
 
 
 def test_forked_workers_match_reference():
-    """The same schedule through real forked worker processes (pipe
-    transfer of the channel state) stays byte-identical."""
+    """A two-move schedule on campus stays byte-identical to the
+    reference.  (The name dates from forked LP workers; the parallel
+    engine no longer has any.)"""
     net = campus_network()
     tables = build_routing(net)
     wl = _workload(net)
@@ -200,9 +192,9 @@ def test_forked_workers_match_reference():
          int((parts[hot[1]] + 2) % K)),
     ]
     trace_lp, kernel, schedule = _run_with_schedule(
-        net, tables, wl, moves, processes=True,
+        net, tables, wl, moves,
     )
-    _assert_traces_equal(trace_ref, trace_lp, "forked workers")
+    _assert_traces_equal(trace_ref, trace_lp, "two moves")
     assert schedule.pending == 0
     assert kernel.routers_migrated == 2
 
@@ -239,9 +231,7 @@ def test_migration_batches_and_repeated_entries():
 
 def test_migrate_routers_validates_input(campus_routed):
     net, tables = campus_routed
-    kernel = ParallelEmulationKernel(
-        net, tables, parts=_parts(net), processes=False,
-    )
+    kernel = ParallelEmulationKernel(net, tables, parts=_parts(net))
     with pytest.raises(ValueError, match="pair up"):
         kernel.migrate_routers([1, 2], [0])
     with pytest.raises(ValueError, match="duplicate"):

@@ -34,7 +34,7 @@ def _rebalanced_run(policy, **config_kwargs):
     tables = build_routing(scenario.net)
     _, kernel = run_kernel(
         scenario.net, tables, scenario.workload, seed=SEED,
-        engine="parallel", parts=scenario.parts, processes=False,
+        engine="parallel", parts=scenario.parts,
         rebalance=RebalanceConfig(
             policy=policy, seed=SEED, **config_kwargs
         ),
@@ -131,7 +131,7 @@ def test_quiescent_run_migrates_nothing():
     tables = build_routing(scenario.net)
     _, kernel = run_kernel(
         scenario.net, tables, workload, seed=SEED,
-        engine="parallel", parts=scenario.parts, processes=False,
+        engine="parallel", parts=scenario.parts,
         rebalance=RebalanceConfig(policy="hysteresis", seed=SEED),
     )
     reb = kernel.rebalancer

@@ -237,7 +237,7 @@ def test_future_traffic_never_changes_past_decisions(diurnal_pair, policy):
     for workload in (scenario.workload, mutated):
         _, kernel = run_kernel(
             scenario.net, tables, workload, seed=0, engine="parallel",
-            parts=scenario.parts, processes=False,
+            parts=scenario.parts,
             rebalance=RebalanceConfig(policy=policy, seed=0),
         )
         logs.append(kernel.rebalancer.log)

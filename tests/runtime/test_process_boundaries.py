@@ -1,12 +1,11 @@
-"""Work crosses a process boundary in exactly two places.
+"""Work crosses a process boundary in exactly one place.
 
 ``runtime/executor.py::_run_pool`` runs stateless, crash/timeout/retry-
-tolerant grid cells on a ``ProcessPoolExecutor``; ``engine/lp.py::
-_start_pool`` forks long-lived stateful LP shards that talk over pipes.
-They do different jobs, so they stay separate — and a third mechanism
-has to argue its way past this test (see DESIGN.md, "Two process
-crossings").  The pipes and the pool are also the only ways *data*
-crosses: no shared-memory segment backs any array.
+tolerant grid cells on a ``ProcessPoolExecutor``.  The parallel
+emulation engine is a partition view over the sequential kernel and
+forks nothing, so a second mechanism has to argue its way past this test
+(see DESIGN.md, "One process crossing").  The pool is also the only way
+*data* crosses: no shared-memory segment backs any array.
 """
 
 import ast
@@ -39,21 +38,18 @@ def _spawn_sites(tree: ast.Module, rel: str) -> set[str]:
     return sites
 
 
-def test_exactly_two_functions_start_processes():
+def test_exactly_one_function_starts_processes():
     found: set[str] = set()
     for path in sorted((SRC / "repro").rglob("*.py")):
         rel = path.relative_to(SRC / "repro").as_posix()
         found |= _spawn_sites(ast.parse(path.read_text()), rel)
-    assert found == {
-        "runtime/executor.py::_run_pool",
-        "engine/lp.py::_start_pool",
-    }
+    assert found == {"runtime/executor.py::_run_pool"}
 
 
 def test_nothing_imports_shared_memory():
-    """The LP pipes and the grid pool are the only cross-process data
-    paths; ``multiprocessing.shared_memory`` (and the ``resource_tracker``
-    patching it drags in) has to argue its way back like a third fork
+    """The grid pool is the only cross-process data path;
+    ``multiprocessing.shared_memory`` (and the ``resource_tracker``
+    patching it drags in) has to argue its way back like a second fork
     site would."""
     banned = ("shared_memory", "resource_tracker")
     found: set[str] = set()

@@ -60,6 +60,31 @@ def test_repeat_request_is_a_warm_hit_with_identical_body(live):
     assert warm.result == cold.result
 
 
+def test_parallel_emulate_forks_nothing(live, monkeypatch):
+    """A parallel emulate job runs in the handler's worker thread: same
+    trace checksum as a sequential one, and no child process started."""
+    import multiprocessing.process
+
+    def refuse(self):
+        raise AssertionError("an emulate job started a child process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    _service, client = live
+    request = {"kind": "emulate", "topology": {"source": "synth",
+               "n_routers": 24, "seed": 0}, "app": "none",
+               "intensity": "light", "duration": 1.0, "seed": 1}
+    results = {}
+    for engine in ("sequential", "parallel"):
+        info = client.submit(dict(request, engine=engine, k=2))
+        info = client.wait(info.job_id, timeout=60.0)
+        assert info.state == "done", info.error
+        results[engine] = info.result
+    assert results["parallel"]["engine"] == "parallel"
+    assert results["parallel"]["n_events"] > 0
+    assert (results["parallel"]["trace_checksum"]
+            == results["sequential"]["trace_checksum"])
+
+
 def test_bad_request_is_400_and_unknown_job_404(live):
     _service, client = live
     with pytest.raises(ServiceError) as excinfo:
