@@ -61,6 +61,7 @@ see :mod:`repro.engine.parallel` for the analytic model and
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import warnings
 from typing import Callable
@@ -71,7 +72,7 @@ from repro.engine.eventq import EventBatch, merge_newer
 from repro.engine.packet import MTU_BYTES, Transfer, reset_flow_ids
 from repro.engine.perf import KernelStats
 from repro.engine.sync import conservative_window, cut_before, first_true
-from repro.engine.trace import DELIVERED, INJECTED, EventTrace, TraceRecorder
+from repro.engine.trace import DELIVERED, EventTrace, TraceRecorder
 from repro.routing.tables import RoutingTables
 from repro.topology.network import Network
 
@@ -193,6 +194,7 @@ class EmulationKernel:
         self._is_router = np.array(
             [node.is_router for node in net.nodes], dtype=bool
         )
+        self._pace_chains()
 
     # ------------------------------------------------------------------ #
     # Scheduling API (used by traffic generators)
@@ -203,11 +205,18 @@ class EmulationKernel:
         return s
 
     def schedule(self, time: float, callback: Callable, *args) -> None:
-        """Run ``callback(kernel, time, *args)`` at virtual ``time``."""
+        """Run ``callback(kernel, time, *args)`` at virtual ``time`` (not
+        before :attr:`now`: virtual time never runs backwards)."""
         if not 0 <= time < math.inf:
             raise ValueError(
                 f"cannot schedule a callback at time={time!r}: times must "
                 f"be finite and not before time 0"
+            )
+        if time < self.now:
+            raise ValueError(
+                f"cannot schedule a callback at time={time!r}: virtual time "
+                f"is already now={self.now!r}, and a callback may not run "
+                f"in the past"
             )
         heapq.heappush(self._ctrl, (time, self._next_seq(), callback, args))
 
@@ -266,54 +275,65 @@ class EmulationKernel:
         one timestamp per transfer.  On the first invalid row ``i`` the
         rows before it are injected and the error raised for row ``i``, so
         partial effects before an error match the loop's too.
+
+        A call costs a fixed few dozen numpy calls (plus a cumsum when a
+        rate's pacing chain must grow), python list passes over the
+        transfers and numpy work over the trains — no loop over train
+        rounds (DESIGN.md §6 "Injection").
         """
         transfers = list(transfers)
         n = len(transfers)
+        t_arr = np.array(times, dtype=np.float64)  # the trace keeps it
+        if t_arr.ndim and t_arr.shape != (n,):
+            raise ValueError(
+                f"times has {t_arr.size} entries (shape {t_arr.shape}) for "
+                f"{n} transfers; pass one time per transfer or a scalar"
+            )
         if n == 0:
             return
-        t_arr = np.ascontiguousarray(np.broadcast_to(
-            np.asarray(times, dtype=np.float64), (n,)
-        ))
-        src = np.array([tr.src for tr in transfers], dtype=np.int64)
-        dst = np.array([tr.dst for tr in transfers], dtype=np.int64)
-        nbf = np.array([tr.nbytes for tr in transfers], dtype=np.float64)
-        hop = self.tables.next_hop[src, dst].astype(np.int64)
-        bad = (
-            ~((nbf > 0) & (nbf < _MAX_NBYTES)) | (src == dst)
-            | ~(np.isfinite(t_arr) & (t_arr >= self.now)) | (hop < 0)
-        )
-        if bad.any():
+        if t_arr.ndim:
+            t_lo, t_hi = t_arr.min(), t_arr.max()
+        else:
+            t_lo = t_hi = float(t_arr)
+            t_arr = t_arr.repeat(n)
+        # Rows node, dst, flow and hook index (into ``_hooked``; -1 for a
+        # transfer without ``on_delivery``): every train repeats its
+        # transfer's column.
+        hooks = [tr.on_delivery for tr in transfers]
+        ids = itertools.count(len(self._hooked))
+        cols = np.array((
+            [tr.src for tr in transfers],
+            [tr.dst for tr in transfers],
+            [tr.flow_id for tr in transfers],
+            [-1 if h is None else next(ids) for h in hooks],
+        ), dtype=np.int64)
+        src, dst = cols[0], cols[1]
+        nb_l = [tr.nbytes for tr in transfers]
+        nbf = np.array(nb_l, dtype=np.float64)
+        hop = self.tables.next_hop[src, dst]
+        # One reduction per column (nan fails every comparison); the
+        # diagonal of ``next_hop`` is -1, so ``hop >= 0`` also rejects
+        # ``src == dst``.  The row mask is built only to name the culprit.
+        if not (self.now <= t_lo and t_hi < math.inf and nbf.min() > 0
+                and nbf.max() < _MAX_NBYTES and hop.min() >= 0):
+            bad = ~((nbf > 0) & (nbf < _MAX_NBYTES) & (hop >= 0)
+                    & (t_arr >= self.now) & (t_arr < math.inf))
             i = int(np.argmax(bad))
             self.submit_transfers(transfers[:i], t_arr[:i])
             raise self._rejection(transfers[i], float(t_arr[i]))
         self.stats.transfers_submitted += n
-        lids = self._shard._link_ids(src, hop)
-        bw = self._ctx.link_bw[lids]
-        flow = np.array([tr.flow_id for tr in transfers], dtype=np.int64)
-        src_l, flow_l = src.tolist(), flow.tolist()
-        self.transfer_log.extend(
-            (t, s, d, tr.nbytes, fl, tr.tag)
-            for t, s, d, fl, tr in zip(
-                t_arr.tolist(), src_l, dst.tolist(), flow_l, transfers,
-            )
-        )
+        src_l, dst_l, flow_l, _ = cols.tolist()
+        self.transfer_log.extend(zip(
+            t_arr.tolist(), src_l, dst_l, nb_l, flow_l,
+            [tr.tag for tr in transfers],
+        ))
         if self.collector is not None:
             self._flow_src.update(zip(flow_l, src_l))
-        self.recorder.record_batch(
-            t_arr, src, np.full(n, INJECTED, dtype=np.int64),
-            np.ones(n, dtype=np.int64), flow, np.zeros(n, dtype=np.float64),
-        )
-        # Hooked transfers are remembered once each; every train of one
-        # carries its transfer's index into ``_hooked``.
-        hooked = np.array(
-            [tr.on_delivery is not None for tr in transfers], dtype=bool
-        )
-        hook_idx = np.full(n, -1, dtype=np.int64)
-        at = np.nonzero(hooked)[0]
-        if len(at):
-            base = len(self._hooked)
-            hook_idx[at] = np.arange(base, base + len(at), dtype=np.int64)
-            self._hooked.extend(transfers[i] for i in at.tolist())
+        self.recorder.record_injections(t_arr, src, cols[2])
+        # Hooked transfers are remembered once each (their trains carry
+        # the index assigned above).
+        self._hooked += [tr for tr, h in zip(transfers, hooks)
+                         if h is not None]
         # The reference kernel's train split, vectorized: packet counts
         # come from the truncated size (``Transfer.n_packets``), full
         # trains carry ``train_packets * MTU`` bytes, and the last train
@@ -323,44 +343,85 @@ class EmulationKernel:
         # minuend's ulp and the result is smaller in magnitude, so each
         # step is exact.
         tp = self.train_packets
-        total = np.maximum(1, -(-nbf.astype(np.int64) // MTU_BYTES))
-        k_arr = -(-total // tp)
-        K = int(k_arr.sum())
-        bounds = np.concatenate(([0], np.cumsum(k_arr)))
-        seg0 = bounds[:-1]
-        tidx = np.repeat(np.arange(n), k_arr)
-        j = np.arange(K) - seg0[tidx]
-        is_last = j == k_arr[tidx] - 1
-        counts = np.full(K, tp, dtype=np.int64)
-        counts[is_last] = total - (k_arr - 1) * tp
-        tnb = np.full(K, float(tp * MTU_BYTES), dtype=np.float64)
-        tnb[is_last] = nbf - ((k_arr - 1) * (tp * MTU_BYTES)).astype(
-            np.float64
-        )
-        # Source pacing at the access link: offsets accumulate one
-        # full-train tx per round, elementwise across transfers — the same
-        # float addition chain as the reference's per-train loop.
-        txf = float(tp * MTU_BYTES) * 8.0 / bw
-        ev_times = np.empty(K, dtype=np.float64)
-        ev_times[seg0] = t_arr
-        run = np.zeros(n, dtype=np.float64)
-        for r in range(1, int(k_arr.max())):
-            act = np.nonzero(k_arr > r)[0]
-            run[act] = run[act] + txf[act]
-            ev_times[seg0[act] + r] = t_arr[act] + run[act]
+        total = np.maximum((nbf.astype(np.int64) + (MTU_BYTES - 1))
+                           // MTU_BYTES, 1)
+        k_arr = (total + (tp - 1)) // tp
+        full = (k_arr - 1) * tp  # packets in a transfer's full trains
+        ends = k_arr.cumsum()
+        first = ends - k_arr
+        last = ends - 1
+        K = int(ends[-1])
+        counts = np.empty(K, dtype=np.int64)
+        counts.fill(tp)
+        counts[last] = total - full
+        tnb = np.empty(K, dtype=np.float64)
+        tnb.fill(tp * MTU_BYTES)
+        tnb[last] = nbf - full * float(MTU_BYTES)
+        is_last = np.zeros(K, dtype=bool)
+        is_last[last] = True
+        # Source pacing at the access link: train j of a transfer leaves j
+        # full-train tx times after its first, summed one at a time as the
+        # reference's running offset is — the float chain 0, txf, txf +
+        # txf, ... of its access link's rate (see _pace_chains).
+        group = self._link_rate[self._shard._link_ids(src, hop)]
+        if (k_arr > self._chain_len[group]).any():
+            self._grow_chains(group, k_arr)
+        pos = (self._chain_at[group] - first).repeat(k_arr)
+        pos += np.arange(K)
+        ev_times = self._chain[pos]
+        ev_times += t_arr.repeat(k_arr)
+        node, dst_t, flow_t, hook_t = cols.repeat(k_arr, axis=1)
         base = self._seq
         self._seq = base + K
         self.calendar.push_batch(EventBatch(
             time=ev_times,
             seq=np.arange(base, base + K, dtype=np.int64),
-            node=src[tidx],
-            dst=dst[tidx],
+            node=node,
+            dst=dst_t,
             count=counts,
             nbytes=tnb,
-            flow=flow[tidx],
+            flow=flow_t,
             last=is_last,
-            train=hook_idx[tidx],
+            train=hook_t,
         ))
+
+    def _pace_chains(self) -> None:
+        """Reset the source-pacing chains for the current link rates.
+
+        Every transfer whose access link has the same full-train tx time
+        ``txf`` is paced by the same float chain 0, txf, txf + txf, ...;
+        ``cumsum`` adds strictly left to right, so a chain computed once
+        per distinct rate gives every train offset bit for bit, and a
+        longer chain extends a shorter one without changing its prefix.
+        ``_link_rate`` maps a link to its rate; rate ``g``'s chain is
+        ``_chain[_chain_at[g]:][:_chain_len[g]]``, grown on demand.
+        """
+        txf = float(self.train_packets * MTU_BYTES) * 8.0 / self._ctx.link_bw
+        self._rates, self._link_rate = np.unique(txf, return_inverse=True)
+        self._chain = np.zeros(0)
+        self._chain_at = np.zeros(len(self._rates), dtype=np.int64)
+        self._chain_len = np.zeros(len(self._rates), dtype=np.int64)
+
+    def _grow_chains(self, group: np.ndarray, k_arr: np.ndarray) -> None:
+        """Lengthen the chain of every rate in ``group`` that is shorter
+        than its longest transfer (``k_arr`` trains), at least doubling it
+        so a run rebuilds each chain O(log length) times (the superseded
+        runs stay in ``_chain``: at most as long again as the live ones)."""
+        need = np.zeros(len(self._rates), dtype=np.int64)
+        np.maximum.at(need, group, k_arr)
+        runs = [self._chain]
+        at = len(self._chain)
+        for g in np.flatnonzero(need > self._chain_len).tolist():
+            k = max(int(need[g]), 2 * int(self._chain_len[g]))
+            run = np.empty(k)
+            run.fill(self._rates[g])
+            run[0] = 0.0
+            run.cumsum(out=run)
+            runs.append(run)
+            self._chain_at[g] = at
+            self._chain_len[g] = k
+            at += k
+        self._chain = np.concatenate(runs)
 
     # ------------------------------------------------------------------ #
     # Window drain: batched dispatch
@@ -546,11 +607,15 @@ class EmulationKernel:
     @staticmethod
     def _heap_rows(batches: list[EventBatch], end: float) -> list[tuple]:
         """``(time, seq, node, dst, count, nbytes, flow, last, train)``
-        tuples of the rows due by ``end``."""
+        tuples of the rows due by ``end`` (columns are masked only when
+        some row lies beyond it)."""
         rows: list[tuple] = []
         for b in batches:
-            due = b.time <= end
-            rows.extend(zip(*(col[due].tolist() for col in b.arrays())))
+            cols = b.arrays()
+            if b.time.max() > end:
+                due = b.time <= end
+                cols = [col[due] for col in cols]
+            rows.extend(zip(*[col.tolist() for col in cols]))
         return rows
 
     def _drain_events(self, batches: list[EventBatch], end: float) -> None:
@@ -657,6 +722,7 @@ class EmulationKernel:
         keys, lids = self.tables._lookup_arrays()
         ctx.pair_keys[...] = keys
         ctx.pair_lids[...] = lids
+        self._pace_chains()
 
     def _finalize_run(self) -> None:
         """Post-drain hook (the partition view finalizes its rebalancer)."""

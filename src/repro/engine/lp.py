@@ -142,8 +142,8 @@ class LPShard:
             raise ValueError(
                 f"nodes {int(us[0])} and {int(vs[0])} are not adjacent"
             )
-        pos = np.minimum(np.searchsorted(keys_s, keys), keys_s.size - 1)
-        bad = keys_s[pos] != keys
+        pos = keys_s.searchsorted(keys)
+        bad = keys_s.take(pos, mode="clip") != keys
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(

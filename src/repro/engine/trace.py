@@ -142,8 +142,9 @@ class EventTrace:
 class TraceRecorder:
     """Append-only builder the kernel writes into.
 
-    Rows arrive either one at a time (:meth:`record`) or as whole array
-    chunks (:meth:`record_batch`, the batched kernel's path).  Append
+    Rows arrive as python rows (:meth:`record`, the per-event drain's
+    path) or as whole array chunks (:meth:`record_batch`, the window
+    drain's); :meth:`record_injections` joins whichever is open.  Append
     order is preserved across both — :meth:`finish` stable-sorts by time,
     so rows recorded at equal virtual times keep their execution order.
     That ordering is part of the engines' bit-identity contract.
@@ -175,6 +176,29 @@ class TraceRecorder:
         self._packets.append(packets)
         self._flow.append(flow)
         self._span.append(span)
+
+    def record_injections(
+        self, time: np.ndarray, node: np.ndarray, flow: np.ndarray
+    ) -> None:
+        """Append one :data:`INJECTED` row (one packet, no span) per entry.
+
+        The rows join the open tail of the log: the pending python rows
+        when there are any (a per-event drain injecting mid-run — no
+        flush, no new chunk), a new array chunk otherwise.
+        """
+        n = len(time)
+        if self._time:
+            self._time += time.tolist()
+            self._node += node.tolist()
+            self._next += [INJECTED] * n
+            self._packets += [1] * n
+            self._flow += flow.tolist()
+            self._span += [0.0] * n
+            return
+        nxt = np.empty(n, dtype=np.int64)
+        nxt.fill(INJECTED)
+        packets = np.ones(n, dtype=np.int64)
+        self.record_batch(time, node, nxt, packets, flow, np.zeros(n))
 
     def record_batch(
         self,

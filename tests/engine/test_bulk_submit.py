@@ -22,6 +22,7 @@ from repro.engine.packet import Transfer, packetize, reset_flow_ids
 from repro.engine.trace import INJECTED
 from repro.profiling.netflow import NetFlowCollector
 from repro.routing.spf import build_routing
+from repro.topology.network import Network
 from repro.topology.synth import synth_network
 
 TRACE_FIELDS = ("time", "node", "next_node", "packets", "flow", "span")
@@ -381,3 +382,139 @@ def test_bulk_keeps_fractional_bytes(routed, drains, sizes, train_packets,
             type(e[3]) for e in kernel.transfer_log
         ]
         assert k_bulk.stats.semantic() == kernel.stats.semantic()
+
+
+def test_times_of_the_wrong_length_name_both_lengths(routed):
+    """A ``times`` array that is neither a scalar nor one entry per
+    transfer used to fail deep inside numpy ("operands could not be
+    broadcast together with remapped shapes"); it now raises a
+    ``ValueError`` naming ``times`` and both lengths, before anything is
+    injected."""
+    net, tables = routed
+    reset_flow_ids()
+    transfers = _transfers(net, 3, np.random.default_rng(5))
+    kernel = EmulationKernel(net, tables)
+    with pytest.raises(ValueError,
+                       match=r"times has 2 entries .* for 3 transfers"):
+        kernel.submit_transfers(transfers, [0.1, 0.2])
+    with pytest.raises(ValueError,
+                       match=r"times has 6 entries .* for 3 transfers"):
+        kernel.submit_transfers(transfers, np.full((3, 2), 0.1))
+    assert kernel.transfer_log == [] and kernel._seq == 0
+    kernel.submit_transfers(transfers, [0.1, 0.2, 0.3])
+    assert [e[0] for e in kernel.transfer_log] == [0.1, 0.2, 0.3]
+
+
+def test_schedule_before_now_is_rejected(routed, drains):
+    """Virtual time never runs backwards: a callback at t=0.5 that asks
+    for another at t=0.1 gets a ``ValueError`` naming both times (it used
+    to run at once with ``now == 0.1`` and inject after an event at 0.5).
+    ``ReferenceKernel.schedule`` is the oracle's queue push and keeps no
+    such check."""
+    net, tables = routed
+    hosts = [h.node_id for h in net.hosts()]
+    for drain in drains:
+        reset_flow_ids()
+        kernel = EmulationKernel(net, tables)
+        kernel.submit_transfer(
+            Transfer(src=hosts[0], dst=hosts[1], nbytes=50_000.0), 0.0)
+        ran = []
+
+        def late(k, t):
+            ran.append(("late", t))
+
+        def at_half(k, t):
+            with pytest.raises(ValueError, match=r"time=0\.1.*now=0\.5"):
+                k.schedule(0.1, late)
+            k.schedule(0.5, late)  # "now" itself is fine
+            ran.append(("half", t))
+
+        kernel.schedule(0.5, at_half)
+        kernel.run(until=1.0)
+        drains.check(kernel, drain)
+        assert ran == [("half", 0.5), ("late", 0.5)]
+        assert kernel.stats.transfers_delivered == 1
+
+
+def _rated_network(n_rates):
+    """Three routers in a row; eight hosts whose access links run at
+    ``n_rates`` distinct bandwidths (host ``i`` at rate ``i % n_rates``)."""
+    net = Network()
+    routers = [net.add_router(f"r{i}") for i in range(3)]
+    net.add_link(routers[0], routers[1], 1e9, 1e-3)
+    net.add_link(routers[1], routers[2], 1e9, 1e-3)
+    rates = (10e6, 45e6, 100e6, 622e6)[:n_rates]
+    for i in range(8):
+        host = net.add_host(f"h{i}")
+        net.add_link(host, routers[i % 3], rates[i % n_rates], 2e-4)
+    return net
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_rates=st.integers(1, 4),
+    train_packets=st.sampled_from((1, 32)),
+    rows=st.lists(
+        st.tuples(
+            st.integers(0, 7), st.integers(1, 7),   # src, dst offset
+            st.integers(1, 5_000),                  # trains
+            st.floats(0.25, 1.0),                   # fill of the last
+            st.floats(0.0, 0.05),                   # submission time
+        ),
+        min_size=1, max_size=6,
+    ),
+    drain=st.sampled_from(("windows", "per_event")),
+)
+def test_one_bulk_call_paces_like_the_reference_loop(
+        drains, n_rates, train_packets, rows, drain):
+    """One bulk call mixing access rates, transfers of 1 to 5,000 trains,
+    fractional byte counts and per-row times: the staged calendar rows
+    (pacing offsets included), the trace over a short horizon and the
+    transfer log equal ``ReferenceKernel``'s per-transfer loop."""
+    net = _rated_network(n_rates)
+    tables = build_routing(net)
+    drains.pin(drain)
+    hosts = [h.node_id for h in net.hosts()]
+    train_bytes = train_packets * 1500
+
+    def batch():
+        reset_flow_ids()
+        transfers = [
+            Transfer(src=hosts[s], dst=hosts[(s + d) % 8],
+                     nbytes=(k - 1) * train_bytes + fill * train_bytes)
+            for s, d, k, fill, _ in rows
+        ]
+        return transfers, [t for *_, t in rows]
+
+    def submitted(cls):
+        kernel = cls(net, tables, train_packets=train_packets)
+        kernel.submit_transfers(*batch())
+        return kernel
+
+    k_new, k_ref = submitted(EmulationKernel), submitted(ReferenceKernel)
+    assert k_new.transfer_log == k_ref.transfer_log
+    assert _staged_columns(k_new) == _reference_columns(k_ref)
+    until = max(t for *_, t in rows) + 0.02
+    k_new = submitted(EmulationKernel)
+    traces = [k.run(until=until) for k in (k_new, k_ref)]
+    drains.check(k_new, drain)
+    for field in TRACE_FIELDS:
+        a, b = (getattr(t, field) for t in traces)
+        assert a.tobytes() == b.tobytes(), field
+    assert k_new.stats.semantic() == k_ref.stats.semantic()
+
+
+def test_trace_does_not_alias_the_callers_times(routed):
+    """The ``INJECTED`` rows used to keep a view of the caller's float64
+    ``times`` array: overwriting it after the call rewrote the trace's
+    injection times (while ``transfer_log`` kept the submitted ones)."""
+    net, tables = routed
+    reset_flow_ids()
+    transfers = _transfers(net, 2, np.random.default_rng(6))
+    kernel = EmulationKernel(net, tables)
+    times = np.array([0.1, 0.2])
+    kernel.submit_transfers(transfers, times)
+    times[:] = 0.9
+    trace = kernel.run(until=1.0)
+    assert trace.time[trace.next_node == INJECTED].tolist() == [0.1, 0.2]

@@ -166,6 +166,38 @@ def test_forked_bandwidth_only_change_reaches_workers():
     assert kernel.link_change_log == seq_kernel.link_change_log
 
 
+def test_bandwidth_change_repaces_later_injections():
+    """Source pacing reads a per-rate chain cached on the kernel;
+    ``sync_context`` after a bandwidth change must rebuild it, so a
+    transfer submitted afterwards is paced at the new access rate: its
+    train times equal a fresh kernel's on the changed network."""
+    from repro.engine.packet import Transfer, reset_flow_ids
+    from repro.routing.delta import update_routing
+
+    def times_of(kernel):
+        return sorted(t for b in kernel.calendar.pop_all()
+                      for t in b.time.tolist())
+
+    net = campus_network()
+    state = routing_state(build_routing(net))
+    src, dst = (h.node_id for h in net.hosts()[:2])
+    reset_flow_ids()
+    kernel = EmulationKernel(net, state.tables)
+    kernel.submit_transfer(Transfer(src=src, dst=dst, nbytes=90_000.0), 0.0)
+    update_routing(state, [
+        SetLinkCost(lid, bandwidth_bps=link.bandwidth_bps / 8)
+        for lid, link in enumerate(net.links)
+    ])
+    kernel.sync_context()
+    kernel.calendar.pop_all()
+    kernel.submit_transfer(Transfer(src=src, dst=dst, nbytes=90_000.0), 5.0)
+    fresh = EmulationKernel(net, state.tables)
+    fresh.submit_transfer(Transfer(src=src, dst=dst, nbytes=90_000.0), 5.0)
+    expected = times_of(fresh)
+    assert len(expected) == 2
+    assert times_of(kernel) == expected
+
+
 # --------------------------------------------------------------------- #
 # Validation
 # --------------------------------------------------------------------- #

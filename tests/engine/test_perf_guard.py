@@ -11,6 +11,8 @@ window machinery at all.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,55 @@ def test_install_injects_one_batch_per_generator(monkeypatch):
     assert trains_built == []
     assert len(kernel._hooked) == len(hooked)
     assert all(tr.on_delivery is not None for tr in kernel._hooked)
+
+
+def _numpy_calls(fn) -> int:
+    """Numpy functions and ndarray / ufunc methods ``fn()`` calls (what a
+    profile hook sees: numpy's python wrappers and C methods; bare
+    operators and direct ufunc calls are invisible to it)."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += "numpy" in frame.f_code.co_filename
+        elif event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            module = getattr(arg, "__module__", None) or ""
+            calls += (isinstance(owner, (np.ndarray, np.ufunc))
+                      or module.startswith("numpy"))
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_submit_cost_does_not_grow_with_train_count():
+    """Source pacing takes one cumsum per distinct access rate, not one
+    numpy round per train: a bulk call whose longest transfer has 5,000
+    trains makes exactly as many numpy calls as one whose transfers are
+    a train each (the per-round pacing loop made ~5 per train)."""
+    from repro.engine.packet import Transfer
+
+    net = synth_network(n_routers=40, seed=2)
+    tables = build_routing(net)
+    hosts = [h.node_id for h in net.hosts()]
+
+    def submit(longest_trains):
+        reset_flow_ids()
+        kernel = EmulationKernel(net, tables, train_packets=1)
+        sizes = [1_000.0, 1_400.5, 1_500.0 * longest_trains]
+        transfers = [
+            Transfer(src=hosts[i], dst=hosts[i + 3], nbytes=size)
+            for i, size in enumerate(sizes)
+        ]
+        calls = _numpy_calls(
+            lambda: kernel.submit_transfers(transfers, [0.0, 0.1, 0.2]))
+        assert kernel._seq == 2 + longest_trains
+        return calls
+
+    assert submit(1) == submit(5_000) > 0
