@@ -166,7 +166,7 @@ def part_graph(
     ----------
     graph:
         Input graph; vertex-weight columns are the balance constraints and
-        edge weights are the minimized objective.
+        edge weights are the minimized objective.  Both must be finite.
     k:
         Number of parts (engine nodes in the emulation use case).
     algorithm:
@@ -195,6 +195,10 @@ def part_graph(
         raise ValueError("k must be >= 1")
     if not (np.isfinite(tolerance) and tolerance >= 1.0):
         raise ValueError(f"tolerance must be finite and >= 1.0, got {tolerance!r}")
+    # A NaN gain never equals itself, so FM would re-push it forever.
+    for name, weights in (("adjwgt", graph.adjwgt), ("vwgt", graph.vwgt)):
+        if not np.isfinite(weights).all():
+            raise ValueError(f"graph {name} must be finite")
     if target_fracs is not None:
         target_fracs = np.asarray(target_fracs, dtype=np.float64)
         if target_fracs.shape != (k,):

@@ -9,9 +9,15 @@ a finer level).
 The gain table is built **once** per call (a vectorized O(m) sweep over the
 CSR arrays) and maintained incrementally from then on: every move — repair
 moves, pass moves, and best-prefix rollbacks alike — touches only the moved
-vertex's neighborhood.  The original per-pass full-rescan kernel survives as
+vertex's neighborhood.  Everything after that build runs on plain-list
+mirrors of the CSR arrays and the per-side state.  The heap's random
+tie-breaks are drawn from the generator in vector blocks, and the
+generator is rewound and advanced by exactly the draws used before the
+call returns.  The original per-pass full-rescan kernel, one scalar draw
+per heap push, survives as
 :func:`repro.partition._reference.fm_refine_reference`, the oracle the
-differential parity suite checks this implementation against.
+differential parity suite checks this implementation against: equal
+parts and an equal generator state.
 """
 
 from __future__ import annotations
@@ -180,12 +186,31 @@ def fm_refine(
             break
         apply_move(best_v, 1 - src)
 
+    # Heap tie-breaks: one uniform draw per push, in push order.  They
+    # come from ``rng`` in vector blocks (a vector draw is the same stream
+    # as scalar draws), held reversed so ``ties.pop()`` yields the next.
+    # On return the generator is rewound and advances by exactly the draws
+    # used, so it ends where one scalar ``rng.random()`` per push leaves it.
+    state0 = rng.bit_generator.state
+    block = 2 * n + 64
+    ties: list[float] = []
+    drawn = 0
+
+    def refill() -> float:
+        nonlocal drawn
+        ties[:] = rng.random(block).tolist()[::-1]
+        drawn += block
+        return ties.pop()
+
+    heappush, heappop = heapq.heappush, heapq.heappop
     for _ in range(max_passes):
         stats.passes += 1
         locked = [False] * n
-        heap: list[tuple[float, float, int]] = []
-        for v in range(n):
-            heapq.heappush(heap, (-gains[v], rng.random(), v))
+        # Keys are unique (the vertex id breaks every tie), so heapify pops
+        # in the same order as n successive pushes.
+        heap = [(-gains[v], ties.pop() if ties else refill(), v)
+                for v in range(n)]
+        heapq.heapify(heap)
 
         moves: list[tuple[int, int]] = []  # (vertex, previous part)
         cum = 0.0
@@ -194,11 +219,12 @@ def fm_refine(
         stale_limit = n  # whole pass
 
         while heap and len(moves) < stale_limit:
-            neg_gain, _, v = heapq.heappop(heap)
+            neg_gain, _, v = heappop(heap)
             if locked[v]:
                 continue
             if -neg_gain != gains[v]:  # stale entry
-                heapq.heappush(heap, (-gains[v], rng.random(), v))
+                heappush(heap, (-gains[v], ties.pop() if ties else refill(),
+                                v))
                 continue
             dest = 1 - parts_l[v]
             if not admissible(v, dest):
@@ -221,11 +247,16 @@ def fm_refine(
                 u = adjncy_l[i]
                 if locked[u]:
                     continue
-                heapq.heappush(heap, (-gains[u], rng.random(), u))
+                heappush(heap, (-gains[u], ties.pop() if ties else refill(),
+                                u))
 
         # Roll back moves beyond the best prefix (gain table follows along).
         for v, prev in reversed(moves[best_len:]):
             apply_move(v, prev)
         if best_len == 0:
             break
+
+    if drawn:
+        rng.bit_generator.state = state0
+        rng.random(drawn - len(ties))
     return np.array(parts_l, dtype=np.int64)

@@ -188,3 +188,19 @@ def test_part_graph_rejects_meaningless_target_fracs(grid_graph, fracs,
 def test_part_graph_accepts_exact_tolerance(grid_graph):
     r = part_graph(grid_graph, 2, tolerance=1.0, seed=1)
     assert len(np.unique(r.parts)) == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["adjwgt", "vwgt"])
+def test_part_graph_rejects_non_finite_weights(bad, where):
+    """A NaN gain never equals itself, so FM's stale-entry test re-pushed
+    the vertex forever: this call used to spin instead of failing."""
+    edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+    vwgt = np.ones(4)
+    if where == "adjwgt":
+        edges[1] = (1, 2, bad)
+    else:
+        vwgt[2] = bad
+    graph = CSRGraph.from_edges(4, edges, vwgt=vwgt)
+    with pytest.raises(ValueError, match=where):
+        part_graph(graph, 2)

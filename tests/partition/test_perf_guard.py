@@ -10,6 +10,7 @@ counters directly instead of timing anything.
 
 import numpy as np
 
+from repro.partition._reference import fm_refine_reference
 from repro.partition.fm import fm_refine
 from repro.partition.kwayrefine import kway_refine
 from repro.partition.perf import RefineStats
@@ -109,6 +110,29 @@ def test_kway_repair_draws_once_per_move_not_per_candidate():
                 stats=stats)
     assert stats.moves >= 20
     assert rng.random_calls <= stats.moves
+
+
+def test_fm_draws_tie_breaks_in_blocks_not_per_push():
+    """FM takes its heap tie-breaks from the generator in vector blocks of
+    at least ``n`` draws and rewinds once at the end, so its ``random``
+    calls do not grow with heap pushes.  The oracle draws one scalar per
+    push, so its call count is the push count."""
+    graph = random_graph(1, n=120, extra=240)
+    parts0 = np.random.default_rng(2).integers(0, 2, size=graph.n)
+    parts0[:2] = (0, 1)
+    rng = _CountingRNG(np.random.default_rng(0))
+    oracle_rng = _CountingRNG(np.random.default_rng(0))
+    stats = RefineStats()
+    fm_refine(graph, parts0, tolerance=1.1, max_passes=8, rng=rng,
+              stats=stats)
+    fm_refine_reference(graph, parts0, tolerance=1.1, max_passes=8,
+                        rng=oracle_rng)
+    pushes = oracle_rng.random_calls
+    assert stats.passes >= 2
+    assert pushes > 4 * graph.n  # several blocks' worth of pushes
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # One call per block, plus the rewind.
+    assert rng.random_calls <= pushes // graph.n + 2
 
 
 def test_stats_merge_accumulates():

@@ -68,19 +68,26 @@ def paper_graph(name: str) -> CSRGraph:
 # --------------------------------------------------------------------- #
 # Bit-exact identity under fixed seeds
 # --------------------------------------------------------------------- #
+def assert_fm_parity(graph, parts0, seed, **kwargs) -> np.ndarray:
+    """Same parts as the oracle *and* the same RNG stream consumed: the
+    kernel draws its tie-breaks in blocks and rewinds, the oracle draws
+    one scalar per heap push."""
+    rng_got = np.random.default_rng(seed)
+    rng_want = np.random.default_rng(seed)
+    got = fm_refine(graph, parts0, rng=rng_got, **kwargs)
+    want = fm_refine_reference(graph, parts0, rng=rng_want, **kwargs)
+    assert np.array_equal(got, want)
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+    return got
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_fm_identical_to_reference(seed):
     graph = random_graph(seed)
     init_rng = np.random.default_rng(seed + 100)
     parts0 = init_rng.integers(0, 2, size=graph.n).astype(np.int64)
     parts0[:2] = (0, 1)  # both sides populated
-    got = fm_refine(
-        graph, parts0, tolerance=1.1, rng=np.random.default_rng(seed)
-    )
-    want = fm_refine_reference(
-        graph, parts0, tolerance=1.1, rng=np.random.default_rng(seed)
-    )
-    assert np.array_equal(got, want)
+    got = assert_fm_parity(graph, parts0, seed, tolerance=1.1)
     assert weighted_cut(graph, got) <= weighted_cut(graph, parts0)
 
 
@@ -106,13 +113,7 @@ def test_fm_identical_from_unbalanced_start():
     graph = random_graph(31)
     parts0 = np.zeros(graph.n, dtype=np.int64)
     parts0[: graph.n // 8] = 1  # far outside any reasonable envelope
-    got = fm_refine(
-        graph, parts0, tolerance=1.05, rng=np.random.default_rng(5)
-    )
-    want = fm_refine_reference(
-        graph, parts0, tolerance=1.05, rng=np.random.default_rng(5)
-    )
-    assert np.array_equal(got, want)
+    assert_fm_parity(graph, parts0, 5, tolerance=1.05)
 
 
 def test_kway_identical_from_unbalanced_start():
@@ -173,6 +174,35 @@ def test_kway_repair_identical_to_reference(
                        target_fracs=fracs / fracs.sum(), tolerance=tolerance)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(6, 60),
+    ncon=st.sampled_from((1, 2)),
+    target_frac=st.sampled_from((0.5, 0.3, 0.62)),
+    tolerance=st.sampled_from((1.0, 1.05, 1.2)),
+    max_passes=st.integers(0, 8),
+    crowd=st.integers(50, 100),
+)
+def test_fm_identical_to_reference_property(
+    seed, n, ncon, target_frac, tolerance, max_passes, crowd
+):
+    """FM from unbalanced starts (``crowd`` % of the vertices on side 0)
+    matches the oracle move for move and leaves the generator where one
+    scalar draw per heap push leaves it.  Small-integer weights make gain
+    ties common, so the tie-break draws decide moves; many passes push
+    more entries than one block holds, so the rewind is exercised."""
+    graph = random_graph(seed, n=n, extra=2 * n)
+    wrng = np.random.default_rng(seed + 400)
+    graph = graph.with_vwgt(
+        wrng.integers(1, 4, size=(n, ncon)).astype(np.float64)
+    )
+    parts0 = np.where(wrng.random(n) * 100 < crowd, 0, 1).astype(np.int64)
+    parts0[:2] = (0, 1)  # both sides populated
+    assert_fm_parity(graph, parts0, seed, target_frac=target_frac,
+                     tolerance=tolerance, max_passes=max_passes)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_kway_repair_leaves_overloaded_part_one_member(seed):
     """Part 0 holds the two heavy vertices (8 > cap 6); repair moves one
@@ -198,13 +228,7 @@ def test_fm_parity_on_paper_topologies(name):
     init_rng = np.random.default_rng(7)
     parts0 = init_rng.integers(0, 2, size=graph.n).astype(np.int64)
     parts0[:2] = (0, 1)
-    got = fm_refine(
-        graph, parts0, tolerance=1.15, rng=np.random.default_rng(0)
-    )
-    want = fm_refine_reference(
-        graph, parts0, tolerance=1.15, rng=np.random.default_rng(0)
-    )
-    assert np.array_equal(got, want)
+    got = assert_fm_parity(graph, parts0, 0, tolerance=1.15)
     assert weighted_cut(graph, got) <= weighted_cut(graph, parts0)
 
 
