@@ -85,7 +85,7 @@ _MAX_NBYTES = 2.0 ** 53
 
 #: Train rows due per conservative window below which a run drains per
 #: event (measured crossover, DESIGN.md §6 "Two drains").
-_PER_EVENT_DENSITY = 5.0
+_PER_EVENT_DENSITY = 4.0
 
 
 class EmulationKernel:

@@ -97,7 +97,7 @@ def cut_before(
     """First index ``>= start`` whose ``(time, seq)`` key is ``>= limit``.
 
     ``time`` must be non-decreasing with ``seq`` ascending within equal
-    times (the :meth:`EventBatch.sorted_by_key` order).  Returns
+    times (the :meth:`BatchEventQueue.pop_bucket` order).  Returns
     ``len(time)`` when every remaining key precedes ``limit``.
     """
     limit_t, limit_s = limit

@@ -16,6 +16,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.engine.eventq import BatchEventQueue, EventBatch
 from repro.engine.kernel import EmulationKernel, run_kernel
 from repro.engine.packet import reset_flow_ids
 from repro.engine.trace import INJECTED
@@ -88,8 +89,9 @@ def test_open_loop_soup_needs_no_merges(soup_run):
 
 def test_sparse_soup_drains_per_event():
     """A sparse soup (≈ 0.4 rows per window) runs per event: the calendar
-    is handed over whole — no window is bucketed, popped or pushed inside
-    ``run()`` — and every train event is one python-loop event."""
+    is handed over whole — nothing enters the event pool and no window is
+    read, popped or pushed inside ``run()`` — and every train event is one
+    python-loop event."""
     net, tables, wl = _soup(n_routers=120, n_flows=400, duration=2.0)
     reset_flow_ids()
     tel = Telemetry()
@@ -105,7 +107,8 @@ def test_sparse_soup_drains_per_event():
             return method(*args)
         setattr(kernel.calendar, name, counted)
 
-    for name in ("pop_bucket", "push_batch", "_bucket_pushed"):
+    for name in ("_absorb", "min_bucket", "has_bucket", "pop_bucket",
+                 "push_batch"):
         spy(name)
     trace = kernel.run(until=wl.duration)
     (row,) = tel.series["kernel/run"]
@@ -213,3 +216,31 @@ def test_submit_cost_does_not_grow_with_train_count():
         return calls
 
     assert submit(1) == submit(5_000) > 0
+
+
+def test_pop_cost_does_not_grow_with_feeding_pushes():
+    """A window pop makes a fixed number of numpy calls: popping a bucket
+    fed by 64 pushed batches (pool append included) costs exactly what one
+    fed by a single batch costs (a chunk per pushed batch made ~9 more
+    calls per batch)."""
+    # 64 blocks of 12 rows, each block spanning buckets 0, 1 and 2.
+    times = np.tile(np.linspace(0.0, 0.29, 12), 64)
+    n = len(times)
+    batch = EventBatch(
+        times, np.arange(n), np.zeros(n, np.int64), np.ones(n, np.int64),
+        np.ones(n, np.int64), np.full(n, 100.0), np.arange(n) % 7,
+        np.zeros(n, bool), np.full(n, -1),
+    )
+
+    def pop_cost(n_batches):
+        q = BatchEventQueue(0.1)
+        for rows in np.array_split(np.arange(n), n_batches):
+            q.push_batch(batch.take(rows))
+        out = []
+        calls = _numpy_calls(lambda: out.append(q.pop_bucket(0)))
+        (popped,) = out
+        assert len(popped) == n // 3 and len(q) == n - n // 3
+        assert np.all(np.diff(popped.time) >= 0)
+        return calls
+
+    assert pop_cost(1) == pop_cost(64) > 0

@@ -36,7 +36,7 @@ def _run() -> dict:
     tables = build_routing(scenario.net)
     _, kernel = run_kernel(
         scenario.net, tables, scenario.workload, seed=SEED,
-        engine="parallel", parts=scenario.parts, processes=False,
+        engine="parallel", parts=scenario.parts,
         rebalance=RebalanceConfig(policy="hysteresis", seed=SEED),
     )
     log = kernel.rebalancer.log
