@@ -9,7 +9,9 @@ time passes an entry, the incremental engine
 in place and the kernel's :class:`~repro.engine.lp.ShardContext` arrays
 are refreshed (:meth:`~repro.engine.kernel.EmulationKernel.sync_context`)
 — all between windows, where no segment is in flight, so every run
-applies each change at the identical point in the event stream.
+applies each change at the identical point in the event stream.  Both
+drains fire the same barriers, so a run with a NetFlow collector (always
+drained per event) takes the same schedule too.
 
 Two hard restrictions keep mid-run changes sound:
 
@@ -81,26 +83,19 @@ def install_link_changes(
     """Attach a link-change schedule to a constructed kernel.
 
     ``state`` must wrap the very tables the kernel was built on (its
-    context aliases their ``next_hop``).  Raises at install time — not
-    mid-run — on a kernel with a NetFlow collector and when a scheduled
-    latency undercuts the conservative window.  Progress lands on
-    ``kernel.link_change_log`` (``(time, n_changes, n_touched)`` per
-    applied batch) and
-    ``kernel.routing_stats`` (a :class:`~repro.routing.perf.RoutingStats`
-    filling ``delta_updates`` / ``affected_sources`` /
-    ``touched_sources``).
+    context aliases their ``next_hop``).  Any kernel takes a schedule, one
+    with a NetFlow collector included: both drains fire the barriers the
+    changes are applied at.  Raises at install time — not mid-run — when
+    a scheduled latency undercuts the conservative window.  Progress lands
+    on ``kernel.link_change_log`` (``(time, n_changes, n_touched)`` per
+    applied batch) and ``kernel.routing_stats`` (a
+    :class:`~repro.routing.perf.RoutingStats` filling ``delta_updates`` /
+    ``affected_sources`` / ``touched_sources``).
     """
     if state.tables is not kernel.tables:
         raise ValueError(
             "the RoutingState must wrap the kernel's own tables (build "
             "the kernel on state.tables, or use run_kernel(link_changes=)"
-        )
-    if kernel._ordered:
-        raise ValueError(
-            f"link_changes cannot honour "
-            f"collector={type(kernel.collector).__name__}: NetFlow "
-            f"collection runs the per-event drain, which has no window "
-            f"barriers to apply changes at; drop one of the two"
         )
     schedule = normalize_link_changes(link_changes)
     for when, changes in schedule:

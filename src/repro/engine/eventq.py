@@ -40,9 +40,10 @@ class EventQueue:
         self._popped = 0
 
     def push(self, time: float, callback: Callable, *args: Any) -> None:
-        """Schedule ``callback(*args)`` at ``time``."""
-        if time < 0:
-            raise ValueError("cannot schedule before time 0")
+        """Schedule ``callback(*args)`` at ``time`` (finite, not before 0)."""
+        if not 0 <= time < np.inf:  # a NaN would reorder the heap
+            raise ValueError(f"cannot schedule at time={time!r}: times "
+                             f"must be finite and not before time 0")
         heapq.heappush(self._heap, (time, next(self._seq), callback, args))
 
     def pop(self) -> tuple[float, Callable, tuple]:

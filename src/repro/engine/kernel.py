@@ -11,22 +11,22 @@ counts preserved), which downstream code scores under any partition.
 Injection is batched into a struct-of-arrays calendar
 (:class:`~repro.engine.eventq.BatchEventQueue`); only delivery hooks reach a
 python object (``_hooked`` holds each hooked :class:`Transfer` once).
-:meth:`EmulationKernel.run` then picks one of two drains per run:
+:meth:`EmulationKernel.run` then picks one of two drains per run by density:
 
 - the **window drain** pops whole conservative lookahead windows
   (:func:`~repro.engine.sync.conservative_window`, the minimum link latency)
-  and processes them as sorted numpy arrays.  It keeps dense runs and any
-  kernel with ``barrier_hooks`` or ``segment_observers``: mid-run link
-  changes and the rebalancer act at window barriers, and the partition
-  view (:class:`repro.engine.lp.ParallelEmulationKernel`) counts LP loads
-  from a segment observer;
+  and processes them as sorted numpy arrays.  It takes dense runs: at
+  least :data:`_PER_EVENT_DENSITY` train rows due by the horizon per
+  window, counted at the start of the run (traffic generated mid-run
+  counts as zero);
 - the **per-event drain** runs one ``heapq`` of ``(time, seq, ...)`` tuples
   (the calendar's rows beside the control entries) through the reference
-  kernel's ``_arrive``.  It takes order-coupled runs (a NetFlow collector,
-  whose collection order is part of its contract) and sparse ones: fewer
-  train rows due by the horizon per window than :data:`_PER_EVENT_DENSITY`,
-  counted at the start of the run (traffic generated mid-run counts as
-  zero).
+  kernel's ``_arrive``.  It takes sparse runs and order-coupled ones (a
+  NetFlow collector, whose collection order is part of its contract).
+
+Both fire ``barrier_hooks`` at the same points of the event stream with
+the same ``now`` — between windows, or where a window would have ended —
+so link changes, forced migrations and the rebalancer run under either.
 
 Under either drain the traces are **bit-identical** to the reference heap
 kernel's (:class:`repro.engine._reference.ReferenceKernel`, the parity
@@ -160,16 +160,14 @@ class EmulationKernel:
         #: (after the window's successors are flushed, before the next
         #: bucket pops) — the only points where cross-window state such as
         #: routing or the partition view's LP assignment may change
-        #: mid-run.  The online rebalancer (:mod:`repro.rebalance`) and
-        #: forced migration schedules install themselves here.  Any hook
-        #: keeps a run on the window drain, except on an order-coupled
-        #: kernel, which has no barriers and never calls them.
+        #: mid-run.  The online rebalancer (:mod:`repro.rebalance`), forced
+        #: migration schedules and mid-run link changes install themselves
+        #: here.  Both drains call them at the same barriers; the
+        #: per-event drain publishes the per-link accounting arrays only
+        #: when the run ends.
         self.barrier_hooks: list[Callable[[float], None]] = []
-        #: Observers ``observe(seg, next_col)`` of every vectorized
-        #: dispatched segment (load monitoring; any observer keeps a run on
-        #: the window drain).
-        self.segment_observers: list[Callable[[EventBatch, np.ndarray],
-                                              None]] = []
+        # The per-event drain's route cache (sync_context empties it).
+        self._routes: dict[tuple[int, int], tuple] = {}
 
         self.recorder = TraceRecorder(net.n_nodes)
         self.stats = KernelStats()
@@ -444,8 +442,6 @@ class EmulationKernel:
         self.recorder.record_batch(
             seg.time, seg.node, next_col, seg.count, seg.flow, res.span
         )
-        for observe in self.segment_observers:
-            observe(seg, next_col)
         s = len(succ_pos)
         if s:
             base = self._seq
@@ -598,8 +594,10 @@ class EmulationKernel:
             self._flush_staged()
             if done:
                 return
-            for hook in self.barrier_hooks:
-                hook(self.now)
+            if self.barrier_hooks:
+                self.stats.barriers += 1
+                for hook in self.barrier_hooks:
+                    hook(self.now)
 
     # ------------------------------------------------------------------ #
     # Per-event drain
@@ -618,26 +616,62 @@ class EmulationKernel:
             rows.extend(zip(*[col.tolist() for col in cols]))
         return rows
 
+    def _admit(self, new: list[EventBatch]) -> list[tuple]:
+        """Heap rows of ``new``, counted per bucket if hooks are attached."""
+        for b in new if self.barrier_hooks else ():
+            ids, n = np.unique(b.time // self.window_s, return_counts=True)
+            for bucket, k in zip(ids.tolist(), n.tolist()):
+                self._pending[bucket] = self._pending.get(bucket, 0) + k
+        return self._heap_rows(new, self._end_time)
+
+    def _refill(self) -> None:
+        """Move the trains a callback submitted to the per-event heap."""
+        for row in self._admit(self.calendar.pop_all()):
+            heapq.heappush(self._ctrl, row)
+
+    def _barrier(self) -> None:
+        self.stats.barriers += 1
+        for hook in self.barrier_hooks:
+            hook(self.now)
+        self._refill()
+
+    def _settle(self, time: float) -> None:
+        """A train at ``time`` ran: its bucket's last pending row ends it."""
+        bucket = time // self.window_s  # np.floor_divide's, bit for bit
+        self._pending[bucket] -= 1
+        if not self._pending[bucket]:
+            del self._pending[bucket]
+            self._barrier()
+
     def _drain_events(self, batches: list[EventBatch], end: float) -> None:
         """Run every event due by ``end`` through one ``(time, seq)`` heap
         (``_ctrl`` itself, so :meth:`schedule` pushes into it; trains a
         callback submits are moved over from the calendar after it
-        returns) with the reference kernel's ``_arrive`` as the body."""
+        returns) with the reference kernel's ``_arrive`` as the body.
+
+        With hooks attached it fires the window drain's barriers from
+        ``_pending``, the pending train rows (past-horizon ones too) per
+        calendar bucket (DESIGN.md §6 "Two drains"): after a train that
+        leaves its bucket empty, before counting what its delivery hook
+        submitted, and after a control that submitted below every pending
+        bucket.
+        """
         heap = self._ctrl
-        heap.extend(self._heap_rows(batches, end))
-        heapq.heapify(heap)
         pop, push = heapq.heappop, heapq.heappush
         rec, st, cal = self.recorder, self.stats, self.calendar
         hop, link_between = self.tables.hop, self.tables.link_between
         collector = self.collector
+        hooks, w = self.barrier_hooks, self.window_s
+        pending = self._pending = {}
+        heap.extend(self._admit(batches))
+        heapq.heapify(heap)
         # Per-link state as python rows (busy-until per direction, then the
         # four accounting columns), written back after the drain.
         cols = (self._busy[:, 0], self._busy[:, 1], self.link_packets,
                 self.link_bytes, self.link_busy_s, self.link_max_backlog_s)
         links = np.column_stack(cols).tolist()
-        # (node, dst) -> (next hop, link id, direction, bandwidth, latency);
-        # routing cannot change without barriers.
-        routes: dict[tuple[int, int], tuple] = {}
+        # (node, dst) -> (next hop, link id, direction, bandwidth, latency).
+        routes = self._routes
         n_ctrl = n_train = 0
         while heap and heap[0][0] <= end:
             ev = pop(heap)
@@ -645,65 +679,66 @@ class EmulationKernel:
             if len(ev) == 4:
                 n_ctrl += 1
                 ev[2](self, time, *ev[3])
-            else:
-                n_train += 1
-                _, _, node, dst, count, nbytes, flow, last, train = ev
-                if node == dst:
-                    rec.record(time, node, DELIVERED, count, flow)
-                    st.packets_delivered += count
-                    if not last:
-                        continue
+                if cal:
+                    low = min(pending, default=-math.inf)
+                    self._refill()
+                    if pending and min(pending) < low:
+                        self._barrier()  # the window drain hands it back
+                continue
+            n_train += 1
+            _, _, node, dst, count, nbytes, flow, last, train = ev
+            if node == dst:
+                rec.record(time, node, DELIVERED, count, flow)
+                st.packets_delivered += count
+                if last:
                     st.transfers_delivered += 1
-                    if train < 0:
+                    if train >= 0:
+                        self._run_hook(train, time)
+                        if hooks:
+                            self._settle(time)
+                        if cal:
+                            self._refill()
                         continue
-                    self._run_hook(train, time)
-                else:
-                    route = routes.get((node, dst))
-                    if route is None:
-                        nxt = hop(node, dst)
-                        if nxt < 0:
-                            raise RuntimeError(
-                                f"no route from {node} to {dst}")
-                        link = link_between(node, nxt)
-                        route = routes[node, dst] = (
-                            nxt, link.link_id, 0 if node == link.u else 1,
-                            link.bandwidth_bps, link.latency_s)
-                    nxt, lid, direction, bw, lat = route
-                    row = links[lid]
-                    backlog = row[direction] - time
-                    tx = nbytes * 8.0 / bw  # Link.tx_time, bit for bit
-                    rec.record(time, node, nxt, count, flow, tx)
-                    st.trains_forwarded += 1
-                    if collector is not None and self._is_router[node]:
-                        collector.record(
-                            time, node, lid, self._flow_src[flow], dst,
-                            flow, count, nbytes,
-                        )
-                    depart = row[direction] = max(time, row[direction]) + tx
-                    row[2] += count
-                    row[3] += nbytes
-                    row[4] += tx
-                    if backlog > row[5]:
-                        row[5] = backlog
-                    push(heap, (depart + lat, self._next_seq(),
-                                nxt, dst, count, nbytes, flow, last, train))
-                    continue
-            if cal:
-                for ev in self._heap_rows(cal.pop_all(), end):
-                    push(heap, ev)
+                if hooks:
+                    self._settle(time)
+                continue
+            route = routes.get((node, dst))
+            if route is None:
+                nxt = hop(node, dst)
+                if nxt < 0:
+                    raise RuntimeError(f"no route from {node} to {dst}")
+                link = link_between(node, nxt)
+                route = routes[node, dst] = (
+                    nxt, link.link_id, 0 if node == link.u else 1,
+                    link.bandwidth_bps, link.latency_s)
+            nxt, lid, direction, bw, lat = route
+            row = links[lid]
+            backlog = row[direction] - time
+            tx = nbytes * 8.0 / bw  # Link.tx_time, bit for bit
+            rec.record(time, node, nxt, count, flow, tx)
+            st.trains_forwarded += 1
+            if collector is not None and self._is_router[node]:
+                collector.record(
+                    time, node, lid, self._flow_src[flow], dst,
+                    flow, count, nbytes,
+                )
+            depart = row[direction] = max(time, row[direction]) + tx
+            row[2] += count
+            row[3] += nbytes
+            row[4] += tx
+            if backlog > row[5]:
+                row[5] = backlog
+            push(heap, (depart + lat, self._next_seq(),
+                        nxt, dst, count, nbytes, flow, last, train))
+            if hooks:
+                self._settle(time)
+                bucket = (depart + lat) // w
+                pending[bucket] = pending.get(bucket, 0) + 1
         for col, values in zip(cols, np.reshape(links, (-1, 6)).T):
             col[...] = values
         st.control_events += n_ctrl
         st.python_loop_events += n_train
         self._events += n_ctrl + n_train
-
-    def _per_event(self, density: float) -> bool:
-        """The drain selection (see the module docstring)."""
-        if self._ordered:
-            return True
-        if self.barrier_hooks or self.segment_observers:
-            return False
-        return density < _PER_EVENT_DENSITY
 
     def sync_context(self) -> None:
         """Bring the shard context up to date after a barrier-time routing
@@ -713,7 +748,9 @@ class EmulationKernel:
         spliced in place; the latency / bandwidth / pair-lookup arrays
         snapshot state that ``Network.set_link`` rebuilt, so their values
         are copied into the existing buffers — shapes never change under
-        :class:`~repro.routing.delta.SetLinkCost`.
+        :class:`~repro.routing.delta.SetLinkCost`.  It is the one place
+        that says routing changed, so it also empties the per-event
+        drain's route cache.
         """
         ctx = self._ctx
         _, _, lat, bw = self.net.link_endpoint_arrays()
@@ -723,6 +760,7 @@ class EmulationKernel:
         ctx.pair_keys[...] = keys
         ctx.pair_lids[...] = lids
         self._pace_chains()
+        self._routes.clear()
 
     def _finalize_run(self) -> None:
         """Post-drain hook (the partition view finalizes its rebalancer)."""
@@ -739,7 +777,7 @@ class EmulationKernel:
         batches = self.calendar.pop_all()
         due = int(sum(np.count_nonzero(b.time <= end) for b in batches))
         density = due * self.window_s / end  # train rows due per window
-        per_event = self._per_event(density)
+        per_event = self._ordered or density < _PER_EVENT_DENSITY
         with self.telemetry.span("kernel/run"):
             if per_event:
                 self._drain_events(batches, end)
@@ -751,13 +789,15 @@ class EmulationKernel:
         tel = self.telemetry
         if tel.enabled:
             tel.event("kernel/run", density=density,
-                      drain="per_event" if per_event else "windows")
+                      drain="per_event" if per_event else "windows",
+                      barriers=self.stats.barriers)
             tel.count("kernel.events", self._events)
             tel.count("kernel.trains_forwarded", self.stats.trains_forwarded)
             tel.count("kernel.packets_delivered",
                       self.stats.packets_delivered)
             tel.count("kernel.transfers", self.stats.transfers_submitted)
             tel.count("kernel.windows", self.stats.windows)
+            tel.count("kernel.barriers", self.stats.barriers)
             tel.count("kernel.segments", self.stats.segments)
             tel.count("kernel.vector_events", self.stats.vector_events)
             tel.count("kernel.python_loop_events",

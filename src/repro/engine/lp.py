@@ -21,10 +21,9 @@ Because the run itself never reads ``parts``, the event trace, the
 semantic stats and the per-link accounting arrays are the sequential
 engine's bit for bit, under any migration schedule.
 
-The view refuses a NetFlow collector: collection runs the per-event drain,
-which has no window barriers to migrate or count LP loads at —
-construct it with one and it refuses, pointing back at
-``engine="sequential"``.
+The view runs under either drain, with a NetFlow collector too: both fire
+the same barriers, and LP loads are folded from the recorder's rows (one
+numpy pass per fold, not per segment) when read or before ``parts`` moves.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.eventq import EventBatch
 from repro.engine.kernel import EmulationKernel
 from repro.engine.trace import DELIVERED
 from repro.routing.tables import RoutingTables
@@ -367,18 +365,10 @@ class ParallelEmulationKernel(EmulationKernel):
         **options,
     ) -> None:
         super().__init__(net, tables, **options)
-        if self._ordered:
-            raise ValueError(
-                f"ParallelEmulationKernel cannot honour "
-                f"collector={type(self.collector).__name__}: NetFlow "
-                f"collection runs the per-event drain, which has no "
-                f"window barriers to count LP loads or migrate routers "
-                f"at; drop the option or use engine='sequential'"
-            )
         self._parts = _partition_ids(parts, net.n_nodes)
         self.n_lps = int(self._parts.max()) + 1 if len(self._parts) else 1
-        #: Train events dispatched to each LP (imbalance reporting).
-        self.lp_events = np.zeros(self.n_lps, dtype=np.int64)
+        self._lp_events = np.zeros(self.n_lps, dtype=np.int64)
+        self._folded = 0  # recorder rows already charged to LPs
         #: Attached :class:`repro.rebalance.OnlineRebalancer` (or None).
         self.rebalancer = None
         # Migration accounting, priced as a hand-over of each mover's
@@ -388,19 +378,28 @@ class ParallelEmulationKernel(EmulationKernel):
         self.channels_migrated = 0
         self.migration_bytes = 0
         self.migration_noops = 0
-        self.segment_observers.append(self._count_lp_events)
 
-    def _count_lp_events(self, seg: EventBatch, next_col: np.ndarray) -> None:
-        self.lp_events += np.bincount(
-            self._parts[seg.node], minlength=self.n_lps
-        )
+    @property
+    def lp_events(self) -> np.ndarray:
+        """Train events executed at each LP's nodes (imbalance reporting)."""
+        self._fold()
+        return self._lp_events
+
+    def _fold(self) -> None:
+        """Charge the rows since the last fold to LPs and load bins."""
+        rows = self.recorder.train_rows_since(self._folded)
+        self._folded = len(self.recorder)
+        self._lp_events += np.bincount(
+            self._parts[rows.node], minlength=self.n_lps)
+        if self.rebalancer is not None:
+            self.rebalancer.observe(rows)
 
     def migrate_routers(self, routers, dests) -> int:
         """Reassign ``routers`` to the LPs named in ``dests``.
 
         Call it at a conservative-window barrier (e.g. from
-        ``kernel.barrier_hooks``), so every segment counts against one
-        partition.  The run never reads ``parts``, so the remainder of the
+        ``kernel.barrier_hooks``); rows recorded so far count against the
+        old owners.  The run never reads ``parts``, so the remainder of the
         run — the :class:`~repro.engine.trace.EventTrace` included — is
         the same as a run that never migrated.
 
@@ -439,6 +438,7 @@ class ParallelEmulationKernel(EmulationKernel):
         movers = routers[moving].tolist()
         channels = int(sum(self.net.degree(r) for r in movers))
         payload = channels * CHANNEL_STATE_BYTES
+        self._fold()
         self._parts[routers] = dests
         self.migrations_applied += 1
         self.routers_migrated += int(moving.sum())
@@ -447,5 +447,6 @@ class ParallelEmulationKernel(EmulationKernel):
         return payload
 
     def _finalize_run(self) -> None:
+        self._fold()
         if self.rebalancer is not None:
             self.rebalancer.finalize()

@@ -39,6 +39,8 @@ class KernelStats:
         :meth:`semantic`).
     windows:
         Conservative lookahead windows advanced by the window drain.
+    barriers:
+        Barrier rounds that ran ``barrier_hooks`` (0 without hooks).
     segments:
         Vectorized dispatches — at least one per non-empty window, plus
         one per control-event or delivery-hook cut inside a window.
@@ -66,6 +68,7 @@ class KernelStats:
     trains_forwarded: int = 0
     packets_delivered: int = 0
     windows: int = 0
+    barriers: int = 0
     segments: int = 0
     vector_events: int = 0
     python_loop_events: int = 0

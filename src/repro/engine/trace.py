@@ -10,10 +10,12 @@ all vectorized queries over these arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["EventTrace", "TraceRecorder", "DELIVERED", "INJECTED"]
+__all__ = ["EventTrace", "TraceRecorder", "TrainRows", "DELIVERED",
+           "INJECTED"]
 
 # Sentinels for the next_node column.
 DELIVERED = -1  # event delivered the train at its destination host
@@ -139,6 +141,14 @@ class EventTrace:
         )
 
 
+class TrainRows(NamedTuple):
+    """Time, node and packet count of executed train events."""
+
+    time: np.ndarray
+    node: np.ndarray
+    count: np.ndarray
+
+
 class TraceRecorder:
     """Append-only builder the kernel writes into.
 
@@ -232,6 +242,20 @@ class TraceRecorder:
 
     def __len__(self) -> int:
         return self._chunk_rows + len(self._time)
+
+    def train_rows_since(self, mark: int) -> TrainRows:
+        """The train events (every row but :data:`INJECTED` ones) among
+        the rows appended since ``len(self)`` was ``mark``."""
+        self._flush_pending()
+        pieces, at = [[np.zeros(0, np.int64)] * 4], self._chunk_rows
+        for chunk in reversed(self._chunks):
+            if at <= mark:
+                break
+            at -= len(chunk[0])
+            pieces.insert(1, [col[max(mark - at, 0):] for col in chunk[:4]])
+        time, node, nxt, packets = map(np.concatenate, zip(*pieces))
+        train = nxt != INJECTED
+        return TrainRows(time[train], node[train], packets[train])
 
     def finish(self, duration: float) -> EventTrace:
         """Freeze into an :class:`EventTrace` sorted by time."""

@@ -1,9 +1,10 @@
 """The online rebalancer: load monitoring + triggered migration.
 
-This is the tentpole loop.  A :class:`LoadMonitor` rides the kernel's
-segment-observer hook and folds every dispatched event into per-node load
-bins of ``bin_s`` virtual seconds.  At each conservative-window barrier the
-:class:`OnlineRebalancer` closes the bins the window completed, computes
+This is the tentpole loop.  A :class:`LoadMonitor` folds every executed
+train event into per-node load bins of ``bin_s`` virtual seconds.  At each
+conservative-window barrier that completes a bin the kernel folds its
+recent trace rows in, and the :class:`OnlineRebalancer` closes the bins
+the barrier completed, computes
 the normalized-std imbalance signal per bin, and — when the signal clears
 the trigger threshold outside the cooldown — asks its policy for an
 incremental migration set.  A candidate survives two gates:
@@ -114,11 +115,12 @@ class RebalanceConfig:
 class LoadMonitor:
     """Per-node load accumulator over virtual-time bins.
 
-    ``observe`` takes a dispatched segment (parallel ``time`` / ``node`` /
-    ``count`` arrays); events land in the bin their execution time falls
-    in.  Bins are held open until :meth:`close_up_to` — the conservative
-    window can straddle a bin edge, so a bin is only safe to read once a
-    barrier at or past its right edge has been reached.
+    ``observe`` takes executed train events (parallel ``time`` / ``node``
+    / ``count`` arrays, e.g. a :class:`~repro.engine.trace.TrainRows`);
+    events land in the bin their execution time falls in.  Bins are held
+    open until :meth:`take` — the conservative window can straddle a bin
+    edge, so a bin is only safe to read once a barrier at or past its
+    right edge has been reached.
     """
 
     def __init__(self, n_nodes: int, bin_s: float) -> None:
@@ -126,14 +128,14 @@ class LoadMonitor:
         self.clock = BarrierClock(bin_s)
         self._pending: dict[int, np.ndarray] = {}
 
-    def observe(self, seg, next_col=None) -> None:
-        """Fold one segment's events into the open bins."""
+    def observe(self, seg) -> None:
+        """Fold a run of executed events into the open bins."""
         if len(seg.time) == 0:
             return
         bins = self.clock.bin_of(seg.time)
         lo = int(bins.min())
         hi = int(bins.max())
-        if lo == hi:  # common case: the whole segment in one bin
+        if lo == hi:  # common case: every event in one bin
             arr = self._bin(lo)
             np.add.at(arr, seg.node, seg.count)
             return
@@ -150,18 +152,10 @@ class LoadMonitor:
             self._pending[index] = arr
         return arr
 
-    def close_up_to(self, now: float) -> list[tuple[int, np.ndarray]]:
-        """Pop every bin completed by the barrier at ``now``, in order."""
-        empty = None
-        out = []
-        for index in self.clock.completed(now):
-            arr = self._pending.pop(index, None)
-            if arr is None:
-                if empty is None:
-                    empty = np.zeros(self.n_nodes, dtype=np.float64)
-                arr = empty
-            out.append((index, arr))
-        return out
+    def take(self, index: int) -> np.ndarray:
+        """Pop bin ``index``'s per-node loads (zeros if nothing ran)."""
+        arr = self._pending.pop(index, None)
+        return np.zeros(self.n_nodes) if arr is None else arr
 
     def drain(self) -> list[tuple[int, np.ndarray]]:
         """Pop all still-open bins (end of run), in order."""
@@ -217,7 +211,6 @@ class OnlineRebalancer:
         self._kernel = kernel
         self.parts = kernel._parts
         self.k = kernel.n_lps
-        kernel.segment_observers.append(self.observe)
         kernel.barrier_hooks.append(self.on_barrier)
         kernel.rebalancer = self
         if self.telemetry is ensure_telemetry(None):
@@ -227,12 +220,15 @@ class OnlineRebalancer:
     # ------------------------------------------------------------------ #
     # Kernel hooks (also the detached-mode driving surface)
     # ------------------------------------------------------------------ #
-    def observe(self, seg, next_col=None) -> None:
-        self.monitor.observe(seg, next_col)
+    def observe(self, seg) -> None:
+        self.monitor.observe(seg)
 
     def on_barrier(self, now: float) -> None:
-        for index, node_loads in self.monitor.close_up_to(now):
-            self._close_bin(index, node_loads, live=True)
+        closing = self.monitor.clock.completed(now)
+        if closing and self._kernel is not None:
+            self._kernel._fold()  # the closing bins' rows
+        for index in closing:
+            self._close_bin(index, self.monitor.take(index), live=True)
 
     def finalize(self) -> None:
         """Close remaining bins (no triggers — the run is over) and emit

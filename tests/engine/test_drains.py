@@ -1,28 +1,29 @@
-"""The sequential kernel's two drains: selection, equivalence, refusals.
+"""The sequential kernel's two drains: selection and equivalence.
 
 :meth:`~repro.engine.kernel.EmulationKernel.run` drains a run either
 window by window (numpy) or event by event (one ``(time, seq)`` heap).
 Which one runs is a speed decision only: over random closed-loop soups the
 two give byte-identical traces, equal per-link accounting and equal
 semantic stats.  Order-coupled kernels (a NetFlow collector) always
-drain per event and therefore cannot take mid-run link changes, which are
-applied at window barriers.
+drain per event, and still take mid-run link changes: both drains fire
+the same barriers (``test_barrier_parity.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.engine.kernel import EmulationKernel, run_kernel
 from repro.engine.lp import ParallelEmulationKernel
 from repro.engine.packet import Transfer, reset_flow_ids
+from repro.experiments.workloads import build_workload
 from repro.obs.telemetry import Telemetry
 from repro.profiling.netflow import NetFlowCollector
 from repro.routing.delta import SetLinkCost
 from repro.routing.spf import build_routing
+from repro.topology.campus import campus_network
 from repro.topology.synth import synth_network
 
 TRACE_FIELDS = ("time", "node", "next_node", "packets", "flow", "span")
@@ -112,27 +113,62 @@ def _install_one(kernel, at=0.01):
         Transfer(src=hosts[0], dst=hosts[1], nbytes=20_000.0), at)
 
 
-@pytest.mark.parametrize("option", ("collector",))
-def test_link_changes_refused_on_order_coupled_kernels(option):
-    net, tables = _routed()
+def _campus_change():
+    """Campus under ScaLapack, link 5 slowed fourfold at 0.3 s (fresh per
+    run: applying the change mutates the network)."""
+    net = campus_network()
+    workload = build_workload(net, "scalapack", seed=3, duration=1.0)
+    change = (0.3, SetLinkCost(5, latency_s=net.links[5].latency_s * 4))
+    return net, build_routing(net), workload, [change]
 
-    class _Idle:
-        duration = 1.0
 
-        def install(self, kernel, rng):
-            _install_one(kernel)
+def test_collector_run_takes_link_changes(drains):
+    """A NetFlow collector run (always per event) takes a mid-run
+    ``SetLinkCost``: its trace and change log equal the collector-free
+    run's under either drain, and every record first seen after the
+    change left on the repaired route."""
+    net, tables, wl, changes = _campus_change()
+    nows: list[float] = []
+    install = wl.install
 
-    with pytest.raises(ValueError,
-                       match="cannot honour collector=NetFlowCollector"):
-        run_kernel(net, tables, _Idle(), link_changes=[
-            (0.5, SetLinkCost(0, latency_s=net.links[0].latency_s * 2))
-        ], collector=NetFlowCollector("flow"))
+    def recording_install(kernel, rng):
+        kernel.barrier_hooks.append(nows.append)
+        install(kernel, rng)
+
+    wl.install = recording_install
+    collector = NetFlowCollector("flow")
+    trace, kernel = run_kernel(net, tables, wl, seed=3,
+                               link_changes=changes, collector=collector)
+    assert kernel.link_change_log == [(0.3, 1, kernel.link_change_log[0][2])]
+    for drain in drains:
+        plain_net, plain_tables, plain_wl, plain_changes = _campus_change()
+        plain, k = run_kernel(plain_net, plain_tables, plain_wl, seed=3,
+                              link_changes=plain_changes)
+        drains.check(k, drain)
+        for field in TRACE_FIELDS:
+            assert getattr(plain, field).tobytes() == \
+                getattr(trace, field).tobytes(), (drain, field)
+        assert k.link_change_log == kernel.link_change_log
+
+    applied = min(now for now in nows if now >= 0.3)
+    new, old = kernel.tables, build_routing(campus_network())
+
+    def out_link(tables, record):
+        nxt = tables.hop(record.router, record.dst)
+        return tables.link_between(record.router, nxt).link_id
+
+    after = [r for r in collector.records() if r.first > applied]
+    assert after and all(out_link(new, r) == r.out_link for r in after)
+    assert any(out_link(old, r) != r.out_link for r in after)
+    before = [r for r in collector.records() if r.last <= applied]
+    assert all(out_link(old, r) == r.out_link for r in before)
 
 
 def test_selection_rule():
-    """Sparse plain runs drain per event; order-coupled runs do whatever
-    the density; barrier hooks, segment observers and the LP engine keep
-    the window drain."""
+    """The drain is chosen by density alone: sparse runs drain per event,
+    with barrier hooks attached and as the partition view too (dense runs
+    take windows: ``test_perf_guard.py``); order-coupled runs drain per
+    event whatever the density."""
     net, tables = _routed()
 
     def drain_of(kernel, until=1.0):
@@ -143,6 +179,7 @@ def test_selection_rule():
         kernel.run(until=until)
         (row,) = tel.series["kernel/run"]
         assert (row["drain"] == "windows") == (kernel.stats.windows > 0)
+        assert row["barriers"] == kernel.stats.barriers
         return row["drain"], row["density"]
 
     # One train due over 1 s: density = window_s / 1 s.
@@ -154,10 +191,8 @@ def test_selection_rule():
 
     hooked = EmulationKernel(net, tables)
     hooked.barrier_hooks.append(lambda now: None)
-    assert drain_of(hooked)[0] == "windows"
-    observed = EmulationKernel(net, tables)
-    observed.segment_observers.append(lambda seg, nxt: None)
-    assert drain_of(observed)[0] == "windows"
+    assert drain_of(hooked)[0] == "per_event"
+    assert hooked.stats.barriers > 0
     parts = np.arange(net.n_nodes, dtype=np.int64) % 2
     lp = ParallelEmulationKernel(net, tables, parts=parts)
-    assert drain_of(lp)[0] == "windows"
+    assert drain_of(lp)[0] == "per_event"

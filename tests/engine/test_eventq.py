@@ -1,5 +1,7 @@
 """Tests for the deterministic event queues."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,18 @@ def test_negative_time_rejected():
     q = EventQueue()
     with pytest.raises(ValueError):
         q.push(-1.0, print)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_non_finite_time_rejected(bad):
+    """A NaN compares false both ways, so a heap that took one would
+    reorder around it (1.0, NaN, 0.5 popped as 0.5, NaN, 1.0)."""
+    q = EventQueue()
+    q.push(1.0, print)
+    with pytest.raises(ValueError, match=f"time={bad!r}"):
+        q.push(bad, print)
+    q.push(0.5, print)
+    assert [q.pop()[0] for _ in range(len(q))] == [0.5, 1.0]
 
 
 def test_peek_and_counters():

@@ -244,3 +244,42 @@ def test_pop_cost_does_not_grow_with_feeding_pushes():
         return calls
 
     assert pop_cost(1) == pop_cost(64) > 0
+
+
+def test_rebalanced_sparse_run_drains_per_event():
+    """A rebalanced view of a sparse run pays no window machinery: the
+    diurnal scenario under ``hysteresis`` drains per event (no bucket is
+    ever popped) while its rebalancer still meets barriers and migrates,
+    and LP loads are folded from the recorder once per closed bin or
+    migration (plus the final fold and a read), not once per segment."""
+    from repro.engine.lp import ParallelEmulationKernel
+    from repro.experiments.setups import diurnal_scenario
+    from repro.rebalance import RebalanceConfig, attach_rebalancer
+
+    scenario = diurnal_scenario(n_flows=300, duration=3.0, seed=1)
+    tables = build_routing(scenario.net)
+    reset_flow_ids()
+    kernel = ParallelEmulationKernel(scenario.net, tables,
+                                     parts=scenario.parts)
+    rebalancer = attach_rebalancer(
+        kernel, RebalanceConfig(policy="hysteresis", seed=1))
+    calls = {"pop_bucket": 0, "train_rows_since": 0}
+
+    def spy(owner, name):
+        method = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+        setattr(owner, name, counted)
+
+    spy(kernel.calendar, "pop_bucket")
+    spy(kernel.recorder, "train_rows_since")
+    scenario.workload.install(kernel, np.random.default_rng(1))
+    trace = kernel.run(until=scenario.workload.duration)
+    assert calls["pop_bucket"] == 0 and kernel.stats.windows == 0
+    assert kernel.stats.barriers > 100
+    assert kernel.migrations_applied >= 1
+    bins = len(rebalancer.log.bin_times)
+    assert kernel.lp_events.sum() == int((trace.next_node != INJECTED).sum())
+    assert calls["train_rows_since"] <= bins + kernel.migrations_applied + 2
