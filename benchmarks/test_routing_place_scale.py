@@ -49,7 +49,8 @@ def test_routing_build_within_budget(benchmark, n_routers, budget):
     print(f"\nrouting n_routers={n_routers} nodes={net.n_nodes}: "
           f"{wall:.2f}s (budget {budget:.0f}s), "
           f"{stats.dijkstra_calls} dijkstra / "
-          f"{stats.nexthop_rounds} nh rounds")
+          f"{stats.fallback_rows} fallback rows / "
+          f"{stats.nexthop_rounds} doubling rounds")
     assert wall < budget, (
         f"routing build on {n_routers} routers took {wall:.1f}s "
         f"(budget {budget:.0f}s)"

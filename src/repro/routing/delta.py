@@ -255,7 +255,7 @@ def _recompute_rows(dist, next_hop, rows, graph, *, block_size, stats):
     for start in range(0, len(rows), block_size):
         block = rows[start:start + block_size]
         dist[block], pred = shortest_path(
-            graph, method="D", directed=False, return_predecessors=True,
+            graph, method="D", directed=True, return_predecessors=True,
             indices=block,
         )
         next_hop[block] = _next_hop_block(pred, block)

@@ -2,12 +2,13 @@
 
 The PR-3 pattern (:mod:`repro.partition.perf`) applied to the §3.2 PLACE
 pipeline: the vectorized kernels promise *batched* work — a next-hop table
-built from O(log n) whole-matrix gather rounds instead of one Python
-iteration per (source, destination), traceroutes stepped for all pairs at
-once, and one route walk per *distinct* endpoint pair regardless of how
-many predicted flows share it.  :class:`RoutingStats` counts the operations
-that would betray a regression to per-pair Python work, and the perf-guard
-test (``tests/routing/test_perf_guard.py``) asserts the bounds so the build
+certified in one whole-matrix gather (O(log n) doubling rounds for tied
+rows only) instead of one Python iteration per (source, destination),
+traceroutes stepped for all pairs at once, and one route walk per
+*distinct* endpoint pair regardless of how many predicted flows share it.
+:class:`RoutingStats` counts the operations that would betray a regression
+to per-pair Python work, and the perf-guard test
+(``tests/routing/test_perf_guard.py``) asserts the bounds so the build
 fails if someone reintroduces a scalar loop.
 """
 
@@ -30,8 +31,9 @@ class RoutingStats:
         Per-source-block ``scipy`` Dijkstra invocations (one in full mode,
         ``ceil(n / block_size)`` in blocked mode).
     nexthop_rounds:
-        Pointer-doubling gather rounds of the vectorized next-hop fill —
-        O(log diameter) per block, never O(n).
+        Pointer-doubling gather rounds of the next-hop fallback — rows
+        that fail the build's certificate, blocked-mode blocks and delta
+        recomputes; O(log diameter) per block, never O(n).
     python_dest_fills:
         Per-(source, destination) Python next-hop assignments.  Only the
         reference kernel performs these; the vectorized kernel must report
@@ -63,7 +65,10 @@ class RoutingStats:
     resettled_cells:
         (source, destination) cells the delta engine re-settled and spliced.
     fallback_rows:
-        Touched rows it recomputed whole (tied tree or failed certificate).
+        Rows resolved by a fallback: dense-build rows whose transposed
+        next hops failed the certificate (pointer doubling instead), and
+        touched delta rows recomputed whole (tied tree or failed
+        certificate).
     """
 
     dijkstra_calls: int = 0

@@ -5,12 +5,21 @@ routing protocols; our stand-in computes all-pairs shortest paths over the
 link graph with a configurable metric and materializes a dense next-hop
 matrix (the union of every node's routing table).
 
-The next-hop fill is vectorized: instead of one Python assignment per
-(source, destination) pair, the predecessor matrix is resolved by
-pointer-doubling (path compression) — O(log diameter) whole-matrix gather
-rounds.  A blocked per-source mode bounds peak memory at 10k-node scale:
-Dijkstra runs per source block, so the full predecessor matrix is never
-materialized alongside the distance and next-hop tables.  Outputs are
+The next-hop fill is vectorized.  On the symmetric link graph the first
+hop from ``s`` to ``t`` is the last hop before ``s`` on the path from ``t``,
+so the transpose of scipy's predecessor matrix is a candidate table
+``nh[s, t] = pred[t, s]``.  One gather certifies each row exactly: a cell
+whose predecessor is ``s`` holds ``t``, every other reachable cell equals
+its predecessor's cell and unreachable cells hold −1, which by induction
+down ``s``'s shortest-path tree is the table pointer doubling gives.  Only
+rows that fail (shortest-path ties) are resolved by pointer doubling
+(path compression), O(log diameter) whole-block gather rounds.  A blocked
+per-source mode bounds peak memory at 10k-node scale: Dijkstra runs per
+source block, so the full predecessor matrix a certificate would need is
+never materialized, and those blocks stay on pointer doubling.  Dijkstra
+runs with ``directed=True``: ``_cost_graph`` is symmetric, and scipy's
+undirected mode only adds a pass over each node's transpose row, which
+on a symmetric matrix never strictly improves a distance.  Outputs are
 bit-identical to the preserved reference kernel
 (:func:`repro.routing._reference.compute_routing_reference`) in every mode.
 """
@@ -179,23 +188,43 @@ def _compute_routing(
         block_size = _AUTO_BLOCK_SIZE if n > _AUTO_BLOCK_NODES else n
     block_size = max(1, int(block_size))
 
+    # directed=True is exact: the graph is symmetric, and the undirected
+    # mode's extra pass over each transpose row never strictly improves.
     if block_size >= n:
         dist, pred = shortest_path(
-            graph, method="D", directed=False, return_predecessors=True
+            graph, method="D", directed=True, return_predecessors=True
         )
         if stats is not None:
             stats.dijkstra_calls += 1
-        next_hop = _next_hop_block(pred, np.arange(n), stats)
+        # Candidate: the first hop s → t is the hop before s on t's path,
+        # pred[t, s]; scipy's "no predecessor" (−9999, diagonal) → −1.
+        next_hop = np.maximum(pred.T, -1, order="C")
+        # Certificate, one gather: cells whose predecessor is s hold t,
+        # other cells equal their predecessor's cell (unreachable ones
+        # the −1 diagonal's).  By induction down s's tree a passing row
+        # is the doubling table; failing rows (ties) fall back to it.
+        srcs = np.arange(n, dtype=np.int32)[:, None]
+        want = np.take_along_axis(
+            next_hop, np.where(pred >= 0, pred, srcs), axis=1
+        )
+        np.copyto(want, srcs.T, where=pred == srcs)
+        bad = np.flatnonzero((want != next_hop).any(axis=1))
+        del want
+        next_hop[bad] = _next_hop_block(pred[bad], bad, stats)
+        if stats is not None:
+            stats.fallback_rows += bad.size
         return RoutingTables(
             net=net, metric=metric, dist=dist, next_hop=next_hop
         )
 
+    # Blocked mode stays on pointer doubling: a certificate would need the
+    # whole pred matrix, which blocking exists never to hold.
     dist = np.empty((n, n), dtype=np.float64)
     next_hop = np.empty((n, n), dtype=np.int32)
     for start in range(0, n, block_size):
         srcs = np.arange(start, min(start + block_size, n))
         d, p = shortest_path(
-            graph, method="D", directed=False, return_predecessors=True,
+            graph, method="D", directed=True, return_predecessors=True,
             indices=srcs,
         )
         if stats is not None:

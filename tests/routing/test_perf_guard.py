@@ -2,9 +2,10 @@
 
 Operation counters (:class:`repro.routing.perf.RoutingStats`) betray a
 regression to scalar Python work: the vectorized next-hop fill performs
-zero per-destination Python assignments and O(log diameter) gather
-rounds; route discovery steps all pairs at once; traffic estimation walks
-one route per *distinct* endpoint pair no matter how many flows share it.
+zero per-destination Python assignments, certifies tie-free rows in one
+gather and spends O(log diameter) doubling rounds on tied rows only;
+route discovery steps all pairs at once; traffic estimation walks one
+route per *distinct* endpoint pair no matter how many flows share it.
 These tests fail the build if someone reintroduces a per-pair loop.
 """
 
@@ -34,13 +35,24 @@ def tables(net):
 
 
 def test_next_hop_fill_is_vectorized(net):
-    """No per-destination Python iteration; log-bounded gather rounds."""
+    """Tie-free latencies: the transposed predecessor matrix passes the
+    one-gather certificate on every row, so no doubling round runs."""
     stats = RoutingStats()
     build_routing(net, "latency", stats=stats)
     assert stats.python_dest_fills == 0
     assert stats.dijkstra_calls == 1
-    # Pointer doubling: rounds are logarithmic in the diameter, and in
-    # particular nowhere near one round per destination.
+    assert stats.fallback_rows == 0
+    assert stats.nexthop_rounds == 0
+
+
+def test_tied_rows_fall_back_to_log_bounded_doubling(net):
+    """Under ``hops`` shortest paths tie, some rows fail the certificate
+    and only those go through pointer doubling: rounds logarithmic in
+    the diameter, nowhere near one round per destination."""
+    stats = RoutingStats()
+    build_routing(net, "hops", stats=stats)
+    assert stats.python_dest_fills == 0
+    assert 0 < stats.fallback_rows < net.n_nodes
     assert 0 < stats.nexthop_rounds <= 2 * net.n_nodes.bit_length() + 4
 
 
@@ -124,7 +136,8 @@ def test_telemetry_counters_emitted(net):
     assert counters["routing.builds"] == 1
     assert counters["routing.nodes"] == net.n_nodes
     assert counters["routing.dijkstra_calls"] >= 1
-    assert counters["routing.nexthop_rounds"] >= 1
+    # Every row of the tie-free net is certified: no fallback rounds.
+    assert counters["routing.nexthop_rounds"] == 0
 
 
 def test_uncached_delta_never_hashes_the_network(monkeypatch):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.routing.spf import build_routing
+from repro.routing.spf import _cost_graph, build_routing
 from repro.routing.tables import HOST_MEMORY_WEIGHT, memory_weights
 from repro.topology.elements import Mbps, ms
 from repro.topology.network import Network
+from tests.routing.test_routing_parity import TOPOLOGIES
 
 
 def test_next_hop_on_line(tiny_routed):
@@ -161,3 +162,29 @@ def test_memory_weights_per_as():
     mw = memory_weights(net)
     assert mw[a.node_id] == pytest.approx(11.0)   # AS of 1 router
     assert mw[b.node_id] == pytest.approx(14.0)   # AS of 2 routers
+
+
+def _down_and_parallel_net():
+    """A 5-router ring with a chord: r1–r2 is down, r0–r1 has a down
+    parallel link, r2–r3 has an up one."""
+    net = Network()
+    r = [net.add_router(f"r{i}") for i in range(5)]
+    for u, v, lat in ((0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 4, 3), (4, 0, 2),
+                      (1, 3, 5), (0, 1, 4), (2, 3, 1)):
+        net.add_link(r[u], r[v], Mbps(10 * lat), ms(lat))
+    net.set_link_up(1, False)
+    net.set_link_up(6, False)
+    return net
+
+
+@pytest.mark.parametrize("metric", ("latency", "hops", "inv-bandwidth"))
+@pytest.mark.parametrize("topo", ("campus", "teragrid", "brite", "synth",
+                                  "down+parallel"))
+def test_cost_graph_is_symmetric(topo, metric):
+    """The precondition of Dijkstra's ``directed=True``: on a symmetric
+    cost graph it relaxes exactly what the undirected mode does."""
+    net = _down_and_parallel_net() if topo == "down+parallel" \
+        else TOPOLOGIES[topo]()
+    g = _cost_graph(net, metric)
+    assert g.nnz > 0
+    assert (g != g.T).nnz == 0
