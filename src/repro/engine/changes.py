@@ -6,18 +6,19 @@ per change defeats the point of emulating.  This module installs a
 barrier hook that drains a ``(time, changes)`` schedule: whenever virtual
 time passes an entry, the incremental engine
 (:func:`repro.routing.delta.update_routing`) repairs the routing tables
-in place and the kernel's :class:`~repro.engine.lp.ShardContext` arrays
-are refreshed (:meth:`~repro.engine.kernel.EmulationKernel.sync_context`)
-— all between windows, where no segment is in flight, so every run
-applies each change at the identical point in the event stream.  Both
+and the network's links in place, which both drains read live, and the
+kernel rebuilds what it derives from them
+(:meth:`~repro.engine.kernel.EmulationKernel.sync_context`) — all
+between windows, where no segment is in flight, so every run applies
+each change at the identical point in the event stream.  Both
 drains fire the same barriers, so a run with a NetFlow collector (always
 drained per event) takes the same schedule too.
 
 Two hard restrictions keep mid-run changes sound:
 
 - **Only** :class:`~repro.routing.delta.SetLinkCost` — link up/down and
-  link addition change the link-id universe (per-link accounting arrays,
-  pair-lookup sizes) that the kernel sized at construction.
+  link addition change the link-id universe (the per-link accounting
+  arrays) that the kernel sized at construction.
 - A new latency must stay **at or above the conservative window**
   (:func:`repro.engine.sync.conservative_window` is the minimum link
   latency at kernel construction): the calendar's window bucketing is
@@ -82,8 +83,8 @@ def install_link_changes(
 ) -> None:
     """Attach a link-change schedule to a constructed kernel.
 
-    ``state`` must wrap the very tables the kernel was built on (its
-    context aliases their ``next_hop``).  Any kernel takes a schedule, one
+    ``state`` must wrap the very tables the kernel was built on (the
+    kernel reads their ``next_hop`` and pair lookup live).  Any kernel takes a schedule, one
     with a NetFlow collector included: both drains fire the barriers the
     changes are applied at.  Raises at install time — not mid-run — when
     a scheduled latency undercuts the conservative window.  Progress lands

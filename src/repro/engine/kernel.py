@@ -136,7 +136,6 @@ class EmulationKernel:
         self._ordered = collector is not None
 
         from repro.engine.eventq import BatchEventQueue
-        from repro.engine.lp import LPShard, shard_context
 
         self.window_s = conservative_window(net)
         self.calendar = BatchEventQueue(self.window_s)
@@ -177,18 +176,18 @@ class EmulationKernel:
         self.now = 0.0
         self._end_time: float = float("inf")
 
-        # All numeric per-link state lives in a single LP shard covering
-        # the whole network; the public accounting arrays alias its.
-        self._ctx = shard_context(net, tables)
-        self._shard = LPShard(self._ctx)
+        m = net.n_links
         # Per-link, per-direction busy-until times (FIFO transmission).
-        self._busy = self._shard.busy
+        self._busy = np.zeros((m, 2), dtype=np.float64)
         # Per-link accounting: packets carried, bytes carried, busy seconds,
         # worst backlog seen (both directions summed / maxed).
-        self.link_packets = self._shard.link_packets
-        self.link_bytes = self._shard.link_bytes
-        self.link_busy_s = self._shard.link_busy_s
-        self.link_max_backlog_s = self._shard.link_max_backlog_s
+        self.link_packets = np.zeros(m, dtype=np.float64)
+        self.link_bytes = np.zeros(m, dtype=np.float64)
+        self.link_busy_s = np.zeros(m, dtype=np.float64)
+        self.link_max_backlog_s = np.zeros(m, dtype=np.float64)
+        # Injection and the window drain read ``tables.link_ids_of`` live;
+        # build its pair lookup now rather than in the first call.
+        tables._lookup_arrays()
         self._is_router = np.array(
             [node.is_router for node in net.nodes], dtype=bool
         )
@@ -361,7 +360,7 @@ class EmulationKernel:
         # full-train tx times after its first, summed one at a time as the
         # reference's running offset is — the float chain 0, txf, txf +
         # txf, ... of its access link's rate (see _pace_chains).
-        group = self._link_rate[self._shard._link_ids(src, hop)]
+        group = self._link_rate[self.tables.link_ids_of(src, hop)]
         if (k_arr > self._chain_len[group]).any():
             self._grow_chains(group, k_arr)
         pos = (self._chain_at[group] - first).repeat(k_arr)
@@ -394,7 +393,8 @@ class EmulationKernel:
         ``_link_rate`` maps a link to its rate; rate ``g``'s chain is
         ``_chain[_chain_at[g]:][:_chain_len[g]]``, grown on demand.
         """
-        txf = float(self.train_packets * MTU_BYTES) * 8.0 / self._ctx.link_bw
+        bw = self.net.link_endpoint_arrays()[3]
+        txf = float(self.train_packets * MTU_BYTES) * 8.0 / bw
         self._rates, self._link_rate = np.unique(txf, return_inverse=True)
         self._chain = np.zeros(0)
         self._chain_at = np.zeros(len(self._rates), dtype=np.int64)
@@ -426,41 +426,101 @@ class EmulationKernel:
     # ------------------------------------------------------------------ #
     def _dispatch(self, batch: EventBatch, start: int, end: int) -> None:
         """Execute events ``batch[start:end]`` (already in (time, seq)
-        order, no control event or delivery hook strictly inside)."""
+        order, no control event or delivery hook strictly inside).
+
+        Each forward transmits on the (link, direction) channel whose
+        sending endpoint is its node, read live from the routing tables
+        and the network's link arrays.  Deliveries and singleton FIFO
+        groups take the vector path; FIFO groups with several events in
+        the segment replay the float-order-sensitive busy-time recurrence
+        round by round across groups (:func:`_process_fifo_groups`).
+        """
         self._events += end - start
         seg = batch.take(slice(start, end))
-        res = self._shard.process(
-            seg.time, seg.node, seg.dst, seg.count, seg.nbytes, seg.last
-        )
-        st = self.stats
-        st.packets_delivered += res.packets_delivered
-        st.transfers_delivered += res.transfers_delivered
-        st.trains_forwarded += res.trains_forwarded
-        st.vector_events += res.vector_events
-        st.python_loop_events += res.python_loop_events
-        next_col, succ_pos = res.next, res.succ_pos
-        self.recorder.record_batch(
-            seg.time, seg.node, next_col, seg.count, seg.flow, res.span
-        )
-        s = len(succ_pos)
-        if s:
+        n = len(seg)
+        next_col = np.full(n, DELIVERED, dtype=np.int64)
+        span_col = np.zeros(n, dtype=np.float64)
+        deliver = seg.node == seg.dst
+        f = np.nonzero(~deliver)[0]
+        n_vector = n - len(f)
+        n_scalar = 0
+        if len(f):
+            fnode, fdst = seg.node[f], seg.dst[f]
+            ftime, fbytes = seg.time[f], seg.nbytes[f]
+            nxt = self.tables.next_hop[fnode, fdst].astype(np.int64)
+            if (nxt < 0).any():
+                i = int(np.argmax(nxt < 0))
+                raise RuntimeError(
+                    f"no route from {int(fnode[i])} to {int(fdst[i])}"
+                )
+            lids = self.tables.link_ids_of(fnode, nxt)
+            link_u, _, link_lat, link_bw = self.net.link_endpoint_arrays()
+            tx = fbytes * 8.0 / link_bw[lids]
+            key = lids * 2 + (fnode != link_u[lids])
+            depart = np.empty(len(f), dtype=np.float64)
+            backlog = np.empty(len(f), dtype=np.float64)
+
+            # FIFO groups: events sharing a (link, direction) channel
+            # within the segment.  Stable sort keeps event order inside
+            # each group.
+            order = np.argsort(key, kind="stable")
+            ks = key[order]
+            firsts = np.ones(len(ks), dtype=bool)
+            firsts[1:] = ks[1:] != ks[:-1]
+            starts = np.nonzero(firsts)[0]
+            ends = np.append(starts[1:], len(ks))
+            single = (ends - starts) == 1
+            busy_flat = self._busy.ravel()  # key indexes this view directly
+            sing = order[starts[single]]  # positions of singleton groups
+            if len(sing):
+                b0 = busy_flat[key[sing]]
+                backlog[sing] = b0 - ftime[sing]
+                dep = np.maximum(ftime[sing], b0) + tx[sing]
+                depart[sing] = dep
+                busy_flat[key[sing]] = dep
+            n_multi, n_scalar = _process_fifo_groups(
+                order, ks, starts, ends, single, ftime, tx,
+                backlog, depart, busy_flat,
+            )
+            n_vector += int(single.sum()) + n_multi - n_scalar
+            next_col[f] = nxt
+            span_col[f] = tx
+
+            # Accounting in event order (np.add.at applies index-
+            # sequentially, so the float sums accumulate exactly as the
+            # scalar loop would).
+            np.add.at(self.link_packets, lids, seg.count[f])
+            np.add.at(self.link_bytes, lids, fbytes)
+            np.add.at(self.link_busy_s, lids, tx)
+            np.maximum.at(self.link_max_backlog_s, lids, backlog)
+
             base = self._seq
-            self._seq = base + s
+            self._seq = base + len(f)
             # Staged, not pushed: successors always land beyond the window
             # being drained (succ_time > event time + lookahead), so they
             # can be batched into one calendar push per window — see
             # :meth:`_flush_staged`.
             self._staged.append(EventBatch(
-                time=res.succ_time,
-                seq=np.arange(base, base + s, dtype=np.int64),
-                node=next_col[succ_pos],
-                dst=seg.dst[succ_pos],
-                count=seg.count[succ_pos],
-                nbytes=seg.nbytes[succ_pos],
-                flow=seg.flow[succ_pos],
-                last=seg.last[succ_pos],
-                train=seg.train[succ_pos],
+                time=depart + link_lat[lids],
+                seq=np.arange(base, base + len(f), dtype=np.int64),
+                node=nxt,
+                dst=fdst,
+                count=seg.count[f],
+                nbytes=fbytes,
+                flow=seg.flow[f],
+                last=seg.last[f],
+                train=seg.train[f],
             ))
+        st = self.stats
+        if deliver.any():
+            st.packets_delivered += int(seg.count[deliver].sum())
+            st.transfers_delivered += int((deliver & seg.last).sum())
+        st.trains_forwarded += len(f)
+        st.vector_events += n_vector
+        st.python_loop_events += n_scalar
+        self.recorder.record_batch(
+            seg.time, seg.node, next_col, seg.count, seg.flow, span_col
+        )
 
     # ------------------------------------------------------------------ #
     # Window drain: main loop
@@ -741,24 +801,16 @@ class EmulationKernel:
         self._events += n_ctrl + n_train
 
     def sync_context(self) -> None:
-        """Bring the shard context up to date after a barrier-time routing
-        repair (see :mod:`repro.engine.changes`).
+        """Catch up with a barrier-time routing repair (see
+        :mod:`repro.engine.changes`).
 
-        ``ctx.next_hop`` aliases ``tables.next_hop`` and was already
-        spliced in place; the latency / bandwidth / pair-lookup arrays
-        snapshot state that ``Network.set_link`` rebuilt, so their values
-        are copied into the existing buffers — shapes never change under
-        :class:`~repro.routing.delta.SetLinkCost`.  It is the one place
-        that says routing changed, so it also empties the per-event
-        drain's route cache.
+        Both drains read the routing tables and the network's link arrays
+        live (the repair splices ``next_hop`` in place, and
+        ``RoutingTables.refresh_pairs`` / ``Network.set_link`` reset the
+        caches behind ``link_ids_of`` / ``link_endpoint_arrays``), so only
+        state the kernel derives from them is rebuilt: the source-pacing
+        chains and the per-event drain's route cache.
         """
-        ctx = self._ctx
-        _, _, lat, bw = self.net.link_endpoint_arrays()
-        ctx.link_lat[...] = lat
-        ctx.link_bw[...] = bw
-        keys, lids = self.tables._lookup_arrays()
-        ctx.pair_keys[...] = keys
-        ctx.pair_lids[...] = lids
         self._pace_chains()
         self._routes.clear()
 
@@ -827,6 +879,77 @@ class EmulationKernel:
                 f"an explicit positive duration"
             )
         return self.link_busy_s / horizon
+
+
+#: Below this many active FIFO groups, the round-vectorized recurrence
+#: replay falls back to the scalar loop (numpy call overhead dominates).
+_ROUND_MIN_GROUPS = 8
+
+
+def _process_fifo_groups(
+    order: np.ndarray,
+    ks: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    single: np.ndarray,
+    ftime: np.ndarray,
+    tx: np.ndarray,
+    backlog: np.ndarray,
+    depart: np.ndarray,
+    busy_flat: np.ndarray,
+) -> tuple[int, int]:
+    """Replay the FIFO recurrence for groups with several events.
+
+    ``busy = max(t, busy) + tx`` per event is a float-order-sensitive
+    scan, so it cannot be prefix-summed — but it *can* run one round at a
+    time across groups: round ``r`` executes the ``r``-th event of every
+    still-active group with elementwise numpy ops, which performs each
+    group's operations in exactly the scalar order (``np.maximum``/``+``/
+    ``np.where`` are elementwise IEEE ops, so every group's busy-time
+    sequence is bit-identical to the scalar replay).  Once few groups
+    remain active, per-round numpy overhead loses to plain python and the
+    tail falls back to the scalar loop.
+
+    Returns ``(multi-group events total, events run in the scalar tail)``
+    for the :class:`~repro.engine.perf.KernelStats` split.
+    """
+    multi = np.nonzero(~single)[0]
+    if len(multi) == 0:
+        return 0, 0
+    starts_m = starts[multi]
+    sizes_m = ends[multi] - starts_m
+    n_multi = int(sizes_m.sum())
+    gkeys = ks[starts_m]
+    busy_g = busy_flat[gkeys]  # fancy index: a private copy
+    n_scalar = 0
+    r = 0
+    active = np.arange(len(multi))
+    while len(active):
+        if len(active) < _ROUND_MIN_GROUPS:
+            for gi in active.tolist():
+                busy = float(busy_g[gi])
+                idxs = order[starts_m[gi] + r:starts_m[gi] + sizes_m[gi]]
+                n_scalar += len(idxs)
+                tl = ftime[idxs].tolist()
+                txl = tx[idxs].tolist()
+                for j, t, txj in zip(idxs.tolist(), tl, txl):
+                    backlog[j] = busy - t
+                    d = max(t, busy) + txj
+                    depart[j] = d
+                    busy = d
+                busy_g[gi] = busy
+            break
+        j = order[starts_m[active] + r]
+        tj = ftime[j]
+        bg = busy_g[active]
+        backlog[j] = bg - tj
+        d = np.maximum(tj, bg) + tx[j]
+        depart[j] = d
+        busy_g[active] = d
+        r += 1
+        active = active[sizes_m[active] > r]
+    busy_flat[gkeys] = busy_g
+    return n_multi, n_scalar
 
 
 def run_kernel(

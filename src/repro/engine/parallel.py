@@ -24,7 +24,39 @@ from repro.engine.costmodel import CostModel
 from repro.engine.trace import EventTrace
 from repro.topology.network import Network
 
-__all__ = ["EmulationMetrics", "evaluate_mapping", "lookahead_of"]
+__all__ = ["EmulationMetrics", "evaluate_mapping", "lookahead_of",
+           "partition_ids"]
+
+
+def partition_ids(parts, n_nodes: int) -> np.ndarray:
+    """``parts`` as a private ``int64[n_nodes]`` copy, refusing entries
+    that are not non-negative integers (a float like 0.6 would otherwise
+    truncate silently to 0, and -1 would index the last partition)."""
+    raw = np.asarray(parts)
+    if raw.dtype.kind not in "biu":
+        try:
+            values = raw.astype(np.float64)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"parts must hold integer partition ids; got dtype "
+                f"{raw.dtype}"
+            ) from None
+        bad = ~(np.isfinite(values) & (values == np.floor(values)))
+        if bad.any():
+            i = int(np.argmax(bad.ravel()))
+            raise ValueError(
+                f"parts must hold integer partition ids; entry {i} is "
+                f"{values.ravel()[i]!r}"
+            )
+    ids = raw.astype(np.int64)  # astype always copies
+    if ids.shape != (n_nodes,):
+        raise ValueError(
+            f"parts must assign every node a partition: expected shape "
+            f"({n_nodes},), got {ids.shape}"
+        )
+    if len(ids) and ids.min() < 0:
+        raise ValueError("partition ids must be non-negative")
+    return ids
 
 
 def lookahead_of(
@@ -36,7 +68,7 @@ def lookahead_of(
     different engine nodes), floored at ``min_lookahead``.  With no cut
     links the emulation never synchronizes; ``inf`` is returned.
     """
-    parts = np.asarray(parts)
+    parts = partition_ids(parts, net.n_nodes)
     u, v, lat, _ = net.link_endpoint_arrays()
     if len(u) == 0:
         return np.inf
@@ -131,6 +163,7 @@ def evaluate_mapping(
     from repro.obs.telemetry import ensure_telemetry
 
     tel = ensure_telemetry(telemetry)
+    parts = partition_ids(parts, net.n_nodes)
     with tel.span("evaluate_mapping"):
         metrics = _evaluate_mapping(
             trace, net, parts, cost=cost, compute=compute,
@@ -154,7 +187,7 @@ def evaluate_mapping(
             )
             np.add.at(
                 loads_t,
-                (np.asarray(parts, dtype=np.int64)[trace.node], bins),
+                (parts[trace.node], bins),
                 trace.packets,
             )
         tel.timeline("engine.load", loads_t, interval,
@@ -171,9 +204,6 @@ def _evaluate_mapping(
     engine_speeds: np.ndarray | None = None,
 ) -> EmulationMetrics:
     cost = cost or CostModel()
-    parts = np.asarray(parts, dtype=np.int64)
-    if parts.shape != (net.n_nodes,):
-        raise ValueError("parts must assign every network node")
     k = int(parts.max()) + 1 if len(parts) else 1
     if engine_speeds is not None:
         engine_speeds = np.asarray(engine_speeds, dtype=np.float64)

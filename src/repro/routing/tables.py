@@ -165,8 +165,10 @@ class RoutingTables:
                     f"nodes {int(us[0])} and {int(vs[0])} are not adjacent"
                 )
             return np.zeros(0, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(keys_s, keys), keys_s.size - 1)
-        bad = keys_s[pos] != keys
+        # Methods, not np.searchsorted / np.minimum: the window drain
+        # calls this once per segment.
+        pos = keys_s.searchsorted(keys)
+        bad = keys_s.take(pos, mode="clip") != keys
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(

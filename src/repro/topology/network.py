@@ -248,9 +248,12 @@ class Network:
         self,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(u, v, latency_s, bandwidth_bps)`` arrays over links, in
-        link-id order.  Built lazily and cached; invalidated by
-        :meth:`add_link`.  The arrays back the vectorized hot paths
-        (lookahead, cut analysis) — do not mutate them in place."""
+        link-id order.  Built lazily and cached; every mutation
+        (:meth:`add_link`, :meth:`set_link`, :meth:`set_link_up`)
+        invalidates the cache, so a caller that re-reads it after a change
+        sees the new values — the emulation kernel reads it live at every
+        segment.  The arrays back the vectorized hot paths (kernel,
+        lookahead, cut analysis) — do not mutate them in place."""
         if self._link_arrays is None:
             m = len(self._links)
             u = np.empty(m, dtype=np.int64)

@@ -64,8 +64,11 @@ class HttpTraffic(TrafficGenerator):
     duration: float = 300.0
     hosts: list[int] | None = None
     site_skew: float = 0.0
-    # Populated by install(); exposed for tests and for PLACE.
+    # Populated by prepare() or install(); exposed for tests and for PLACE.
     pairs: list[tuple[int, int]] = field(default_factory=list, repr=False)
+    # Set once install() drew ``pairs`` from its own rng (unannotated, so
+    # not a dataclass field: no constructor option, no fingerprint input).
+    _drawn_by_install = False
 
     def _select_population(
         self, net: Network, rng: np.random.Generator
@@ -116,7 +119,12 @@ class HttpTraffic(TrafficGenerator):
     # Live generation (closed loop)
     # ------------------------------------------------------------------ #
     def install(self, kernel: EmulationKernel, rng: np.random.Generator) -> None:
-        self.prepare(kernel.net, rng)
+        # A population drawn from an install's rng is drawn again by every
+        # later install, so each run of a workload that was never prepared
+        # takes the same draws as its first run did.
+        if not self.pairs or self._drawn_by_install:
+            self.pairs = self._select_population(kernel.net, rng)
+            self._drawn_by_install = True
         for client, server in self.pairs:
             # Stagger the first request uniformly across one think period.
             start = float(rng.uniform(0.0, self.think_time))

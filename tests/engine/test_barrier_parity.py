@@ -19,13 +19,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.engine._reference import run_kernel_reference
 from repro.engine.kernel import run_kernel
 from repro.engine.lp import ParallelEmulationKernel
 from repro.engine.packet import Transfer, reset_flow_ids
 from repro.experiments.setups import diurnal_scenario
 from repro.experiments.workloads import SyntheticTransfers, build_workload
 from repro.rebalance import POLICIES, ForcedMigrationSchedule, RebalanceConfig
-from repro.routing.delta import SetLinkCost
+from repro.routing.delta import SetLinkCost, routing_state, update_routing
 from repro.routing.spf import build_routing
 from repro.topology.campus import campus_network
 from repro.topology.synth import synth_network
@@ -144,6 +145,59 @@ def test_midrun_link_change_runs(drains, run):
     win, evt = _both_drains(drains, run)
     assert win == evt
     assert win["barriers"] > 0 and len(win["link_change_log"]) == 2
+
+
+def _eighth_bandwidth_campus(changed: bool):
+    """test_link_changes.py's bandwidth-only run: every campus link drops
+    to an eighth of its bandwidth at 0.3 s, which moves no route under the
+    latency metric — only serialization spans and source pacing."""
+    net = campus_network()  # fresh: changes mutate the net
+    options = dict(seed=3)
+    if changed:
+        options["link_changes"] = [(0.3, [
+            SetLinkCost(lid, bandwidth_bps=link.bandwidth_bps / 8)
+            for lid, link in enumerate(net.links)
+        ])]
+    workload = build_workload(net, "scalapack", seed=3, duration=1.0)
+    return _run_kernel(net, build_routing(net), workload, **options)
+
+
+class _ChangedAt:
+    """A workload plus one control callback that applies a link-change
+    batch through the incremental engine at virtual time ``at``."""
+
+    def __init__(self, workload, state, at, changes) -> None:
+        self.workload, self.state = workload, state
+        self.at, self.changes = at, changes
+        self.duration = workload.duration
+
+    def install(self, kernel, rng) -> None:
+        self.workload.install(kernel, rng)
+        kernel.schedule(self.at, lambda *_: update_routing(
+            self.state, self.changes))
+
+
+def test_bandwidth_only_change_under_each_drain(drains):
+    """Both drains read the changed bandwidths live after the barrier that
+    applies them; the trace differs from the unchanged run's and equals
+    the reference kernel's with the change applied just past that
+    barrier's ``now`` (after every event at or before it)."""
+    win, evt = _both_drains(drains, lambda: _eighth_bandwidth_campus(True))
+    assert win == evt
+    net = campus_network()
+    assert win["link_change_log"] == [(0.3, net.n_links, 0)]
+    plain = _outcome(*_eighth_bandwidth_campus(False))
+    assert plain["trace"] != win["trace"]
+
+    at = np.nextafter(min(now for now in win["nows"] if now >= 0.3), 1.0)
+    state = routing_state(build_routing(net))
+    changes = [SetLinkCost(lid, bandwidth_bps=link.bandwidth_bps / 8)
+               for lid, link in enumerate(net.links)]
+    workload = build_workload(net, "scalapack", seed=3, duration=1.0)
+    ref, _ = run_kernel_reference(
+        net, state.tables, _ChangedAt(workload, state, at, changes), seed=3)
+    assert b"".join(getattr(ref, f).tobytes() for f in TRACE_FIELDS) == (
+        win["trace"])
 
 
 _FACTORIES = {

@@ -112,9 +112,10 @@ def test_parallel_engines_trace_identical(sequential_run, processes):
 
 
 def test_forked_run_tables_and_context_match_fresh_build_after_close():
-    """The tables and every context array a parallel ``run_kernel``
-    hands back equal what a fresh build on the mutated network produces.
-    (The name dates from forked LP workers.)"""
+    """The state both drains read live after a parallel ``run_kernel`` —
+    the tables' next hops and pair lookup and the network's link arrays —
+    equals a fresh build on the mutated network.  (The name dates from
+    forked LP workers.)"""
     net, tables, workload = _scenario()
     parts = np.arange(net.n_nodes, dtype=np.int64) % 3
     schedule = _schedule(net)[:1]  # end the run on the changed latency
@@ -123,15 +124,21 @@ def test_forked_run_tables_and_context_match_fresh_build_after_close():
         link_changes=schedule,
     )
     fresh_tables = build_routing(kernel.net, cache=None)
-    fresh = EmulationKernel(kernel.net, fresh_tables)._ctx
     assert np.array_equal(kernel.tables.dist, fresh_tables.dist)
     assert np.array_equal(kernel.tables.next_hop, fresh_tables.next_hop)
-    for field in ("next_hop", "pair_keys", "pair_lids", "link_bw",
-                  "link_lat"):
-        assert np.array_equal(
-            getattr(kernel._ctx, field), getattr(fresh, field)
-        ), field
-    assert kernel._ctx.link_lat[5] == schedule[0][1].latency_s
+    links = kernel.net.links
+    u = np.array([link.u for link in links])
+    v = np.array([link.v for link in links])
+    us, vs = np.concatenate([u, v]), np.concatenate([v, u])
+    assert np.array_equal(kernel.tables.link_ids_of(us, vs),
+                          fresh_tables.link_ids_of(us, vs))
+    fresh_arrays = (
+        u, v, np.array([link.latency_s for link in links]),
+        np.array([link.bandwidth_bps for link in links]),
+    )
+    for live, fresh in zip(kernel.net.link_endpoint_arrays(), fresh_arrays):
+        assert np.array_equal(live, fresh)
+    assert kernel.net.link_endpoint_arrays()[2][5] == schedule[0][1].latency_s
 
 
 def test_forked_bandwidth_only_change_reaches_workers():

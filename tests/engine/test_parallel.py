@@ -160,6 +160,32 @@ def test_parts_shape_checked(tiny_routed):
         evaluate_mapping(trace, net, np.zeros(3, dtype=int))
 
 
+@pytest.mark.parametrize("bad", ("negative", "fractional"))
+@pytest.mark.parametrize("consumer", ("view", "evaluate_mapping",
+                                      "lookahead_of"))
+def test_every_parts_consumer_refuses_invalid_ids(tiny_routed, consumer,
+                                                  bad):
+    """The partition view, ``evaluate_mapping`` and ``lookahead_of`` share
+    one validator: a -1 would wrap onto the last LP in ``np.add.at`` and
+    0.6 would truncate to 0, so each must refuse both."""
+    from repro.engine.lp import ParallelEmulationKernel
+
+    net, trace = run_tiny(tiny_routed)
+    parts = (np.arange(net.n_nodes) % 3).astype(np.float64)
+    if bad == "negative":
+        parts[parts == 2] = -1
+    else:
+        parts += 0.6
+    consume = {
+        "view": lambda: ParallelEmulationKernel(net, tiny_routed[1],
+                                                parts=parts),
+        "evaluate_mapping": lambda: evaluate_mapping(trace, net, parts),
+        "lookahead_of": lambda: lookahead_of(net, parts),
+    }[consumer]
+    with pytest.raises(ValueError, match="partition ids"):
+        consume()
+
+
 def test_skew_horizon_monotone(tiny_routed):
     """A larger skew horizon can only reduce (or keep) the wall time."""
     net, trace = run_tiny(tiny_routed, n_transfers=120)

@@ -96,3 +96,22 @@ def test_workload_seed_controls_placement():
     c = build_workload(net, "scalapack", seed=2)
     assert a.app.endpoints == b.app.endpoints
     assert a.app.endpoints != c.app.endpoints
+
+
+def test_unprepared_workload_runs_alike_twice():
+    """A workload never prepared draws its HTTP population from the first
+    run's rng; a second run with the same seed must take the same draws,
+    so the two runs compare train by train."""
+    from repro.engine.kernel import run_kernel
+    from repro.routing.spf import build_routing
+
+    net = campus_network()
+    tables = build_routing(net)
+    wl = build_workload(net, "scalapack", duration=20.0)
+    first, _ = run_kernel(net, tables, wl, seed=3)
+    pairs = list(wl.background[0].pairs)
+    second, _ = run_kernel(net, tables, wl, seed=3)
+    assert wl.background[0].pairs == pairs
+    assert second.n_events == first.n_events
+    for field in ("time", "node", "next_node", "packets", "flow", "span"):
+        assert np.array_equal(getattr(second, field), getattr(first, field))
