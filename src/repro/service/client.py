@@ -8,6 +8,11 @@ driver both talk through :class:`ServiceClient`; tests use it against
     info = client.submit({"kind": "map", "topology": {...}, "k": 4})
     info = client.wait(info.job_id, timeout=60)
     print(info.state, info.result)
+
+A repeat of a request the service has already answered comes back
+settled from ``submit``, and ``wait`` then returns it without another
+request.  Otherwise ``wait`` long-polls (``GET /api/v1/jobs/<id>?wait=``):
+each request is answered when the job settles, not on a poll interval.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from repro.service.jobs import QueueFullError
 from repro.service.requests import JobInfo
 
 __all__ = ["ServiceClient", "ServiceError", "connect"]
+
+_TERMINAL = ("done", "failed", "cancelled")
 
 
 class ServiceError(RuntimeError):
@@ -40,6 +47,7 @@ class ServiceClient:
         self.host = split.hostname or "127.0.0.1"
         self.port = split.port or 8351
         self.timeout = float(timeout)
+        self._settled: JobInfo | None = None  # last submit, if settled
 
     # ------------------------------------------------------------------ #
     def _call(self, method: str, path: str, body: dict | None = None):
@@ -69,7 +77,9 @@ class ServiceClient:
         body = dict(request)
         if timeout_s is not None:
             body["timeout_s"] = float(timeout_s)
-        return JobInfo.from_dict(self._call("POST", "/api/v1/jobs", body))
+        info = JobInfo.from_dict(self._call("POST", "/api/v1/jobs", body))
+        self._settled = info if info.state in _TERMINAL else None
+        return info
 
     def job(self, job_id: str) -> JobInfo:
         return JobInfo.from_dict(self._call("GET", f"/api/v1/jobs/{job_id}"))
@@ -94,17 +104,33 @@ class ServiceClient:
         timeout: float = 120.0,
         poll_s: float = 0.05,
     ) -> JobInfo:
-        """Poll until the job settles; raises TimeoutError otherwise."""
+        """Block until the job settles; raises TimeoutError otherwise.
+
+        The job the last :meth:`submit` got back settled is returned as
+        it is (a settled job never changes).  Any other is long-polled:
+        each GET asks the server to hold its answer for what is left of
+        ``timeout``, but never for the whole socket timeout.  ``poll_s``
+        is unused; it stays until the callers that pass it drop it.
+        """
+        settled = self._settled
+        if settled is not None and settled.job_id == job_id:
+            return settled
         deadline = time.monotonic() + timeout
+        # Leave the server's answer time to arrive inside the socket
+        # timeout.
+        longest = max(self.timeout / 2, self.timeout - 1.0)
         while True:
-            info = self.job(job_id)
-            if info.state in ("done", "failed", "cancelled"):
+            remaining = max(0.0, deadline - time.monotonic())
+            info = JobInfo.from_dict(self._call(
+                "GET",
+                f"/api/v1/jobs/{job_id}?wait={min(remaining, longest):.3f}",
+            ))
+            if info.state in _TERMINAL:
                 return info
-            if time.monotonic() > deadline:
+            if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"{job_id} still {info.state} after {timeout:.1f}s"
                 )
-            time.sleep(poll_s)
 
     def events(self, max_events: int, timeout: float = 10.0) -> list[dict]:
         """Read up to ``max_events`` SSE messages (smoke-test helper)."""

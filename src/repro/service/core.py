@@ -6,11 +6,14 @@ cache and the service telemetry — plus a fixed set of worker threads
 (started via the module-level :func:`_worker_loop`, the parallel-safety
 discipline for dispatched callables).
 
-Job execution order per job:
+Submission probes the response memo first: an exact canonical repeat
+of a request already answered is settled there and then, as a warm hit
+bit-identical to the original (it *is* the original), and never enters
+the queue.  Every other job runs on a worker:
 
 1. ``PENDING → RUNNING`` (a job cancelled while pending is skipped);
-2. response-memo probe — an exact canonical repeat settles immediately
-   as a warm hit, bit-identical to the original (it *is* the original);
+2. a second memo probe — a repeat queued behind its own original
+   settles here as a warm hit;
 3. the registered handler runs, calling the job's cooperative
    checkpoints (cancellation and deadline) between pipeline phases;
 4. only a **fully successful** result is memoized into warm state —
@@ -18,6 +21,9 @@ Job execution order per job:
 5. the job's telemetry merges into the service collector under a lock
    (the collector's span stack is not thread-safe, so jobs record on
    private collectors and merge snapshots).
+
+:meth:`MappingService.stop` settles every job still queued as
+``CANCELLED`` ("service stopped"); a running job runs on to its end.
 """
 
 from __future__ import annotations
@@ -77,6 +83,8 @@ def _worker_loop(service: "MappingService") -> None:
     while True:
         job = service.queue.next(timeout=0.2)
         if service._stop.is_set():
+            if job is not None:
+                service._settle_unstarted(job)
             return
         if job is None:
             continue
@@ -140,11 +148,16 @@ class MappingService:
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
+        """Stop the workers.  A job still queued settles ``CANCELLED``
+        with the error ``"service stopped"``, so no waiter is left
+        hanging; a running job runs on to its end."""
         self._stop.set()
         self.queue.wake_all(len(self._threads))
         for thread in self._threads:
             thread.join(timeout)
         self._threads.clear()
+        for job in self.queue.drain():
+            self._settle_unstarted(job)
 
     def __enter__(self) -> "MappingService":
         return self.start()
@@ -157,18 +170,28 @@ class MappingService:
     # Submission / inspection
     # ------------------------------------------------------------------ #
     def submit(self, request, timeout_s: float | None = None) -> Job:
-        """Enqueue a request; raises
+        """Answer an exact repeat from the response memo, settled, or
+        enqueue the request; raises
         :class:`~repro.service.jobs.QueueFullError` when the queue is at
         capacity (the HTTP layer maps it to 429)."""
         if timeout_s is None:
             timeout_s = self.config.default_timeout_s
         job = Job.create(request, timeout_s=timeout_s)
+        started = time.perf_counter()
         try:
-            self.queue.offer(job)
-        except Exception:
-            with self._lock:
-                self.counters.rejected += 1
-            raise
+            canon = request.canonical()
+        except TypeError:  # not canonical: the worker fails the job
+            canon = None
+        hit = canon is not None and self._settle_from_memo(job, canon)
+        if hit:
+            self.queue.record(job)
+        else:
+            try:
+                self.queue.offer(job)
+            except Exception:
+                with self._lock:
+                    self.counters.rejected += 1
+                raise
         with self._lock:
             self.counters.submitted += 1
         self.telemetry.gauge("service.queue_depth", self.queue.depth)
@@ -176,6 +199,8 @@ class MappingService:
             "service.jobs", job=job.job_id, state="submitted",
             kind=job.request.kind,
         )
+        if hit:
+            self._finish(job, time.perf_counter() - started)
         return job
 
     def job(self, job_id: str) -> Job | None:
@@ -231,24 +256,28 @@ class MappingService:
     # ------------------------------------------------------------------ #
     # Execution (worker threads)
     # ------------------------------------------------------------------ #
+    def _settle_from_memo(
+        self, job: Job, canon: tuple, *, count_miss: bool = True
+    ) -> bool:
+        """Settle ``job`` from the response memo; True on a hit."""
+        found, memo = self.warm.memo_get(canon, count_miss=count_miss)
+        if found:
+            job.mark_running()  # no-op for a job a worker has started
+            job.settle(JobState.DONE, result=memo, warm_hit=True)
+        return found
+
     def _run_job(self, job: Job) -> None:
         from repro.service.handlers import handler_for
 
         if not job.mark_running():
-            # Cancelled while pending: already settled.
-            with self._lock:
-                self.counters.cancelled += 1
-            self._publish(job)
+            self._settle_unstarted(job)  # cancelled while pending
             return
         self.telemetry.gauge("service.queue_depth", self.queue.depth)
-        canon = None
         started = time.perf_counter()
         try:
             canon = job.request.canonical()
-            found, memo = self.warm.memo_get(canon)
-            if found:
-                job.settle(JobState.DONE, result=memo, warm_hit=True)
-            else:
+            # Its miss was counted at submit.
+            if not self._settle_from_memo(job, canon, count_miss=False):
                 handler = handler_for(job.request.kind)
                 if handler is None:
                     raise ValueError(
@@ -266,7 +295,10 @@ class MappingService:
             job.settle(
                 JobState.FAILED, error=f"{type(exc).__name__}: {exc}"
             )
-        elapsed = time.perf_counter() - started
+        self._finish(job, time.perf_counter() - started)
+
+    def _finish(self, job: Job, elapsed: float) -> None:
+        """Count a settled job, merge its telemetry and publish it."""
         with self._lock:
             if job.state is JobState.DONE:
                 self.counters.done += 1
@@ -280,6 +312,14 @@ class MappingService:
             # Merge the job's private collector (span stacks are not
             # thread-safe; snapshots merge safely under the lock).
             self.telemetry.merge(job.telemetry.to_dict())
+        self._publish(job)
+
+    def _settle_unstarted(self, job: Job) -> None:
+        """Settle a job no worker will start (one cancelled while
+        pending is already settled) and count it cancelled."""
+        job.settle(JobState.CANCELLED, error="service stopped")
+        with self._lock:
+            self.counters.cancelled += 1
         self._publish(job)
 
     def _publish(self, job: Job) -> None:

@@ -4,7 +4,9 @@ A job moves ``PENDING → RUNNING → DONE | FAILED | CANCELLED``.  Jobs sit
 in a **bounded** queue — the service's backpressure valve: when the
 queue is full, submission raises :class:`QueueFullError` and the HTTP
 layer answers 429 instead of buffering unboundedly (the multi-tenant
-"many jobs, one substrate" discipline).
+"many jobs, one substrate" discipline).  A repeat of a request already
+answered never enters it: the service settles it at submit and only
+records it in the registry (:meth:`JobQueue.record`).
 
 Deadlines are cooperative: every job carries a :meth:`Job.checkpoint`
 the handlers call between pipeline phases, raising
@@ -183,10 +185,14 @@ class JobQueue:
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
 
-    def offer(self, job: Job) -> Job:
-        """Enqueue or raise :class:`QueueFullError` (backpressure)."""
+    def record(self, job: Job) -> None:
+        """Register ``job`` without queueing it (a job settled at submit)."""
         with self._lock:
             self._jobs[job.job_id] = job
+
+    def offer(self, job: Job) -> Job:
+        """Enqueue or raise :class:`QueueFullError` (backpressure)."""
+        self.record(job)
         try:
             self._queue.put_nowait(job)
         except queue.Full:
@@ -203,6 +209,18 @@ class JobQueue:
             return self._queue.get(timeout=timeout)
         except queue.Empty:
             return None
+
+    def drain(self) -> list[Job]:
+        """Take every job still queued, in order (wake-up sentinels are
+        dropped)."""
+        out = []
+        while True:
+            try:
+                job = self._queue.get_nowait()
+            except queue.Empty:
+                return out
+            if job is not None:
+                out.append(job)
 
     def wake_all(self, n: int) -> None:
         """Unblock ``n`` waiting workers with shutdown sentinels."""

@@ -11,9 +11,14 @@ Endpoints (all under ``/api/v1``):
 
 - ``POST /api/v1/jobs`` — submit; body is a request document (see
   :mod:`repro.service.requests`) plus optional ``"timeout_s"``.  Returns
-  202 with the job id, or **429** when the bounded queue is full.
+  202 with the job, or **429** when the bounded queue is full.  An exact
+  repeat of a request already answered comes back settled (``done``,
+  ``warm_hit``) in this one answer, whatever the queue holds.
 - ``GET /api/v1/jobs`` — every known job, submission order.
-- ``GET /api/v1/jobs/<id>`` — one job (404 unknown).
+- ``GET /api/v1/jobs/<id>`` — one job (404 unknown).  With
+  ``?wait=<seconds>`` (finite, >= 0, else 400) the answer is held until
+  the job settles, the wait elapses (capped at :data:`MAX_WAIT_S`) or
+  the server stops: a long-poll, so a client waits without polling.
 - ``DELETE /api/v1/jobs/<id>`` — request cancellation.
 - ``GET /api/v1/status`` — queue depth, counters, warm/disk stats.
 - ``GET /api/v1/metrics`` — the full telemetry snapshot
@@ -35,9 +40,11 @@ import queue
 import socket
 import socketserver
 import threading
+import time
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
+from urllib.parse import parse_qs
 
 from repro.service.core import MappingService, ServiceConfig
 from repro.service.jobs import QueueFullError
@@ -55,9 +62,12 @@ READ_TIMEOUT_S = 10.0
 #: Seconds between SSE keepalive comments on a quiet stream.
 _KEEPALIVE_S = 15.0
 
+#: Longest ``?wait=`` a job GET holds its answer for.
+MAX_WAIT_S = 5.0
 
-def _timeout_seconds(value) -> float | None:
-    """Validate a submitted ``timeout_s``: absent, or finite and >= 0."""
+
+def _seconds(value, name: str = "timeout_s") -> float | None:
+    """Validate a duration parameter: absent, or finite and >= 0."""
     if value is None:
         return None
     try:
@@ -66,14 +76,26 @@ def _timeout_seconds(value) -> float | None:
         seconds = math.nan
     if not math.isfinite(seconds) or seconds < 0:
         raise ValueError(
-            f"timeout_s must be a finite number >= 0, not {value!r}"
+            f"{name} must be a finite number >= 0, not {value!r}"
         )
     return seconds
 
 
-def _route(service: MappingService, method: str, path: str, body: bytes):
+def _await(job, seconds: float, stopping: threading.Event) -> None:
+    """Block until ``job`` settles, ``seconds`` pass or ``stopping`` is
+    set (looked at every 0.1 s)."""
+    deadline = time.monotonic() + min(seconds, MAX_WAIT_S)
+    while not stopping.is_set():
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or job.wait(min(remaining, 0.1)):
+            return
+
+
+def _route(server: "_Server", method: str, path: str, body: bytes):
     """Dispatch one non-streaming request → (status, body-dict)."""
-    parts = [p for p in path.split("?", 1)[0].split("/") if p]
+    service = server.service
+    route, _, query = path.partition("?")
+    parts = [p for p in route.split("/") if p]
     if len(parts) < 2 or parts[0] != "api" or parts[1] != "v1":
         return 404, {"error": f"unknown path {path!r}"}
     tail = parts[2:]
@@ -82,7 +104,7 @@ def _route(service: MappingService, method: str, path: str, body: bytes):
         try:
             data = json.loads(body.decode("utf-8") or "{}")
             request = parse_request(data)
-            timeout_s = _timeout_seconds(data.get("timeout_s"))
+            timeout_s = _seconds(data.get("timeout_s"))
         except (ValueError, TypeError) as exc:
             return 400, {"error": str(exc)}
         try:
@@ -95,10 +117,17 @@ def _route(service: MappingService, method: str, path: str, body: bytes):
         return 200, {"jobs": [j.info().to_dict() for j in service.queue.jobs()]}
 
     if len(tail) == 2 and tail[0] == "jobs":
+        asked = parse_qs(query, keep_blank_values=True).get("wait", [None])
+        try:
+            wait = _seconds(asked[-1], "wait")
+        except ValueError as exc:
+            return 400, {"error": str(exc)}
         job = service.job(tail[1])
         if job is None:
             return 404, {"error": f"unknown job {tail[1]!r}"}
         if method == "GET":
+            if wait:
+                _await(job, wait, server.stopping)
             return 200, job.info().to_dict()
         if method == "DELETE":
             return 200, {
@@ -232,7 +261,7 @@ class _Handler(BaseHTTPRequestHandler):
         if body is None:
             return
         try:
-            status, payload = _route(self.server.service, method, self.path, body)
+            status, payload = _route(self.server, method, self.path, body)
         except Exception as exc:  # noqa: BLE001 — connection must answer
             status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
         self._send_json(status, payload)

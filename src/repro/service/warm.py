@@ -128,11 +128,13 @@ class WarmCache:
     # ------------------------------------------------------------------ #
     # Generic LRU plumbing
     # ------------------------------------------------------------------ #
-    def _get(self, layer: str, key) -> tuple[bool, object]:
+    def _get(self, layer: str, key, *, count_miss: bool = True
+             ) -> tuple[bool, object]:
         with self._lock:
             entry = self._entries.get((layer, key))
             if entry is None:
-                self.stats.miss(layer)
+                if count_miss:
+                    self.stats.miss(layer)
                 return False, None
             self._entries.move_to_end((layer, key))
             self.stats.hit(layer)
@@ -235,8 +237,11 @@ class WarmCache:
     # ------------------------------------------------------------------ #
     # Response memo layer
     # ------------------------------------------------------------------ #
-    def memo_get(self, canon: tuple) -> tuple[bool, dict | None]:
-        found, value = self._get("response", canon)
+    def memo_get(self, canon: tuple, *, count_miss: bool = True
+                 ) -> tuple[bool, dict | None]:
+        """Look ``canon`` up; ``count_miss=False`` for a second look at a
+        request whose miss was already counted."""
+        found, value = self._get("response", canon, count_miss=count_miss)
         return (True, value) if found else (False, None)  # type: ignore
 
     def memo_put(self, canon: tuple, result: dict) -> None:

@@ -1,6 +1,8 @@
 """Service core: parity, failure isolation, cancellation, backpressure."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -11,7 +13,13 @@ from repro.service import (
     parse_request,
 )
 from repro.service.jobs import JobState
-from tests.service.conftest import MAP_REQUEST, SWEEP_REQUEST, TOPO, run
+from tests.service.conftest import (
+    MAP_REQUEST,
+    SWEEP_REQUEST,
+    TOPO,
+    run,
+    wait_running,
+)
 
 
 def test_map_runs_cold_then_serves_warm_bit_identical(service):
@@ -120,6 +128,125 @@ def test_cancel_pending_job_is_skipped_by_workers(tmp_path):
     finally:
         service.stop()
     assert service.cancel("job-nonexistent") is False
+
+
+def test_repeat_settles_at_submit_while_workers_are_busy_and_queue_full(
+        tmp_path, hold_map):
+    config = ServiceConfig(workers=1, queue_size=1,
+                           cache=str(tmp_path / "cache"))
+    with MappingService(config) as service:
+        cold = run(service, MAP_REQUEST)
+        release = hold_map()
+        busy = service.submit(parse_request(dict(MAP_REQUEST, k=2)))
+        wait_running(busy)
+        service.submit(parse_request(dict(MAP_REQUEST, k=3)))  # fills it
+        states = []
+        unsubscribe = service.telemetry.subscribe(
+            lambda series, row: states.append(row["state"]))
+        warm = service.submit(parse_request(dict(MAP_REQUEST)))
+        unsubscribe()
+        # Settled before submit returned, without a worker or a slot.
+        assert warm.state is JobState.DONE and warm.warm_hit
+        assert warm.result == cold.result
+        assert states == ["submitted", "done"]
+        assert service.job(warm.job_id) is warm
+        assert service.queue.depth == 1
+        counters = service.status()["jobs"]
+        assert counters == {"submitted": 4, "done": 2, "failed": 0,
+                            "cancelled": 0, "warm_hits": 1, "rejected": 0}
+        assert len(service.counters.latencies_s) == 2
+        # One lookup, one hit, for each job answered from the memo; the
+        # queued misses counted theirs once, at submit.
+        assert service.warm.stats.layers["response"] == {"hits": 1,
+                                                         "misses": 3}
+        release.set()
+
+
+def test_repeat_queued_behind_its_original_is_a_warm_hit(tmp_path, hold_map):
+    release = hold_map()
+    config = ServiceConfig(workers=1, cache=str(tmp_path / "cache"))
+    with MappingService(config) as service:
+        first = service.submit(parse_request(dict(MAP_REQUEST)))
+        wait_running(first)
+        repeat = service.submit(parse_request(dict(MAP_REQUEST)))
+        assert repeat.state is JobState.PENDING  # nothing to answer it yet
+        release.set()
+        assert first.wait(60.0) and repeat.wait(60.0)
+    assert repeat.warm_hit and repeat.result == first.result
+    assert service.warm.stats.layers["response"] == {"hits": 1, "misses": 2}
+
+
+def test_concurrent_repeats_are_each_counted_once(service):
+    """Hits settle on the submitting threads: no count may be lost."""
+    cold = run(service, MAP_REQUEST)
+    request = parse_request(dict(MAP_REQUEST))
+    n_threads, n_each = 8, 40
+    hits = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: hits.extend(
+            service.submit(request) for _ in range(n_each)))
+            for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    n = n_threads * n_each
+    assert len(hits) == n
+    assert all(job.warm_hit and job.result == cold.result for job in hits)
+    counters = service.status()["jobs"]
+    assert (counters["submitted"], counters["done"],
+            counters["warm_hits"]) == (n + 1, n + 1, n)
+    assert len(service.counters.latencies_s) == n + 1
+    assert len(service.queue.jobs()) == n + 1
+    assert service.warm.stats.layers["response"]["hits"] == n
+
+
+def test_failed_cancelled_and_timed_out_jobs_are_never_answered_at_submit(
+        service, hold_map):
+    failed = run(service, dict(MAP_REQUEST, approach="bogus"))
+    timed_out = service.submit(parse_request(dict(MAP_REQUEST, k=3)),
+                               timeout_s=1e-9)
+    assert timed_out.wait(30.0)
+    release = hold_map()
+    cancelled = service.submit(parse_request(dict(MAP_REQUEST, k=2)))
+    wait_running(cancelled)
+    assert service.cancel(cancelled.job_id)
+    release.set()
+    assert cancelled.wait(30.0)
+    assert [failed.state, timed_out.state, cancelled.state] == [
+        JobState.FAILED, JobState.FAILED, JobState.CANCELLED]
+    for job in (failed, timed_out, cancelled):
+        found, _ = service.warm.memo_get(job.request.canonical())
+        assert not found
+        again = service.submit(job.request)
+        assert again.wait(60.0)
+        assert not again.warm_hit
+    assert service.status()["jobs"]["warm_hits"] == 0
+
+
+def test_stop_cancels_the_jobs_no_worker_started(tmp_path, hold_map):
+    release = hold_map()
+    service = MappingService(ServiceConfig(
+        workers=1, cache=str(tmp_path / "cache"))).start()
+    jobs = [service.submit(parse_request(dict(MAP_REQUEST, k=k)))
+            for k in (2, 3, 4)]
+    wait_running(jobs[0])
+    service.stop(timeout=0.5)
+    for job in jobs[1:]:
+        assert job.wait(1.0), f"{job.job_id} left {job.state.value}"
+        assert job.state is JobState.CANCELLED
+        assert job.error == "service stopped"
+    # The running job runs on to its end.
+    assert jobs[0].state is JobState.RUNNING
+    release.set()
+    assert jobs[0].wait(60.0) and jobs[0].state is JobState.DONE
+    counters = service.status()["jobs"]
+    assert (counters["done"], counters["cancelled"]) == (1, 2)
 
 
 def test_bounded_queue_backpressure_at_the_service(tmp_path):

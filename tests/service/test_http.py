@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import (
+    MappingService,
     QueueFullError,
     ServiceConfig,
     ServiceError,
@@ -58,6 +59,54 @@ def test_repeat_request_is_a_warm_hit_with_identical_body(live):
     warm = client.wait(client.submit(dict(MAP_REQUEST)).job_id, 60.0)
     assert warm.warm_hit and not cold.warm_hit
     assert warm.result == cold.result
+
+
+@pytest.fixture
+def requests_seen(monkeypatch):
+    """Every request the server routes, as ``(method, path)``."""
+    seen = []
+    route = server._route
+
+    def counting(srv, method, path, body):
+        seen.append((method, path.partition("?")[0]))
+        return route(srv, method, path, body)
+
+    monkeypatch.setattr(server, "_route", counting)
+    return seen
+
+
+def test_a_memo_hit_costs_one_request(live, requests_seen):
+    _service, client = live
+    cold = client.wait(client.submit(dict(MAP_REQUEST)).job_id, 60.0)
+    requests_seen.clear()
+    info = client.submit(dict(MAP_REQUEST))
+    assert info.state == "done" and info.warm_hit  # settled by the POST
+    assert client.wait(info.job_id, 60.0) is info
+    assert info.result == cold.result
+    assert requests_seen == [("POST", "/api/v1/jobs")]
+
+
+def test_a_miss_is_waited_for_without_polling(live, requests_seen, hold_map):
+    _service, client = live
+    release = hold_map()
+    timer = threading.Timer(0.3, release.set)
+    timer.start()
+    info = client.wait(client.submit(dict(MAP_REQUEST)).job_id, 60.0)
+    timer.join()
+    assert info.state == "done" and not info.warm_hit
+    methods = [method for method, _path in requests_seen]
+    assert methods[0] == "POST" and set(methods[1:]) == {"GET"}
+    assert len(methods) <= 3
+
+
+def test_wait_raises_on_its_own_timeout_not_the_servers_cap(live):
+    service, client = live
+    service.stop()  # no worker: the job stays pending
+    job_id = client.submit(dict(MAP_REQUEST)).job_id
+    started = time.monotonic()
+    with pytest.raises(TimeoutError):
+        client.wait(job_id, timeout=0.5)
+    assert 0.5 <= time.monotonic() - started < 0.5 + 0.5
 
 
 def test_parallel_emulate_forks_nothing(live, monkeypatch):
@@ -236,6 +285,22 @@ def test_invalid_timeout_is_400(raw_url, timeout_s):
     assert "timeout_s" in json.loads(payload)["error"]
 
 
+@pytest.mark.parametrize("wait", ["-1", "nan", "inf", "abc", ""])
+def test_invalid_wait_is_400(raw_url, wait):
+    raw = f"GET /api/v1/jobs/job-1?wait={wait} HTTP/1.1\r\n\r\n".encode()
+    got, payload = _response(_exchange(raw_url, raw))
+    assert got == 400
+    assert "wait" in json.loads(payload)["error"]
+
+
+def test_wait_on_an_unknown_job_is_404_at_once(raw_url):
+    started = time.monotonic()
+    got, payload = _response(_exchange(
+        raw_url, b"GET /api/v1/jobs/job-unknown?wait=4 HTTP/1.1\r\n\r\n"))
+    assert got == 404 and "error" in json.loads(payload)
+    assert time.monotonic() - started < 1.0
+
+
 _LINES = st.sampled_from([
     b"GET /api/v1/status HTTP/1.1", b"POST /api/v1/jobs HTTP/1.1",
     b"DELETE /api/v1/jobs/job-1 HTTP/1.0", b"GET /api/v1/jobs",
@@ -301,6 +366,35 @@ def test_stop_is_prompt_with_an_sse_client_connected(tmp_path):
         assert set(threading.enumerate()) - before == set()
         while sock.recv(4096):  # the server closed the stream
             pass
+
+
+def test_stop_is_prompt_with_a_long_poll_in_flight(tmp_path, requests_seen):
+    before = set(threading.enumerate())
+    service = MappingService(ServiceConfig(workers=1,
+                                           cache=str(tmp_path / "cache")))
+    _service, url, stop = start_service_in_thread(ServiceConfig(port=0),
+                                                  service=service)
+    service.stop()  # no worker, and stop() below leaves the service be
+    job_id = connect(url).submit(dict(MAP_REQUEST)).job_id
+    split = urlsplit(url)
+    with socket.create_connection((split.hostname, split.port),
+                                  timeout=5) as sock:
+        sock.sendall(f"GET /api/v1/jobs/{job_id}?wait=60 HTTP/1.1\r\n"
+                     f"\r\n".encode())
+        deadline = time.monotonic() + 5.0
+        while ("GET", f"/api/v1/jobs/{job_id}") not in requests_seen:
+            assert time.monotonic() < deadline, "the GET never arrived"
+            time.sleep(0.005)
+        started = time.monotonic()
+        stop()
+        assert time.monotonic() - started < 1.0
+        answer = b""
+        while chunk := sock.recv(4096):  # answered as it stands
+            answer += chunk
+    got, body = _response(answer)
+    assert got == 200 and json.loads(body)["state"] == "pending"
+    time.sleep(1.0)
+    assert set(threading.enumerate()) - before == set()
 
 
 def test_client_hanging_up_mid_stream_is_quiet(tmp_path):
