@@ -1,6 +1,6 @@
 """Command-line tools.
 
-One console entry point, ``massf``, with nine subcommands:
+One console entry point, ``massf``, with eight subcommands:
 
 - ``massf map`` — partition a network description (DML) file onto engine
   nodes with TOP, or with PROFILE when given a NetFlow dump directory.
@@ -15,10 +15,6 @@ One console entry point, ``massf``, with nine subcommands:
   per-engine-node load timelines).
 - ``massf stats`` — render such a telemetry snapshot as a human-readable
   report (optionally exporting CSV tables).
-- ``massf check`` — run the :mod:`repro.analysis` static analysis
-  (determinism / parity coverage / parallel-safety / telemetry hygiene)
-  over the source tree; exit 0 when clean, 2 on findings, 1 on internal
-  error.
 - ``massf serve`` — run the persistent mapping service (JSON over HTTP
   with warm shared caches; see :mod:`repro.service`).
 - ``massf submit`` — submit a request document to a running service and
@@ -459,73 +455,6 @@ def _cmd_stats(parser: argparse.ArgumentParser, args) -> int:
 
 
 # --------------------------------------------------------------------- #
-# massf check
-# --------------------------------------------------------------------- #
-def _configure_check(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("root", nargs="?", default=None,
-                        help="project root containing src/repro "
-                        "(default: auto-detect from the working "
-                        "directory or the installed package)")
-    parser.add_argument("--rule", action="append", dest="rules",
-                        metavar="ID",
-                        help="run only this rule (repeatable)")
-    parser.add_argument("--json", action="store_true",
-                        help="print the findings report as JSON")
-    parser.add_argument("--list-rules", action="store_true",
-                        help="list the registered rules and exit")
-    parser.add_argument("--no-tests", action="store_true",
-                        help="skip parsing the tests tree (disables "
-                        "the parity test-evidence check)")
-    parser.add_argument("-o", "--output", metavar="PATH",
-                        help="additionally write the JSON findings "
-                        "report here (written even when findings "
-                        "exist, for CI artifacts)")
-    parser.add_argument("--sarif", metavar="PATH",
-                        help="additionally write a SARIF 2.1.0 report "
-                        "here (code-scanning upload format)")
-
-
-def _cmd_check(parser: argparse.ArgumentParser, args) -> int:
-    """Exit 0 on a clean tree, 2 on findings, 1 on internal error."""
-    from repro.analysis import (
-        AnalysisError,
-        all_rules,
-        render_json,
-        render_sarif,
-        render_text,
-        run_check,
-        to_payload,
-    )
-
-    if args.list_rules:
-        for rule in all_rules():
-            print(f"{rule.id:18s} {rule.description}")
-        return 0
-    try:
-        result = run_check(
-            args.root, rules=args.rules,
-            include_tests=not args.no_tests,
-        )
-    except AnalysisError as exc:
-        print(f"massf check: error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # never a traceback to the user
-        print(
-            f"massf check: internal error: {type(exc).__name__}: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(to_payload(result), indent=2) + "\n")
-    if args.sarif:
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            handle.write(render_sarif(result) + "\n")
-    print(render_json(result) if args.json else render_text(result))
-    return 0 if result.ok else 2
-
-
-# --------------------------------------------------------------------- #
 # massf serve / submit / jobs (the mapping service)
 # --------------------------------------------------------------------- #
 def _configure_serve(parser: argparse.ArgumentParser) -> None:
@@ -690,9 +619,6 @@ _SUBCOMMANDS = {
               "sweep an experiment across seeds on the parallel runtime"),
     "stats": (_configure_stats, _cmd_stats,
               "render a telemetry snapshot (from `sweep --stats`)"),
-    "check": (_configure_check, _cmd_check,
-              "run the repo's determinism / parity / parallel-safety "
-              "static analysis (exit 0 clean, 2 findings, 1 error)"),
     "serve": (_configure_serve, _cmd_serve,
               "run the persistent mapping service (JSON over HTTP "
               "with warm shared caches)"),

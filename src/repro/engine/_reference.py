@@ -31,10 +31,6 @@ from repro.topology.network import Network
 
 __all__ = ["ReferenceKernel", "run_kernel_reference"]
 
-_PARITY_COUNTERPARTS = {
-    "run_kernel_reference": "repro.engine.kernel.run_kernel",
-}
-
 
 class ReferenceKernel:
     """One emulation run over a routed network (original heap kernel).

@@ -33,7 +33,7 @@ def reset_flow_ids() -> None:
     never on which tasks a worker ran before it.
     """
     global _flow_counter
-    _flow_counter = itertools.count(1)  # massf: ignore[parallel-safety]
+    _flow_counter = itertools.count(1)
 
 
 @dataclass

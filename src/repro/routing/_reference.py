@@ -33,15 +33,6 @@ __all__ = [
     "update_routing_reference",
 ]
 
-#: Machine-checked pairing (``massf check``, rule ``parity-coverage``):
-#: public oracles whose vectorized twin does not follow the plain
-#: "strip the ``_reference`` suffix" naming convention declare their
-#: counterpart here explicitly.
-_PARITY_COUNTERPARTS = {
-    "compute_routing_reference": "repro.routing.spf.build_routing",
-    "update_routing_reference": "repro.routing.delta.update_routing",
-}
-
 
 # --------------------------------------------------------------------- #
 # All-pairs routing (original)

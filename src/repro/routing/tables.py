@@ -8,7 +8,6 @@ requirement for a router, where x is the size of an AS."
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,17 +195,6 @@ class RoutingTables:
         """The links along the path from ``src`` to ``dst``."""
         nodes = self.path(src, dst)
         return [self.link_between(u, v) for u, v in zip(nodes, nodes[1:])]
-
-    def path_latency(self, src: int, dst: int) -> float:
-        """One-way propagation latency along the route (seconds).
-
-        ``math.fsum`` keeps the result exact (and therefore independent
-        of summation order), so it stays bit-identical however the hop
-        list is produced.
-        """
-        return math.fsum(
-            link.latency_s for link in self.path_links(src, dst)
-        )
 
     def table_size(self, node_id: int) -> int:
         """Number of distinct destinations with a concrete next hop."""

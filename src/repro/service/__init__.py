@@ -13,8 +13,7 @@ ROADMAP's "millions of users" story:
   delta-derivable routing states, response memos) under an LRU byte
   budget, layered over the on-disk artifact cache;
 - :mod:`repro.service.handlers` — one module-level handler per request
-  kind (map / sweep / emulate / apply_changes), audited by the
-  parallel-safety rule;
+  kind (map / sweep / emulate / apply_changes);
 - :mod:`repro.service.core` — the worker threads multiplexing jobs onto
   the shared warm state and grid executor;
 - :mod:`repro.service.server` — the JSON-over-HTTP front end on the

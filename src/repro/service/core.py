@@ -3,8 +3,7 @@
 :class:`MappingService` owns the shared state every job multiplexes
 onto — the warm cache (:mod:`repro.service.warm`), the on-disk artifact
 cache and the service telemetry — plus a fixed set of worker threads
-(started via the module-level :func:`_worker_loop`, the parallel-safety
-discipline for dispatched callables).
+(started via the module-level :func:`_worker_loop`).
 
 Submission probes the response memo first: an exact canonical repeat
 of a request already answered is settled there and then, as a warm hit
@@ -138,6 +137,7 @@ class MappingService:
     def start(self) -> "MappingService":
         if self._threads:
             return self
+        self._stop.clear()   # a restart after stop() runs jobs again
         for i in range(self.config.workers):
             thread = threading.Thread(
                 target=_worker_loop, args=(self,),

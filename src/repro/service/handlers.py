@@ -4,8 +4,7 @@ Handlers are registered in a module-level registry via
 :func:`register_handler` — the same discipline the parallel runtime
 imposes on pooled callables (module-level, no global mutation), because
 service workers run them concurrently in threads against shared warm
-state; ``massf check``'s parallel-safety rule audits these registrations
-(:mod:`repro.analysis.rules.parallel`).
+state.
 
 Every handler has the signature ``handler(service, job, request) ->
 dict`` where the returned dict is the JSON result body.  Handlers must:

@@ -58,6 +58,24 @@ def test_span_tree_covers_every_layer(swept):
     assert any("kernel/run" in p for p in paths)
     # Cell phases nest under the grid span on the inline path.
     assert any(p.startswith("sweep/grid/run/") for p in paths)
+    # Every span the run opens, so one that is renamed, or built but
+    # never entered, fails here.
+    cell = "sweep/grid/run/"
+    assert paths == {"sweep", "sweep/grid/run"} | {cell + p for p in (
+        "emulate/eval-run",
+        "emulate/eval-run/kernel/run",
+        "map/place",
+        "map/place/partition/multilevel",
+        "map/place/place/estimate",
+        "map/top",
+        "map/top/partition/multilevel",
+        "routing/build",
+        "score/place",
+        "score/place/evaluate_mapping",
+        "score/top",
+        "score/top/evaluate_mapping",
+        "workload/prepare",
+    )}
 
 
 def test_counters_and_gauges_populated(swept):

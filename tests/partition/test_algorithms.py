@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.partition.api import ALGORITHMS, part_graph
+from repro.partition.baselines import _bfs_order, linear_partition
 from repro.partition.csr import CSRGraph
 from repro.partition.metrics import max_imbalance, weighted_edge_cut
 
@@ -167,6 +168,18 @@ def test_linear_partition_chunks_end_on_boundaries():
     assert r.max_imbalance == pytest.approx(1.0)
     r = part_graph(_path(4), 4, algorithm="linear", seed=0)
     assert sorted(r.parts.tolist()) == [0, 1, 2, 3]
+
+
+def test_linear_partition_visits_neighbours_in_id_order():
+    """Vertex 0's neighbours are 2 and 9; the set ``{2, 9}`` iterates 9
+    first, so BFS must visit neighbours sorted, not in set order."""
+    edges = [(0, 2), (0, 9), (2, 3), (2, 5), (9, 1), (9, 4), (3, 7),
+             (4, 8), (5, 6)]
+    graph = CSRGraph.from_edges(10, [(u, v, 1.0) for u, v in edges])
+    assert _bfs_order(graph, 0).tolist() == [0, 2, 9, 3, 5, 1, 4, 7, 6, 8]
+    # Seed 23 draws start vertex 0.
+    parts = linear_partition(graph, 2, rng=np.random.default_rng(23))
+    assert parts.tolist() == [0, 1, 0, 0, 1, 0, 1, 1, 1, 0]
 
 
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.5, -1.0,

@@ -115,13 +115,6 @@ def test_parallel_links_parity_with_reference():
         assert np.array_equal(new.next_hop, ref.next_hop), metric
 
 
-def test_path_latency_sums_links(tiny_routed):
-    net, tables = tiny_routed
-    # h0 -> r0 (0.1ms) -> r1 (1ms): 1.1 ms total.
-    h0 = net.node("h0").node_id
-    assert tables.path_latency(h0, 1) == pytest.approx(1.1e-3)
-
-
 def test_table_size_counts_destinations(tiny_routed):
     net, tables = tiny_routed
     assert tables.table_size(0) == net.n_nodes - 1

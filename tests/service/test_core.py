@@ -249,6 +249,20 @@ def test_stop_cancels_the_jobs_no_worker_started(tmp_path, hold_map):
     assert (counters["done"], counters["cancelled"]) == (1, 2)
 
 
+def test_restarted_service_runs_jobs(tmp_path):
+    service = MappingService(ServiceConfig(
+        workers=1, cache=str(tmp_path / "cache")))
+    service.start()
+    service.stop()
+    service.start()
+    try:
+        job = run(service, MAP_REQUEST)
+        assert job.state is JobState.DONE, job.error
+        assert service.status()["workers"] == 1
+    finally:
+        service.stop()
+
+
 def test_bounded_queue_backpressure_at_the_service(tmp_path):
     config = ServiceConfig(workers=1, queue_size=1,
                            cache=str(tmp_path / "cache"))
