@@ -195,11 +195,12 @@ class BatchEventQueue:
         n = len(batch)
         if n == 0:
             return
-        finite = np.isfinite(batch.time)
-        if not finite.all():
-            raise ValueError(
-                f"cannot schedule at time {batch.time[~finite][0]}")
-        if float(batch.time.min()) < 0:
+        # NaN fails both comparisons; the messages are built on failure.
+        if not (batch.time.min() >= 0 and batch.time.max() < np.inf):
+            finite = np.isfinite(batch.time)
+            if not finite.all():
+                raise ValueError(
+                    f"cannot schedule at time {batch.time[~finite][0]}")
             raise ValueError("cannot schedule before time 0")
         self._pushed.append(batch)
         self._pending += n
@@ -215,8 +216,13 @@ class BatchEventQueue:
             self._pool = [np.concatenate((c[:start], np.empty(
                 cap - start, c.dtype))) for c in self._pool]
         *cols, buckets = self._pool
-        for col, parts in zip(cols, zip(*(b.arrays() for b in self._pushed))):
-            np.concatenate(parts, out=col[start:end])
+        if len(self._pushed) == 1:  # one flush a window: one copy a column
+            for col, part in zip(cols, self._pushed[0].arrays()):
+                np.copyto(col[start:end], part)
+        else:
+            for col, parts in zip(cols,
+                                  zip(*(b.arrays() for b in self._pushed))):
+                np.concatenate(parts, out=col[start:end])
         buckets[start:end] = np.floor_divide(cols[0][start:end],
                                              self.window_s)
         self._pushed = []
@@ -246,7 +252,7 @@ class BatchEventQueue:
         """Remove and return bucket ``bucket`` sorted by ``(time, seq)``."""
         self._absorb()
         *cols, buckets = self._pool
-        rows = np.flatnonzero(buckets[:self._size] == bucket)
+        rows = (buckets[:self._size] == bucket).nonzero()[0]
         if len(rows) == 0:
             return None
         rows = rows[np.lexsort((cols[1][rows], cols[0][rows]))]

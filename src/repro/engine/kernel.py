@@ -18,7 +18,11 @@ python object (``_hooked`` holds each hooked :class:`Transfer` once).
   and processes them as sorted numpy arrays.  It takes dense runs: at
   least :data:`_PER_EVENT_DENSITY` train rows due by the horizon per
   window, counted at the start of the run (traffic generated mid-run
-  counts as zero);
+  counts as zero).  A window inside the horizon with no control entry
+  ordered before its last row and no delivery of a hooked transfer's last
+  train is one segment, dispatched whole in one call; only the other
+  windows run the segment loop, which cuts a segment at every control
+  entry and hooked delivery;
 - the **per-event drain** runs one ``heapq`` of ``(time, seq, ...)`` tuples
   (the calendar's rows beside the control entries) through the reference
   kernel's ``_arrive``.  It takes sparse runs and order-coupled ones (a
@@ -42,9 +46,10 @@ drain three facts make it work:
   pop/push interleave would have assigned (deliveries push nothing, each
   forward pushes exactly one successor);
 - the per-(link, direction) busy-time recurrence ``depart = max(t, busy) +
-  tx`` is float-order-sensitive, so only singleton FIFO groups take the
-  elementwise path (``np.maximum`` is bit-identical to scalar ``max``);
-  multi-event groups replay the scalar loop.
+  tx`` is float-order-sensitive, so each channel's events run in event
+  order: one round at a time across channels with elementwise ops
+  (``np.maximum`` is bit-identical to scalar ``max``), the rounds left
+  when few channels remain as a scalar loop (:func:`_replay_fifo`).
 
 One theoretical caveat: window bucketing relies on ``t + tx + latency``
 not rounding below ``t + latency``'s window; since ``tx`` is at least tens
@@ -85,7 +90,7 @@ _MAX_NBYTES = 2.0 ** 53
 
 #: Train rows due per conservative window below which a run drains per
 #: event (measured crossover, DESIGN.md §6 "Two drains").
-_PER_EVENT_DENSITY = 4.0
+_PER_EVENT_DENSITY = 3.0
 
 
 class EmulationKernel:
@@ -185,8 +190,9 @@ class EmulationKernel:
         self.link_bytes = np.zeros(m, dtype=np.float64)
         self.link_busy_s = np.zeros(m, dtype=np.float64)
         self.link_max_backlog_s = np.zeros(m, dtype=np.float64)
-        # Injection and the window drain read ``tables.link_ids_of`` live;
-        # build its pair lookup now rather than in the first call.
+        # Injection (``link_ids_of``) and the window drain
+        # (``pair_channels``) read the pair lookup live; build it now
+        # rather than in the first call.
         tables._lookup_arrays()
         self._is_router = np.array(
             [node.is_router for node in net.nodes], dtype=bool
@@ -433,90 +439,81 @@ class EmulationKernel:
         and the network's link arrays.  Deliveries and singleton FIFO
         groups take the vector path; FIFO groups with several events in
         the segment replay the float-order-sensitive busy-time recurrence
-        round by round across groups (:func:`_process_fifo_groups`).
+        round by round across groups (:func:`_replay_fifo`).
         """
-        self._events += end - start
-        seg = batch.take(slice(start, end))
-        n = len(seg)
-        next_col = np.full(n, DELIVERED, dtype=np.int64)
-        span_col = np.zeros(n, dtype=np.float64)
+        n = end - start
+        self._events += n
+        seg = batch if n == len(batch) else batch.take(slice(start, end))
+        st = self.stats
         deliver = seg.node == seg.dst
-        f = np.nonzero(~deliver)[0]
-        n_vector = n - len(f)
+        n_deliver = int(np.count_nonzero(deliver))
+        if n_deliver:
+            st.packets_delivered += int(seg.count[deliver].sum())
+            st.transfers_delivered += int(np.count_nonzero(
+                deliver & seg.last))
         n_scalar = 0
-        if len(f):
-            fnode, fdst = seg.node[f], seg.dst[f]
-            ftime, fbytes = seg.time[f], seg.nbytes[f]
-            nxt = self.tables.next_hop[fnode, fdst].astype(np.int64)
-            if (nxt < 0).any():
+        if n_deliver == n:
+            next_col = np.full(n, DELIVERED, dtype=np.int64)
+            span_col = np.zeros(n, dtype=np.float64)
+        else:
+            f = (~deliver).nonzero()[0] if n_deliver else None
+            fwd = seg if f is None else seg.take(f)
+            tables = self.tables
+            nxt = tables.next_hop[fwd.node, fwd.dst]  # int32
+            if nxt.min() < 0:
                 i = int(np.argmax(nxt < 0))
                 raise RuntimeError(
-                    f"no route from {int(fnode[i])} to {int(fdst[i])}"
+                    f"no route from {int(fwd.node[i])} to {int(fwd.dst[i])}"
                 )
-            lids = self.tables.link_ids_of(fnode, nxt)
-            link_u, _, link_lat, link_bw = self.net.link_endpoint_arrays()
-            tx = fbytes * 8.0 / link_bw[lids]
-            key = lids * 2 + (fnode != link_u[lids])
-            depart = np.empty(len(f), dtype=np.float64)
-            backlog = np.empty(len(f), dtype=np.float64)
-
-            # FIFO groups: events sharing a (link, direction) channel
-            # within the segment.  Stable sort keeps event order inside
-            # each group.
-            order = np.argsort(key, kind="stable")
-            ks = key[order]
-            firsts = np.ones(len(ks), dtype=bool)
-            firsts[1:] = ks[1:] != ks[:-1]
-            starts = np.nonzero(firsts)[0]
-            ends = np.append(starts[1:], len(ks))
-            single = (ends - starts) == 1
-            busy_flat = self._busy.ravel()  # key indexes this view directly
-            sing = order[starts[single]]  # positions of singleton groups
-            if len(sing):
-                b0 = busy_flat[key[sing]]
-                backlog[sing] = b0 - ftime[sing]
-                dep = np.maximum(ftime[sing], b0) + tx[sing]
-                depart[sing] = dep
-                busy_flat[key[sing]] = dep
-            n_multi, n_scalar = _process_fifo_groups(
-                order, ks, starts, ends, single, ftime, tx,
-                backlog, depart, busy_flat,
-            )
-            n_vector += int(single.sum()) + n_multi - n_scalar
-            next_col[f] = nxt
-            span_col[f] = tx
+            # Sorting by (node, next hop) groups the forwards by channel
+            # (a pair sends on one) and speeds up the channel lookup.
+            pairs = fwd.node * self.net.n_nodes + nxt
+            order = pairs.argsort(kind="stable")
+            ks = tables.pair_channels(pairs[order])
+            key = np.empty_like(ks)
+            key[order] = ks
+            lids = key >> 1
+            _, _, link_lat, link_bw = self.net.link_endpoint_arrays()
+            tx = fwd.nbytes * 8.0 / link_bw[lids]
+            # Channels index the flat (link, direction) busy view directly.
+            backlog, depart, n_scalar = _replay_fifo(
+                key, order, ks, fwd.time, tx, self._busy.ravel())
 
             # Accounting in event order (np.add.at applies index-
             # sequentially, so the float sums accumulate exactly as the
             # scalar loop would).
-            np.add.at(self.link_packets, lids, seg.count[f])
-            np.add.at(self.link_bytes, lids, fbytes)
+            np.add.at(self.link_packets, lids, fwd.count)
+            np.add.at(self.link_bytes, lids, fwd.nbytes)
             np.add.at(self.link_busy_s, lids, tx)
             np.maximum.at(self.link_max_backlog_s, lids, backlog)
 
+            nf = len(lids)
             base = self._seq
-            self._seq = base + len(f)
+            self._seq = base + nf
             # Staged, not pushed: successors always land beyond the window
             # being drained (succ_time > event time + lookahead), so they
             # can be batched into one calendar push per window — see
             # :meth:`_flush_staged`.
             self._staged.append(EventBatch(
                 time=depart + link_lat[lids],
-                seq=np.arange(base, base + len(f), dtype=np.int64),
+                seq=np.arange(base, base + nf, dtype=np.int64),
                 node=nxt,
-                dst=fdst,
-                count=seg.count[f],
-                nbytes=fbytes,
-                flow=seg.flow[f],
-                last=seg.last[f],
-                train=seg.train[f],
+                dst=fwd.dst,
+                count=fwd.count,
+                nbytes=fwd.nbytes,
+                flow=fwd.flow,
+                last=fwd.last,
+                train=fwd.train,
             ))
-        st = self.stats
-        if deliver.any():
-            st.packets_delivered += int(seg.count[deliver].sum())
-            st.transfers_delivered += int((deliver & seg.last).sum())
-        st.trains_forwarded += len(f)
-        st.vector_events += n_vector
+            st.trains_forwarded += nf
+            if f is None:  # nothing delivered: the forward columns are it
+                next_col, span_col = nxt, tx
+            else:
+                next_col = np.full(n, DELIVERED, dtype=np.int64)
+                span_col = np.zeros(n, dtype=np.float64)
+                next_col[f] = nxt
+                span_col[f] = tx
+        st.vector_events += n - n_scalar
         st.python_loop_events += n_scalar
         self.recorder.record_batch(
             seg.time, seg.node, next_col, seg.count, seg.flow, span_col
@@ -557,18 +554,29 @@ class EmulationKernel:
         self.stats.window_merges += 1
         h_end = int(np.searchsorted(merged.time, self._end_time,
                                     side="right"))
-        cut_mask = (merged.train >= 0) & merged.last & (
-            merged.node == merged.dst)
-        return merged, h_end, cut_mask
+        return merged, h_end, _hook_cuts(merged)
 
     def _process_window(self, bucket: int, batch: EventBatch,
                         end: float) -> bool:
         """Drain one popped window; returns False when the horizon ends
-        the whole run."""
+        the whole run.
+
+        An uncut window — inside the horizon, no control entry ordered
+        before its last row, no hooked last-train delivery in it — is one
+        segment, dispatched whole; any other runs the segment loop.
+        """
         n = len(batch)
+        last = float(batch.time[-1])
+        ctrl = self._ctrl
+        if (last <= end
+                and not (ctrl and ctrl[0][:2] < (last, int(batch.seq[-1])))
+                and not (self._hooked and _hook_cuts(batch).any())):
+            self._dispatch(batch, 0, n)
+            self.now = last
+            self.stats.segments += 1
+            return True
         h_end = int(np.searchsorted(batch.time, end, side="right"))
-        # Deliveries of a hooked transfer's last train cut the segment.
-        cut_mask = (batch.train >= 0) & batch.last & (batch.node == batch.dst)
+        cut_mask = _hook_cuts(batch)
         pos = 0
         while pos < n:
             ctrl_key = (
@@ -807,7 +815,7 @@ class EmulationKernel:
         Both drains read the routing tables and the network's link arrays
         live (the repair splices ``next_hop`` in place, and
         ``RoutingTables.refresh_pairs`` / ``Network.set_link`` reset the
-        caches behind ``link_ids_of`` / ``link_endpoint_arrays``), so only
+        caches behind ``pair_channels`` / ``link_endpoint_arrays``), so only
         state the kernel derives from them is rebuilt: the source-pacing
         chains and the per-event drain's route cache.
         """
@@ -881,75 +889,97 @@ class EmulationKernel:
         return self.link_busy_s / horizon
 
 
+def _hook_cuts(batch: EventBatch) -> np.ndarray:
+    """Rows that deliver a hooked transfer's last train (each ends its
+    segment: the hook runs before any later row)."""
+    return (batch.train >= 0) & batch.last & (batch.node == batch.dst)
+
+
 #: Below this many active FIFO groups, the round-vectorized recurrence
 #: replay falls back to the scalar loop (numpy call overhead dominates).
 _ROUND_MIN_GROUPS = 8
 
 
-def _process_fifo_groups(
+def _replay_fifo(
+    key: np.ndarray,
     order: np.ndarray,
     ks: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    single: np.ndarray,
     ftime: np.ndarray,
     tx: np.ndarray,
-    backlog: np.ndarray,
-    depart: np.ndarray,
     busy_flat: np.ndarray,
-) -> tuple[int, int]:
-    """Replay the FIFO recurrence for groups with several events.
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Run the FIFO recurrence ``busy = max(t, busy) + tx`` of a segment's
+    forwards on their channels ``key`` (indices into ``busy_flat``, which
+    is updated), in event order within each channel.  ``order`` is a
+    stable sort of the forwards that groups them by channel and ``ks``
+    their channels in that order.
 
-    ``busy = max(t, busy) + tx`` per event is a float-order-sensitive
-    scan, so it cannot be prefix-summed — but it *can* run one round at a
-    time across groups: round ``r`` executes the ``r``-th event of every
-    still-active group with elementwise numpy ops, which performs each
-    group's operations in exactly the scalar order (``np.maximum``/``+``/
-    ``np.where`` are elementwise IEEE ops, so every group's busy-time
-    sequence is bit-identical to the scalar replay).  Once few groups
-    remain active, per-round numpy overhead loses to plain python and the
-    tail falls back to the scalar loop.
+    The recurrence is a float-order-sensitive scan, so it cannot be
+    prefix-summed — but it *can* run one round at a time across channels.
+    The forwards are laid out round-major: round 0 holds every channel
+    with one event (the singletons), round ``r >= 1`` the ``r - 1``-th
+    event of every channel with several, each round in channel order.  A
+    round is one contiguous slice, run with elementwise numpy ops, which
+    perform each channel's operations in exactly the scalar order
+    (``np.maximum`` / ``+`` are elementwise IEEE ops, bit-identical to the
+    scalar replay).  Once a round has fewer than
+    :data:`_ROUND_MIN_GROUPS` channels, per-round numpy overhead loses to
+    plain python and the remaining rounds run as one scalar loop.
 
-    Returns ``(multi-group events total, events run in the scalar tail)``
-    for the :class:`~repro.engine.perf.KernelStats` split.
+    Returns ``(backlog, depart, events run in the scalar loop)``, the
+    first two in event order.
     """
-    multi = np.nonzero(~single)[0]
-    if len(multi) == 0:
-        return 0, 0
-    starts_m = starts[multi]
-    sizes_m = ends[multi] - starts_m
-    n_multi = int(sizes_m.sum())
-    gkeys = ks[starts_m]
-    busy_g = busy_flat[gkeys]  # fancy index: a private copy
-    n_scalar = 0
-    r = 0
-    active = np.arange(len(multi))
-    while len(active):
-        if len(active) < _ROUND_MIN_GROUPS:
-            for gi in active.tolist():
-                busy = float(busy_g[gi])
-                idxs = order[starts_m[gi] + r:starts_m[gi] + sizes_m[gi]]
-                n_scalar += len(idxs)
-                tl = ftime[idxs].tolist()
-                txl = tx[idxs].tolist()
-                for j, t, txj in zip(idxs.tolist(), tl, txl):
-                    backlog[j] = busy - t
-                    d = max(t, busy) + txj
-                    depart[j] = d
-                    busy = d
-                busy_g[gi] = busy
+    nf = len(key)
+    edge = np.empty(nf + 1, dtype=bool)
+    edge[0] = edge[nf] = True
+    np.not_equal(ks[1:], ks[:-1], out=edge[1:nf])
+    bounds = edge.nonzero()[0]
+    if len(bounds) == nf + 1:  # every channel has one event: one round
+        b0 = busy_flat[key]
+        depart = np.maximum(ftime, b0) + tx
+        busy_flat[key] = depart
+        return b0 - ftime, depart, 0
+    starts = bounds[:-1]
+    sizes = bounds[1:] - starts
+    # Round of each sorted event: 0 for a singleton, else 1 + its place
+    # in its channel.
+    rounds = np.arange(nf) - (starts - (sizes > 1)).repeat(sizes)
+    major = order[rounds.argsort(kind="stable")]
+    per_round = np.bincount(rounds).tolist()
+    kp, tp, xp = key[major], ftime[major], tx[major]
+    bl = np.empty(nf, dtype=np.float64)
+    dp = np.empty(nf, dtype=np.float64)
+    lo = 0
+    for r, width in enumerate(per_round):
+        if r and width < _ROUND_MIN_GROUPS:
             break
-        j = order[starts_m[active] + r]
-        tj = ftime[j]
-        bg = busy_g[active]
-        backlog[j] = bg - tj
-        d = np.maximum(tj, bg) + tx[j]
-        depart[j] = d
-        busy_g[active] = d
-        r += 1
-        active = active[sizes_m[active] > r]
-    busy_flat[gkeys] = busy_g
-    return n_multi, n_scalar
+        hi = lo + width
+        k, t = kp[lo:hi], tp[lo:hi]
+        b = busy_flat[k]
+        bl[lo:hi] = b - t
+        d = np.maximum(t, b) + xp[lo:hi]
+        dp[lo:hi] = d
+        busy_flat[k] = d
+        lo = hi
+    n_scalar = nf - lo
+    if n_scalar:
+        busy: dict[int, float] = {}
+        bl_t, dp_t = [], []
+        for k, t, x in zip(kp[lo:].tolist(), tp[lo:].tolist(),
+                           xp[lo:].tolist()):
+            b = busy[k] if k in busy else float(busy_flat[k])
+            bl_t.append(b - t)
+            b = busy[k] = max(t, b) + x
+            dp_t.append(b)
+        bl[lo:] = bl_t
+        dp[lo:] = dp_t
+        for k, b in busy.items():
+            busy_flat[k] = b
+    backlog = np.empty(nf, dtype=np.float64)
+    depart = np.empty(nf, dtype=np.float64)
+    backlog[major] = bl
+    depart[major] = dp
+    return backlog, depart, n_scalar
 
 
 def run_kernel(

@@ -77,17 +77,19 @@ class ServiceConfig:
             )
 
 
-def _worker_loop(service: "MappingService") -> None:
-    """Drain the queue until the service stops (thread target)."""
-    while True:
+def _worker_loop(service: "MappingService", generation: object) -> None:
+    """Drain the queue while ``generation`` is the service's running one
+    (thread target).  A job taken as the service stopped is settled as
+    :meth:`MappingService.stop` settles queued ones; one taken after a
+    restart still runs."""
+    while service._live is generation:
         job = service.queue.next(timeout=0.2)
-        if service._stop.is_set():
-            if job is not None:
-                service._settle_unstarted(job)
-            return
         if job is None:
             continue
-        service._run_job(job)
+        if service._live is None:
+            service._settle_unstarted(job)
+        else:
+            service._run_job(job)
 
 
 @dataclass
@@ -127,20 +129,25 @@ class MappingService:
         self.queue = JobQueue(self.config.queue_size)
         self.counters = _ServiceCounters()
         self.started_s = time.time()
-        self._stop = threading.Event()
+        # Every start() opens a generation (a fresh token); its workers
+        # exit once it is no longer ``_live`` (None while stopped).
+        # Workers of a stopped generation still finishing a job are kept
+        # in ``_lingering``.
+        self._live: object | None = None
         self._threads: list[threading.Thread] = []
+        self._lingering: list[threading.Thread] = []
         self._lock = threading.Lock()   # telemetry merge + counters
 
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> "MappingService":
-        if self._threads:
+        if self._live is not None:
             return self
-        self._stop.clear()   # a restart after stop() runs jobs again
+        self._live = generation = object()
         for i in range(self.config.workers):
             thread = threading.Thread(
-                target=_worker_loop, args=(self,),
+                target=_worker_loop, args=(self, generation),
                 name=f"massf-worker-{i}", daemon=True,
             )
             thread.start()
@@ -150,14 +157,18 @@ class MappingService:
     def stop(self, timeout: float = 5.0) -> None:
         """Stop the workers.  A job still queued settles ``CANCELLED``
         with the error ``"service stopped"``, so no waiter is left
-        hanging; a running job runs on to its end."""
-        self._stop.set()
+        hanging; a running job runs on to its end, and a worker whose
+        join timed out is reported by :meth:`status` until it exits."""
+        self._live = None
+        for job in self.queue.drain():
+            self._settle_unstarted(job)
         self.queue.wake_all(len(self._threads))
         for thread in self._threads:
             thread.join(timeout)
-        self._threads.clear()
-        for job in self.queue.drain():
-            self._settle_unstarted(job)
+        self._lingering = [thread for thread in
+                           self._lingering + self._threads
+                           if thread.is_alive()]
+        self._threads = []
 
     def __enter__(self) -> "MappingService":
         return self.start()
@@ -236,6 +247,8 @@ class MappingService:
         return {
             "uptime_s": time.time() - self.started_s,
             "workers": len(self._threads),
+            "lingering_workers": sum(
+                thread.is_alive() for thread in self._lingering),
             "queue_depth": self.queue.depth,
             "queue_size": self.queue.maxsize,
             "jobs": counters,

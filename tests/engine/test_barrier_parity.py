@@ -29,6 +29,8 @@ from repro.rebalance import POLICIES, ForcedMigrationSchedule, RebalanceConfig
 from repro.routing.delta import SetLinkCost, routing_state, update_routing
 from repro.routing.spf import build_routing
 from repro.topology.campus import campus_network
+from repro.topology.elements import Mbps, ms
+from repro.topology.network import Network
 from repro.topology.synth import synth_network
 from repro.topology.teragrid import teragrid_network
 from tests.engine.test_drains import _ClosedLoopSoup
@@ -198,6 +200,67 @@ def test_bandwidth_only_change_under_each_drain(drains):
         net, state.tables, _ChangedAt(workload, state, at, changes), seed=3)
     assert b"".join(getattr(ref, f).tobytes() for f in TRACE_FIELDS) == (
         win["trace"])
+
+
+def _parallel_flip_net():
+    """Hosts h1 - a = b - h2 with a fast (1 ms) and a slow (5 ms) link
+    between the routers; the slow one is added b -> a, so the channel a
+    forward takes flips direction as well as link id."""
+    net = Network()
+    a, b = net.add_router("a"), net.add_router("b")
+    h1, h2 = net.add_host("h1"), net.add_host("h2")
+    fast = net.add_link(a, b, Mbps(100), ms(1))
+    slow = net.add_link(b, a, Mbps(100), ms(5))
+    net.add_link(h1, a, Mbps(1000), ms(0.5))
+    net.add_link(h2, b, Mbps(1000), ms(0.5))
+    return net, fast.link_id, slow.link_id
+
+
+class _PingPong:
+    """Transfers both ways between h1 and h2, one every 25 ms."""
+
+    duration = 1.0
+
+    def install(self, kernel, rng) -> None:
+        h1, h2 = kernel.net.node("h1").node_id, kernel.net.node("h2").node_id
+        transfers = [Transfer(src=h1, dst=h2, nbytes=60_000.0) if i % 2
+                     else Transfer(src=h2, dst=h1, nbytes=45_000.5)
+                     for i in range(40)]
+        kernel.submit_transfers(transfers, np.arange(40) * 0.025)
+
+
+def test_channel_lookup_follows_a_parallel_link_flip(drains):
+    """A mid-run ``SetLinkCost`` makes the other of two parallel links the
+    cheap one: under each drain the forwards after the barrier that
+    applies it go out on the other link's channel (its id and direction),
+    and the trace and ``link_packets`` equal the reference kernel's with
+    the change applied just past that barrier's ``now``."""
+    change = (0.3, SetLinkCost(0, latency_s=ms(10)))
+    runs = []
+    for name in drains:
+        net, fast, slow = _parallel_flip_net()
+        trace, kernel, nows = _run_kernel(
+            net, build_routing(net), _PingPong(), link_changes=[change])
+        drains.check(kernel, name)
+        runs.append((trace, kernel.link_packets.copy(),
+                     _outcome(trace, kernel, nows)))
+    (trace, packets, win), (_, evt_packets, evt) = runs
+    assert win == evt and np.array_equal(packets, evt_packets)
+
+    at = np.nextafter(min(now for now in win["nows"] if now >= 0.3), 1.0)
+    net, fast, slow = _parallel_flip_net()
+    state = routing_state(build_routing(net))
+    ref, ref_kernel = run_kernel_reference(net, state.tables, _ChangedAt(
+        _PingPong(), state, at, [change[1]]))
+    assert b"".join(getattr(ref, f).tobytes() for f in TRACE_FIELDS) == (
+        win["trace"])
+    assert np.array_equal(ref_kernel.link_packets, packets)
+    # Every router-to-router forward before the change took the fast
+    # link, every one after it the slow one.
+    hop = np.isin(trace.node, (0, 1)) & np.isin(trace.next_node, (0, 1))
+    after = trace.time > at
+    assert packets[fast] == trace.packets[hop & ~after].sum() > 0
+    assert packets[slow] == trace.packets[hop & after].sum() > 0
 
 
 _FACTORIES = {

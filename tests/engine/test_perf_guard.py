@@ -283,3 +283,54 @@ def test_rebalanced_sparse_run_drains_per_event():
     bins = len(rebalancer.log.bin_times)
     assert kernel.lp_events.sum() == int((trace.next_node != INJECTED).sum())
     assert calls["train_rows_since"] <= bins + kernel.migrations_applied + 2
+
+
+def test_uncut_windows_dispatch_whole(soup_run, monkeypatch):
+    """With no control entry and no delivery hook, a window inside the
+    horizon is one segment dispatched whole, and the segment loop's cut
+    helpers never run: on the dense soup every dispatch covers its whole
+    popped window, and only the last window popped (wholly past the
+    horizon) makes none."""
+    from repro.engine import kernel as kernel_mod
+
+    called: list[str] = []
+    for name in ("cut_before", "first_true"):
+        helper = getattr(kernel_mod, name)
+
+        def spied(*args, _name=name, _helper=helper):
+            called.append(_name)
+            return _helper(*args)
+        monkeypatch.setattr(kernel_mod, name, spied)
+    net, tables, wl = _soup(n_routers=200, n_flows=4000, duration=0.5)
+    reset_flow_ids()
+    kernel = EmulationKernel(net, tables, train_packets=32)
+    dispatched: list[tuple[int, int, int]] = []
+    dispatch = kernel._dispatch
+
+    def spy(batch, start, end):
+        dispatched.append((start, end, len(batch)))
+        dispatch(batch, start, end)
+    kernel._dispatch = spy
+    wl.install(kernel, np.random.default_rng(17))
+    trace = kernel.run(until=wl.duration)
+    assert np.array_equal(trace.time, soup_run[0].time)
+    st = kernel.stats
+    assert called == []
+    assert all(start == 0 and end == n for start, end, n in dispatched)
+    assert len(dispatched) == st.segments == st.windows - 1
+    assert trace.time[-1] <= wl.duration
+
+
+def test_window_cost_stays_at_its_numpy_call_count():
+    """The window drain's fixed cost, counted: a fixed dense soup (251
+    windows of ≈ 77 train rows) makes at most 64 numpy calls a window.
+    The segment loop in every window, a link lookup plus a direction
+    compare per forward and numpy calls per FIFO group in the scalar
+    tail made 117."""
+    net, tables, wl = _soup(n_routers=120, n_flows=1500, duration=0.25)
+    reset_flow_ids()
+    kernel = EmulationKernel(net, tables, train_packets=32)
+    wl.install(kernel, np.random.default_rng(17))
+    calls = _numpy_calls(lambda: kernel.run(until=wl.duration))
+    assert kernel.stats.windows == 251
+    assert calls <= 64 * kernel.stats.windows

@@ -104,6 +104,20 @@ def test_parallel_links_forward_over_cheap_link():
     assert list(ids) == [fast.link_id, fast.link_id]
 
 
+def test_pair_channels_name_link_and_sending_end():
+    """``pair_channels`` gives ``2 * link_id + direction`` (0 when the
+    sender is the link's ``u`` end) of the link ``link_between`` picks,
+    and ``link_ids_of`` is that shifted, with its error unchanged."""
+    net, fast, _ = _parallel_link_net()
+    tables = build_routing(net, metric="latency")
+    n = net.n_nodes
+    pairs = np.array([0 * n + 1, 1 * n + 0, 1 * n + 2, 2 * n + 1])
+    assert tables.pair_channels(pairs).tolist() == [
+        2 * fast.link_id, 2 * fast.link_id + 1, 4, 5]
+    with pytest.raises(ValueError, match="nodes 0 and 2 are not adjacent"):
+        tables.link_ids_of(np.array([0]), np.array([2]))
+
+
 def test_parallel_links_parity_with_reference():
     from repro.routing._reference import compute_routing_reference
 

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import time
 
 import pytest
 
@@ -263,6 +264,43 @@ def test_restarted_service_runs_jobs(tmp_path):
         service.stop()
 
 
+def _worker_threads(exclude=()) -> list[threading.Thread]:
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("massf-worker-")
+            and thread not in exclude]
+
+
+def test_restart_runs_one_worker_generation(tmp_path, hold_map):
+    """A worker whose join timed out at ``stop()`` finishes its job and
+    exits, even though ``start()`` ran meanwhile: the restarted service
+    is left with exactly ``workers`` live worker threads, and reports the
+    stopped one as lingering until it is gone."""
+    before = set(_worker_threads())
+    release = hold_map()
+    service = MappingService(ServiceConfig(
+        workers=1, cache=str(tmp_path / "cache"))).start()
+    try:
+        held = service.submit(parse_request(dict(MAP_REQUEST)))
+        wait_running(held)
+        service.stop(timeout=0.2)
+        service.start()
+        status = service.status()
+        assert (status["workers"], status["lingering_workers"]) == (1, 1)
+        release.set()
+        assert held.wait(60.0) and held.state is JobState.DONE
+        deadline = time.monotonic() + 5.0
+        while (len(_worker_threads(before)) > 1
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert len(_worker_threads(before)) == 1
+        status = service.status()
+        assert (status["workers"], status["lingering_workers"]) == (1, 0)
+        job = run(service, dict(MAP_REQUEST, k=3))
+        assert job.state is JobState.DONE, job.error
+    finally:
+        service.stop()
+
+
 def test_bounded_queue_backpressure_at_the_service(tmp_path):
     config = ServiceConfig(workers=1, queue_size=1,
                            cache=str(tmp_path / "cache"))
@@ -281,7 +319,8 @@ def test_status_document_shape(service):
     # The whole key set: an entry appearing or going (as "pools" did with
     # the persistent pmap pools) has to be a decision made here.
     assert set(status) == {
-        "uptime_s", "workers", "queue_depth", "queue_size", "jobs",
+        "uptime_s", "workers", "lingering_workers", "queue_depth",
+        "queue_size", "jobs",
         "latency_p50_s", "latency_p95_s", "warm", "warm_nbytes", "disk",
     }
     assert status["workers"] == 2
