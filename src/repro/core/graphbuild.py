@@ -5,7 +5,9 @@ network structure and traffic information. ... Network traffic information
 is used to define edge weights in the graph, and it may also affect vertex
 weights."  This module provides the structure side — the CSR skeleton with a
 CSR-slot → link-id index so any per-link weight vector can be dropped in —
-and the individual weight recipes the approaches compose.
+and the individual weight recipes the approaches compose.  The skeleton is
+built from :meth:`Network.link_endpoint_arrays` with one stable sort, in
+the node-by-node order of :meth:`Network.neighbors`.
 """
 
 from __future__ import annotations
@@ -32,25 +34,26 @@ def network_csr(net: Network) -> tuple[CSRGraph, np.ndarray]:
     ``graph.adjncy``: the link id behind each CSR adjacency slot.  Per-link
     weight vectors become CSR edge weights via
     :func:`link_weights_to_adjwgt`.
+
+    Every node's slots list its links in link-id order, the order of
+    :meth:`Network.neighbors` (links are appended to both endpoints as
+    they are added, and a changed link keeps its place).  Link ``i``
+    owns slots ``2i`` (at ``u``) and ``2i + 1`` (at ``v``) before one
+    stable sort on the owner node, which keeps that order.
     """
     n = net.n_nodes
+    u, v, _, _ = net.link_endpoint_arrays()
+    owner = np.column_stack((u, v)).ravel()
+    other = np.column_stack((v, u)).ravel()
+    order = np.argsort(owner, kind="stable")
     xadj = np.zeros(n + 1, dtype=np.int64)
-    for v in range(n):
-        xadj[v + 1] = xadj[v] + net.degree(v)
-    adjncy = np.zeros(xadj[-1], dtype=np.int64)
-    link_index = np.zeros(xadj[-1], dtype=np.int64)
-    cursor = xadj[:-1].copy()
-    for v in range(n):
-        for nbr, link in net.neighbors(v):
-            adjncy[cursor[v]] = nbr
-            link_index[cursor[v]] = link.link_id
-            cursor[v] += 1
+    np.cumsum(np.bincount(owner, minlength=n), out=xadj[1:])
     graph = CSRGraph(
-        xadj=xadj, adjncy=adjncy,
-        adjwgt=np.ones(xadj[-1], dtype=np.float64),
+        xadj=xadj, adjncy=other[order],
+        adjwgt=np.ones(len(order), dtype=np.float64),
         vwgt=np.ones((n, 1), dtype=np.float64),
     )
-    return graph, link_index
+    return graph, order // 2
 
 
 def link_weights_to_adjwgt(

@@ -76,8 +76,18 @@ def heavy_edge_matching(
 
     if two_hop:
         # Pair unmatched leaves that hang off the same centre, preferring
-        # heavier leaf edges first so heavy stars collapse first.
+        # heavier leaf edges first so heavy stars collapse first.  Leaves
+        # only get matched below, so a centre with fewer than two slots to
+        # unmatched vertices now (counted from the leaves' side: the
+        # adjacency is symmetric) never pairs any and is not scanned.
+        open_slots = [0] * n
+        for u, m in enumerate(match):
+            if m == UNMATCHED:
+                for c in adjncy[xadj[u]:xadj[u + 1]]:
+                    open_slots[c] += 1
         for center in order:
+            if open_slots[center] < 2:
+                continue
             lo, hi = xadj[center], xadj[center + 1]
             avail = [
                 (w, u) for u, w in zip(adjncy[lo:hi], adjwgt[lo:hi])
@@ -134,8 +144,7 @@ def contract(graph: CSRGraph, cmap: np.ndarray) -> CSRGraph:
             vwgt=vwgt,
         )
 
-    src = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(graph.xadj))
-    cu = cmap[src]
+    cu = cmap[graph.slot_src]
     cv = cmap[graph.adjncy]
     keep = cu < cv  # drop internal edges; count each pair once
     cu, cv, w = cu[keep], cv[keep], graph.adjwgt[keep]

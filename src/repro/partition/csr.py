@@ -17,6 +17,7 @@ latency figures, not counts).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -63,6 +64,14 @@ class CSRGraph:
     def ncon(self) -> int:
         """Number of balance constraints (vertex-weight columns)."""
         return self.vwgt.shape[1]
+
+    @cached_property
+    def slot_src(self) -> np.ndarray:
+        """Vertex owning each adjacency slot: ``adjncy[i]`` is a neighbour
+        of ``slot_src[i]``.  Built once per graph (graphs are not mutated
+        in place); the cut metrics and the refinement tables of one graph
+        share it."""
+        return np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.xadj))
 
     def degree(self, v: int) -> int:
         """Number of neighbours of ``v``."""
@@ -111,7 +120,7 @@ class CSRGraph:
             return
         if self.adjncy.min() < 0 or self.adjncy.max() >= n:
             raise ValueError("neighbour id out of range")
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.xadj))
+        src = self.slot_src
         loops = np.nonzero(src == self.adjncy)[0]
         if len(loops):
             raise ValueError(f"self loop at vertex {int(src[loops[0]])}")

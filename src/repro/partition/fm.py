@@ -42,7 +42,7 @@ def bisection_gains(graph: CSRGraph, parts: np.ndarray) -> np.ndarray:
     n = graph.n
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    src = graph.slot_src
     cross = parts[graph.adjncy] != parts[src]
     signed = np.where(cross, graph.adjwgt, -graph.adjwgt)
     return np.bincount(src, weights=signed, minlength=n)

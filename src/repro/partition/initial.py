@@ -9,9 +9,11 @@ The growth loop walks plain-list mirrors of the CSR arrays (built once per
 call) instead of making numpy calls per vertex.  Its floats must still match
 the numpy oracle (:func:`repro.partition._reference.grow_bisection_reference`)
 bit for bit, so every sum follows numpy's order: ``np.sum`` adds left to
-right below 8 terms and pairwise from 8 up, so :func:`_np_sum` runs a
-``+=`` loop on short lists and hands longer ones to numpy.  The builtin
-``sum()`` is never used: from Python 3.12 on it compensates.
+right below 8 terms and pairwise from 8 up.  So a frontier vertex with
+fewer than 8 neighbours sums its gain in two ``+=`` accumulators inline,
+the part's mean weight ``level`` is summed the same way, and longer rows
+go to :func:`_np_sum`, which hands them to numpy.  The builtin ``sum()``
+is never used: from Python 3.12 on it compensates.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ def _grow(
         raise ValueError("target_frac must be in (0, 1)")
 
     ncon = len(norm[0])
+    rcon = range(ncon)
+    short_rows = ncon < _PAIRWISE_MIN  # ``grown`` sums left to right
     side = [1] * n
     grown = [0.0] * ncon
     level = 0.0  # mean of ``grown``; changes only when a vertex joins
@@ -105,19 +109,35 @@ def _grow(
             continue
         side[v] = 0
         row = norm[v]
-        for c in range(ncon):
-            grown[c] += row[c]
-        level = _np_sum(grown) / ncon
+        if short_rows:
+            total = 0.0
+            for c in rcon:
+                grown[c] += row[c]
+                total += grown[c]
+        else:
+            for c in rcon:
+                grown[c] += row[c]
+            total = _np_sum(grown)
+        level = total / ncon
         for u in adjncy[xadj[v]:xadj[v + 1]]:
             if side[u] == 1 and not in_heap[u]:
                 in_heap[u] = True
                 counter += 1
                 lo, hi = xadj[u], xadj[u + 1]
-                to_zero: list[float] = []
-                to_one: list[float] = []
-                for x, w in zip(adjncy[lo:hi], adjwgt[lo:hi]):
-                    (to_one if side[x] else to_zero).append(w)
-                gain = _np_sum(to_zero) - _np_sum(to_one)
+                if hi - lo < _PAIRWISE_MIN:
+                    to_zero = to_one = 0.0
+                    for x, w in zip(adjncy[lo:hi], adjwgt[lo:hi]):
+                        if side[x]:
+                            to_one += w
+                        else:
+                            to_zero += w
+                    gain = to_zero - to_one
+                else:
+                    zeros: list[float] = []
+                    ones: list[float] = []
+                    for x, w in zip(adjncy[lo:hi], adjwgt[lo:hi]):
+                        (ones if side[x] else zeros).append(w)
+                    gain = _np_sum(zeros) - _np_sum(ones)
                 heapq.heappush(heap, (-gain, counter, u))
         # A disconnected graph can exhaust the frontier early; restart the
         # growth from a fresh unassigned seed.

@@ -12,11 +12,13 @@ sweep over the CSR arrays, then updated only in the neighborhood of each
 moved vertex.  A cached external-weight vector makes the interior-vertex
 test O(1), so passes cost O(boundary) instead of O(n · k).
 
-The balance-repair pre-pass (move vertices out of an over-envelope part
-until every part fits) scores all ``members × k`` candidates of the
-overloaded part in one numpy pass per move, drawing every tie-break in
-one vector call.  The gain passes then convert the table and the per-part
-state to plain lists once and walk them vertex by vertex.  The original
+The balance-repair pre-pass moves vertices out of an over-envelope part
+until every part fits.  It builds the overloaded part's ``members × k``
+gains and fit mask once, patches them after each move (the moved row, its
+neighbours in the part, the destination's fit column) and draws every
+tie-break of a move in one vector call.  The repair and the gain passes
+share plain-list mirrors of the CSR arrays and the per-part state, built
+once per call; the gain passes walk them vertex by vertex.  The original
 rescan-everything kernel survives as
 :func:`repro.partition._reference.kway_refine_reference`, the differential
 parity suite's oracle: both kernels return the same parts and leave the
@@ -54,7 +56,7 @@ def connectivity_table(
     conn = np.zeros((n, k), dtype=np.float64)
     if n == 0 or len(graph.adjncy) == 0:
         return conn
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    src = graph.slot_src
     np.add.at(conn, (src, parts[graph.adjncy]), graph.adjwgt)
     return conn
 
@@ -124,76 +126,137 @@ def kway_refine(
     conn = connectivity_table(graph, parts, k)
     stats.conn_builds += 1
 
-    # --- balance repair ------------------------------------------------ #
-    # One numpy pass per move over (overloaded part's members x parts);
-    # the boolean mask yields the candidates in the reference's
-    # member-major order, and conn[v, src] - conn[v, dest] is exactly
-    # -(gain).  Each admissible candidate draws one tie-break from a
-    # single vector draw — for numpy's bit generators the same stream as
-    # the reference's per-candidate scalar draws — and the move taken is
-    # the first lexicographic minimum of (-gain, draw).  The calls are
-    # ndarray methods: a move makes ~30 calls on small arrays, and the
-    # np.* wrappers' dispatch was a measurable share of each.
-    for _ in range(n):
-        if budget <= 0:
-            break
-        over = (pw > cap_eps).any(axis=1).nonzero()[0]
-        if len(over) == 0:
-            break
-        src = int(over[0])
-        if counts[src] <= 1:  # never empty a part
-            break
-        members = (parts == src).nonzero()[0]
-        cm = conn[members]
-        fits = (pw + vwgt[members][:, None, :] <= cap_eps).all(axis=2)
-        fits[:, src] = False
-        neg_gain = (cm[:, src, None] - cm)[fits]
-        if len(neg_gain) == 0:
-            break
-        draws = rng.random(len(neg_gain))
-        ties = (neg_gain == neg_gain.min()).nonzero()[0]
-        best = fits.ravel().nonzero()[0][ties[draws[ties].argmin()]]
-        v, dest = int(members[best // k]), int(best % k)
-        wv = vwgt[v]
-        pw[src] -= wv
-        pw[dest] += wv
-        counts[src] -= 1
-        counts[dest] += 1
-        parts[v] = dest
-        nbrs = graph.neighbors(v)
-        w = graph.neighbor_weights(v)
-        np.subtract.at(conn, (nbrs, src), w)
-        np.add.at(conn, (nbrs, dest), w)
-        stats.moves += 1
-        stats.neighbor_updates += len(nbrs)
-        budget -= 1
-    if budget <= 0 or max_passes <= 0:
-        return parts
-
-    # --- gain passes, on plain lists ------------------------------------ #
-    # A boundary scan or a move touches a handful of scalars, and numpy's
-    # per-call overhead on them costs several times the same python float
-    # arithmetic.  Every list update is the same element-wise IEEE
-    # operation, in the same order, as the reference kernel's numpy
-    # arithmetic, so each test decides identically.  Total incident
-    # weight never changes with reassignment, so the external weight (the
-    # boundary test) is tot[v] - conn[v][parts[v]].  A row of ``conn``
-    # becomes a list when first read and numpy's row is not used again;
-    # a pass reads the rows of boundary vertices and moved neighbourhoods
-    # only, so converting the rest would be wasted.
-    tot = conn.sum(axis=1)
-    ext_l: list[float] = (tot - conn[np.arange(n), parts]).tolist()
-    tot_l: list[float] = tot.tolist()
-    rows: list[list[float] | None] = [None] * n
-    parts_l: list[int] = parts.tolist()
+    # --- plain-list state, shared by the repair and the gain passes ---- #
+    # A repair move or a boundary scan touches a handful of scalars, and
+    # numpy's per-call overhead on them costs several times the same
+    # python float arithmetic.  Every list update is the same element-wise
+    # IEEE operation, in the same order, as the reference kernel's numpy
+    # arithmetic, so each test decides identically.
     xadj_l: list[int] = graph.xadj.tolist()
-    adjncy, adjwgt = graph.adjncy, graph.adjwgt
+    adjncy_l: list[int] = graph.adjncy.tolist()
+    adjwgt_l: list[float] = graph.adjwgt.tolist()
     rcon = range(graph.ncon)
     vw_list: list[list[float]] = vwgt.tolist()
     pw_list: list[list[float]] = pw.tolist()
     counts_list: list[int] = counts.tolist()
     cap_eps_list: list[list[float]] = cap_eps.tolist()
     safe_list: list[float] = safe_totals.tolist()
+
+    def overloaded(p: int) -> bool:
+        row, ce = pw_list[p], cap_eps_list[p]
+        for c in rcon:
+            if row[c] > ce[c]:
+                return True
+        return False
+
+    # --- balance repair ------------------------------------------------ #
+    # Each move takes, among the (member of the first overloaded part
+    # ``src``, destination that still fits) candidates in member-major
+    # order, the first of the largest gain, ties broken by the smallest of
+    # one vector draw (for numpy's bit generators the same stream as the
+    # reference's per-candidate scalar draws).  ``src`` stays the first
+    # overloaded part until it fits: a move changes only ``src`` and its
+    # destination, and the destination fits after the move by
+    # construction.  So the members of ``src``, their negated gains
+    # ``ng[r, d] = conn[u, src] - conn[u, d]`` and the members x parts
+    # fit mask are built once per ``src`` and patched after each move: the
+    # moved vertex's row dies (its weight becomes +inf, so it never fits
+    # again), its neighbours in ``src`` get fresh gain rows from their
+    # ``conn`` rows (kept as lists) and the destination's fit column is
+    # recomputed.  While ``src`` is fixed an entry of ``conn`` is only
+    # ever subtracted from (column ``src``) or only added to (any other
+    # column), so the moves' updates to the table are queued and applied
+    # in order when ``src`` changes.
+    queued: list[int] = []  # the moves' neighbours, in move order
+    queued_w: list[float] = []
+    queued_dest: list[int] = []
+
+    def apply_queued(src: int) -> None:
+        if queued:
+            np.subtract.at(conn, (queued, src), queued_w)
+            np.add.at(conn, (queued, queued_dest), queued_w)
+            queued.clear()
+            queued_w.clear()
+            queued_dest.clear()
+
+    src = -1
+    for _ in range(n):
+        if budget <= 0:
+            break
+        if src < 0 or not overloaded(src):
+            apply_queued(src)
+            src = next((p for p in range(k) if overloaded(p)), -1)
+            if src < 0:
+                break
+            mem = (parts == src).nonzero()[0]
+            mem_l: list[int] = mem.tolist()
+            row_of = dict(zip(mem_l, range(len(mem_l))))
+            cm = conn[mem]
+            cm_l: list[list[float]] = cm.tolist()
+            ng = cm[:, src, None] - cm
+            ng_flat = ng.ravel()
+            vw_m = vwgt[mem]
+            fits_flat = (
+                np.array(pw_list) + vw_m[:, None, :] <= cap_eps
+            ).all(axis=2).ravel()
+            fits = fits_flat.reshape(len(mem_l), k)  # a view of fits_flat
+            fits[:, src] = False
+            vw_cols = vw_m.T.copy()  # member weights, a row per constraint
+        if counts_list[src] <= 1:  # never empty a part
+            break
+        idx = fits_flat.nonzero()[0]
+        if len(idx) == 0:
+            break
+        cand = ng_flat[idx]
+        draws = rng.random(len(idx))
+        ties = (cand == cand.min()).nonzero()[0]
+        r, dest = divmod(int(idx[ties[draws[ties].argmin()]]), k)
+        v = mem_l[r]
+        wv, ps, pd = vw_list[v], pw_list[src], pw_list[dest]
+        for c in rcon:
+            ps[c] -= wv[c]
+            pd[c] += wv[c]
+        counts_list[src] -= 1
+        counts_list[dest] += 1
+        parts[v] = dest
+        del row_of[v]
+        fits[r] = False
+        vw_cols[:, r] = np.inf
+        ce = cap_eps_list[dest]
+        col = vw_cols[0] + pd[0] <= ce[0]
+        for c in rcon[1:]:
+            col &= vw_cols[c] + pd[c] <= ce[c]
+        fits[:, dest] = col
+        lo, hi = xadj_l[v], xadj_l[v + 1]
+        for u, w in zip(adjncy_l[lo:hi], adjwgt_l[lo:hi]):
+            ru = row_of.get(u)
+            if ru is not None:
+                cu = cm_l[ru]
+                cu[src] -= w
+                cu[dest] += w
+                own = cu[src]
+                ng[ru] = [own - x for x in cu]
+        queued.extend(adjncy_l[lo:hi])
+        queued_w.extend(adjwgt_l[lo:hi])
+        queued_dest.extend([dest] * (hi - lo))
+        stats.moves += 1
+        stats.neighbor_updates += hi - lo
+        budget -= 1
+    apply_queued(src)
+    if budget <= 0 or max_passes <= 0:
+        return parts
+
+    # --- gain passes ---------------------------------------------------- #
+    # Total incident weight never changes with reassignment, so the
+    # external weight (the boundary test) is tot[v] - conn[v][parts[v]].
+    # A row of ``conn`` becomes a list when first read and numpy's row is
+    # not used again; a pass reads the rows of boundary vertices and moved
+    # neighbourhoods only, so converting the rest would be wasted.
+    tot = conn.sum(axis=1)
+    ext_l: list[float] = (tot - conn[np.arange(n), parts]).tolist()
+    tot_l: list[float] = tot.tolist()
+    rows: list[list[float] | None] = [None] * n
+    parts_l: list[int] = parts.tolist()
 
     def admissible(v: int, dest: int) -> bool:
         """Whether ``dest`` stays inside its envelope with ``v`` added
@@ -230,7 +293,7 @@ def kway_refine(
         counts_list[dest] += 1
         parts_l[v] = dest
         lo, hi = xadj_l[v], xadj_l[v + 1]
-        for u, w in zip(adjncy[lo:hi].tolist(), adjwgt[lo:hi].tolist()):
+        for u, w in zip(adjncy_l[lo:hi], adjwgt_l[lo:hi]):
             cu = rows[u]
             if cu is None:
                 cu = rows[u] = conn[u].tolist()
@@ -287,3 +350,4 @@ def kway_refine(
         if moved == 0:
             break
     return np.array(parts_l, dtype=np.int64)
+

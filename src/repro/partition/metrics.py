@@ -31,8 +31,7 @@ def _check_parts(graph: CSRGraph, parts: np.ndarray) -> np.ndarray:
 def edge_cut(graph: CSRGraph, parts: np.ndarray) -> int:
     """Number of undirected edges whose endpoints lie in different parts."""
     parts = _check_parts(graph, parts)
-    src = np.repeat(np.arange(graph.n), np.diff(graph.xadj))
-    crossing = parts[src] != parts[graph.adjncy]
+    crossing = parts[graph.slot_src] != parts[graph.adjncy]
     return int(crossing.sum()) // 2
 
 
@@ -43,8 +42,7 @@ def weighted_edge_cut(graph: CSRGraph, parts: np.ndarray) -> float:
     mapping approach — latency, predicted traffic, or profiled traffic).
     """
     parts = _check_parts(graph, parts)
-    src = np.repeat(np.arange(graph.n), np.diff(graph.xadj))
-    crossing = parts[src] != parts[graph.adjncy]
+    crossing = parts[graph.slot_src] != parts[graph.adjncy]
     return float(graph.adjwgt[crossing].sum()) / 2.0
 
 

@@ -130,10 +130,11 @@ def _recurse(
     )
     left = back[bisect == 0]
     right = back[bisect == 1]
-    # Guard: an empty side would lose parts; fall back to a weight split.
+    # Guard: an empty side would lose parts; fall back to a weight split
+    # that keeps at least one vertex on each side (``sub.n >= 2`` here).
     if len(left) == 0 or len(right) == 0:
         order = rng.permutation(back)
-        split = max(1, int(round(len(order) * frac)))
+        split = min(max(1, int(round(len(order) * frac))), len(order) - 1)
         left, right = order[:split], order[split:]
     _recurse(graph, left, k_left, label_base, parts, tolerance, rng,
              n_tries, fm_passes, fracs[:k_left])

@@ -23,7 +23,7 @@ _DENSE_CUTOFF = 800  # use dense eigensolver below this size (more robust)
 
 def _laplacian(graph: CSRGraph) -> sp.csr_matrix:
     n = graph.n
-    rows = np.repeat(np.arange(n), np.diff(graph.xadj))
+    rows = graph.slot_src
     adj = sp.csr_matrix(
         (graph.adjwgt, (rows, graph.adjncy)), shape=(n, n)
     )

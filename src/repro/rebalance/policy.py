@@ -48,7 +48,7 @@ def boundary_vertices(graph: CSRGraph, parts: np.ndarray) -> np.ndarray:
     n = graph.n
     if n == 0 or len(graph.adjncy) == 0:
         return np.zeros(0, dtype=np.int64)
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.xadj))
+    src = graph.slot_src
     cut = parts[src] != parts[graph.adjncy]
     mask = np.zeros(n, dtype=bool)
     mask[src[cut]] = True

@@ -11,6 +11,7 @@ from repro.core.graphbuild import (
     network_csr,
 )
 from repro.routing.tables import memory_weights
+from repro.topology.elements import Mbps, ms
 
 
 def test_network_csr_structure(tiny_network):
@@ -29,6 +30,44 @@ def test_link_index_maps_correct_links(tiny_network):
             link = tiny_network.link(int(link_index[slot]))
             assert v in (link.u, link.v)
             assert int(graph.adjncy[slot]) == link.other(v)
+
+
+def _neighbor_walk(net):
+    """``(xadj, adjncy, link_index)`` read off ``net.neighbors``, node by
+    node: the order the CSR skeleton must keep."""
+    xadj, adjncy, link_index = [0], [], []
+    for v in range(net.n_nodes):
+        for nbr, link in net.neighbors(v):
+            adjncy.append(nbr)
+            link_index.append(link.link_id)
+        xadj.append(len(adjncy))
+    return xadj, adjncy, link_index
+
+
+def _assert_csr_matches_walk(net):
+    graph, link_index = network_csr(net)
+    xadj, adjncy, links = _neighbor_walk(net)
+    assert graph.xadj.tolist() == xadj
+    assert graph.adjncy.tolist() == adjncy
+    assert link_index.tolist() == links
+
+
+def test_network_csr_matches_neighbor_walk(tiny_network, campus):
+    """The CSR skeleton built from the link arrays lists every node's
+    links in :meth:`Network.neighbors` order, through parallel links, a
+    link swapped in place, a down link and a link added afterwards."""
+    net = tiny_network
+    _assert_csr_matches_walk(net)
+    net.add_link("r1", "r2", Mbps(100), ms(2.0))  # parallel to link 1
+    net.add_link("r2", "r1", Mbps(40), ms(3.0))  # parallel, reversed ends
+    _assert_csr_matches_walk(net)
+    net.set_link(1, bandwidth_bps=Mbps(50))  # swapped in place
+    net.set_link_up(4, False)  # down links stay in the adjacency
+    _assert_csr_matches_walk(net)
+    net.add_link("h0", "r3", Mbps(10), ms(0.5))
+    net.add_link("r3", "r0", Mbps(100), ms(4.0))
+    _assert_csr_matches_walk(net)
+    _assert_csr_matches_walk(campus)
 
 
 def test_link_weights_expansion(tiny_network):

@@ -217,3 +217,31 @@ def test_part_graph_rejects_non_finite_weights(bad, where):
     graph = CSRGraph.from_edges(4, edges, vwgt=vwgt)
     with pytest.raises(ValueError, match=where):
         part_graph(graph, 2)
+
+
+@pytest.mark.parametrize("leaves", [7, 8, 9])
+def test_growth_gain_sums_follow_numpy_order(leaves):
+    """Growth sums a frontier vertex's gain the way ``np.sum`` does: left
+    to right below 8 terms, pairwise from 8 up.  Vertex 1 hangs
+    ``leaves`` edges whose two sums differ (1e16 absorbs a lone 1.0 but
+    not a pairwise 2.0); vertex 2 has one edge weighing the left-to-right
+    sum.  Seeded at vertex 0, growth takes vertex 1 on the tie (it is
+    pushed first) and vertex 2 when the pairwise sum is heavier."""
+    from repro.partition._reference import grow_bisection_reference
+    from repro.partition.initial import grow_bisection
+
+    w = [1e16] + [1.0] * (leaves - 1)
+    left_to_right = 0.0
+    for x in w:
+        left_to_right += x
+    n = 4 + leaves
+    edges = [(0, 1, 1.0), (0, 2, 1.0), (2, 3, left_to_right)]
+    edges += [(1, 4 + i, x) for i, x in enumerate(w)]
+    graph = CSRGraph.from_edges(n, edges)
+    seed = next(s for s in range(1000)
+                if np.random.default_rng(s).integers(n) == 0)
+    got = grow_bisection(graph, 2 / n, np.random.default_rng(seed))
+    want = grow_bisection_reference(graph, 2 / n, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+    taken = 2 if float(np.sum(w)) > left_to_right else 1
+    assert np.flatnonzero(got == 0).tolist() == [0, taken]

@@ -14,6 +14,7 @@ from repro.partition._reference import fm_refine_reference
 from repro.partition.fm import fm_refine
 from repro.partition.kwayrefine import kway_refine
 from repro.partition.perf import RefineStats
+from tests.engine.test_perf_guard import _numpy_calls
 from tests.partition.test_refine_parity import random_graph
 
 
@@ -110,6 +111,29 @@ def test_kway_repair_draws_once_per_move_not_per_candidate():
                 stats=stats)
     assert stats.moves >= 20
     assert rng.random_calls <= stats.moves
+
+
+def test_kway_repair_numpy_calls_per_move_are_fixed():
+    """Balance repair keeps its members x parts state while the overloaded
+    part stays the same and patches it after each move, so every move
+    makes the same few numpy calls however many members the part still
+    has (rescanning every member made 17 a move on this graph)."""
+    graph = random_graph(32, n=80, extra=160)
+    parts0 = np.zeros(graph.n, dtype=np.int64)
+    parts0[:4] = (1, 2, 3, 3)
+
+    def calls(max_moves):
+        stats = RefineStats()
+        count = _numpy_calls(lambda: kway_refine(
+            graph, parts0, 4, tolerance=1.1, max_passes=0,
+            rng=np.random.default_rng(6), stats=stats, max_moves=max_moves))
+        assert stats.moves == max_moves  # part 0 is still overloaded
+        return count
+
+    calls(1)  # first-call costs out of the way
+    c5, c25, c45 = calls(5), calls(25), calls(45)
+    assert c45 - c25 == c25 - c5  # the same calls for every move
+    assert (c25 - c5) / 20 <= 8
 
 
 def test_fm_draws_tie_breaks_in_blocks_not_per_push():

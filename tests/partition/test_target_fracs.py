@@ -91,3 +91,17 @@ def test_engine_speeds_scale_wall_time(tiny_routed):
     assert fast.wall_network == pytest.approx(slow.wall_network / 4.0)
     with pytest.raises(ValueError):
         evaluate_mapping(trace, net, parts, engine_speeds=np.array([0.0]))
+
+
+@pytest.mark.parametrize("algorithm", ["multilevel", "recursive"])
+@pytest.mark.parametrize("n,k", [(3, 3), (5, 3), (8, 3), (5, 2), (30, 2)])
+def test_skewed_fracs_leave_no_part_empty(algorithm, n, k):
+    """A bisection whose growth swallows the whole graph falls back to a
+    random split; that split keeps a vertex on each side even when the
+    left share rounds to every vertex (0.98 of 5 vertices is 5), so up
+    to three parts every part is populated whenever ``n >= k``."""
+    path = CSRGraph.from_edges(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    fracs = np.full(k, 0.02)
+    fracs[0] = 1.0 - 0.02 * (k - 1)
+    r = part_graph(path, k, algorithm=algorithm, seed=0, target_fracs=fracs)
+    assert np.all(np.bincount(r.parts, minlength=k) >= 1)
